@@ -357,10 +357,7 @@ def cmd_loop(args) -> int:
 
 
 def _read_trace(path) -> looper.LoopTrace:
-    try:
-        text = Path(path).read_text()
-    except OSError:
-        raise
+    text = Path(path).read_text()
     try:
         return looper.trace_from_json(text)
     except (KeyError, ValueError) as exc:

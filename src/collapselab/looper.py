@@ -94,6 +94,10 @@ class LoopConfig:
     def __post_init__(self) -> None:
         if self.paradigm not in _PARADIGMS:
             raise ConfigError(f"unknown paradigm {self.paradigm!r}")
+        for name in ("iterations", "train_size", "gamma", "master_seed", "pool_cap"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.iterations < 1:
             raise ConfigError(f"iterations must be >= 1, got {self.iterations}")
         if self.train_size < 1:

@@ -1,15 +1,40 @@
-"""Exact nearest-neighbor queries, blocked brute force.
+"""Exact nearest-neighbor queries on a uniform cell grid.
 
-Distances come from the literal (a - b)**2 kernel rather than the dot
-product expansion, so coincident points measure exactly zero. Query rows
-are processed in fixed-size blocks; the block partition depends only on
-the problem shape, and each block writes a disjoint output slice, so the
-results are bit-identical whether blocks run on one thread or many.
+One engine serves both queries. The reference points are binned into a
+grid of m = floor((n / 6) ** (1 / d)) cells per axis over their bounding
+box, and the query rows are grouped by the cell they fall in (a query
+outside the box counts in the nearest edge cell). Each group searches
+only the reference points of its 3**d neighboring cells.
+
+Exactness. Distances come from the literal (a - b)**2 kernel of
+`sq_dists` rather than the dot product expansion, so coincident points
+measure exactly zero, and a pair measures the same bits whichever block
+computes it. Each group's candidate columns are sorted by ascending row
+index, so the tie-break toward the lower index works as it does over all
+columns. A row's answer is accepted only when its k-th squared distance
+is strictly below the squared distance from the query to the edge of the
+searched region, shrunk by a rounding slack: 32 eps times the largest
+coordinate magnitude covers the cell assignment, the cell edges and the
+subtraction, and a factor 1 - 4 (d + 2) eps covers the summed squares.
+Every point outside the region then measures strictly more than the
+answer, so the answer is the one the search over all points would give.
+Rows that fail the check, or whose region holds fewer than k candidates,
+are searched over all points.
+
+When m < 4 (at d = 8, for n below about 400k) the grid is one cell: every
+query searches every point, which is the blocked brute force.
+
+Blocks. Each group is split into blocks of query rows whose diff tensor
+stays within _BLOCK_BUDGET elements, so a dense or collapsed cell never
+makes one huge block. The partition depends only on the data, and each
+block writes a disjoint set of output rows, so the results are
+bit-identical whether blocks run on one thread or many.
 COLLAPSE_LAB_THREADS caps the worker count.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -21,6 +46,13 @@ from .tensorset import DistanceMetric, PointSet
 
 # Elements of the (rows x cols x dim) diff tensor per block, ~32 MB of f64.
 _BLOCK_BUDGET = 1 << 22
+# The grid aims at this many reference points per cell. With fewer than
+# _MIN_CELLS cells per axis, the 3**d neighborhood covers most of the box
+# and the grid would only add overhead, so it becomes a single cell.
+_POINTS_PER_CELL = 6
+_MIN_CELLS = 4
+_EPS = float(np.finfo(np.float64).eps)
+_TINY = float(np.finfo(np.float64).tiny)
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,11 +82,7 @@ def sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ijk,ijk->ij", diff, diff)
 
 
-def _blocks(n_rows: int, n_cols: int, dim: int) -> list[tuple[int, int]]:
-    step = max(1, _BLOCK_BUDGET // max(1, n_cols * dim))
-    return [(s, min(s + step, n_rows)) for s in range(0, n_rows, step)]
-
-def _run_blocks(work, blocks: list[tuple[int, int]]) -> None:
+def _run_blocks(work, blocks: list) -> None:
     workers = worker_count()
     if workers == 1 or len(blocks) == 1:
         for blk in blocks:
@@ -62,6 +90,126 @@ def _run_blocks(work, blocks: list[tuple[int, int]]) -> None:
         return
     with ThreadPoolExecutor(max_workers=workers) as pool:
         list(pool.map(work, blocks))
+
+
+def _split(rows: np.ndarray, runs, n_cols: int, dim: int) -> list:
+    """Cut a group's query rows so each block's diff tensor fits _BLOCK_BUDGET."""
+    step = max(1, _BLOCK_BUDGET // max(1, n_cols * dim))
+    return [(rows[s : s + step], runs) for s in range(0, rows.size, step)]
+
+
+def _select(d2: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """k-th smallest value of each row and its column, ties toward the lower column."""
+    if k == 1:
+        return d2.min(axis=1), d2.argmin(axis=1)
+    vals = np.partition(d2, k - 1, axis=1)[:, k - 1].copy()
+    below = np.count_nonzero(d2 < vals[:, None], axis=1)
+    # The answer is the (k - below)-th column holding the k-th value.
+    seen = np.cumsum(d2 == vals[:, None], axis=1, dtype=np.int32)
+    return vals, np.argmax(seen >= (k - below)[:, None], axis=1)
+
+
+def _grid(q: np.ndarray, r: np.ndarray, within: bool):
+    """Group the queries by grid cell.
+
+    Returns the reference rows sorted by cell, the groups as (query rows,
+    runs, candidate count), and for every query the bound its k-th squared
+    distance must stay strictly below to be accepted. A group's runs are
+    the slices of the sorted reference rows that make up its 3**d
+    neighboring cells; None stands for all reference rows.
+    """
+    n_q, dim = q.shape
+    n_r = r.shape[0]
+    m = int((n_r / _POINTS_PER_CELL) ** (1.0 / dim))
+    if m < _MIN_CELLS:
+        return None, [(np.arange(n_q), None, n_r)], np.full(n_q, np.inf)
+
+    lo = r.min(axis=0)
+    hi = r.max(axis=0)
+    width = (hi - lo) / m
+    # A flat axis puts every point in cell 0 whatever the width.
+    width[width == 0.0] = 1.0
+
+    def cells(x: np.ndarray) -> np.ndarray:
+        return np.clip(np.floor((x - lo) / width), 0, m - 1).astype(np.int64)
+
+    c_r = cells(r)
+    c_q = c_r if within else cells(q)
+
+    # A side of the searched region that reaches an edge cell of the grid
+    # has no reference point beyond it.
+    below = np.where(c_q > 1, q - (lo + (c_q - 1) * width), np.inf)
+    above = np.where(c_q < m - 2, (lo + (c_q + 2) * width) - q, np.inf)
+    edge = np.minimum(below, above).min(axis=1)
+    slack = 32.0 * _EPS * max(np.abs(lo).max(), np.abs(hi).max(), np.abs(q).max())
+    reach = np.maximum(edge - slack, 0.0)
+    with np.errstate(over="ignore"):
+        bound = reach * reach * (1.0 - 4 * (dim + 2) * _EPS)
+    # Past overflow or below the normal range the relative rounding
+    # argument fails; such rows take the search over all points.
+    bound[(bound < _TINY) | (np.isinf(bound) & np.isfinite(edge))] = 0.0
+
+    strides = m ** np.arange(dim - 1, -1, -1)
+    flat_r = c_r @ strides
+    flat_q = flat_r if within else c_q @ strides
+    order = np.argsort(flat_r, kind="stable")
+    ends = np.cumsum(np.bincount(flat_r, minlength=m**dim))
+    starts = np.concatenate(([0], ends[:-1]))
+    q_order = order if within else np.argsort(flat_q, kind="stable")
+    _, first, sizes = np.unique(flat_q[q_order], return_index=True, return_counts=True)
+
+    # Neighboring cells that differ only in the last coordinate are adjacent
+    # in `order`, so a neighborhood is 3**(d-1) contiguous runs.
+    home = c_q[q_order[first]]
+    shifts = np.array(list(itertools.product((-1, 0, 1), repeat=dim - 1)), dtype=np.int64)
+    lead = home[:, None, :-1] + shifts.reshape(3 ** (dim - 1), dim - 1)
+    inside = np.all((lead >= 0) & (lead < m), axis=2)
+    base = np.clip(lead, 0, m - 1) @ strides[:-1]
+    last = home[:, -1:]
+    run_lo = starts[base + np.maximum(last - 1, 0)]
+    run_hi = np.where(inside, ends[base + np.minimum(last + 1, m - 1)], run_lo)
+    counts = (run_hi - run_lo).sum(axis=1)
+    groups = [
+        (q_order[f : f + s], [slice(a, b) for a, b in zip(los, his) if b > a], c)
+        for f, s, los, his, c in zip(
+            first.tolist(), sizes.tolist(), run_lo.tolist(), run_hi.tolist(), counts.tolist()
+        )
+    ]
+    return order, groups, bound
+
+
+def _search(q: np.ndarray, r: np.ndarray, k: int, within: bool) -> tuple[np.ndarray, np.ndarray]:
+    """k-th nearest reference row of every query, as squared distance and index.
+
+    With `within`, q is r and each query skips its own row.
+    """
+    n_q, dim = q.shape
+    n_r = r.shape[0]
+    out_v = np.empty(n_q, dtype=np.float64)
+    out_i = np.empty(n_q, dtype=np.int64)
+    accepted = np.zeros(n_q, dtype=bool)
+    order, groups, bound = _grid(q, r, within)
+
+    def work(blk) -> None:
+        rows, runs = blk
+        cand = np.arange(n_r) if runs is None else np.sort(np.concatenate([order[run] for run in runs]))
+        d2 = sq_dists(q[rows], r[cand])
+        if within:
+            d2[np.arange(rows.size), np.searchsorted(cand, rows)] = np.inf
+        vals, cols = _select(d2, k)
+        out_v[rows] = vals
+        out_i[rows] = cand[cols]
+        accepted[rows] = vals < bound[rows]
+
+    blocks = []
+    for rows, runs, n_cand in groups:
+        if n_cand >= k + within:
+            blocks += _split(rows, runs, n_cand, dim)
+    _run_blocks(work, blocks)
+    rest = np.flatnonzero(~accepted)
+    if rest.size:
+        _run_blocks(work, _split(rest, None, n_r, dim))
+    return out_v, out_i
 
 
 def kth_nn_within(ps: PointSet, k: int, metric: DistanceMetric = DistanceMetric()) -> NeighborResult:
@@ -76,28 +224,7 @@ def kth_nn_within(ps: PointSet, k: int, metric: DistanceMetric = DistanceMetric(
     if n <= k:
         raise InsufficientPointsError(f"need at least {k + 1} points for the {k}-th neighbor, got {n}")
     x = np.ascontiguousarray(metric.feature_map.apply(ps.data))
-    out_v = np.empty(n, dtype=np.float64)
-    out_i = np.empty(n, dtype=np.int64)
-
-    def work(blk: tuple[int, int]) -> None:
-        s, e = blk
-        d2 = sq_dists(x[s:e], x)
-        d2[np.arange(e - s), np.arange(s, e)] = np.inf
-        if k == 1:
-            out_v[s:e] = d2.min(axis=1)
-            out_i[s:e] = d2.argmin(axis=1)
-            return
-        part = np.partition(d2, k - 1, axis=1)
-        vals = part[:, k - 1]
-        out_v[s:e] = vals
-        for r in range(e - s):
-            row = d2[r]
-            v = vals[r]
-            below = int(np.count_nonzero(row < v))
-            ties = np.flatnonzero(row == v)
-            out_i[s + r] = ties[k - 1 - below]
-
-    _run_blocks(work, _blocks(n, n, x.shape[1]))
+    out_v, out_i = _search(x, x, k, within=True)
     return NeighborResult(metric.from_squared(out_v), out_i)
 
 
@@ -114,15 +241,5 @@ def nn_cross(queries: PointSet, refs: PointSet, metric: DistanceMetric = Distanc
         raise DimensionError(f"query dimension {queries.dim} != reference dimension {refs.dim}")
     q = np.ascontiguousarray(metric.feature_map.apply(queries.data))
     r = np.ascontiguousarray(metric.feature_map.apply(refs.data))
-    nq = q.shape[0]
-    out_v = np.empty(nq, dtype=np.float64)
-    out_i = np.empty(nq, dtype=np.int64)
-
-    def work(blk: tuple[int, int]) -> None:
-        s, e = blk
-        d2 = sq_dists(q[s:e], r)
-        out_v[s:e] = d2.min(axis=1)
-        out_i[s:e] = d2.argmin(axis=1)
-
-    _run_blocks(work, _blocks(nq, r.shape[0], q.shape[1]))
+    out_v, out_i = _search(q, r, 1, within=False)
     return NeighborResult(metric.from_squared(out_v), out_i)

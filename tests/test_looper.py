@@ -101,6 +101,21 @@ class TestLoopConfig:
         with pytest.raises(ConfigError):
             bootstrap_config(gamma=0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("iterations", 2.5),
+            ("train_size", 10.0),
+            ("gamma", 1.5),
+            ("master_seed", 3.0),
+            ("pool_cap", 1e6),
+            ("iterations", True),
+        ],
+    )
+    def test_integer_fields_reject_other_types(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            bootstrap_config(**{field: value})
+
 
 class TestRunLoop:
     def test_single_iteration_matches_manual_chain(self):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -43,6 +44,30 @@ def naive_cross(queries, refs):
         )
         dists[i], idx[i] = pairs[0]
     return dists, idx
+
+
+def brute_kth(queries, refs, k, within):
+    """Blocked brute force: every query against every reference row.
+
+    This was the neighbor kernel before the cell grid; the grid must give
+    the same bits. With `within`, queries is refs and a row skips itself.
+    """
+    n = len(queries)
+    dists = np.empty(n)
+    idx = np.empty(n, dtype=np.int64)
+    step = max(1, (1 << 22) // max(1, len(refs) * queries.shape[1]))
+    for s in range(0, n, step):
+        e = min(s + step, n)
+        diff = queries[s:e, None, :] - refs[None, :, :]
+        d2 = np.einsum("ijk,ijk->ij", diff, diff)
+        if within:
+            d2[np.arange(e - s), np.arange(s, e)] = np.inf
+        vals = np.partition(d2, k - 1, axis=1)[:, k - 1]
+        dists[s:e] = vals
+        for r in range(e - s):
+            below = int(np.count_nonzero(d2[r] < vals[r]))
+            idx[s + r] = np.flatnonzero(d2[r] == vals[r])[k - 1 - below]
+    return np.sqrt(dists), idx
 
 
 class TestKthWithin:
@@ -162,6 +187,132 @@ class TestNnCross:
             nn_cross(ps, empty)
 
 
+def grid_active(data):
+    return neighbors._grid(data, data, True)[0] is not None
+
+
+def grid_datasets():
+    """(name, data) for point sets on which the engine builds a grid of at
+    least 4 cells per axis."""
+    rng = np.random.default_rng(43)
+    # lattices put points exactly on cell edges (width 6, 1.25 and 2)
+    # and tie every point with several neighbors across those edges
+    yield "lattice-1d", np.arange(61.0)[:, None]
+    half = np.arange(0.0, 15.5, 0.5)
+    yield "lattice-2d", np.array([[a, b] for a in half for b in half])
+    ints = np.arange(9.0)
+    yield "lattice-3d", np.array([[a, b, c] for a in ints for b in ints for c in ints])
+    for d, n in ((1, 300), (2, 700), (3, 800)):
+        base = rng.standard_normal((n // 8, d))
+        yield f"duplicates-{d}d", base[rng.integers(0, len(base), n)]
+    yield "blobs-3d", rng.standard_normal((800, 3)) + rng.choice([-3.0, 3.0], size=(800, 3))
+    # sparse tails: many rows' neighbors lie two or more cells away
+    for d, n in ((1, 200), (2, 600)):
+        yield f"heavy-tails-{d}d", rng.standard_cauchy((n, d))
+    yield "collapsed", np.full((600, 2), 1.5)
+    spread = rng.standard_normal((600, 2))
+    spread[7] = [1e6, -1e6]
+    spread[400] = [-1e6, 2e6]
+    yield "outliers", spread
+
+
+GRID_DATASETS = list(grid_datasets())
+TRANSFORMS = [(1.0, 0.0), (1e-8, 0.0), (1e8, 0.0), (1.0, 1e6), (1e-8, 1e6), (1e8, 1e6)]
+
+
+class TestGridMatchesBruteForce:
+    @pytest.mark.parametrize("scale, shift", TRANSFORMS)
+    @pytest.mark.parametrize("name, base", GRID_DATASETS, ids=[name for name, _ in GRID_DATASETS])
+    def test_kth_within_bit_identical(self, name, base, scale, shift):
+        data = base * scale + shift
+        assert grid_active(data)
+        ps = PointSet(data)
+        for k in range(1, 6):
+            res = kth_nn_within(ps, k)
+            ref_d, ref_i = brute_kth(data, data, k, within=True)
+            assert np.array_equal(res.distances, ref_d), (name, k)
+            assert np.array_equal(res.indices, ref_i), (name, k)
+
+    @pytest.mark.parametrize("scale, shift", TRANSFORMS)
+    @pytest.mark.parametrize("name, base", GRID_DATASETS, ids=[name for name, _ in GRID_DATASETS])
+    def test_nn_cross_bit_identical(self, name, base, scale, shift):
+        rng = np.random.default_rng(47)
+        lo, hi = base.min(axis=0), base.max(axis=0)
+        span = np.maximum(hi - lo, 1.0)
+        queries = np.concatenate(
+            [
+                base[rng.integers(0, len(base), 60)],  # exact hits
+                base[rng.integers(0, len(base), 60)] + 0.3 * rng.standard_normal((60, base.shape[1])),
+                lo - span * rng.uniform(0.01, 3.0, (30, base.shape[1])),  # outside the box
+                hi + span * rng.uniform(0.01, 3.0, (30, base.shape[1])),
+                rng.uniform(lo - span, hi + span, (30, base.shape[1])),
+            ]
+        )
+        data = base * scale + shift
+        queries = queries * scale + shift
+        assert grid_active(data)
+        res = nn_cross(PointSet(queries), PointSet(data))
+        ref_d, ref_i = brute_kth(queries, data, 1, within=False)
+        assert np.array_equal(res.distances, ref_d)
+        assert np.array_equal(res.indices, ref_i)
+
+    def test_neighbor_two_cells_away(self):
+        # 60 points on [0, 100] make 10 cells of width 10. The rows at 20.5
+        # (cell 2) and 79.5 (cell 7) find one candidate 19.4 away in their
+        # 3-cell region, but their nearest neighbors sit in cells 0 and 9,
+        # 10.51 away; only the full search finds them.
+        middle = np.linspace(45.0, 55.0, 52)
+        data = np.concatenate([[0.0, 9.99, 20.5, 39.9], middle, [60.1, 79.5, 90.01, 100.0]])[:, None]
+        assert grid_active(data)
+        for k in (1, 2):
+            res = kth_nn_within(PointSet(data), k)
+            ref_d, ref_i = brute_kth(data, data, k, within=True)
+            assert np.array_equal(res.distances, ref_d)
+            assert np.array_equal(res.indices, ref_i)
+        res = kth_nn_within(PointSet(data), 1)
+        assert res.indices[2] == 1 and res.indices[-3] == len(data) - 2
+        queries = np.array([[20.5], [79.5]])
+        refs = np.delete(data, [2, len(data) - 3], axis=0)
+        res = nn_cross(PointSet(queries), PointSet(refs))
+        ref_d, ref_i = brute_kth(queries, refs, 1, within=False)
+        assert np.array_equal(res.distances, ref_d)
+        assert np.array_equal(res.indices, ref_i)
+
+    def test_one_cell_at_d8_bit_identical(self):
+        rng = np.random.default_rng(53)
+        data = rng.standard_normal((600, 8))
+        data[300:] = data[:300]
+        assert not grid_active(data)
+        ps = PointSet(data)
+        for k in (1, 2, 4):
+            res = kth_nn_within(ps, k)
+            ref_d, ref_i = brute_kth(data, data, k, within=True)
+            assert np.array_equal(res.distances, ref_d)
+            assert np.array_equal(res.indices, ref_i)
+        queries = rng.standard_normal((50, 8))
+        res = nn_cross(PointSet(queries), ps)
+        ref_d, ref_i = brute_kth(queries, data, 1, within=False)
+        assert np.array_equal(res.distances, ref_d)
+        assert np.array_equal(res.indices, ref_i)
+
+    def test_collapsed_cell_stays_within_block_budget(self, monkeypatch):
+        # 5,000 identical points share one grid cell; blocking must still cap
+        # the diff tensor instead of building one 5000 x 5000 x 2 block
+        monkeypatch.setenv("COLLAPSE_LAB_THREADS", "1")
+        ps = PointSet(np.full((5000, 2), 0.25))
+        assert grid_active(ps.data)
+        budget_bytes = neighbors._BLOCK_BUDGET * 8
+        for k in (1, 2):
+            tracemalloc.start()
+            try:
+                res = kth_nn_within(ps, k)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert np.all(res.distances == 0.0)
+            assert peak <= 2 * budget_bytes, f"k={k}: peak {peak / 2**20:.1f} MiB"
+
+
 class TestDeterminism:
     def test_block_size_does_not_change_bits(self, monkeypatch):
         rng = np.random.default_rng(37)
@@ -183,6 +334,27 @@ class TestDeterminism:
         for res in results[1:]:
             assert np.array_equal(res.distances, results[0].distances)
             assert np.array_equal(res.indices, results[0].indices)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_worker_count_does_not_change_bits_on_grid(self, monkeypatch, k):
+        # duplicated rows and a dense cell split into several blocks, plus
+        # queries outside the box that fall back to the full search
+        rng = np.random.default_rng(59)
+        data = rng.standard_normal((2000, 2))
+        data[1000:] = data[:1000]
+        data[:200] = 0.5
+        ps = PointSet(data)
+        assert grid_active(data)
+        queries = PointSet(rng.standard_normal((300, 2)) * 4.0)
+        monkeypatch.setattr(neighbors, "_BLOCK_BUDGET", 1 << 12)
+        results = []
+        for workers in ("1", "3", "8"):
+            monkeypatch.setenv("COLLAPSE_LAB_THREADS", workers)
+            results.append((kth_nn_within(ps, k=k), nn_cross(queries, ps)))
+        for res in results[1:]:
+            for got, want in zip(res, results[0]):
+                assert np.array_equal(got.distances, want.distances)
+                assert np.array_equal(got.indices, want.indices)
 
     def test_bad_worker_env_rejected(self, monkeypatch):
         monkeypatch.setenv("COLLAPSE_LAB_THREADS", "zero")
