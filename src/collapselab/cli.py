@@ -18,6 +18,7 @@ there the mismatch is an operator mistake in what was asked for.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -215,17 +216,7 @@ def cmd_gen(args) -> int:
     spec = parse_generator(args.generator)
     fit_seed = looper.derive_seed(args.seed, 0, looper.ROLE_FIT)
     sample_seed = looper.derive_seed(args.seed, 0, looper.ROLE_SAMPLE)
-    generator = fit(
-        GeneratorSpec(
-            kind=spec.kind,
-            seed=fit_seed,
-            components=spec.components,
-            max_iters=spec.max_iters,
-            tol=spec.tol,
-            sigma=spec.sigma,
-        ),
-        training,
-    )
+    generator = fit(dataclasses.replace(spec, seed=fit_seed), training)
     out = sample(generator, args.m, sample_seed).with_sources(args.tag_iteration)
     save_pointset(out, args.out, args.format)
     _emit(

@@ -14,7 +14,7 @@ crashing estimate plus a rising duplicate count rather than -inf.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -59,8 +59,8 @@ def kl_entropy(ps: PointSet, gamma: int = 1, metric: DistanceMetric = DistanceMe
         raise DomainError(f"gamma must be a positive integer, got {gamma!r}")
     if ps.size <= gamma:
         raise InsufficientPointsError(f"entropy with gamma={gamma} needs at least {gamma + 1} points, got {ps.size}")
-    res = kth_nn_within(ps, gamma, metric)
-    eps = res.distances
+    # The estimator is defined on euclidean radii, whatever the metric's units.
+    eps = kth_nn_within(ps, gamma, replace(metric, kind="euclidean")).distances
     clamped = eps < EPS_FLOOR
     duplicate_count = int(np.count_nonzero(clamped))
     log_sum = float(np.log(np.where(clamped, EPS_FLOOR, eps)).sum())

@@ -112,7 +112,8 @@ def select_threshold_decay(pool: PointSet, n: int, policy: SelectionPolicy) -> S
     """Pass-and-decay filtering; membership grows within a pass.
 
     A candidate admitted mid-pass immediately constrains later candidates.
-    If a full pass admits nothing the threshold decays by alpha. Candidates
+    If a full pass admits nothing the threshold decays by alpha; a run of
+    such barren passes is counted without being scanned. Candidates
     coincident with a member (distance exactly 0) can never clear a
     threshold, so once a barren pass shows only such candidates remain, the
     tail is filled in scan order.
@@ -140,28 +141,30 @@ def select_threshold_decay(pool: PointSet, n: int, policy: SelectionPolicy) -> S
 
     while len(chosen) < n:
         passes += 1
-        added = False
-        for i in range(pool.size):
-            if selected[i]:
-                continue
-            if min_d[i] > tau:
-                admit(i)
-                added = True
+        # Members sit at -inf and min_d only falls within a pass, so this
+        # pass admits, in index order, those candidates above tau at its
+        # start that are still above tau when the scan reaches them.
+        hits = np.flatnonzero(min_d > tau)
+        if hits.size:
+            while hits.size and len(chosen) < n:
+                admit(int(hits[0]))
+                hits = hits[1:][min_d[hits[1:]] > tau]
+            continue
+        remaining = np.flatnonzero(~selected)
+        top = float(min_d[remaining].max())
+        if top <= 0.0:
+            # Only exact duplicates of members remain.
+            for i in remaining:
+                admit(int(i))
                 if len(chosen) == n:
                     break
-        if len(chosen) == n:
             break
-        if not added:
-            remaining = np.flatnonzero(~selected)
-            if float(min_d[remaining].max()) <= 0.0:
-                # Only exact duplicates of members remain.
-                for i in remaining:
-                    admit(int(i))
-                    if len(chosen) == n:
-                        break
-                break
-            if alpha == 1.0:
-                raise ConfigError("threshold decay stalled: alpha=1 can never admit the remaining candidates")
+        if alpha == 1.0:
+            raise ConfigError("threshold decay stalled: alpha=1 can never admit the remaining candidates")
+        tau *= alpha
+        # Every pass until tau falls below top would be barren too.
+        while top <= tau:
+            passes += 1
             tau *= alpha
     return _result(pool, chosen, final_threshold=tau, passes=passes)
 

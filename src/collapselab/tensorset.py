@@ -25,6 +25,8 @@ RAWBIN_MAGIC = b"CLPS"
 RAWBIN_VERSION = 1
 
 _TAG_RE = re.compile(r"^(real|syn[1-9][0-9]*)$")
+# Width of the CSV reader's tag field; a tag this long or longer takes the per-cell parser.
+_TAG_WIDTH = 8
 
 
 @dataclass(frozen=True, order=True)
@@ -269,28 +271,79 @@ def _parse_float(token: str) -> float | None:
 
 
 def _load_csv(path: Path) -> PointSet:
-    lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
-    if not lines:
+    text = path.read_text()
+    # numpy's fixed-width tag strings drop trailing NULs; such files go per cell.
+    vectorize = "\x00" not in text
+    lines = text.splitlines()
+    del text
+    head = next((k for k, ln in enumerate(lines) if ln.strip()), None)
+    if head is None:
         raise EmptyDatasetError(f"{path}: empty file")
-    first = [f.strip() for f in lines[0].split(",")]
+    first = [f.strip() for f in lines[head].split(",")]
     # A source column without a header still leaves the first field numeric,
     # so a non-numeric first field can only be a header.
     has_header = _parse_float(first[0]) is None
+    expected = len(first)
+    # Only the data rows stay, without the empty lines numpy's max_rows warns about.
+    del lines[: head + has_header]
+    if "" in lines:
+        lines[:] = filter(None, lines)
     if has_header:
-        expected = len(first)
-        has_source = first[-1].strip().lower() == "source"
-        data_lines = lines[1:]
-        if not data_lines:
+        has_source = first[-1].lower() == "source"
+        if not any(ln.strip() for ln in lines):
             raise EmptyDatasetError(f"{path}: header but no data rows")
     else:
-        expected = len(first)
         has_source = _parse_float(first[-1]) is None
-        data_lines = lines
 
     n_cols = expected - (1 if has_source else 0)
     if n_cols < 1:
         raise FormatError(f"{path}: no numeric columns")
 
+    parsed = _parse_table(lines, n_cols, has_source) if vectorize else None
+    if parsed is None:
+        return _parse_cells(path, has_header, expected, has_source)
+    return PointSet(*parsed)
+
+
+def _parse_table(lines: list[str], n_cols: int, has_source: bool):
+    """Parse non-empty data rows in one numpy pass: (values, codes), or None if refused.
+
+    numpy accepts a subset of what the per-cell parser accepts and reads it
+    to the same bits; it refuses whitespace-only lines, ragged rows,
+    underscores in numbers and non-ASCII digits. Tags are parsed once per
+    distinct value. A tag of _TAG_WIDTH characters may have been cut short;
+    such files, and files with an invalid tag, go to the per-cell parser,
+    which names the first bad row. `lines` is emptied once numpy has read
+    it, so a large file's line strings are freed before the tags are sorted.
+    """
+    dtype = [("x", np.float64, (n_cols,))] + ([("tag", f"U{_TAG_WIDTH}")] if has_source else [])
+    try:
+        # max_rows sizes the result once instead of growing it block by block.
+        table = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1, max_rows=len(lines))
+    except ValueError:
+        return None
+    finally:
+        lines.clear()
+    if not has_source:
+        return table["x"], None
+    tags, inverse = np.unique(table["tag"], return_inverse=True)
+    codes = np.empty(tags.size, dtype=np.int64)
+    for j, tag in enumerate(tags):
+        if len(tag) >= _TAG_WIDTH:
+            return None
+        try:
+            codes[j] = SourceTag.parse(tag).iteration
+        except FormatError:
+            return None
+    return table["x"], codes[inverse]
+
+
+def _parse_cells(path: Path, has_header: bool, expected: int, has_source: bool) -> PointSet:
+    """Per-cell parser for the files numpy refuses; it reads the file again
+    and names the first bad row and field."""
+    lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
+    data_lines = lines[1:] if has_header else lines
+    n_cols = expected - (1 if has_source else 0)
     values = np.empty((len(data_lines), n_cols), dtype=np.float64)
     codes = np.zeros(len(data_lines), dtype=np.int64)
     for i, ln in enumerate(data_lines):
@@ -338,10 +391,11 @@ def _load_rawbin(path: Path) -> PointSet:
 
 
 def _save_rawbin(ps: PointSet, path: Path) -> None:
+    if ps.size and int(ps.sources.max()) > 255:
+        raise FormatError(f"{path}: rawbin stores iteration codes up to 255, got {int(ps.sources.max())}")
     head = RAWBIN_MAGIC + struct.pack("<IQQ", RAWBIN_VERSION, ps.size, ps.dim)
     body = np.ascontiguousarray(ps.data, dtype="<f8").tobytes()
-    # Iteration codes above 255 saturate in this container.
-    tail = np.minimum(ps.sources, 255).astype(np.uint8).tobytes()
+    tail = ps.sources.astype(np.uint8).tobytes()
     path.write_bytes(head + body + tail)
 
 

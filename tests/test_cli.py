@@ -199,6 +199,14 @@ class TestGen:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_rawbin_rejects_iteration_codes_above_255(self, blob_csv, tmp_path):
+        src = tmp_path / "in.bin"
+        save_pointset(load_pointset(blob_csv), src, fmt="rawbin")
+        args = ["gen", "--input", str(src), "--generator", "bootstrap:0", "--m", "5", "--format", "rawbin"]
+        assert main(args + ["--out", str(tmp_path / "ok.bin"), "--tag-iteration", "255"]) == 0
+        assert main(args + ["--out", str(tmp_path / "x.bin"), "--tag-iteration", "256"]) == 2
+        assert not (tmp_path / "x.bin").exists()
+
     def test_bad_generator_spec_is_config_error(self, blob_csv, tmp_path):
         code = main(
             ["gen", "--input", str(blob_csv), "--generator", "gmm:zero",

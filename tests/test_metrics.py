@@ -16,6 +16,7 @@ from collapselab import (
     MomentSummary,
     NumericalError,
     PointSet,
+    SQEUCLIDEAN,
     digamma,
     frechet_gaussian_distance,
     generalization_score,
@@ -87,6 +88,23 @@ class TestKlEntropy:
         projected = kl_entropy(PointSet(fm.apply(data)))
         assert direct.dim == 2
         assert direct.estimate == pytest.approx(projected.estimate, rel=1e-12)
+
+    def test_squared_metric_gives_the_euclidean_report(self):
+        # The estimator takes logs of radii; squared radii once gave -4.32
+        # here against a true entropy of log(2*pi*e) = 2.838.
+        rng = np.random.default_rng(4)
+        data = rng.standard_normal((4000, 2))
+        data[:50] = data[50]
+        ps = PointSet(data)
+        fm = FeatureMap.random_projection(target_dim=2, seed=9)
+        for gamma in (1, 3):
+            pairs = ((EUCLIDEAN, SQEUCLIDEAN), (DistanceMetric(feature_map=fm), DistanceMetric("sqeuclidean", fm)))
+            for euclid, squared in pairs:
+                a, b = kl_entropy(ps, gamma, euclid), kl_entropy(ps, gamma, squared)
+                assert a == b
+                assert a.estimate.hex() == b.estimate.hex()
+        clean = PointSet(data[50:])
+        assert kl_entropy(clean, metric=SQEUCLIDEAN).estimate == pytest.approx(LN_2PIE, abs=0.05)
 
     def test_uniform_single_seed_sanity(self):
         rng = np.random.default_rng(6)

@@ -3,10 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from collapselab import (
     ConfigError,
     EUCLIDEAN,
+    SQEUCLIDEAN,
     InsufficientPointsError,
     PointSet,
     SelectionPolicy,
@@ -16,6 +18,8 @@ from collapselab import (
     select_random,
     select_threshold_decay,
 )
+from collapselab.neighbors import sq_dists
+from collapselab.selection import _check_request, _initial_index
 
 
 def min_pairwise(data, indices):
@@ -154,6 +158,123 @@ class TestThresholdDecay:
             SelectionPolicy(kind="threshold_decay", tau0=1.0, alpha=1.5)
         with pytest.raises(ConfigError):
             SelectionPolicy(kind="threshold_decay", tau0=0.0, alpha=0.5)
+
+
+def reference_threshold_decay(pool, n, policy):
+    """The pass-by-pass scan that select_threshold_decay replaced, kept as
+    its oracle: (indices, passes, final_threshold)."""
+    _check_request(pool, n)
+    x = np.ascontiguousarray(policy.metric.feature_map.apply(pool.data))
+    start = _initial_index(pool.size, policy)
+    tau = float(policy.tau0)
+    alpha = float(policy.alpha)
+
+    chosen = [start]
+    selected = np.zeros(pool.size, dtype=bool)
+    selected[start] = True
+    min_d = policy.metric.from_squared(sq_dists(x, x[start : start + 1]).ravel())
+    min_d[start] = -np.inf
+    passes = 0
+
+    def admit(i):
+        chosen.append(i)
+        selected[i] = True
+        np.minimum(min_d, policy.metric.from_squared(sq_dists(x, x[i : i + 1]).ravel()), out=min_d)
+        min_d[i] = -np.inf
+
+    while len(chosen) < n:
+        passes += 1
+        added = False
+        for i in range(pool.size):
+            if selected[i]:
+                continue
+            if min_d[i] > tau:
+                admit(i)
+                added = True
+                if len(chosen) == n:
+                    break
+        if len(chosen) == n:
+            break
+        if not added:
+            remaining = np.flatnonzero(~selected)
+            if float(min_d[remaining].max()) <= 0.0:
+                for i in remaining:
+                    admit(int(i))
+                    if len(chosen) == n:
+                        break
+                break
+            if alpha == 1.0:
+                raise ConfigError("threshold decay stalled: alpha=1 can never admit the remaining candidates")
+            tau *= alpha
+    return chosen, passes, tau
+
+
+def decay_outcome(fn, pool, n, policy):
+    try:
+        out = fn(pool, n, policy)
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+    if isinstance(out, tuple):
+        indices, passes, tau = out
+    else:
+        indices, passes, tau = out.indices, out.passes, out.final_threshold
+    return [int(i) for i in indices], passes, float(tau).hex()
+
+
+@st.composite
+def decay_cases(draw):
+    """Integer lattices (ties, duplicates) with a collapsed leading block,
+    scaled over twelve decades, under every kind of decay schedule."""
+    d = draw(st.integers(1, 2))
+    size = draw(st.integers(1, 24))
+    coords = draw(st.lists(st.lists(st.integers(-6, 6), min_size=d, max_size=d), min_size=size, max_size=size))
+    data = np.array(coords, dtype=np.float64)
+    data[: draw(st.integers(0, size))] = data[0]
+    data *= 10.0 ** draw(st.integers(-6, 6))
+    pool = PointSet(data)
+    n = draw(st.integers(1, size))
+    schedule = draw(st.sampled_from(["0.5", "0.9", "0.999", "vanilla", "stall"]))
+    if schedule == "vanilla":
+        tau0, alpha = 0.0, 0.0
+    else:
+        diam = float(np.sqrt(sq_dists(data, data).max())) or 1.0
+        tau0 = diam * draw(st.sampled_from([0.01, 0.3, 1.0, 2.5]))
+        alpha = 1.0 if schedule == "stall" else float(schedule)
+    policy = SelectionPolicy(
+        kind="threshold_decay",
+        tau0=tau0,
+        alpha=alpha,
+        seed=draw(st.integers(0, 2**16)),
+        initial_index=draw(st.one_of(st.none(), st.integers(0, size - 1))),
+        metric=draw(st.sampled_from([EUCLIDEAN, SQEUCLIDEAN])),
+    )
+    return pool, n, policy
+
+
+class TestThresholdDecayMatchesPassByPassScan:
+    @given(case=decay_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_same_indices_passes_and_threshold(self, case):
+        pool, n, policy = case
+        expect = decay_outcome(reference_threshold_decay, pool, n, policy)
+        assert decay_outcome(select_threshold_decay, pool, n, policy) == expect
+
+    def test_long_barren_run_is_counted_pass_by_pass(self):
+        pool = PointSet([[0.0], [1.0], [2.0]])
+        policy = SelectionPolicy(kind="threshold_decay", tau0=1000.0, alpha=0.999, initial_index=0)
+        res = select_threshold_decay(pool, 3, policy)
+        assert res.passes == 6907
+        assert decay_outcome(select_threshold_decay, pool, 3, policy) == decay_outcome(
+            reference_threshold_decay, pool, 3, policy
+        )
+
+    def test_random_pool_matches(self):
+        rng = np.random.default_rng(11)
+        pool = PointSet(np.round(rng.standard_normal((400, 2)), 1))
+        for alpha in (0.5, 0.9, 0.999):
+            policy = SelectionPolicy(kind="threshold_decay", tau0=5.0, alpha=alpha, seed=3)
+            expect = decay_outcome(reference_threshold_decay, pool, 150, policy)
+            assert decay_outcome(select_threshold_decay, pool, 150, policy) == expect
 
 
 class TestRandom:

@@ -1,9 +1,11 @@
 import math
 import struct
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from collapselab import (
     ConfigError,
@@ -20,6 +22,7 @@ from collapselab import (
     load_pointset,
     save_pointset,
 )
+from collapselab import tensorset
 from collapselab.tensorset import RAWBIN_MAGIC, source_proportions
 
 
@@ -226,12 +229,14 @@ class TestRawbinFormat:
         with pytest.raises(FormatError):
             load_pointset(p, fmt="rawbin")
 
-    def test_iteration_codes_saturate_at_byte_range(self, tmp_path):
-        ps = PointSet(np.zeros((2, 1)), sources=[255, 300])
+    def test_iteration_codes_beyond_byte_range_rejected(self, tmp_path):
         p = tmp_path / "s.bin"
-        save_pointset(ps, p, fmt="rawbin")
-        back = load_pointset(p, fmt="rawbin")
-        assert list(back.sources) == [255, 255]
+        save_pointset(PointSet(np.zeros((2, 1)), sources=[0, 255]), p, fmt="rawbin")
+        assert list(load_pointset(p, fmt="rawbin").sources) == [0, 255]
+        q = tmp_path / "t.bin"
+        with pytest.raises(FormatError, match="300"):
+            save_pointset(PointSet(np.zeros((2, 1)), sources=[255, 300]), q, fmt="rawbin")
+        assert not q.exists()
 
 
 class TestFeatureMap:
@@ -320,3 +325,137 @@ class TestRoundTripProperties:
         save_pointset(ps, p, fmt="rawbin")
         back = load_pointset(p, fmt="rawbin")
         assert back.data.tobytes() == ps.data.tobytes()
+
+
+def reference_load_csv(path: Path) -> PointSet:
+    """The per-cell CSV reader that load_pointset's numpy pass replaced, kept
+    as its oracle."""
+
+    def parse_float(token):
+        try:
+            return float(token)
+        except ValueError:
+            return None
+
+    lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
+    if not lines:
+        raise EmptyDatasetError(f"{path}: empty file")
+    first = [f.strip() for f in lines[0].split(",")]
+    has_header = parse_float(first[0]) is None
+    if has_header:
+        expected = len(first)
+        has_source = first[-1].strip().lower() == "source"
+        data_lines = lines[1:]
+        if not data_lines:
+            raise EmptyDatasetError(f"{path}: header but no data rows")
+    else:
+        expected = len(first)
+        has_source = parse_float(first[-1]) is None
+        data_lines = lines
+
+    n_cols = expected - (1 if has_source else 0)
+    if n_cols < 1:
+        raise FormatError(f"{path}: no numeric columns")
+
+    values = np.empty((len(data_lines), n_cols), dtype=np.float64)
+    codes = np.zeros(len(data_lines), dtype=np.int64)
+    for i, ln in enumerate(data_lines):
+        fields = [f.strip() for f in ln.split(",")]
+        if len(fields) != expected:
+            raise FormatError(f"{path}: row {i + 1} has {len(fields)} fields, expected {expected}")
+        if has_source:
+            codes[i] = SourceTag.parse(fields[-1]).iteration
+            fields = fields[:-1]
+        for j, tok in enumerate(fields):
+            v = parse_float(tok)
+            if v is None:
+                raise FormatError(f"{path}: row {i + 1} field {j + 1}: {tok!r} is not a number")
+            values[i, j] = v
+    return PointSet(values, codes)
+
+
+def csv_outcome(load, path: Path):
+    """The points a reader returns, bit for bit, or its error; a warning counts as an error."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ps = load(path)
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+    return ps.data.shape, ps.data.tobytes(), ps.sources.tolist()
+
+
+numbers = st.one_of(coordinate.map(repr), st.integers(-10**6, 10**6).map(str))
+odd_numbers = st.sampled_from(
+    ["1_000", "nan", "-inf", "1e400", " 2.5 ", "\t3", "-0", "+.5", "1.", "#", "#1", "", "x",
+     "0x10", "\u0661\u0662", "1\xa0", "1\x1f", "1\x00", "1,5", "2 3", "Infinity"]
+)
+tags = st.sampled_from(["real", "syn1", "syn2", "syn17", "SYN3", " real ", "Real\t", "syn1234", "  syn12"])
+odd_tags = st.one_of(
+    st.sampled_from(
+        ["syn12345", "syn1234567", "   syn12", "syn0", "junk", "", "#real", "r\u00e9al", "syn\u0661",
+         "real\x00", "\x00real", "\xa0syn2", "real\x1f", "real#", "syn 1"]
+    ),
+    st.text(max_size=9),
+)
+separators = st.sampled_from(["\n", "\r\n", "\r"])
+blank_lines = st.sampled_from(["", " ", "\t", "  \t "])
+
+
+@st.composite
+def csv_texts(draw):
+    """CSV files near and across the edge of what the reader accepts: half
+    of them draw ragged rows, odd numbers and odd tags."""
+    messy = draw(st.booleans())
+    number = st.one_of(numbers, odd_numbers) if messy else numbers
+    tag = st.one_of(tags, odd_tags) if messy else tags
+    n_cols = draw(st.integers(1, 3))
+    has_source = draw(st.booleans())
+    lines = []
+    if draw(st.booleans()):
+        names = [f"x{j}" for j in range(n_cols)]
+        if has_source:
+            names.append(draw(st.sampled_from(["source", "Source", " SOURCE ", "src"])))
+        lines.append(",".join(names))
+    for _ in range(draw(st.integers(0, 6))):
+        width = n_cols + (draw(st.sampled_from([0, 0, 0, -1, 1])) if messy else 0)
+        fields = [draw(number) for _ in range(max(width, 0))]
+        if has_source:
+            fields.append(draw(tag))
+        lines.append(",".join(fields))
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(draw(blank_lines))
+    if draw(st.booleans()):
+        lines.insert(0, draw(blank_lines))
+    sep = draw(separators)
+    return sep.join(lines) + (sep if draw(st.booleans()) else "")
+
+
+class TestCsvReaderMatchesPerCellReader:
+    @given(text=csv_texts())
+    @example(text="x0,x1,source\n1,2,real\x00\n")
+    @example(text="1,2,syn1234567\n3,4,real\n")
+    @example(text="x0,x1\n1,2\n#3,4\n")
+    @example(text="1,2\n\n3,4\n\n")
+    @example(text="1,2,real\n3,4,zzz\n5,6, junk \n")
+    @settings(max_examples=400, deadline=None)
+    def test_same_points_or_same_error(self, text, tmp_path_factory):
+        p = tmp_path_factory.mktemp("csv") / "in.csv"
+        p.write_bytes(text.encode("utf-8"))
+        assert csv_outcome(load_pointset, p) == csv_outcome(reference_load_csv, p)
+
+    def test_well_formed_files_skip_the_per_cell_parser(self, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("per-cell parser reached")
+
+        monkeypatch.setattr(tensorset, "_parse_cells", refuse)
+        cases = {
+            "tagged.csv": "x0,x1,source\r\n1.5,-2,real\r\n\r\n3e-8,4, SYN12 \r\n",
+            "bare.csv": "\n0.25\n-0\n7",
+            "headerless_tags.csv": "1,2,syn3\n4,5,real",
+        }
+        for name, text in cases.items():
+            p = tmp_path / name
+            p.write_bytes(text.encode("utf-8"))
+            assert load_pointset(p).size >= 2
+            assert csv_outcome(load_pointset, p) == csv_outcome(reference_load_csv, p)
