@@ -10,7 +10,6 @@ from .errors import (
     EmptyDatasetError,
     FormatError,
     InsufficientPointsError,
-    InternalError,
     NumericalError,
 )
 from .generators import FitDiagnostics, FittedGenerator, GeneratorSpec, fit, sample
@@ -49,14 +48,13 @@ from .selection import (
     select_random,
     select_threshold_decay,
 )
-from .specfun import EULER_GAMMA, SpecfunConfig, digamma, log_gamma, log_unit_ball_volume
+from .specfun import EULER_GAMMA, digamma, log_gamma, log_unit_ball_volume
 from .tensorset import (
     EUCLIDEAN,
     SQEUCLIDEAN,
     DistanceMetric,
     FeatureMap,
     PointSet,
-    SourceTag,
     apply_feature_map,
     load_pointset,
     save_pointset,

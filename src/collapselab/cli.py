@@ -2,12 +2,9 @@
 
 Commands: entropy, gs, mnnd, frechet, select, gen, loop, analyze.
 
-Exit codes are a stable contract:
-  0  success
-  2  I/O problems (missing files, malformed content)
-  3  violated data preconditions (too few points, dimension mismatch)
-  4  configuration problems (bad flags, contradictory settings)
-  5  numeric failures at runtime
+Exit codes are a stable contract: 0 on success, otherwise the exit_code
+of the error class raised (see errors.py); OSError and the ValueError for
+non-finite data are I/O errors (2).
 
 All result JSON goes to stdout and carries a schema_version field;
 progress and error text go to stderr. The analyze command maps a
@@ -24,18 +21,7 @@ import sys
 from pathlib import Path
 
 from . import looper
-from .errors import (
-    CollapseLabError,
-    ConfigError,
-    DegenerateInputError,
-    DimensionError,
-    DomainError,
-    EmptyDatasetError,
-    FormatError,
-    InsufficientPointsError,
-    InternalError,
-    NumericalError,
-)
+from .errors import CollapseLabError, ConfigError, DimensionError, FormatError
 from .generators import GeneratorSpec, fit, sample
 from .metrics import (
     frechet_gaussian_distance,
@@ -53,12 +39,6 @@ from .tensorset import (
     save_pointset,
 )
 
-EXIT_IO = 2
-EXIT_PRECONDITION = 3
-EXIT_CONFIG = 4
-EXIT_NUMERIC = 5
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse that reports usage problems as configuration errors."""
 
@@ -66,7 +46,9 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _emit(doc: dict) -> None:
+def _emit(result) -> None:
+    """Print a result (a dict or a dataclass) as JSON, schema_version first."""
+    doc = {"schema_version": looper.SCHEMA_VERSION, **looper.to_doc(result)}
     sys.stdout.write(json.dumps(doc, indent=2) + "\n")
 
 
@@ -134,18 +116,7 @@ def _load(args, attr="input"):
 
 def cmd_entropy(args) -> int:
     ps = _load(args)
-    report = kl_entropy(ps, args.gamma, _metric_for(args))
-    _emit(
-        {
-            "schema_version": looper.SCHEMA_VERSION,
-            "estimate": report.estimate,
-            "gamma": report.gamma,
-            "duplicate_count": report.duplicate_count,
-            "log_distance_sum": report.log_distance_sum,
-            "size": report.size,
-            "dim": report.dim,
-        }
-    )
+    _emit(kl_entropy(ps, args.gamma, _metric_for(args)))
     return 0
 
 
@@ -153,14 +124,14 @@ def cmd_gs(args) -> int:
     generated = _load(args)
     training = load_pointset(args.training, args.format)
     value = generalization_score(generated, training, _metric_for(args))
-    _emit({"schema_version": looper.SCHEMA_VERSION, "gs": value})
+    _emit({"gs": value})
     return 0
 
 
 def cmd_mnnd(args) -> int:
     ps = _load(args)
     value = mnnd(ps, _metric_for(args))
-    _emit({"schema_version": looper.SCHEMA_VERSION, "mnnd": value})
+    _emit({"mnnd": value})
     return 0
 
 
@@ -169,7 +140,7 @@ def cmd_frechet(args) -> int:
     a = moment_summary(apply_feature_map(_load(args), fmap))
     b = moment_summary(apply_feature_map(load_pointset(args.other, args.format), fmap))
     value = frechet_gaussian_distance(a, b)
-    _emit({"schema_version": looper.SCHEMA_VERSION, "frechet": value})
+    _emit({"frechet": value})
     return 0
 
 
@@ -199,15 +170,7 @@ def cmd_select(args) -> int:
     result = run_policy(pool, args.n, policy)
     if args.out:
         save_pointset(pool.rows(result.indices), args.out, args.format)
-    doc = {
-        "schema_version": looper.SCHEMA_VERSION,
-        "indices": [int(i) for i in result.indices],
-        "source_proportions": result.source_proportions,
-    }
-    if result.final_threshold is not None:
-        doc["final_threshold"] = result.final_threshold
-        doc["passes"] = result.passes
-    _emit(doc)
+    _emit(result)
     return 0
 
 
@@ -219,30 +182,11 @@ def cmd_gen(args) -> int:
     generator = fit(dataclasses.replace(spec, seed=fit_seed), training)
     out = sample(generator, args.m, sample_seed).with_sources(args.tag_iteration)
     save_pointset(out, args.out, args.format)
-    _emit(
-        {
-            "schema_version": looper.SCHEMA_VERSION,
-            "written": str(args.out),
-            "count": out.size,
-            "dim": out.dim,
-        }
-    )
+    _emit({"written": str(args.out), "count": out.size, "dim": out.dim})
     return 0
 
 
-_CONFIG_KEYS = (
-    "paradigm",
-    "iterations",
-    "train_size",
-    "generator",
-    "selection",
-    "generation_multiplier",
-    "metric",
-    "gamma",
-    "master_seed",
-    "pool_cap",
-    "feature",
-)
+_CONFIG_KEYS = (*(f.name for f in dataclasses.fields(looper.LoopConfig)), "feature")
 
 
 def load_config_file(path) -> dict[str, str]:
@@ -336,14 +280,7 @@ def cmd_loop(args) -> int:
     csv_path = Path(f"{args.out}.csv")
     json_path.write_text(looper.trace_to_json(trace, canonical=args.canonical))
     csv_path.write_text(looper.trace_to_csv(trace))
-    _emit(
-        {
-            "schema_version": looper.SCHEMA_VERSION,
-            "trace_json": str(json_path),
-            "trace_csv": str(csv_path),
-            "iterations": config.iterations,
-        }
-    )
+    _emit({"trace_json": str(json_path), "trace_csv": str(csv_path), "iterations": config.iterations})
     return 0
 
 
@@ -351,8 +288,9 @@ def _read_trace(path) -> looper.LoopTrace:
     text = Path(path).read_text()
     try:
         return looper.trace_from_json(text)
-    except (KeyError, ValueError) as exc:
-        raise FormatError(f"{path}: not a trace file ({exc})") from None
+    except (AttributeError, KeyError, TypeError, ValueError, CollapseLabError) as exc:
+        # Wrong JSON types, missing or unknown keys, and values the dataclasses refuse.
+        raise FormatError(f"{path}: not a trace file ({type(exc).__name__}: {exc})") from None
 
 
 def cmd_analyze(args) -> int:
@@ -364,12 +302,12 @@ def cmd_analyze(args) -> int:
         except DimensionError as exc:
             # Mismatched traces are an operator mistake here, not a data problem.
             raise ConfigError(str(exc)) from None
-        _emit(looper.comparison_doc(summary))
+        _emit(summary)
         return 0
     traces = [_read_trace(p) for p in args.traces]
     if not traces:
         raise ConfigError("correlate needs at least one trace file")
-    _emit(looper.correlation_doc(looper.correlate_trace(traces)))
+    _emit(looper.correlate_trace(traces))
     return 0
 
 
@@ -453,28 +391,10 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (FormatError, EmptyDatasetError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_IO
-    except OSError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_IO
-    except (InsufficientPointsError, DomainError, DimensionError, DegenerateInputError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_PRECONDITION
-    except ConfigError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_CONFIG
-    except (NumericalError, InternalError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_NUMERIC
-    except ValueError as exc:
+    except (CollapseLabError, OSError, ValueError) as exc:
         # Non-finite data is rejected at load time with the stock ValueError.
         sys.stderr.write(f"error: {exc}\n")
-        return EXIT_IO
-    except CollapseLabError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_NUMERIC
+        return exc.exit_code if isinstance(exc, CollapseLabError) else FormatError.exit_code
 
 
 def entry() -> None:

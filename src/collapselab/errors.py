@@ -1,6 +1,6 @@
 """Exception taxonomy shared across the package.
 
-The CLI maps these onto its exit-code contract: file/format problems are
+Each class carries the CLI exit code it maps to: file/format problems are
 I/O errors (2), violated data preconditions are precondition errors (3),
 contradictory or incomplete settings are configuration errors (4), and
 failures of the numerics themselves are numeric errors (5).
@@ -10,38 +10,52 @@ failures of the numerics themselves are numeric errors (5).
 class CollapseLabError(Exception):
     """Base class for all package-specific errors."""
 
+    exit_code = 5
+
 
 class FormatError(CollapseLabError):
     """Malformed file content: bad magic, ragged rows, unparseable fields."""
+
+    exit_code = 2
 
 
 class EmptyDatasetError(CollapseLabError):
     """A dataset that must be non-empty is empty."""
 
+    exit_code = 2
+
 
 class DimensionError(CollapseLabError):
     """Shape or dimensionality mismatch between operands."""
+
+    exit_code = 3
 
 
 class InsufficientPointsError(CollapseLabError):
     """Too few points for the requested operation (e.g. size <= gamma)."""
 
+    exit_code = 3
+
 
 class DomainError(CollapseLabError):
     """Argument outside the mathematical domain of a function."""
+
+    exit_code = 3
 
 
 class DegenerateInputError(CollapseLabError):
     """Input with no usable variation, e.g. a constant series."""
 
+    exit_code = 3
+
 
 class NumericalError(CollapseLabError):
     """Numerical failure at runtime, e.g. an indefinite covariance."""
+
+    exit_code = 5
 
 
 class ConfigError(CollapseLabError):
     """Contradictory, incomplete, or out-of-range configuration."""
 
-
-class InternalError(CollapseLabError):
-    """Invariant violation that indicates a bug in this package."""
+    exit_code = 4

@@ -42,10 +42,10 @@ class GeneratorSpec:
             raise ConfigError(f"components must be >= 1, got {self.components}")
         if self.max_iters < 1:
             raise ConfigError(f"max_iters must be >= 1, got {self.max_iters}")
-        if not self.tol > 0.0:
-            raise ConfigError(f"tol must be positive, got {self.tol}")
-        if self.sigma < 0.0:
-            raise ConfigError(f"sigma must be non-negative, got {self.sigma}")
+        if not 0.0 < self.tol < math.inf:
+            raise ConfigError(f"tol must be positive and finite, got {self.tol}")
+        if not 0.0 <= self.sigma < math.inf:
+            raise ConfigError(f"sigma must be non-negative and finite, got {self.sigma}")
 
 
 @dataclass(frozen=True)

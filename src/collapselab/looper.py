@@ -104,8 +104,8 @@ class LoopConfig:
             raise ConfigError(f"train_size must be >= 1, got {self.train_size}")
         if self.gamma < 1:
             raise ConfigError(f"gamma must be >= 1, got {self.gamma}")
-        if self.generation_multiplier is not None and not self.generation_multiplier > 0.0:
-            raise ConfigError(f"generation_multiplier must be positive, got {self.generation_multiplier}")
+        if self.generation_multiplier is not None and not 0.0 < self.generation_multiplier < math.inf:
+            raise ConfigError(f"generation_multiplier must be positive and finite, got {self.generation_multiplier}")
         if self.pool_cap < 1:
             raise ConfigError(f"pool_cap must be >= 1, got {self.pool_cap}")
         if self.paradigm == "accumulate" and self.selection is not None:
@@ -293,142 +293,33 @@ def correlate_trace(traces) -> CorrelationReport:
 
 
 # --- serialization ----------------------------------------------------------
+#
+# A document is its dataclass's fields in declaration order (to_doc), and it
+# is read back by calling the dataclass constructors on it. Only three
+# choices are not generic:
+#   - record fields renamed in the document: _RENAMED;
+#   - a generator writes only the fields its kind uses: _GENERATOR_FIELDS
+#     (so gmm:1 still writes components: 1);
+#   - the config echo writes selection: null when there is no policy, and
+#     the effective generation multiplier in place of the declared one.
+
+_RENAMED = {"gs_value": "gs", "mnnd_value": "mnnd", "frechet_to_real": "frechet_real"}
+_FIELD_OF = {key: name for name, key in _RENAMED.items()}
+_GENERATOR_FIELDS = {"gaussian": (), "gmm": ("components", "max_iters", "tol"), "bootstrap": ("sigma",)}
 
 
-def _feature_map_doc(fmap: FeatureMap) -> dict:
-    if fmap.kind == "identity":
-        return {"kind": "identity"}
-    if fmap.kind == "randproj":
-        return {"kind": "randproj", "target_dim": fmap.target_dim, "seed": fmap.seed}
-    return {
-        "kind": "whiten",
-        "mean": [float(v) for v in fmap.mean],
-        "transform": [[float(v) for v in row] for row in fmap.transform],
-    }
-
-
-def _feature_map_from_doc(doc: dict) -> FeatureMap:
-    kind = doc["kind"]
-    if kind == "identity":
-        return FeatureMap.identity()
-    if kind == "randproj":
-        return FeatureMap.random_projection(doc["target_dim"], doc["seed"])
-    return FeatureMap.affine_whitening(doc["mean"], doc["transform"])
-
-
-def _metric_doc(metric: DistanceMetric) -> dict:
-    return {"kind": metric.kind, "feature_map": _feature_map_doc(metric.feature_map)}
-
-
-def _metric_from_doc(doc: dict) -> DistanceMetric:
-    return DistanceMetric(kind=doc["kind"], feature_map=_feature_map_from_doc(doc["feature_map"]))
-
-
-def _config_doc(config: LoopConfig) -> dict:
-    gen = config.generator
-    gen_doc = {"kind": gen.kind, "seed": gen.seed}
-    if gen.kind == "gmm":
-        gen_doc.update(components=gen.components, max_iters=gen.max_iters, tol=gen.tol)
-    if gen.kind == "bootstrap":
-        gen_doc.update(sigma=gen.sigma)
-    sel = config.selection
-    sel_doc = None
-    if sel is not None:
-        sel_doc = {"kind": sel.kind, "seed": sel.seed, "metric": _metric_doc(sel.metric)}
-        if sel.kind == "threshold_decay":
-            sel_doc.update(tau0=sel.tau0, alpha=sel.alpha)
-        if sel.initial_index is not None:
-            sel_doc.update(initial_index=sel.initial_index)
-    return {
-        "paradigm": config.paradigm,
-        "iterations": config.iterations,
-        "train_size": config.train_size,
-        "generator": gen_doc,
-        "selection": sel_doc,
-        "generation_multiplier": config.effective_multiplier(),
-        "metric": _metric_doc(config.metric),
-        "gamma": config.gamma,
-        "master_seed": config.master_seed,
-        "pool_cap": config.pool_cap,
-    }
-
-
-def _config_from_doc(doc: dict) -> LoopConfig:
-    gd = doc["generator"]
-    gen = GeneratorSpec(
-        kind=gd["kind"],
-        seed=gd.get("seed", 0),
-        components=gd.get("components", 1),
-        max_iters=gd.get("max_iters", 200),
-        tol=gd.get("tol", 1e-8),
-        sigma=gd.get("sigma", 0.0),
-    )
-    sd = doc.get("selection")
-    sel = None
-    if sd is not None:
-        sel = SelectionPolicy(
-            kind=sd["kind"],
-            seed=sd.get("seed", 0),
-            metric=_metric_from_doc(sd["metric"]),
-            tau0=sd.get("tau0"),
-            alpha=sd.get("alpha"),
-            initial_index=sd.get("initial_index"),
-        )
-    return LoopConfig(
-        paradigm=doc["paradigm"],
-        iterations=doc["iterations"],
-        train_size=doc["train_size"],
-        generator=gen,
-        selection=sel,
-        generation_multiplier=doc.get("generation_multiplier"),
-        metric=_metric_from_doc(doc["metric"]),
-        gamma=doc.get("gamma", 1),
-        master_seed=doc.get("master_seed", 0),
-        pool_cap=doc.get("pool_cap", 1_000_000),
-    )
-
-
-def _record_doc(rec: IterationRecord) -> dict:
-    ent = rec.entropy
-    return {
-        "iteration": rec.iteration,
-        "entropy": {
-            "estimate": ent.estimate,
-            "gamma": ent.gamma,
-            "duplicate_count": ent.duplicate_count,
-            "log_distance_sum": ent.log_distance_sum,
-            "size": ent.size,
-            "dim": ent.dim,
-        },
-        "gs": rec.gs_value,
-        "mnnd": rec.mnnd_value,
-        "trace_cov": rec.trace_cov,
-        "frechet_real": rec.frechet_to_real,
-        "source_proportions": rec.source_proportions,
-        "duplicate_count": rec.duplicate_count,
-    }
-
-
-def _record_from_doc(doc: dict) -> IterationRecord:
-    ed = doc["entropy"]
-    entropy = EntropyReport(
-        estimate=ed["estimate"],
-        gamma=ed["gamma"],
-        duplicate_count=ed["duplicate_count"],
-        log_distance_sum=ed["log_distance_sum"],
-        size=ed["size"],
-        dim=ed["dim"],
-    )
-    return IterationRecord(
-        iteration=doc["iteration"],
-        entropy=entropy,
-        gs_value=doc["gs"],
-        mnnd_value=doc["mnnd"],
-        trace_cov=doc["trace_cov"],
-        frechet_to_real=doc["frechet_real"],
-        source_proportions=dict(doc["source_proportions"]),
-        duplicate_count=doc["duplicate_count"],
-    )
+def to_doc(obj):
+    """A dataclass as a dict in field order, an ndarray as nested lists,
+    anything else as it is; a field that is None is left out."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if not dataclasses.is_dataclass(obj):
+        return obj
+    names = [f.name for f in dataclasses.fields(obj)]
+    if isinstance(obj, GeneratorSpec):
+        names = ["kind", "seed", *_GENERATOR_FIELDS[obj.kind]]
+    values = ((name, getattr(obj, name)) for name in names)
+    return {_RENAMED.get(name, name): to_doc(value) for name, value in values if value is not None}
 
 
 def trace_to_json(trace: LoopTrace, canonical: bool = False) -> str:
@@ -438,28 +329,42 @@ def trace_to_json(trace: LoopTrace, canonical: bool = False) -> str:
     if not canonical:
         doc["timestamp"] = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
         doc["host"] = platform.node()
-    doc["config"] = _config_doc(trace.config)
-    doc["real_reference"] = {
-        "mean": [float(v) for v in trace.real_reference.mean],
-        "covariance": [[float(v) for v in row] for row in trace.real_reference.covariance],
-        "trace_cov": trace.real_reference.trace_cov,
-    }
-    doc["records"] = [_record_doc(r) for r in trace.records]
+    # Every config field has its key, so an absent selection stays as null,
+    # and assigning to an existing key keeps the key order.
+    config = dict.fromkeys(f.name for f in dataclasses.fields(LoopConfig))
+    config.update(to_doc(trace.config), generation_multiplier=trace.config.effective_multiplier())
+    doc["config"] = config
+    doc["real_reference"] = to_doc(trace.real_reference)
+    doc["records"] = [to_doc(r) for r in trace.records]
     return json.dumps(doc, indent=2) + "\n"
 
 
 def trace_from_json(text: str) -> LoopTrace:
     doc = json.loads(text)
+
+    def metric(d: dict) -> DistanceMetric:
+        return DistanceMetric(**{**d, "feature_map": FeatureMap(**d["feature_map"])})
+
+    def record(d: dict) -> IterationRecord:
+        fields = {_FIELD_OF.get(key, key): value for key, value in d.items()}
+        return IterationRecord(**{**fields, "entropy": EntropyReport(**d["entropy"])})
+
+    c = doc["config"]
+    sel = c.get("selection")
+    config = LoopConfig(**{
+        **c,
+        "generator": GeneratorSpec(**c["generator"]),
+        "selection": None if sel is None else SelectionPolicy(**{**sel, "metric": metric(sel["metric"])}),
+        "metric": metric(c["metric"]),
+    })
     rr = doc["real_reference"]
-    mean = np.asarray(rr["mean"], dtype=np.float64)
-    cov = np.asarray(rr["covariance"], dtype=np.float64)
-    mean.setflags(write=False)
-    cov.setflags(write=False)
-    real_ref = MomentSummary(mean=mean, covariance=cov, trace_cov=rr["trace_cov"])
+    arrays = {key: np.array(rr[key], dtype=np.float64) for key in ("mean", "covariance")}
+    for a in arrays.values():
+        a.setflags(write=False)
     return LoopTrace(
-        config=_config_from_doc(doc["config"]),
-        records=tuple(_record_from_doc(r) for r in doc["records"]),
-        real_reference=real_ref,
+        config=config,
+        records=tuple(record(r) for r in doc["records"]),
+        real_reference=MomentSummary(**{**rr, **arrays}),
     )
 
 
@@ -485,22 +390,3 @@ def trace_to_csv(trace: LoopTrace) -> str:
         row += [repr(props.get(f"syn{i}", 0.0)) for i in range(1, n_iter + 1)]
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
-
-
-def comparison_doc(summary: ComparisonSummary) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "iterations": summary.iterations,
-        "deltas": {k: list(v) for k, v in summary.deltas.items()},
-        "mean_delta": dict(summary.mean_delta),
-        "dominance": dict(summary.dominance),
-    }
-
-
-def correlation_doc(report: CorrelationReport) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "r": report.r,
-        "point_count": report.point_count,
-        "excluded_count": report.excluded_count,
-    }

@@ -18,6 +18,7 @@ pins it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,8 +45,8 @@ class SelectionPolicy:
         if self.kind == "threshold_decay":
             if self.tau0 is None or self.alpha is None:
                 raise ConfigError("threshold_decay requires explicit tau0 and alpha (no defaults)")
-            if self.tau0 < 0.0:
-                raise ConfigError(f"tau0 must be non-negative, got {self.tau0}")
+            if not 0.0 <= self.tau0 < math.inf:
+                raise ConfigError(f"tau0 must be non-negative and finite, got {self.tau0}")
             if self.tau0 == 0.0:
                 if self.alpha != 0.0:
                     raise ConfigError("tau0=0 is only permitted in the degenerate mode alpha=0")

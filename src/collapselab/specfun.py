@@ -13,11 +13,11 @@ Lanczos approximation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .errors import ConfigError, DomainError
+from .errors import DomainError
 
 EULER_GAMMA = 0.5772156649015329
+_ASYMPTOTIC_THRESHOLD = 10.0
 
 _LANCZOS_G = 7.0
 _LANCZOS_COEF = (
@@ -33,26 +33,12 @@ _LANCZOS_COEF = (
 )
 
 
-@dataclass(frozen=True)
-class SpecfunConfig:
-    """Tuning knobs; the default threshold already meets the accuracy budget."""
-
-    asymptotic_threshold: float = 10.0
-
-    def __post_init__(self) -> None:
-        if self.asymptotic_threshold < 6.0:
-            raise ConfigError("asymptotic_threshold must be >= 6")
-
-
-DEFAULT_CONFIG = SpecfunConfig()
-
-
-def digamma(x: float, config: SpecfunConfig = DEFAULT_CONFIG) -> float:
+def digamma(x: float) -> float:
     x = float(x)
     if not math.isfinite(x) or x <= 0.0:
         raise DomainError(f"digamma requires x > 0, got {x!r}")
     acc = 0.0
-    while x < config.asymptotic_threshold:
+    while x < _ASYMPTOTIC_THRESHOLD:
         acc -= 1.0 / x
         x += 1.0
     inv = 1.0 / x

@@ -29,33 +29,17 @@ _TAG_RE = re.compile(r"^(real|syn[1-9][0-9]*)$")
 _TAG_WIDTH = 8
 
 
-@dataclass(frozen=True, order=True)
-class SourceTag:
-    """Provenance of a single point: iteration 0 is real data by convention."""
-
-    iteration: int = 0
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.iteration, int) or self.iteration < 0:
-            raise FormatError(f"source iteration must be a non-negative integer, got {self.iteration!r}")
-
-    @property
-    def is_real(self) -> bool:
-        return self.iteration == 0
-
-    def label(self) -> str:
-        return "real" if self.iteration == 0 else f"syn{self.iteration}"
-
-    @classmethod
-    def parse(cls, text: str) -> "SourceTag":
-        token = text.strip().lower()
-        if not _TAG_RE.match(token):
-            raise FormatError(f"unrecognized source tag {text!r} (expected 'real' or 'synN')")
-        return cls(0) if token == "real" else cls(int(token[3:]))
-
-
 def source_label(code: int) -> str:
+    """Provenance label of an iteration code: 0 is real data, k >= 1 is synthetic from iteration k."""
     return "real" if code == 0 else f"syn{int(code)}"
+
+
+def _parse_tag(text: str) -> int:
+    """Iteration code of a source_label, case and surrounding whitespace ignored."""
+    token = text.strip().lower()
+    if not _TAG_RE.match(token):
+        raise FormatError(f"unrecognized source tag {text!r} (expected 'real' or 'synN')")
+    return 0 if token == "real" else int(token[3:])
 
 
 def source_proportions(codes: np.ndarray) -> dict[str, float]:
@@ -120,9 +104,6 @@ class PointSet:
 
     def __repr__(self) -> str:
         return f"PointSet(n={self.size}, d={self.dim})"
-
-    def tags(self) -> list[SourceTag]:
-        return [SourceTag(int(c)) for c in self._sources]
 
     def proportions(self) -> dict[str, float]:
         return source_proportions(self._sources)
@@ -244,15 +225,6 @@ class DistanceMetric:
         """Convert exact squared euclidean values into this metric's units."""
         return np.sqrt(sq) if self.kind == "euclidean" else sq
 
-    def distance(self, x, y) -> float:
-        a = self.feature_map.apply(np.atleast_2d(np.asarray(x, dtype=np.float64)))
-        b = self.feature_map.apply(np.atleast_2d(np.asarray(y, dtype=np.float64)))
-        if a.shape != b.shape:
-            raise DimensionError(f"points of dimension {a.shape[1]} vs {b.shape[1]}")
-        diff = a - b
-        sq = float(np.einsum("ij,ij->", diff, diff))
-        return math.sqrt(sq) if self.kind == "euclidean" else sq
-
 
 EUCLIDEAN = DistanceMetric()
 SQEUCLIDEAN = DistanceMetric(kind="sqeuclidean")
@@ -332,7 +304,7 @@ def _parse_table(lines: list[str], n_cols: int, has_source: bool):
         if len(tag) >= _TAG_WIDTH:
             return None
         try:
-            codes[j] = SourceTag.parse(tag).iteration
+            codes[j] = _parse_tag(tag)
         except FormatError:
             return None
     return table["x"], codes[inverse]
@@ -351,7 +323,7 @@ def _parse_cells(path: Path, has_header: bool, expected: int, has_source: bool) 
         if len(fields) != expected:
             raise FormatError(f"{path}: row {i + 1} has {len(fields)} fields, expected {expected}")
         if has_source:
-            codes[i] = SourceTag.parse(fields[-1]).iteration
+            codes[i] = _parse_tag(fields[-1])
             fields = fields[:-1]
         for j, tok in enumerate(fields):
             v = _parse_float(tok)

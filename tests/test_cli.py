@@ -10,7 +10,17 @@ import numpy as np
 import pytest
 
 import collapselab.looper as looper
-from collapselab import NumericalError, PointSet, load_pointset, save_pointset
+from collapselab import (
+    DistanceMetric,
+    FeatureMap,
+    NumericalError,
+    PointSet,
+    SelectionPolicy,
+    kl_entropy,
+    load_pointset,
+    run_policy,
+    save_pointset,
+)
 from collapselab.cli import main
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -34,13 +44,14 @@ def cli_env(env_extra=None):
     return env
 
 
-def run_cli(args, env_extra=None, cwd=None):
+def run_cli(args, env_extra=None, cwd=None, timeout=None):
     return subprocess.run(
         [sys.executable, "-m", "collapselab", *args],
         capture_output=True,
         text=True,
         env=cli_env(env_extra),
         cwd=cwd,
+        timeout=timeout,
     )
 
 
@@ -173,6 +184,92 @@ class TestSelect:
         assert np.array_equal(subset.data, pool.data[np.array(doc["indices"])])
 
 
+class TestResultDocuments:
+    """stdout of entropy and select equals the documents the commands used to build field by field."""
+
+    @staticmethod
+    def emitted(doc):
+        return json.dumps(doc, indent=2) + "\n"
+
+    @pytest.mark.parametrize("feature, gamma", [("identity", 1), ("identity", 3), ("randproj:2:7", 2)])
+    def test_entropy(self, blob_csv, capsys, feature, gamma):
+        assert main(["entropy", "--input", str(blob_csv), "--gamma", str(gamma), "--feature", feature]) == 0
+        fmap = FeatureMap.random_projection(2, 7) if feature != "identity" else FeatureMap.identity()
+        report = kl_entropy(load_pointset(blob_csv), gamma, DistanceMetric(feature_map=fmap))
+        expected = {
+            "schema_version": 1,
+            "estimate": report.estimate,
+            "gamma": report.gamma,
+            "duplicate_count": report.duplicate_count,
+            "log_distance_sum": report.log_distance_sum,
+            "size": report.size,
+            "dim": report.dim,
+        }
+        assert capsys.readouterr().out == self.emitted(expected)
+
+    @pytest.mark.parametrize(
+        "flags, policy",
+        [
+            (["--greedy"], dict(kind="greedy", seed=4)),
+            (["--greedy", "--start-index", "7"], dict(kind="greedy", seed=4, initial_index=7)),
+            (["--random"], dict(kind="random", seed=4)),
+            (["--threshold", "3", "0.5"], dict(kind="threshold_decay", seed=4, tau0=3.0, alpha=0.5)),
+            (["--threshold", "0", "0", "--start-index", "2"],
+             dict(kind="threshold_decay", seed=4, tau0=0.0, alpha=0.0, initial_index=2)),
+        ],
+    )
+    def test_select(self, blob_csv, capsys, flags, policy):
+        assert main(["select", "--input", str(blob_csv), "--n", "12", "--seed", "4", *flags]) == 0
+        result = run_policy(load_pointset(blob_csv), 12, SelectionPolicy(**policy))
+        expected = {
+            "schema_version": 1,
+            "indices": [int(i) for i in result.indices],
+            "source_proportions": result.source_proportions,
+        }
+        if result.final_threshold is not None:
+            expected["final_threshold"] = result.final_threshold
+            expected["passes"] = result.passes
+        assert capsys.readouterr().out == self.emitted(expected)
+
+
+class TestNonFiniteSettings:
+    """Non-finite floats in a configuration are configuration errors (exit 4).
+
+    They run in a subprocess with a timeout: a non-finite threshold used to
+    make the selection scan run forever.
+    """
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--selection", "threshold:inf:0.9"],
+            ["--selection", "threshold:nan:0.9"],
+            ["--selection", "threshold:1.0:nan"],
+            ["--generator", "bootstrap:nan"],
+            ["--generator", "bootstrap:inf"],
+            ["--generator", "gmm:2:50:inf"],
+            ["--generator", "gmm:2:50:nan"],
+            ["--generation-multiplier", "inf"],
+            ["--generation-multiplier", "nan"],
+        ],
+    )
+    def test_loop(self, blob_csv, tmp_path, extra):
+        prefix = tmp_path / "t"
+        args = ["loop", "--real", str(blob_csv), "--paradigm", "replace", "--iterations", "2",
+                "--train-size", "50", "--generator", "bootstrap:0.1", "--canonical", "--out", str(prefix)]
+        proc = run_cli(args + extra, timeout=60)
+        assert proc.returncode == 4, proc.stderr
+        assert proc.stderr.splitlines()[-1].startswith("error: ")
+        assert not prefix.with_suffix(".json").exists()
+
+    @pytest.mark.parametrize("threshold", [["inf", "0.5"], ["nan", "0.5"], ["1.0", "nan"], ["1.0", "inf"]])
+    def test_select(self, two_point_csv, threshold):
+        proc = run_cli(["select", "--input", str(two_point_csv), "--n", "2", "--threshold", *threshold], timeout=60)
+        assert proc.returncode == 4, proc.stderr
+        assert proc.stderr.startswith("error: ")
+        assert proc.stdout == ""
+
+
 class TestGen:
     def test_bootstrap_rows_come_from_training(self, blob_csv, tmp_path):
         out = tmp_path / "sampled.csv"
@@ -186,7 +283,7 @@ class TestGen:
         sampled = load_pointset(out)
         pool_rows = {row.tobytes() for row in load_pointset(blob_csv).data}
         assert all(row.tobytes() in pool_rows for row in sampled.data)
-        assert {t.label() for t in sampled.tags()} == {"syn2"}
+        assert set(sampled.sources.tolist()) == {2}
 
     def test_deterministic_across_runs(self, blob_csv, tmp_path):
         outs = []
@@ -319,6 +416,35 @@ class TestAnalyze:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert main(["analyze", "--mode", "compare", str(bad), str(bad)]) == 2
+
+    @pytest.mark.parametrize("text", ["[1, 2]", '"x"', '{"real_reference": 5}'])
+    def test_malformed_trace_document_is_io_error(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert main(["analyze", "--mode", "correlate", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad}: not a trace file")
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda doc: doc.update(real_reference=5),
+            lambda doc: doc["records"][0].update(unexpected=1),
+            lambda doc: doc["config"]["metric"].update(unexpected=1),
+            lambda doc: doc["config"].update(paradigm="mixup"),
+            lambda doc: doc.update(records=[1]),
+            lambda doc: doc.update(config=[]),
+        ],
+        ids=["real-reference-not-a-dict", "unknown-record-key", "unknown-metric-key", "invalid-paradigm",
+             "record-not-a-dict", "config-not-a-dict"],
+    )
+    def test_damaged_trace_is_io_error(self, blob_csv, tmp_path, capsys, damage):
+        trace = self.make_trace(blob_csv, tmp_path, "a")
+        doc = json.loads(trace.read_text())
+        damage(doc)
+        trace.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["analyze", "--mode", "compare", str(trace), str(trace)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {trace}: not a trace file")
 
 
 class TestSubprocessDeterminism:

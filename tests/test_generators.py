@@ -30,6 +30,12 @@ class TestSpecValidation:
         with pytest.raises(ConfigError):
             GeneratorSpec(kind="bootstrap", sigma=-0.1)
 
+    @pytest.mark.parametrize("field", ["sigma", "tol"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_floats_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            GeneratorSpec(kind="gmm" if field == "tol" else "bootstrap", **{field: value})
+
 
 class TestGaussian:
     def test_mle_moments_hand_value(self):

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 
@@ -9,8 +10,10 @@ import collapselab.neighbors as neighbors
 from collapselab import (
     ConfigError,
     DimensionError,
+    DistanceMetric,
     EUCLIDEAN,
     EntropyReport,
+    FeatureMap,
     GeneratorSpec,
     InsufficientPointsError,
     IterationRecord,
@@ -30,7 +33,7 @@ from collapselab import (
     trace_to_csv,
     trace_to_json,
 )
-from collapselab.looper import ROLE_FIT, ROLE_SAMPLE, ROLE_SELECT
+from collapselab.looper import ROLE_FIT, ROLE_SAMPLE, ROLE_SELECT, SCHEMA_VERSION, to_doc
 
 
 def blob_data(seed, n, d=2, spread=4.0):
@@ -94,6 +97,9 @@ class TestLoopConfig:
     def test_multiplier_validated(self):
         with pytest.raises(ConfigError):
             bootstrap_config(generation_multiplier=0.0)
+        for value in (math.inf, math.nan):
+            with pytest.raises(ConfigError, match="generation_multiplier"):
+                bootstrap_config(generation_multiplier=value)
         with pytest.raises(ConfigError):
             bootstrap_config(iterations=0)
         with pytest.raises(ConfigError):
@@ -421,3 +427,226 @@ class TestSerialization:
         assert first[8] == "1.0"
         assert first[9] == "0.0"
         assert first[10] == "0.0"
+
+
+# The hand-written trace writer that to_doc replaced, kept as the oracle for
+# the trace format: the round-trip tests above cannot see a format change,
+# because the writer and the reader would change together.
+
+
+def reference_feature_map_doc(fmap):
+    if fmap.kind == "identity":
+        return {"kind": "identity"}
+    if fmap.kind == "randproj":
+        return {"kind": "randproj", "target_dim": fmap.target_dim, "seed": fmap.seed}
+    return {
+        "kind": "whiten",
+        "mean": [float(v) for v in fmap.mean],
+        "transform": [[float(v) for v in row] for row in fmap.transform],
+    }
+
+
+def reference_metric_doc(metric):
+    return {"kind": metric.kind, "feature_map": reference_feature_map_doc(metric.feature_map)}
+
+
+def reference_config_doc(config):
+    gen = config.generator
+    gen_doc = {"kind": gen.kind, "seed": gen.seed}
+    if gen.kind == "gmm":
+        gen_doc.update(components=gen.components, max_iters=gen.max_iters, tol=gen.tol)
+    if gen.kind == "bootstrap":
+        gen_doc.update(sigma=gen.sigma)
+    sel = config.selection
+    sel_doc = None
+    if sel is not None:
+        sel_doc = {"kind": sel.kind, "seed": sel.seed, "metric": reference_metric_doc(sel.metric)}
+        if sel.kind == "threshold_decay":
+            sel_doc.update(tau0=sel.tau0, alpha=sel.alpha)
+        if sel.initial_index is not None:
+            sel_doc.update(initial_index=sel.initial_index)
+    return {
+        "paradigm": config.paradigm,
+        "iterations": config.iterations,
+        "train_size": config.train_size,
+        "generator": gen_doc,
+        "selection": sel_doc,
+        "generation_multiplier": config.effective_multiplier(),
+        "metric": reference_metric_doc(config.metric),
+        "gamma": config.gamma,
+        "master_seed": config.master_seed,
+        "pool_cap": config.pool_cap,
+    }
+
+
+def reference_record_doc(rec):
+    ent = rec.entropy
+    return {
+        "iteration": rec.iteration,
+        "entropy": {
+            "estimate": ent.estimate,
+            "gamma": ent.gamma,
+            "duplicate_count": ent.duplicate_count,
+            "log_distance_sum": ent.log_distance_sum,
+            "size": ent.size,
+            "dim": ent.dim,
+        },
+        "gs": rec.gs_value,
+        "mnnd": rec.mnnd_value,
+        "trace_cov": rec.trace_cov,
+        "frechet_real": rec.frechet_to_real,
+        "source_proportions": rec.source_proportions,
+        "duplicate_count": rec.duplicate_count,
+    }
+
+
+def reference_trace_to_json(trace):
+    """Canonical trace bytes as the hand-written writer produced them."""
+    doc = {"schema_version": 1}
+    doc["config"] = reference_config_doc(trace.config)
+    doc["real_reference"] = {
+        "mean": [float(v) for v in trace.real_reference.mean],
+        "covariance": [[float(v) for v in row] for row in trace.real_reference.covariance],
+        "trace_cov": trace.real_reference.trace_cov,
+    }
+    doc["records"] = [reference_record_doc(r) for r in trace.records]
+    return json.dumps(doc, indent=2) + "\n"
+
+
+_GRID_REAL = blob_data(24, 40)
+_GRID_GENERATORS = {
+    "gaussian": GeneratorSpec(kind="gaussian"),
+    "gmm:2": GeneratorSpec(kind="gmm", components=2),
+    "gmm:1": GeneratorSpec(kind="gmm", components=1),
+    "bootstrap:0.05": GeneratorSpec(kind="bootstrap", sigma=0.05),
+    "bootstrap:0": GeneratorSpec(kind="bootstrap", sigma=0.0),
+}
+_WHITEN = FeatureMap.affine_whitening(_GRID_REAL.data.mean(axis=0), [[0.5, 0.25], [0.0, 2.0]])
+_RANDPROJ = FeatureMap.random_projection(3, 7)
+
+
+def _policy(name, metric):
+    if name == "none":
+        return None
+    if name == "threshold":
+        return SelectionPolicy(kind="threshold_decay", tau0=2.0, alpha=0.5, metric=metric)
+    return SelectionPolicy(kind=name, metric=metric)
+
+
+_PRODUCT = [
+    (paradigm, gen, sel, mult)
+    for paradigm, gen, sel, mult in itertools.product(
+        ("replace", "accumulate", "accumulate_subsample"),
+        _GRID_GENERATORS,
+        ("none", "greedy", "random", "threshold"),
+        (None, 1.5),
+    )
+    if not (paradigm == "accumulate" and sel != "none")
+]
+
+
+def _grid_config(paradigm, gen, sel, mult, fmap=None, kind="euclidean", gamma=1, **policy):
+    metric = DistanceMetric(kind=kind, feature_map=fmap or FeatureMap.identity())
+    selection = _policy(sel, metric)
+    if policy:
+        selection = dataclasses.replace(selection, **policy)
+    return LoopConfig(
+        paradigm=paradigm,
+        iterations=2,
+        train_size=20,
+        generator=_GRID_GENERATORS[gen],
+        selection=selection,
+        generation_multiplier=mult,
+        metric=metric,
+        gamma=gamma,
+        master_seed=1,
+    )
+
+
+_FEATURE_CASES = {
+    "whiten": dict(paradigm="accumulate_subsample", gen="gmm:2", sel="threshold", mult=None, fmap=_WHITEN),
+    "whiten-sq-gamma2": dict(
+        paradigm="replace", gen="bootstrap:0.05", sel="greedy", mult=1.5, fmap=_WHITEN, kind="sqeuclidean", gamma=2
+    ),
+    "whiten-accumulate": dict(paradigm="accumulate", gen="gaussian", sel="none", mult=None, fmap=_WHITEN),
+    "randproj": dict(paradigm="replace", gen="gmm:1", sel="random", mult=None, fmap=_RANDPROJ),
+    "randproj-sq": dict(
+        paradigm="accumulate_subsample", gen="bootstrap:0", sel="threshold", mult=1.5, fmap=_RANDPROJ,
+        kind="sqeuclidean",
+    ),
+    "greedy-initial-index": dict(paradigm="replace", gen="gaussian", sel="greedy", mult=None, initial_index=0),
+    "threshold-initial-index": dict(
+        paradigm="accumulate_subsample", gen="bootstrap:0.05", sel="threshold", mult=None, initial_index=3,
+        gamma=2,
+    ),
+    "random-initial-index": dict(paradigm="replace", gen="gmm:2", sel="random", mult=1.5, initial_index=5),
+}
+
+
+class TestTraceFormatMatchesHandWrittenWriter:
+    @pytest.mark.parametrize("paradigm, gen, sel, mult", _PRODUCT)
+    def test_product_grid(self, paradigm, gen, sel, mult):
+        self.check(_grid_config(paradigm, gen, sel, mult))
+
+    @pytest.mark.parametrize("case", sorted(_FEATURE_CASES))
+    def test_feature_map_and_initial_index_cases(self, case):
+        self.check(_grid_config(**_FEATURE_CASES[case]))
+
+    @staticmethod
+    def check(config):
+        trace = run_loop(config, _GRID_REAL)
+        expected = reference_trace_to_json(trace)
+        assert trace_to_json(trace, canonical=True) == expected
+        # A trace the hand-written writer produced reads back to the same bytes.
+        assert trace_to_json(trace_from_json(expected), canonical=True) == expected
+
+    def test_non_canonical_header_reads_back(self):
+        trace = run_loop(_grid_config("replace", "gmm:2", "threshold", None), _GRID_REAL)
+        text = trace_to_json(trace_from_json(trace_to_json(trace)), canonical=True)
+        assert text == reference_trace_to_json(trace)
+
+    def test_analysis_documents_match_hand_written_ones(self):
+        a = run_loop(_grid_config("accumulate_subsample", "bootstrap:0.05", "greedy", None), _GRID_REAL)
+        b = run_loop(_grid_config("accumulate_subsample", "bootstrap:0.05", "random", None), _GRID_REAL)
+        summary = compare_traces(a, b)
+        old_comparison = {
+            "schema_version": 1,
+            "iterations": summary.iterations,
+            "deltas": {k: list(v) for k, v in summary.deltas.items()},
+            "mean_delta": dict(summary.mean_delta),
+            "dominance": dict(summary.dominance),
+        }
+        new_comparison = {"schema_version": SCHEMA_VERSION, **to_doc(summary)}
+        assert json.dumps(new_comparison, indent=2) == json.dumps(old_comparison, indent=2)
+        report = correlate_trace([a, b])
+        old_correlation = {
+            "schema_version": 1,
+            "r": report.r,
+            "point_count": report.point_count,
+            "excluded_count": report.excluded_count,
+        }
+        new_correlation = {"schema_version": SCHEMA_VERSION, **to_doc(report)}
+        assert json.dumps(new_correlation, indent=2) == json.dumps(old_correlation, indent=2)
+
+
+class TestToDoc:
+    def test_generator_writes_the_fields_of_its_kind(self):
+        assert to_doc(GeneratorSpec(kind="gaussian", sigma=1.0)) == {"kind": "gaussian", "seed": 0}
+        assert to_doc(GeneratorSpec(kind="gmm")) == {
+            "kind": "gmm", "seed": 0, "components": 1, "max_iters": 200, "tol": 1e-8
+        }
+        assert to_doc(GeneratorSpec(kind="bootstrap", components=3)) == {"kind": "bootstrap", "seed": 0, "sigma": 0.0}
+
+    def test_unknown_keys_are_rejected(self):
+        cfg = bootstrap_config(iterations=1, selection=SelectionPolicy(kind="greedy"))
+        text = trace_to_json(run_loop(cfg, blob_data(25, 60)), canonical=True)
+        for path in (("records", 0), ("records", 0, "entropy"), ("config",), ("config", "generator"),
+                     ("config", "selection"), ("config", "selection", "metric"), ("config", "metric"),
+                     ("config", "metric", "feature_map"), ("real_reference",)):
+            doc = json.loads(text)
+            node = doc
+            for key in path:
+                node = node[key]
+            node["unexpected"] = 1
+            with pytest.raises(TypeError, match="unexpected"):
+                trace_from_json(json.dumps(doc))

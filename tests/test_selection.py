@@ -20,6 +20,7 @@ from collapselab import (
 )
 from collapselab.neighbors import sq_dists
 from collapselab.selection import _check_request, _initial_index
+from collapselab.tensorset import source_label
 
 
 def min_pairwise(data, indices):
@@ -158,6 +159,12 @@ class TestThresholdDecay:
             SelectionPolicy(kind="threshold_decay", tau0=1.0, alpha=1.5)
         with pytest.raises(ConfigError):
             SelectionPolicy(kind="threshold_decay", tau0=0.0, alpha=0.5)
+
+    @pytest.mark.parametrize("tau0, alpha", [(math.inf, 0.5), (math.nan, 0.5), (1.0, math.nan), (0.0, math.nan)])
+    def test_non_finite_threshold_settings_rejected(self, tau0, alpha):
+        # A non-finite tau never decays below a candidate's distance, so the scan would not end.
+        with pytest.raises(ConfigError):
+            SelectionPolicy(kind="threshold_decay", tau0=tau0, alpha=alpha)
 
 
 def reference_threshold_decay(pool, n, policy):
@@ -314,7 +321,7 @@ class TestPolicyDispatch:
         res = select_random(ps, 4, seed=9)
         manual = {}
         for i in res.indices:
-            label = ps.tags()[i].label()
+            label = source_label(ps.sources[i])
             manual[label] = manual.get(label, 0) + 1
         expect = {k: v / 4.0 for k, v in manual.items()}
         assert res.source_proportions == pytest.approx(expect)

@@ -6,10 +6,8 @@ import scipy.special
 from hypothesis import given, strategies as st
 
 from collapselab import (
-    ConfigError,
     DomainError,
     EULER_GAMMA,
-    SpecfunConfig,
     digamma,
     log_gamma,
     log_unit_ball_volume,
@@ -52,15 +50,6 @@ class TestDigamma:
                 digamma(bad)
         with pytest.raises(DomainError):
             digamma(float("nan"))
-
-    def test_threshold_must_stay_in_series_regime(self):
-        with pytest.raises(ConfigError):
-            SpecfunConfig(asymptotic_threshold=5.0)
-
-    def test_custom_threshold_keeps_accuracy(self):
-        cfg = SpecfunConfig(asymptotic_threshold=25.0)
-        for x in np.logspace(-2, 3, 200):
-            assert digamma(float(x), cfg) == pytest.approx(scipy.special.digamma(x), abs=1e-10)
 
 
 class TestLogGamma:

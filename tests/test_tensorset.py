@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 import warnings
 from pathlib import Path
@@ -11,42 +12,36 @@ from collapselab import (
     ConfigError,
     DimensionError,
     EmptyDatasetError,
-    EUCLIDEAN,
     FormatError,
-    SQEUCLIDEAN,
     DistanceMetric,
     FeatureMap,
     PointSet,
-    SourceTag,
     apply_feature_map,
     load_pointset,
     save_pointset,
 )
 from collapselab import tensorset
-from collapselab.tensorset import RAWBIN_MAGIC, source_proportions
+from collapselab.tensorset import RAWBIN_MAGIC, source_label, source_proportions
 
 
-class TestSourceTag:
+def labels(ps):
+    return [source_label(c) for c in ps.sources]
+
+
+class TestSourceLabel:
     def test_labels(self):
-        assert SourceTag(0).label() == "real"
-        assert SourceTag(3).label() == "syn3"
-        assert SourceTag(0).is_real
-        assert not SourceTag(2).is_real
+        assert source_label(0) == "real"
+        assert source_label(3) == "syn3"
 
     def test_parse_round_trip(self):
         for it in (0, 1, 7, 42):
-            tag = SourceTag(it)
-            assert SourceTag.parse(tag.label()) == tag
-        assert SourceTag.parse("  REAL ") == SourceTag(0)
+            assert tensorset._parse_tag(source_label(it)) == it
+        assert tensorset._parse_tag("  REAL ") == 0
 
     def test_parse_rejects_garbage(self):
         for bad in ("junk", "syn0", "syn-1", "syn", "real2", ""):
             with pytest.raises(FormatError):
-                SourceTag.parse(bad)
-
-    def test_negative_iteration_rejected(self):
-        with pytest.raises(FormatError):
-            SourceTag(-1)
+                tensorset._parse_tag(bad)
 
 
 class TestPointSet:
@@ -92,7 +87,7 @@ class TestPointSet:
     def test_with_sources_broadcast_and_array(self):
         ps = PointSet(np.zeros((3, 1)))
         syn = ps.with_sources(2)
-        assert [t.label() for t in syn.tags()] == ["syn2"] * 3
+        assert labels(syn) == ["syn2"] * 3
         mixed = ps.with_sources([0, 1, 1])
         assert mixed.proportions() == {"real": pytest.approx(1 / 3), "syn1": pytest.approx(2 / 3)}
 
@@ -100,14 +95,14 @@ class TestPointSet:
         ps = PointSet([[0.0], [1.0], [2.0]], sources=[0, 1, 2])
         sub = ps.rows([2, 0])
         assert np.array_equal(sub.data[:, 0], [2.0, 0.0])
-        assert [t.label() for t in sub.tags()] == ["syn2", "real"]
+        assert labels(sub) == ["syn2", "real"]
 
     def test_concat(self):
         a = PointSet([[0.0]], sources=[0])
         b = PointSet([[1.0], [2.0]], sources=[1, 1])
         both = PointSet.concat([a, b])
         assert both.size == 3
-        assert [t.label() for t in both.tags()] == ["real", "syn1", "syn1"]
+        assert labels(both) == ["real", "syn1", "syn1"]
         with pytest.raises(DimensionError):
             PointSet.concat([a, PointSet([[0.0, 0.0]])])
         with pytest.raises(EmptyDatasetError):
@@ -137,14 +132,14 @@ class TestCsvFormat:
         p.write_text("x0,x1,source\n0.5,1.5,real\n2.5,3.5,syn2\n")
         ps = load_pointset(p)
         assert ps.dim == 2
-        assert [t.label() for t in ps.tags()] == ["real", "syn2"]
+        assert labels(ps) == ["real", "syn2"]
 
     def test_source_column_without_header(self, tmp_path):
         p = tmp_path / "a.csv"
         p.write_text("1.0,real\n2.0,syn1\n")
         ps = load_pointset(p)
         assert ps.dim == 1
-        assert [t.label() for t in ps.tags()] == ["real", "syn1"]
+        assert labels(ps) == ["real", "syn1"]
 
     def test_ragged_rows_rejected(self, tmp_path):
         p = tmp_path / "a.csv"
@@ -280,26 +275,9 @@ class TestFeatureMap:
 
 
 class TestDistanceMetric:
-    def test_euclidean_hand_value(self):
-        assert EUCLIDEAN.distance([0.0, 0.0], [3.0, 4.0]) == 5.0
-        assert SQEUCLIDEAN.distance([0.0, 0.0], [3.0, 4.0]) == 25.0
-
-    def test_zero_distance_is_exact(self):
-        x = np.array([0.1, 0.2, 0.3])
-        assert EUCLIDEAN.distance(x, x.copy()) == 0.0
-
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError):
             DistanceMetric(kind="manhattan")
-
-    def test_triangle_inequality(self):
-        rng = np.random.default_rng(8)
-        pts = rng.standard_normal((1000, 3, 4)) * rng.uniform(0.1, 100.0, size=(1000, 1, 1))
-        for a, b, c in pts:
-            ab = EUCLIDEAN.distance(a, b)
-            bc = EUCLIDEAN.distance(b, c)
-            ac = EUCLIDEAN.distance(a, c)
-            assert ac <= ab + bc + 1e-9 * max(1.0, ac)
 
 
 coordinate = st.floats(
@@ -337,6 +315,12 @@ def reference_load_csv(path: Path) -> PointSet:
         except ValueError:
             return None
 
+    def parse_tag(text):
+        token = text.strip().lower()
+        if not re.match(r"^(real|syn[1-9][0-9]*)$", token):
+            raise FormatError(f"unrecognized source tag {text!r} (expected 'real' or 'synN')")
+        return 0 if token == "real" else int(token[3:])
+
     lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
     if not lines:
         raise EmptyDatasetError(f"{path}: empty file")
@@ -364,7 +348,7 @@ def reference_load_csv(path: Path) -> PointSet:
         if len(fields) != expected:
             raise FormatError(f"{path}: row {i + 1} has {len(fields)} fields, expected {expected}")
         if has_source:
-            codes[i] = SourceTag.parse(fields[-1]).iteration
+            codes[i] = parse_tag(fields[-1])
             fields = fields[:-1]
         for j, tok in enumerate(fields):
             v = parse_float(tok)
