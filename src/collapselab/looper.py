@@ -34,6 +34,7 @@ import numpy as np
 from .errors import (
     ConfigError,
     DimensionError,
+    FormatError,
     InsufficientPointsError,
     NumericalError,
 )
@@ -308,6 +309,25 @@ _FIELD_OF = {key: name for name, key in _RENAMED.items()}
 _GENERATOR_FIELDS = {"gaussian": (), "gmm": ("components", "max_iters", "tol"), "bootstrap": ("sigma",)}
 
 
+def _is_number(value, kind: str) -> bool:
+    return not isinstance(value, bool) and isinstance(value, int if kind == "int" else (int, float))
+
+
+def _typed(cls, fields: dict) -> dict:
+    """fields, refused unless each value has the type its field of cls
+    declares: the constructors check nothing, and bool is not a number."""
+    for f in dataclasses.fields(cls):
+        value = fields.get(f.name)
+        if f.type == "dict[str, float]":
+            ok = isinstance(value, dict)
+            ok = ok and all(isinstance(k, str) and _is_number(v, "float") for k, v in value.items())
+        else:
+            ok = f.type not in ("int", "float") or _is_number(value, f.type)
+        if not ok:
+            raise FormatError(f"{cls.__name__}.{f.name} must be {f.type}, got {value!r}")
+    return fields
+
+
 def to_doc(obj):
     """A dataclass as a dict in field order, an ndarray as nested lists,
     anything else as it is; a field that is None is left out."""
@@ -346,8 +366,11 @@ def trace_from_json(text: str) -> LoopTrace:
         return DistanceMetric(**{**d, "feature_map": FeatureMap(**d["feature_map"])})
 
     def record(d: dict) -> IterationRecord:
+        if not d.keys().isdisjoint(_RENAMED):
+            raise FormatError(f"record keys {sorted(d.keys() & _RENAMED.keys())} are field names, not document keys")
         fields = {_FIELD_OF.get(key, key): value for key, value in d.items()}
-        return IterationRecord(**{**fields, "entropy": EntropyReport(**d["entropy"])})
+        entropy = EntropyReport(**_typed(EntropyReport, d["entropy"]))
+        return IterationRecord(**_typed(IterationRecord, {**fields, "entropy": entropy}))
 
     c = doc["config"]
     sel = c.get("selection")

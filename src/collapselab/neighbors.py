@@ -22,18 +22,41 @@ Rows that fail the check, or whose region holds fewer than k candidates,
 are searched over all points.
 
 When m < 4 (at d = 8, for n below about 400k) the grid is one cell: every
-query searches every point, which is the blocked brute force.
+query searches every point, through the screen below.
+
+Screen. A query that searches every point, in the one-cell case or as a
+fallback row, first bounds its squared distance to every column from below
+by the norm expansion (1 - c)(|a|^2 + |b|^2) - 2 a.b - d tiny, with
+c = 4 (d + 4) eps, as one GEMM (`_lift`). With D = |a - b|^2 <= 2S,
+S = |a|^2 + |b|^2 and u = eps / 2, to first order the literal kernel
+returns at least D - (2d + 4) u S, and the GEMM, the norms and their
+roundings at most D - c S + (3d + 7) u S for any summation order and BLAS
+thread count (Higham, Accuracy and Stability of Numerical Algorithms,
+3.1); c S = (8d + 32) u S covers both, and d tiny covers underflow. The
+literal kernel measures the k columns of lowest bound; the largest of
+those values is at least the k-th distance, so a column whose bound
+exceeds it can neither be among the k nearest nor tie the k-th. Only the
+other columns, in ascending index order, go through `sq_dists` and
+`_select`, so every value still comes from the literal kernel. A point
+with |x|^2 above max/8 gets NaN bounds, so no sum in the GEMM overflows,
+and a NaN bound keeps its column. Where the expansion cancels (points far
+from the origin for their spread, or a collapsed set) a row keeps most
+columns, and its block measures all of them: slower, never wrong.
 
 Blocks. Each group is split into blocks of query rows whose diff tensor
 stays within _BLOCK_BUDGET elements, so a dense or collapsed cell never
-makes one huge block. The partition depends only on the data, and each
-block writes a disjoint set of output rows, so the results are
-bit-identical whether blocks run on one thread or many.
+makes one huge block. A screened block also counts 8 elements per column
+for its bounds and index arrays; it gathers kept columns only when each
+row keeps at most half, so the gathered copy and its diff tensor fit too.
+The partition depends only on the data, and each block writes a disjoint
+set of output rows, so the results are bit-identical whether blocks run
+on one thread or many.
 COLLAPSE_LAB_THREADS caps the worker count.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -53,6 +76,7 @@ _POINTS_PER_CELL = 6
 _MIN_CELLS = 4
 _EPS = float(np.finfo(np.float64).eps)
 _TINY = float(np.finfo(np.float64).tiny)
+_HUGE = float(np.finfo(np.float64).max) / 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,9 +101,23 @@ def worker_count() -> int:
 
 
 def sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact pairwise squared euclidean distances, shape (len(a), len(b))."""
-    diff = a[:, None, :] - b[None, :, :]
+    """Exact pairwise squared euclidean distances, shape (len(a), len(b)); b
+    may also hold its own columns for each row of a, shape (len(a), m, dim)."""
+    diff = a[:, None, :] - b
     return np.einsum("ijk,ijk->ij", diff, diff)
+
+
+def _lift(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows [x, (1 - c)|x|^2, 1] and [-2x, 1, (1 - c)|x|^2 - d tiny]: a's
+    left rows times b's right rows bound sq_dists(a, b) from below."""
+    dim = x.shape[1]
+    sq = np.einsum("ij,ij->i", x, x)[:, None]
+    # Below max/8 no partial sum of the product can overflow; a larger norm
+    # makes every bound of its row NaN.
+    sq[~(sq <= _HUGE)] = np.nan
+    sq *= 1.0 - 4 * (dim + 4) * _EPS
+    one = np.ones_like(sq)
+    return np.hstack([x, sq, one]), np.hstack([-2.0 * x, one, sq - dim * _TINY])
 
 
 def _run_blocks(work, blocks: list) -> None:
@@ -93,8 +131,8 @@ def _run_blocks(work, blocks: list) -> None:
 
 
 def _split(rows: np.ndarray, runs, n_cols: int, dim: int) -> list:
-    """Cut a group's query rows so each block's diff tensor fits _BLOCK_BUDGET."""
-    step = max(1, _BLOCK_BUDGET // max(1, n_cols * dim))
+    """Cut a group's query rows so each block fits _BLOCK_BUDGET."""
+    step = max(1, _BLOCK_BUDGET // max(1, n_cols * (dim if runs is not None else dim + 8)))
     return [(rows[s : s + step], runs) for s in range(0, rows.size, step)]
 
 
@@ -107,6 +145,45 @@ def _select(d2: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     # The answer is the (k - below)-th column holding the k-th value.
     seen = np.cumsum(d2 == vals[:, None], axis=1, dtype=np.int32)
     return vals, np.argmax(seen >= (k - below)[:, None], axis=1)
+
+
+def _screen(q, r, right, k: int, own) -> tuple[np.ndarray, np.ndarray]:
+    """`_select` of each query row over all of r: its k-th smallest squared
+    distance and that column. `own`, each row's own column within one set,
+    is left out.
+
+    Kept columns are gathered per row, ascending and padded with -1. A
+    block where some row keeps more than half the columns measures every
+    column straight from r: the gathered copy would cost more time and
+    memory than the full search.
+    """
+    rows = np.arange(q.shape[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        lo = _lift(q)[0] @ right.T
+    if own is None:
+        own = np.full(rows.size, -1)
+    else:
+        lo[rows, own] = np.inf
+
+    def measure(cand: np.ndarray) -> np.ndarray:
+        d2 = sq_dists(q, r[cand])
+        d2[(cand < 0) | (cand == own[:, None])] = np.inf
+        return d2
+
+    near = lo.argmin(axis=1)[:, None] if k == 1 else np.argpartition(lo, k - 1, axis=1)[:, :k]
+    # "Not above" keeps a column whose bound is NaN.
+    keep_r, keep_c = np.divmod(np.flatnonzero(~(lo > measure(near).max(axis=1)[:, None])), lo.shape[1])
+    # Freed before the measurement, so the block stays within its budget.
+    del lo
+    counts = np.bincount(keep_r, minlength=rows.size)
+    if 2 * counts.max() > r.shape[0]:
+        cand = np.arange(r.shape[0])[None, :]
+    else:
+        cand = np.full((rows.size, counts.max()), -1, dtype=np.int64)
+        cand[keep_r, np.arange(keep_r.size) - np.repeat(np.cumsum(counts) - counts, counts)] = keep_c
+    del keep_r, keep_c
+    vals, cols = _select(measure(cand), k)
+    return vals, np.take_along_axis(cand, cols[:, None], axis=1)[:, 0]
 
 
 def _grid(q: np.ndarray, r: np.ndarray, within: bool):
@@ -190,15 +267,23 @@ def _search(q: np.ndarray, r: np.ndarray, k: int, within: bool) -> tuple[np.ndar
     accepted = np.zeros(n_q, dtype=bool)
     order, groups, bound = _grid(q, r, within)
 
+    # Only screened blocks need the lifted references; a search the grid
+    # settles skips them.
+    right = functools.cache(lambda: _lift(r)[1])
+
     def work(blk) -> None:
         rows, runs = blk
-        cand = np.arange(n_r) if runs is None else np.sort(np.concatenate([order[run] for run in runs]))
-        d2 = sq_dists(q[rows], r[cand])
-        if within:
-            d2[np.arange(rows.size), np.searchsorted(cand, rows)] = np.inf
-        vals, cols = _select(d2, k)
+        if runs is None:
+            vals, idx = _screen(q[rows], r, right(), k, rows if within else None)
+        else:
+            cand = np.sort(np.concatenate([order[run] for run in runs]))
+            d2 = sq_dists(q[rows], r[cand])
+            if within:
+                d2[np.arange(rows.size), np.searchsorted(cand, rows)] = np.inf
+            vals, cols = _select(d2, k)
+            idx = cand[cols]
         out_v[rows] = vals
-        out_i[rows] = cand[cols]
+        out_i[rows] = idx
         accepted[rows] = vals < bound[rows]
 
     blocks = []

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InsufficientPointsError
-from .neighbors import sq_dists
+from .neighbors import _lift, sq_dists
 from .tensorset import DistanceMetric, PointSet, source_proportions
 
 _POLICY_KINDS = ("greedy", "threshold_decay", "random")
@@ -42,6 +42,10 @@ class SelectionPolicy:
     def __post_init__(self) -> None:
         if self.kind not in _POLICY_KINDS:
             raise ConfigError(f"unknown selection policy {self.kind!r}")
+        if type(self.seed) is not int or self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
+        if self.initial_index is not None and type(self.initial_index) is not int:
+            raise ConfigError(f"initial_index must be an integer, got {self.initial_index!r}")
         if self.kind == "threshold_decay":
             if self.tau0 is None or self.alpha is None:
                 raise ConfigError("threshold_decay requires explicit tau0 and alpha (no defaults)")
@@ -86,6 +90,32 @@ def _result(pool: PointSet, chosen: list[int], **extra) -> SelectionResult:
     return SelectionResult(indices=idx, source_proportions=props, **extra)
 
 
+class _MinDistances:
+    """The members chosen so far, and the squared distance from every pool
+    row to its nearest member.
+
+    Members park at -1, so duplicates of a member (distance 0) stay
+    selectable. Adding a member bounds every row's distance to it from
+    below with one GEMV and measures with `sq_dists` only the rows whose
+    bound is not above their minimum: `np.minimum` would leave every other
+    row as it is, so the values have the bits of a full update.
+    """
+
+    def __init__(self, x: np.ndarray) -> None:
+        self.x = x
+        left, self.right = _lift(x)
+        self.left = np.asfortranarray(left)  # column-major, the GEMV runs about twice as fast
+        self.d2 = np.full(x.shape[0], np.inf)
+        self.chosen: list[int] = []
+
+    def add(self, i: int) -> None:
+        self.chosen.append(i)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = np.flatnonzero(~(self.left @ self.right[i] > self.d2))  # a NaN bound measures
+        self.d2[rows] = np.minimum(self.d2[rows], sq_dists(self.x[rows], self.x[i : i + 1])[:, 0])
+        self.d2[i] = -1.0
+
+
 def select_greedy(pool: PointSet, n: int, policy: SelectionPolicy) -> SelectionResult:
     """Farthest-point selection; ties break toward the lower index.
 
@@ -95,18 +125,11 @@ def select_greedy(pool: PointSet, n: int, policy: SelectionPolicy) -> SelectionR
     if policy.kind != "greedy":
         raise ConfigError(f"select_greedy called with policy kind {policy.kind!r}")
     _check_request(pool, n)
-    x = np.ascontiguousarray(policy.metric.feature_map.apply(pool.data))
-    start = _initial_index(pool.size, policy)
-    chosen = [start]
-    # Selected slots park at -1 so duplicates (distance 0) stay selectable.
-    min_d2 = sq_dists(x, x[start : start + 1]).ravel()
-    min_d2[start] = -1.0
+    nearest = _MinDistances(np.ascontiguousarray(policy.metric.feature_map.apply(pool.data)))
+    nearest.add(_initial_index(pool.size, policy))
     for _ in range(1, n):
-        nxt = int(np.argmax(min_d2))
-        chosen.append(nxt)
-        np.minimum(min_d2, sq_dists(x, x[nxt : nxt + 1]).ravel(), out=min_d2)
-        min_d2[nxt] = -1.0
-    return _result(pool, chosen)
+        nearest.add(int(np.argmax(nearest.d2)))
+    return _result(pool, nearest.chosen)
 
 
 def select_threshold_decay(pool: PointSet, n: int, policy: SelectionPolicy) -> SelectionResult:
@@ -117,48 +140,37 @@ def select_threshold_decay(pool: PointSet, n: int, policy: SelectionPolicy) -> S
     such barren passes is counted without being scanned. Candidates
     coincident with a member (distance exactly 0) can never clear a
     threshold, so once a barren pass shows only such candidates remain, the
-    tail is filled in scan order.
+    tail is filled in scan order. Distances are from_squared of the squared
+    minima, the minima of the distances: sqrt is monotone and correctly
+    rounded.
     """
     if policy.kind != "threshold_decay":
         raise ConfigError(f"select_threshold_decay called with policy kind {policy.kind!r}")
     _check_request(pool, n)
-    x = np.ascontiguousarray(policy.metric.feature_map.apply(pool.data))
-    start = _initial_index(pool.size, policy)
+    nearest = _MinDistances(np.ascontiguousarray(policy.metric.feature_map.apply(pool.data)))
+    nearest.add(_initial_index(pool.size, policy))
+    dist = policy.metric.from_squared
     tau = float(policy.tau0)
     alpha = float(policy.alpha)
-
-    chosen = [start]
-    selected = np.zeros(pool.size, dtype=bool)
-    selected[start] = True
-    min_d = policy.metric.from_squared(sq_dists(x, x[start : start + 1]).ravel())
-    min_d[start] = -np.inf
     passes = 0
-
-    def admit(i: int) -> None:
-        chosen.append(i)
-        selected[i] = True
-        np.minimum(min_d, policy.metric.from_squared(sq_dists(x, x[i : i + 1]).ravel()), out=min_d)
-        min_d[i] = -np.inf
-
-    while len(chosen) < n:
+    while len(nearest.chosen) < n:
         passes += 1
-        # Members sit at -inf and min_d only falls within a pass, so this
-        # pass admits, in index order, those candidates above tau at its
-        # start that are still above tau when the scan reaches them.
-        hits = np.flatnonzero(min_d > tau)
+        # Members (parked below 0) never reach from_squared, and the minima
+        # only fall within a pass, so this pass admits, in index order,
+        # those candidates above tau at its start that are still above tau
+        # when the scan reaches them.
+        remaining = np.flatnonzero(nearest.d2 >= 0.0)
+        hits = remaining[dist(nearest.d2[remaining]) > tau]
         if hits.size:
-            while hits.size and len(chosen) < n:
-                admit(int(hits[0]))
-                hits = hits[1:][min_d[hits[1:]] > tau]
+            while hits.size and len(nearest.chosen) < n:
+                nearest.add(int(hits[0]))
+                hits = hits[1:][dist(nearest.d2[hits[1:]]) > tau]
             continue
-        remaining = np.flatnonzero(~selected)
-        top = float(min_d[remaining].max())
+        top = float(dist(nearest.d2[remaining]).max())
         if top <= 0.0:
             # Only exact duplicates of members remain.
-            for i in remaining:
-                admit(int(i))
-                if len(chosen) == n:
-                    break
+            for i in remaining[: n - len(nearest.chosen)]:
+                nearest.add(int(i))
             break
         if alpha == 1.0:
             raise ConfigError("threshold decay stalled: alpha=1 can never admit the remaining candidates")
@@ -167,7 +179,7 @@ def select_threshold_decay(pool: PointSet, n: int, policy: SelectionPolicy) -> S
         while top <= tau:
             passes += 1
             tau *= alpha
-    return _result(pool, chosen, final_threshold=tau, passes=passes)
+    return _result(pool, nearest.chosen, final_threshold=tau, passes=passes)
 
 
 def select_random(pool: PointSet, n: int, seed: int) -> SelectionResult:

@@ -166,6 +166,12 @@ class TestSelect:
         assert main(["select", "--input", str(p), "--n", "1", "--threshold"]) == 4
         assert main(["select", "--input", str(p), "--n", "1", "--threshold", "5"]) == 4
 
+    @pytest.mark.parametrize("policy", ["--greedy", "--random"])
+    def test_negative_seed_is_config_error(self, two_point_csv, capsys, policy):
+        # It used to reach numpy's generator and leave as an I/O error (exit 2).
+        assert main(["select", "--input", str(two_point_csv), "--n", "2", policy, "--seed", "-1"]) == 4
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_request_larger_than_pool_is_precondition_error(self, tmp_path):
         p = tmp_path / "pool.csv"
         p.write_text("0.0\n1.0\n")
@@ -444,6 +450,28 @@ class TestAnalyze:
         trace.write_text(json.dumps(doc))
         capsys.readouterr()
         assert main(["analyze", "--mode", "compare", str(trace), str(trace)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {trace}: not a trace file")
+
+    @pytest.mark.parametrize(
+        "mode, damage",
+        [
+            ("correlate", lambda rec: rec.update(gs="x")),
+            ("compare", lambda rec: rec.update(mnnd="x")),
+            ("compare", lambda rec: rec["entropy"].update(estimate=None)),
+            ("compare", lambda rec: rec["entropy"].update(duplicate_count=1.5)),
+            ("compare", lambda rec: rec["source_proportions"].update(real="x")),
+            ("compare", lambda rec: rec.update(gs_value=rec.pop("gs"))),
+        ],
+        ids=["gs-string", "mnnd-string", "estimate-null", "duplicate-count-float", "proportion-string",
+             "field-name-as-key"],
+    )
+    def test_bad_record_value_is_io_error(self, blob_csv, tmp_path, capsys, mode, damage):
+        trace = self.make_trace(blob_csv, tmp_path, "a")
+        doc = json.loads(trace.read_text())
+        damage(doc["records"][1])
+        trace.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["analyze", "--mode", mode, str(trace), str(trace)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {trace}: not a trace file")
 
 

@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import collapselab.neighbors as neighbors
 from collapselab import (
@@ -15,6 +20,7 @@ from collapselab import (
     kth_nn_within,
     nn_cross,
 )
+from collapselab.neighbors import sq_dists
 
 
 def naive_kth_within(data, k):
@@ -217,6 +223,32 @@ def grid_datasets():
 
 
 GRID_DATASETS = list(grid_datasets())
+
+
+@st.composite
+def screen_cases(draw):
+    """One-cell point sets at d = 4-64 (normal, integer lattice with ties,
+    duplicated, or collapsed to a point), scaled over fourteen decades and
+    offset up to 1e12, where the screen keeps every column; and queries
+    that hit, jitter or miss them."""
+    d = draw(st.integers(4, 64))
+    n = draw(st.integers(6, 60))
+    k = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    layout = draw(st.sampled_from(["normal", "lattice", "duplicates", "collapsed"]))
+    if layout == "lattice":
+        base = rng.integers(-2, 3, (n, d)).astype(np.float64)
+    else:
+        base = rng.standard_normal((n, d))
+    if layout == "duplicates":
+        base = base[rng.integers(0, max(1, n // 3), n)]
+    elif layout == "collapsed":
+        base[:] = base[0]
+    queries = np.concatenate([base[rng.integers(0, n, 10)], base[:10] + rng.standard_normal((min(n, 10), d)),
+                              3.0 * rng.standard_normal((5, d))])
+    scale = 10.0 ** draw(st.integers(-6, 8))
+    shift = draw(st.sampled_from([0.0, 1.0, -1e3, 1e6, 1e12]))
+    return base * scale + shift, queries * scale + shift, k
 TRANSFORMS = [(1.0, 0.0), (1e-8, 0.0), (1e8, 0.0), (1.0, 1e6), (1e-8, 1e6), (1e8, 1e6)]
 
 
@@ -295,6 +327,75 @@ class TestGridMatchesBruteForce:
         assert np.array_equal(res.distances, ref_d)
         assert np.array_equal(res.indices, ref_i)
 
+    @given(case=screen_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_screen_bit_identical(self, case):
+        data, queries, k = case
+        assert not grid_active(data)
+        res = kth_nn_within(PointSet(data), k)
+        ref_d, ref_i = brute_kth(data, data, k, within=True)
+        assert np.array_equal(res.distances, ref_d)
+        assert np.array_equal(res.indices, ref_i)
+        res = nn_cross(PointSet(queries), PointSet(data))
+        ref_d, ref_i = brute_kth(queries, data, 1, within=False)
+        assert np.array_equal(res.distances, ref_d)
+        assert np.array_equal(res.indices, ref_i)
+
+    def test_screen_where_norms_overflow(self):
+        # Bounds turn NaN or +inf; the NaN ones must keep their columns, and a
+        # row's own column must not stand in for one of its k nearest.
+        rng = np.random.default_rng(71)
+        cases = [rng.standard_normal((40, 8)) * scale for scale in (1e154, 1e160)]
+        # Finite distances where one squared norm overflows, or where two
+        # finite ones sum past the largest double.
+        three = np.array([[6.0e153], [6.6e153], [1.35e154]])
+        cases += [three, np.array([[1.0e154], [1.0000001e154], [-1.0e154], [0.0]])]
+        for n_huge in (1, 3, 9):
+            for pos in range(n_huge + 1):
+                cases.append(np.insert(rng.standard_normal((n_huge, 8)) * 1e155, pos, rng.standard_normal((2, 8)), 0))
+        crosses = [(data[::-1], data) for data in cases]
+        # Every squared norm is finite, but any two sum past the largest
+        # double: no bound may turn +inf.
+        along = np.random.default_rng(0).standard_normal(38)
+        tight = along / np.linalg.norm(along) * 1.3e154 + rng.standard_normal((20, 38)) * 1e150
+        crosses.append((tight[10:], tight[:10]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for data in cases:
+                for k in range(1, min(4, len(data))):
+                    res = kth_nn_within(PointSet(data), k)
+                    ref_d, ref_i = brute_kth(data, data, k, within=True)
+                    assert np.array_equal(res.distances, ref_d)
+                    assert np.array_equal(res.indices, ref_i)
+            for queries, refs in crosses:
+                res = nn_cross(PointSet(queries), PointSet(refs))
+                ref_d, ref_i = brute_kth(queries, refs, 1, within=False)
+                assert np.array_equal(res.distances, ref_d)
+                assert np.array_equal(res.indices, ref_i)
+            res = kth_nn_within(PointSet(three), 1)
+        assert res.indices[2] == 1 and res.distances[2] == pytest.approx(6.9e153)
+
+    @pytest.mark.parametrize("shift, most_kept", [(0.0, 3), (1e12, 600)])
+    def test_screen_keeps_few_columns_unless_the_expansion_cancels(self, monkeypatch, shift, most_kept):
+        # Where the expansion cancels every row keeps every column, and the
+        # block measures them all from r itself, not from a gathered copy.
+        measured = []
+
+        def spy(a, b):
+            measured.append(b.shape)
+            return sq_dists(a, b)
+
+        rng = np.random.default_rng(61)
+        data = rng.standard_normal((600, 8)) + shift
+        monkeypatch.setattr(neighbors, "sq_dists", spy)
+        res = kth_nn_within(PointSet(data), 1)
+        monkeypatch.undo()
+        assert max(shape[1] for shape in measured) <= most_kept
+        if shift:
+            assert all(shape == (1, 600, 8) for shape in measured[1::2])
+        ref_d, ref_i = brute_kth(data, data, 1, within=True)
+        assert np.array_equal(res.distances, ref_d)
+        assert np.array_equal(res.indices, ref_i)
+
     def test_collapsed_cell_stays_within_block_budget(self, monkeypatch):
         # 5,000 identical points share one grid cell; blocking must still cap
         # the diff tensor instead of building one 5000 x 5000 x 2 block
@@ -311,6 +412,24 @@ class TestGridMatchesBruteForce:
                 tracemalloc.stop()
             assert np.all(res.distances == 0.0)
             assert peak <= 2 * budget_bytes, f"k={k}: peak {peak / 2**20:.1f} MiB"
+
+    @pytest.mark.parametrize("layout", ["collapsed", "offset"])
+    def test_screened_block_stays_within_block_budget(self, monkeypatch, layout):
+        # A one-cell d=8 set where every row keeps every column: the block
+        # must not gather them into a second rows x n x d copy.
+        monkeypatch.setenv("COLLAPSE_LAB_THREADS", "1")
+        rng = np.random.default_rng(67)
+        data = np.full((3000, 8), 0.25) if layout == "collapsed" else rng.standard_normal((3000, 8)) + 1e12
+        ps = PointSet(data)
+        assert not grid_active(data)
+        for k in (1, 2):
+            tracemalloc.start()
+            try:
+                kth_nn_within(ps, k)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= neighbors._BLOCK_BUDGET * 8, f"k={k}: peak {peak / 2**20:.1f} MiB"
 
 
 class TestDeterminism:
@@ -355,6 +474,33 @@ class TestDeterminism:
             for got, want in zip(res, results[0]):
                 assert np.array_equal(got.distances, want.distances)
                 assert np.array_equal(got.indices, want.indices)
+
+    def test_blas_and_worker_threads_do_not_change_bits(self):
+        # The screen's GEMM and GEMV run in BLAS, whose summation order may
+        # follow its thread count; the answers must not.
+        script = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from collapselab import PointSet, SelectionPolicy, kth_nn_within, nn_cross, select_greedy\n"
+            "rng = np.random.default_rng(67)\n"
+            "data = rng.standard_normal((1500, 8)) + rng.uniform(-4, 4, (4, 8))[rng.integers(0, 4, 1500)]\n"
+            "data[1000:1200] = data[:200]\n"
+            "ps = PointSet(data)\n"
+            "out = [kth_nn_within(ps, k) for k in (1, 3)] + [nn_cross(PointSet(rng.standard_normal((700, 8))), ps)]\n"
+            "sys.stdout.buffer.write(b''.join(r.distances.tobytes() + r.indices.tobytes() for r in out))\n"
+            "sys.stdout.buffer.write(select_greedy(ps, 300, SelectionPolicy(kind='greedy')).indices.tobytes())\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outputs = set()
+        for blas in ("1", "2"):
+            for workers in ("1", "2"):
+                env = dict(os.environ, OPENBLAS_NUM_THREADS=blas, OMP_NUM_THREADS=blas, MKL_NUM_THREADS=blas,
+                           COLLAPSE_LAB_THREADS=workers)
+                env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+                proc = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env, timeout=120)
+                assert proc.returncode == 0, proc.stderr.decode()
+                outputs.add(proc.stdout)
+        assert len(outputs) == 1
 
     def test_bad_worker_env_rejected(self, monkeypatch):
         monkeypatch.setenv("COLLAPSE_LAB_THREADS", "zero")

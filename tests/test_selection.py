@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 from collapselab import (
     ConfigError,
     EUCLIDEAN,
+    DistanceMetric,
+    FeatureMap,
     SQEUCLIDEAN,
     InsufficientPointsError,
     PointSet,
@@ -89,6 +91,18 @@ class TestGreedy:
             greedy_H.append(kl_entropy(pool.rows(g.indices)).estimate)
             random_H.append(kl_entropy(pool.rows(r.indices)).estimate)
         assert np.mean(greedy_H) > np.mean(random_H)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("initial_index", True), ("initial_index", 1.0), ("initial_index", "0"),
+         ("seed", -1), ("seed", True), ("seed", 1.5), ("seed", None)],
+    )
+    def test_integer_settings_validated(self, field, value):
+        # initial_index=True used to park every row (min_d2[True] = -1) and
+        # pick row 0 again and again.
+        for kind in ("greedy", "random"):
+            with pytest.raises(ConfigError):
+                SelectionPolicy(kind=kind, **{field: value})
 
     def test_request_validation(self):
         with pytest.raises(InsufficientPointsError):
@@ -216,6 +230,26 @@ def reference_threshold_decay(pool, n, policy):
     return chosen, passes, tau
 
 
+def reference_greedy(pool, n, policy):
+    """The full-row update loop that select_greedy replaced, kept as its
+    oracle: (indices, None, None)."""
+    _check_request(pool, n)
+    x = np.ascontiguousarray(policy.metric.feature_map.apply(pool.data))
+    start = _initial_index(pool.size, policy)
+    chosen = [start]
+    min_d2 = sq_dists(x, x[start : start + 1]).ravel()
+    min_d2[start] = -1.0
+    for _ in range(1, n):
+        nxt = int(np.argmax(min_d2))
+        chosen.append(nxt)
+        np.minimum(min_d2, sq_dists(x, x[nxt : nxt + 1]).ravel(), out=min_d2)
+        min_d2[nxt] = -1.0
+    return chosen, None, None
+
+
+REFERENCE = {"greedy": reference_greedy, "threshold_decay": reference_threshold_decay}
+
+
 def decay_outcome(fn, pool, n, policy):
     try:
         out = fn(pool, n, policy)
@@ -225,46 +259,93 @@ def decay_outcome(fn, pool, n, policy):
         indices, passes, tau = out
     else:
         indices, passes, tau = out.indices, out.passes, out.final_threshold
-    return [int(i) for i in indices], passes, float(tau).hex()
+    return [int(i) for i in indices], passes, None if tau is None else float(tau).hex()
 
 
 @st.composite
 def decay_cases(draw):
     """Integer lattices (ties, duplicates) with a collapsed leading block,
-    scaled over twelve decades, under every kind of decay schedule."""
-    d = draw(st.integers(1, 2))
+    scaled over twelve decades and offset up to 1e12, seen through every
+    feature map kind, for greedy and every kind of decay schedule."""
+    d = draw(st.integers(1, 3))
     size = draw(st.integers(1, 24))
     coords = draw(st.lists(st.lists(st.integers(-6, 6), min_size=d, max_size=d), min_size=size, max_size=size))
     data = np.array(coords, dtype=np.float64)
     data[: draw(st.integers(0, size))] = data[0]
     data *= 10.0 ** draw(st.integers(-6, 6))
+    data += draw(st.sampled_from([0.0, 0.0, 1e3, -1e6, 1e12]))
     pool = PointSet(data)
+    fmap = draw(st.sampled_from(["identity", "randproj", "whiten"]))
+    if fmap == "randproj":
+        fmap = FeatureMap.random_projection(draw(st.integers(1, 3)), draw(st.integers(0, 2**16)))
+    elif fmap == "whiten":
+        width = draw(st.integers(1, 3))
+        transform = draw(st.lists(st.integers(-3, 3), min_size=d * width, max_size=d * width))
+        fmap = FeatureMap.affine_whitening(data.mean(axis=0), np.reshape(transform, (d, width)) / 2.0)
+    else:
+        fmap = FeatureMap()
+    metric = DistanceMetric(kind=draw(st.sampled_from(["euclidean", "sqeuclidean"])), feature_map=fmap)
     n = draw(st.integers(1, size))
-    schedule = draw(st.sampled_from(["0.5", "0.9", "0.999", "vanilla", "stall"]))
+    seed = draw(st.integers(0, 2**16))
+    initial_index = draw(st.one_of(st.none(), st.integers(0, size - 1)))
+    schedule = draw(st.sampled_from(["greedy", "0.5", "0.9", "0.999", "vanilla", "stall"]))
+    if schedule == "greedy":
+        return pool, n, SelectionPolicy(kind="greedy", seed=seed, initial_index=initial_index, metric=metric)
     if schedule == "vanilla":
         tau0, alpha = 0.0, 0.0
     else:
-        diam = float(np.sqrt(sq_dists(data, data).max())) or 1.0
+        x = fmap.apply(data)
+        diam = float(np.sqrt(sq_dists(x, x).max())) or 1.0
         tau0 = diam * draw(st.sampled_from([0.01, 0.3, 1.0, 2.5]))
         alpha = 1.0 if schedule == "stall" else float(schedule)
     policy = SelectionPolicy(
-        kind="threshold_decay",
-        tau0=tau0,
-        alpha=alpha,
-        seed=draw(st.integers(0, 2**16)),
-        initial_index=draw(st.one_of(st.none(), st.integers(0, size - 1))),
-        metric=draw(st.sampled_from([EUCLIDEAN, SQEUCLIDEAN])),
+        kind="threshold_decay", tau0=tau0, alpha=alpha, seed=seed, initial_index=initial_index, metric=metric
     )
     return pool, n, policy
 
 
 class TestThresholdDecayMatchesPassByPassScan:
     @given(case=decay_cases())
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=400, deadline=None)
     def test_same_indices_passes_and_threshold(self, case):
         pool, n, policy = case
-        expect = decay_outcome(reference_threshold_decay, pool, n, policy)
-        assert decay_outcome(select_threshold_decay, pool, n, policy) == expect
+        expect = decay_outcome(REFERENCE[policy.kind], pool, n, policy)
+        assert decay_outcome(run_policy, pool, n, policy) == expect
+
+    @pytest.mark.parametrize("shift", [0.0, 1e12])
+    def test_greedy_on_large_d8_pool_matches(self, shift):
+        # The subsample-greedy shape: the screen measures a few rows per pick,
+        # or, where the norm expansion cancels, every row.
+        rng = np.random.default_rng(13)
+        centers = rng.uniform(-4, 4, (4, 8))
+        data = centers[rng.integers(0, 4, 3000)] + rng.standard_normal((3000, 8)) + shift
+        data[1500:1600] = data[:100]
+        for seed in range(2):
+            policy = SelectionPolicy(kind="greedy", seed=seed)
+            expect = decay_outcome(reference_greedy, PointSet(data), 400, policy)
+            assert decay_outcome(select_greedy, PointSet(data), 400, policy) == expect
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            [[6.0e153], [6.6e153], [1.35e154]],
+            [[3.2e153], [-3.3e153], [1.39e154], [1.35e154], [5.2e153]],
+            [[1.0e154], [1.0000001e154], [-1.0e154], [0.0]],
+        ],
+    )
+    def test_pools_near_overflow_match(self, data):
+        # Squared norms overflow, or two finite ones sum past the largest
+        # double, while most distances stay finite: a row's minimum must
+        # still fall when a nearer member joins.
+        pool = PointSet(data)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start, n in itertools.product(range(pool.size), range(2, pool.size + 1)):
+                for policy in (
+                    SelectionPolicy(kind="greedy", initial_index=start),
+                    SelectionPolicy(kind="threshold_decay", tau0=1e154, alpha=0.5, initial_index=start),
+                ):
+                    expect = decay_outcome(REFERENCE[policy.kind], pool, n, policy)
+                    assert decay_outcome(run_policy, pool, n, policy) == expect
 
     def test_long_barren_run_is_counted_pass_by_pass(self):
         pool = PointSet([[0.0], [1.0], [2.0]])
