@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import looper
 from .errors import CollapseLabError, ConfigError, DimensionError, FormatError
-from .generators import GeneratorSpec, fit, sample
+from .generators import GENERATOR_FIELDS, GeneratorSpec, fit, sample
 from .metrics import (
     frechet_gaussian_distance,
     generalization_score,
@@ -66,24 +66,28 @@ def parse_feature(text: str) -> FeatureMap:
     raise ConfigError(f"unknown feature map {text!r} (expected identity or randproj:DIM:SEED)")
 
 
-def parse_generator(text: str) -> GeneratorSpec:
-    parts = text.split(":")
-    kind = parts[0]
+def _convert(cls, name: str, value):
+    """value as the int or float that field `name` of dataclass cls is
+    annotated with; a field of any other type takes value as it is."""
+    annotation = next(f.type for f in dataclasses.fields(cls) if f.name == name)
+    convert = {"int": int, "float": float, "float | None": float}.get(annotation)
     try:
-        if kind == "gaussian" and len(parts) == 1:
-            return GeneratorSpec(kind="gaussian")
-        if kind == "gmm" and 2 <= len(parts) <= 4:
-            components = int(parts[1])
-            max_iters = int(parts[2]) if len(parts) >= 3 else 200
-            tol = float(parts[3]) if len(parts) == 4 else 1e-8
-            return GeneratorSpec(kind="gmm", components=components, max_iters=max_iters, tol=tol)
-        if kind == "bootstrap" and len(parts) == 2:
-            return GeneratorSpec(kind="bootstrap", sigma=float(parts[1]))
+        return value if convert is None else convert(value)
     except ValueError:
-        raise ConfigError(f"malformed generator spec {text!r}") from None
-    raise ConfigError(
-        f"unknown generator spec {text!r} (expected gaussian, gmm:K[:MAXITERS[:TOL]], or bootstrap:SIGMA)"
-    )
+        raise ConfigError(f"malformed {name} {value!r} (expected {convert.__name__})") from None
+
+
+def parse_generator(text: str) -> GeneratorSpec:
+    """kind:v1:v2..., the values in GENERATOR_FIELDS order; the first is
+    required and GeneratorSpec supplies the rest."""
+    kind, *values = text.split(":")
+    fields = GENERATOR_FIELDS.get(kind)
+    if fields is None or not min(len(fields), 1) <= len(values) <= len(fields):
+        raise ConfigError(
+            f"unknown generator spec {text!r} (expected gaussian, gmm:K[:MAXITERS[:TOL]], or bootstrap:SIGMA)"
+        )
+    settings = {name: _convert(GeneratorSpec, name, v) for name, v in zip(fields, values)}
+    return GeneratorSpec(kind=kind, **settings)
 
 
 def parse_selection(text: str, metric: DistanceMetric) -> SelectionPolicy | None:
@@ -210,53 +214,23 @@ def load_config_file(path) -> dict[str, str]:
 
 
 def _build_loop_config(args) -> looper.LoopConfig:
-    file_values = load_config_file(args.config) if args.config else {}
-
-    def pick(key, flag_value, default=None):
-        if flag_value is not None:
-            return flag_value
-        if key in file_values:
-            return file_values[key]
-        return default
-
-    paradigm = pick("paradigm", args.paradigm)
-    iterations = pick("iterations", args.iterations)
-    train_size = pick("train_size", args.train_size)
-    generator = pick("generator", args.generator)
-    for name, value in (("paradigm", paradigm), ("iterations", iterations),
-                        ("train_size", train_size), ("generator", generator)):
-        if value is None:
-            raise ConfigError(f"loop requires {name} (flag or config file)")
-    try:
-        iterations = int(iterations)
-        train_size = int(train_size)
-        gamma = int(pick("gamma", args.gamma, 1))
-        master_seed = int(pick("master_seed", args.seed, 0))
-        pool_cap = int(pick("pool_cap", args.pool_cap, 1_000_000))
-    except ValueError as exc:
-        raise ConfigError(f"malformed integer in loop config: {exc}") from None
-    mult = pick("generation_multiplier", args.generation_multiplier)
-    if mult is not None:
-        try:
-            mult = float(mult)
-        except ValueError:
-            raise ConfigError(f"malformed generation_multiplier {mult!r}") from None
-    metric_kind = pick("metric", args.metric, "euclidean")
-    fmap = parse_feature(pick("feature", args.feature, "identity"))
-    metric = DistanceMetric(kind=metric_kind, feature_map=fmap)
-    selection = parse_selection(pick("selection", args.selection, "none"), metric)
-    return looper.LoopConfig(
-        paradigm=paradigm,
-        iterations=iterations,
-        train_size=train_size,
-        generator=parse_generator(generator),
-        selection=selection,
-        generation_multiplier=mult,
-        metric=metric,
-        gamma=gamma,
-        master_seed=master_seed,
-        pool_cap=pool_cap,
-    )
+    """LoopConfig from the flags laid over the --config file values, both
+    keyed by field name; the dataclasses supply every default."""
+    values = load_config_file(args.config) if args.config else {}
+    values.update((key, getattr(args, key)) for key in _CONFIG_KEYS if getattr(args, key) is not None)
+    for f in dataclasses.fields(looper.LoopConfig):
+        if f.default is dataclasses.MISSING and f.name not in values:
+            raise ConfigError(f"loop requires {f.name} (flag or config file)")
+    metric = {}
+    if "metric" in values:
+        metric["kind"] = values["metric"]
+    if "feature" in values:
+        metric["feature_map"] = parse_feature(values.pop("feature"))
+    values["metric"] = DistanceMetric(**metric)
+    if "selection" in values:
+        values["selection"] = parse_selection(values["selection"], values["metric"])
+    values["generator"] = parse_generator(values["generator"])
+    return looper.LoopConfig(**{name: _convert(looper.LoopConfig, name, v) for name, v in values.items()})
 
 
 def cmd_loop(args) -> int:
@@ -272,7 +246,7 @@ def cmd_loop(args) -> int:
     def progress(rec):
         sys.stderr.write(
             f"[iter {rec.iteration}/{config.iterations}] entropy={rec.entropy.estimate:.6f} "
-            f"gs={rec.gs_value:.6f} mnnd={rec.mnnd_value:.6f} duplicates={rec.duplicate_count}\n"
+            f"gs={rec.gs:.6f} mnnd={rec.mnnd:.6f} duplicates={rec.duplicate_count}\n"
         )
 
     trace = looper.run_loop(config, real, progress=progress)
@@ -372,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metric", choices=("euclidean", "sqeuclidean"), default=None)
     p.add_argument("--feature", default=None, help="identity or randproj:DIM:SEED")
     p.add_argument("--gamma", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None, help="master seed")
+    p.add_argument("--seed", type=int, default=None, dest="master_seed", metavar="SEED", help="master seed")
     p.add_argument("--pool-cap", type=int, default=None, dest="pool_cap")
     p.add_argument("--canonical", action="store_true", help="omit timestamp/host for byte-stable output")
     p.add_argument("--out", required=True, help="output prefix; writes PREFIX.json and PREFIX.csv")

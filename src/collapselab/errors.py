@@ -4,6 +4,7 @@ Each class carries the CLI exit code it maps to: file/format problems are
 I/O errors (2), violated data preconditions are precondition errors (3),
 contradictory or incomplete settings are configuration errors (4), and
 failures of the numerics themselves are numeric errors (5).
+check_integers is the integer-type check the settings dataclasses share.
 """
 
 
@@ -59,3 +60,11 @@ class ConfigError(CollapseLabError):
     """Contradictory, incomplete, or out-of-range configuration."""
 
     exit_code = 4
+
+
+def check_integers(settings, *names: str) -> None:
+    """Refuse each named field of settings that is not an int (bool is not one)."""
+    for name in names:
+        value = getattr(settings, name)
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")

@@ -19,10 +19,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, InsufficientPointsError, NumericalError
+from .errors import ConfigError, InsufficientPointsError, NumericalError, check_integers
+from .metrics import _mle_moments, _psd_clip
 from .tensorset import PointSet
 
-_GEN_KINDS = ("gaussian", "gmm", "bootstrap")
+# The fields each kind uses besides kind and seed, in the order the CLI
+# spec kind:v1:v2... gives them; a trace writes only these.
+GENERATOR_FIELDS = {"gaussian": (), "gmm": ("components", "max_iters", "tol"), "bootstrap": ("sigma",)}
 _COV_FLOOR = 1e-9
 
 
@@ -36,8 +39,11 @@ class GeneratorSpec:
     sigma: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.kind not in _GEN_KINDS:
+        if self.kind not in GENERATOR_FIELDS:
             raise ConfigError(f"unknown generator kind {self.kind!r}")
+        check_integers(self, "seed", "components", "max_iters")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.components < 1:
             raise ConfigError(f"components must be >= 1, got {self.components}")
         if self.max_iters < 1:
@@ -73,19 +79,10 @@ class FittedGenerator:
     diagnostics: FitDiagnostics = field(default_factory=FitDiagnostics)
 
 
-def _mle_moments(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    mean = data.mean(axis=0)
-    centered = data - mean
-    cov = centered.T @ centered / data.shape[0]
-    return mean, (cov + cov.T) / 2.0
-
-
 def _sample_transform(cov: np.ndarray) -> np.ndarray:
     """Matrix A with A A^T = cov, from the symmetric eigendecomposition."""
     w, v = np.linalg.eigh(cov)
-    if w.min() < -1e-9:
-        raise NumericalError(f"covariance is not positive semidefinite (min eigenvalue {w.min():.3e})")
-    return v * np.sqrt(np.clip(w, 0.0, None))
+    return v * np.sqrt(_psd_clip(w, "covariance"))
 
 
 def _kmeanspp_centers(data: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:

@@ -37,8 +37,9 @@ from .errors import (
     FormatError,
     InsufficientPointsError,
     NumericalError,
+    check_integers,
 )
-from .generators import GeneratorSpec, fit, sample
+from .generators import GENERATOR_FIELDS, GeneratorSpec, fit, sample
 from .metrics import (
     EntropyReport,
     MomentSummary,
@@ -95,10 +96,7 @@ class LoopConfig:
     def __post_init__(self) -> None:
         if self.paradigm not in _PARADIGMS:
             raise ConfigError(f"unknown paradigm {self.paradigm!r}")
-        for name in ("iterations", "train_size", "gamma", "master_seed", "pool_cap"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        check_integers(self, "iterations", "train_size", "gamma", "master_seed", "pool_cap")
         if self.iterations < 1:
             raise ConfigError(f"iterations must be >= 1, got {self.iterations}")
         if self.train_size < 1:
@@ -122,10 +120,10 @@ class LoopConfig:
 class IterationRecord:
     iteration: int
     entropy: EntropyReport
-    gs_value: float
-    mnnd_value: float
+    gs: float
+    mnnd: float
     trace_cov: float
-    frechet_to_real: float
+    frechet_real: float
     source_proportions: dict[str, float]
     duplicate_count: int
 
@@ -155,7 +153,7 @@ def run_loop(config: LoopConfig, real_data: PointSet, progress=None) -> LoopTrac
     real_ref = moment_summary(apply_feature_map(real_data, fmap))
 
     current = real_data if config.paradigm == "accumulate" else real_data.rows(np.arange(n))
-    generations: list[PointSet] = []
+    pool = real_data  # accumulating paradigms: real data, then generations 1..it
     records: list[IterationRecord] = []
 
     for it in range(1, config.iterations + 1):
@@ -169,11 +167,7 @@ def run_loop(config: LoopConfig, real_data: PointSet, progress=None) -> LoopTrac
             generation = sample(gen, g_size, sample_seed).with_sources(it)
             gs_value = generalization_score(generation, current, config.metric)
 
-            if config.paradigm == "replace":
-                pool = generation
-            else:
-                generations.append(generation)
-                pool = PointSet.concat([real_data] + generations)
+            pool = generation if config.paradigm == "replace" else PointSet.concat([pool, generation])
 
             if config.paradigm == "accumulate":
                 nxt = pool
@@ -195,10 +189,10 @@ def run_loop(config: LoopConfig, real_data: PointSet, progress=None) -> LoopTrac
         record = IterationRecord(
             iteration=it,
             entropy=entropy,
-            gs_value=gs_value,
-            mnnd_value=mnnd_value,
+            gs=gs_value,
+            mnnd=mnnd_value,
             trace_cov=moments.trace_cov,
-            frechet_to_real=frechet,
+            frechet_real=frechet,
             source_proportions=nxt.proportions(),
             duplicate_count=entropy.duplicate_count,
         )
@@ -226,13 +220,7 @@ class ComparisonSummary:
 
 
 def _record_value(record: IterationRecord, key: str) -> float:
-    if key == "entropy":
-        return record.entropy.estimate
-    if key == "gs":
-        return record.gs_value
-    if key == "mnnd":
-        return record.mnnd_value
-    return record.frechet_to_real
+    return record.entropy.estimate if key == "entropy" else getattr(record, key)
 
 
 def compare_traces(a: LoopTrace, b: LoopTrace) -> ComparisonSummary:
@@ -281,11 +269,11 @@ def correlate_trace(traces) -> CorrelationReport:
     excluded = 0
     for trace in traces:
         for rec in trace.records:
-            if rec.gs_value == 0.0:
+            if rec.gs == 0.0:
                 excluded += 1
                 continue
             entropies.append(rec.entropy.estimate)
-            log_gs.append(math.log(rec.gs_value))
+            log_gs.append(math.log(rec.gs))
     if len(entropies) < 3:
         raise InsufficientPointsError(
             f"correlation needs at least 3 records with nonzero scores, got {len(entropies)}"
@@ -295,18 +283,13 @@ def correlate_trace(traces) -> CorrelationReport:
 
 # --- serialization ----------------------------------------------------------
 #
-# A document is its dataclass's fields in declaration order (to_doc), and it
-# is read back by calling the dataclass constructors on it. Only three
-# choices are not generic:
-#   - record fields renamed in the document: _RENAMED;
-#   - a generator writes only the fields its kind uses: _GENERATOR_FIELDS
+# A document is its dataclass's fields in declaration order, each key the
+# field's name (to_doc), and it is read back by calling the dataclass
+# constructors on it. Only two choices are not generic:
+#   - a generator writes only the fields its kind uses, GENERATOR_FIELDS
 #     (so gmm:1 still writes components: 1);
 #   - the config echo writes selection: null when there is no policy, and
 #     the effective generation multiplier in place of the declared one.
-
-_RENAMED = {"gs_value": "gs", "mnnd_value": "mnnd", "frechet_to_real": "frechet_real"}
-_FIELD_OF = {key: name for name, key in _RENAMED.items()}
-_GENERATOR_FIELDS = {"gaussian": (), "gmm": ("components", "max_iters", "tol"), "bootstrap": ("sigma",)}
 
 
 def _is_number(value, kind: str) -> bool:
@@ -337,9 +320,9 @@ def to_doc(obj):
         return obj
     names = [f.name for f in dataclasses.fields(obj)]
     if isinstance(obj, GeneratorSpec):
-        names = ["kind", "seed", *_GENERATOR_FIELDS[obj.kind]]
+        names = ["kind", "seed", *GENERATOR_FIELDS[obj.kind]]
     values = ((name, getattr(obj, name)) for name in names)
-    return {_RENAMED.get(name, name): to_doc(value) for name, value in values if value is not None}
+    return {name: to_doc(value) for name, value in values if value is not None}
 
 
 def trace_to_json(trace: LoopTrace, canonical: bool = False) -> str:
@@ -366,11 +349,8 @@ def trace_from_json(text: str) -> LoopTrace:
         return DistanceMetric(**{**d, "feature_map": FeatureMap(**d["feature_map"])})
 
     def record(d: dict) -> IterationRecord:
-        if not d.keys().isdisjoint(_RENAMED):
-            raise FormatError(f"record keys {sorted(d.keys() & _RENAMED.keys())} are field names, not document keys")
-        fields = {_FIELD_OF.get(key, key): value for key, value in d.items()}
         entropy = EntropyReport(**_typed(EntropyReport, d["entropy"]))
-        return IterationRecord(**_typed(IterationRecord, {**fields, "entropy": entropy}))
+        return IterationRecord(**_typed(IterationRecord, {**d, "entropy": entropy}))
 
     c = doc["config"]
     sel = c.get("selection")
@@ -404,10 +384,10 @@ def trace_to_csv(trace: LoopTrace) -> str:
             str(rec.iteration),
             repr(rec.entropy.estimate),
             str(rec.duplicate_count),
-            repr(rec.gs_value),
-            repr(rec.mnnd_value),
+            repr(rec.gs),
+            repr(rec.mnnd),
             repr(rec.trace_cov),
-            repr(rec.frechet_to_real),
+            repr(rec.frechet_real),
             repr(props.get("real", 0.0)),
         ]
         row += [repr(props.get(f"syn{i}", 0.0)) for i in range(1, n_iter + 1)]

@@ -31,7 +31,7 @@ from .specfun import digamma, log_unit_ball_volume
 from .tensorset import DistanceMetric, PointSet
 
 EPS_FLOOR = 1e-12
-_EIG_TOL = -1e-9
+_PSD_TOL = -1e-9
 
 
 def _assemble_estimate(size: int, dim: int, gamma: int, log_distance_sum: float) -> float:
@@ -108,22 +108,28 @@ class MomentSummary:
     trace_cov: float
 
 
+def _mle_moments(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and symmetrized maximum-likelihood (1/n) covariance of the rows."""
+    mean = data.mean(axis=0)
+    centered = data - mean
+    cov = centered.T @ centered / data.shape[0]
+    return mean, (cov + cov.T) / 2.0
+
+
 def moment_summary(ps: PointSet) -> MomentSummary:
     if ps.size < 2:
         raise InsufficientPointsError(f"moment summary needs at least 2 points, got {ps.size}")
-    mean = ps.data.mean(axis=0)
-    centered = ps.data - mean
-    cov = centered.T @ centered / ps.size
-    cov = (cov + cov.T) / 2.0
+    mean, cov = _mle_moments(ps.data)
     mean.setflags(write=False)
     cov.setflags(write=False)
     return MomentSummary(mean=mean, covariance=cov, trace_cov=float(np.trace(cov)))
 
 
-def _psd_eigvals(cov: np.ndarray, side: str) -> np.ndarray:
-    w = np.linalg.eigvalsh(cov)
-    if w.min() < _EIG_TOL:
-        raise NumericalError(f"{side} covariance is not positive semidefinite (min eigenvalue {w.min():.3e})")
+def _psd_clip(w: np.ndarray, what: str) -> np.ndarray:
+    """Eigenvalues w of a symmetric matrix with roundoff negatives clamped to
+    zero; an eigenvalue below -1e-9 is a NumericalError naming `what`."""
+    if w.min() < _PSD_TOL:
+        raise NumericalError(f"{what} is not positive semidefinite (min eigenvalue {w.min():.3e})")
     return np.clip(w, 0.0, None)
 
 
@@ -138,16 +144,12 @@ def frechet_gaussian_distance(a: MomentSummary, b: MomentSummary) -> float:
     if a.mean.shape != b.mean.shape:
         raise DimensionError(f"moment summaries of dimension {a.mean.shape[0]} vs {b.mean.shape[0]}")
     wa, va = np.linalg.eigh(a.covariance)
-    if wa.min() < _EIG_TOL:
-        raise NumericalError(f"first covariance is not positive semidefinite (min eigenvalue {wa.min():.3e})")
-    _psd_eigvals(b.covariance, "second")
-    root_a = (va * np.sqrt(np.clip(wa, 0.0, None))) @ va.T
+    wa = _psd_clip(wa, "first covariance")
+    _psd_clip(np.linalg.eigvalsh(b.covariance), "second covariance")
+    root_a = (va * np.sqrt(wa)) @ va.T
     inner = root_a @ b.covariance @ root_a
     inner = (inner + inner.T) / 2.0
-    wm = np.linalg.eigvalsh(inner)
-    if wm.min() < _EIG_TOL:
-        raise NumericalError(f"cross term is not positive semidefinite (min eigenvalue {wm.min():.3e})")
-    wm = np.clip(wm, 0.0, None)
+    wm = _psd_clip(np.linalg.eigvalsh(inner), "cross term")
     mean_term = float(np.square(a.mean - b.mean).sum())
     value = mean_term + float(np.trace(a.covariance) + np.trace(b.covariance)) - 2.0 * float(np.sqrt(wm).sum())
     return max(value, 0.0)

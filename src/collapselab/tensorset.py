@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, EmptyDatasetError, FormatError
+from .errors import ConfigError, DimensionError, EmptyDatasetError, FormatError, check_integers
 
 RAWBIN_MAGIC = b"CLPS"
 RAWBIN_VERSION = 1
@@ -157,8 +157,11 @@ class FeatureMap:
         if self.kind == "randproj":
             if self.target_dim is None or self.seed is None:
                 raise ConfigError("randproj feature map requires target_dim and seed")
+            check_integers(self, "target_dim", "seed")
             if self.target_dim < 1:
                 raise ConfigError("randproj target_dim must be >= 1")
+            if self.seed < 0:
+                raise ConfigError(f"randproj seed must be >= 0, got {self.seed}")
         if self.kind == "whiten":
             if self.mean is None or self.transform is None:
                 raise ConfigError("whiten feature map requires mean and transform")

@@ -268,7 +268,7 @@ def test_10_greedy_mitigation():
         for i in range(iters):
             g, r = arms["greedy"].records[i], arms["random"].records[i]
             dH[master, i] = g.entropy.estimate - r.entropy.estimate
-            dF[master, i] = g.frechet_to_real - r.frechet_to_real
+            dF[master, i] = g.frechet_real - r.frechet_real
     mean_dH = dH.mean(axis=0)
     final_dF = float(dF.mean(axis=0)[-1])
     elapsed = time.monotonic() - start

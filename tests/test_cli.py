@@ -9,10 +9,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import collapselab.cli as cli
 import collapselab.looper as looper
 from collapselab import (
     DistanceMetric,
     FeatureMap,
+    GeneratorSpec,
     NumericalError,
     PointSet,
     SelectionPolicy,
@@ -22,6 +24,7 @@ from collapselab import (
     save_pointset,
 )
 from collapselab.cli import main
+from collapselab.generators import GENERATOR_FIELDS
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -127,6 +130,9 @@ class TestScalarCommands:
 
     def test_bad_feature_spec_is_config_error(self, two_point_csv):
         assert main(["entropy", "--input", str(two_point_csv), "--feature", "randproj:x"]) == 4
+
+    def test_negative_projection_seed_is_config_error(self, two_point_csv):
+        assert main(["entropy", "--input", str(two_point_csv), "--feature", "randproj:2:-1"]) == 4
 
 
 class TestSelect:
@@ -373,6 +379,52 @@ class TestLoop:
         )
         assert code == 4
 
+    # Every LoopConfig key (and feature), as flags and as the same settings in a file.
+    ALL_SETTINGS = {
+        "paradigm": "accumulate_subsample", "iterations": "2", "train_size": "40",
+        "generator": "gmm:2:30:1e-6", "selection": "threshold:1.0:0.8", "generation_multiplier": "1.5",
+        "metric": "sqeuclidean", "feature": "randproj:2:7", "gamma": "2", "master_seed": "9", "pool_cap": "500",
+    }
+
+    def test_every_key_as_flag_or_file_gives_the_same_trace(self, blob_csv, tmp_path):
+        assert set(self.ALL_SETTINGS) == set(cli._CONFIG_KEYS)
+        flags = []
+        for key, value in self.ALL_SETTINGS.items():
+            flags += ["--seed" if key == "master_seed" else "--" + key.replace("_", "-"), value]
+        cfg = tmp_path / "loop.cfg"
+        cfg.write_text("".join(f"{key} = {value}\n" for key, value in self.ALL_SETTINGS.items()))
+        base = ["loop", "--real", str(blob_csv), "--canonical", "--out"]
+        assert main([*base, str(tmp_path / "flags"), *flags]) == 0
+        assert main([*base, str(tmp_path / "file"), "--config", str(cfg)]) == 0
+        flagged = (tmp_path / "flags.json").read_bytes()
+        assert flagged == (tmp_path / "file.json").read_bytes()
+        config = json.loads(flagged)["config"]
+        assert config["generator"] == {"kind": "gmm", "seed": 0, "components": 2, "max_iters": 30, "tol": 1e-6}
+        assert config["metric"] == {"kind": "sqeuclidean", "feature_map": {"kind": "randproj", "target_dim": 2, "seed": 7}}
+        assert (config["gamma"], config["master_seed"], config["pool_cap"]) == (2, 9, 500)
+        assert config["generation_multiplier"] == 1.5
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("iterations", "2.0"), ("train_size", "x"), ("gamma", ""), ("master_seed", "1e3"), ("pool_cap", "many"),
+         ("generation_multiplier", "x")],
+    )
+    def test_malformed_number_in_config_file_is_config_error(self, blob_csv, tmp_path, key, value):
+        settings = {**self.ALL_SETTINGS, key: value}
+        cfg = tmp_path / "loop.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in settings.items()))
+        prefix = tmp_path / "t"
+        assert main(["loop", "--real", str(blob_csv), "--config", str(cfg), "--out", str(prefix)]) == 4
+        assert not prefix.with_suffix(".json").exists()
+
+    @pytest.mark.parametrize("text", ["gaussian", "gmm:3", "gmm:3:50", "gmm:3:50:1e-4", "bootstrap:0.5"])
+    def test_parse_generator_writes_kind_seed_and_the_kind_fields(self, text):
+        spec = cli.parse_generator(text)
+        assert list(looper.to_doc(spec)) == ["kind", "seed", *GENERATOR_FIELDS[spec.kind]]
+
+    def test_gmm_spec_takes_generator_spec_defaults(self):
+        assert cli.parse_generator("gmm:3") == GeneratorSpec(kind="gmm", components=3)
+
     def test_numeric_failure_maps_to_exit_five(self, blob_csv, tmp_path, monkeypatch):
         def boom(config, real, progress=None):
             raise NumericalError("synthetic failure")
@@ -439,9 +491,14 @@ class TestAnalyze:
             lambda doc: doc["config"].update(paradigm="mixup"),
             lambda doc: doc.update(records=[1]),
             lambda doc: doc.update(config=[]),
+            lambda doc: doc["config"]["generator"].update(components=2.5),
+            lambda doc: doc["config"]["generator"].update(seed="x"),
+            lambda doc: doc["config"]["metric"]["feature_map"].update(kind="randproj", target_dim=2.5, seed=1),
+            lambda doc: doc["config"]["metric"]["feature_map"].update(kind="randproj", target_dim=2, seed=True),
         ],
         ids=["real-reference-not-a-dict", "unknown-record-key", "unknown-metric-key", "invalid-paradigm",
-             "record-not-a-dict", "config-not-a-dict"],
+             "record-not-a-dict", "config-not-a-dict", "generator-components-float", "generator-seed-string",
+             "feature-target-dim-float", "feature-seed-bool"],
     )
     def test_damaged_trace_is_io_error(self, blob_csv, tmp_path, capsys, damage):
         trace = self.make_trace(blob_csv, tmp_path, "a")

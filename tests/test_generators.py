@@ -30,6 +30,20 @@ class TestSpecValidation:
         with pytest.raises(ConfigError):
             GeneratorSpec(kind="bootstrap", sigma=-0.1)
 
+    @pytest.mark.parametrize("field", ["seed", "components", "max_iters"])
+    @pytest.mark.parametrize("value", [2.5, "3", True, None])
+    def test_integer_fields_must_be_int(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            GeneratorSpec(kind="gmm", **{field: value})
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed"):
+            GeneratorSpec(kind="gaussian", seed=-1)
+
+    def test_fractional_components_never_reach_fit(self):
+        with pytest.raises(ConfigError):
+            fit(GeneratorSpec(kind="gmm", components=2.5), PointSet(np.zeros((4, 1))))
+
     @pytest.mark.parametrize("field", ["sigma", "tol"])
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     def test_non_finite_floats_rejected(self, field, value):

@@ -136,7 +136,7 @@ class TestRunLoop:
             dataclasses.replace(cfg.generator, seed=derive_seed(5, 1, ROLE_FIT)), real
         )
         g1 = sample(gen, 80, derive_seed(5, 1, ROLE_SAMPLE))
-        assert rec.gs_value == generalization_score(g1, real)
+        assert rec.gs == generalization_score(g1, real)
         assert rec.entropy.estimate == kl_entropy(g1.with_sources(1)).estimate
         assert rec.duplicate_count == kl_entropy(g1).duplicate_count
 
@@ -146,7 +146,7 @@ class TestRunLoop:
 
     def test_memorizer_has_exact_zero_gs_and_growing_duplicates(self):
         trace = run_loop(bootstrap_config(iterations=5, train_size=200), blob_data(3, 200))
-        assert all(rec.gs_value == 0.0 for rec in trace.records)
+        assert all(rec.gs == 0.0 for rec in trace.records)
         dups = [rec.duplicate_count for rec in trace.records]
         assert dups == sorted(dups)
         assert dups[-1] > dups[0]
@@ -164,7 +164,7 @@ class TestRunLoop:
             ),
             real,
         )
-        assert a.records[0].gs_value == b.records[0].gs_value
+        assert a.records[0].gs == b.records[0].gs
 
     def test_source_proportions_conserved(self):
         cfg = bootstrap_config(
@@ -226,7 +226,7 @@ class TestRunLoop:
         )
         trace = run_loop(cfg, blob_data(11, 80))
         for rec in trace.records:
-            for value in (rec.gs_value, rec.mnnd_value, rec.trace_cov, rec.frechet_to_real):
+            for value in (rec.gs, rec.mnnd, rec.trace_cov, rec.frechet_real):
                 assert math.isfinite(value)
 
     def test_real_reference_matches_real_moments(self):
@@ -320,10 +320,10 @@ def _record_with(iteration, entropy, gs):
     return IterationRecord(
         iteration=iteration,
         entropy=report,
-        gs_value=gs,
-        mnnd_value=1.0,
+        gs=gs,
+        mnnd=1.0,
         trace_cov=1.0,
-        frechet_to_real=0.0,
+        frechet_real=0.0,
         source_proportions={"real": 1.0},
         duplicate_count=0,
     )
@@ -491,10 +491,10 @@ def reference_record_doc(rec):
             "size": ent.size,
             "dim": ent.dim,
         },
-        "gs": rec.gs_value,
-        "mnnd": rec.mnnd_value,
+        "gs": rec.gs,
+        "mnnd": rec.mnnd,
         "trace_cov": rec.trace_cov,
-        "frechet_real": rec.frechet_to_real,
+        "frechet_real": rec.frechet_real,
         "source_proportions": rec.source_proportions,
         "duplicate_count": rec.duplicate_count,
     }

@@ -255,6 +255,13 @@ class TestFeatureMap:
         assert fm.output_dim(7) == 2
         assert FeatureMap.identity().output_dim(7) == 7
 
+    @pytest.mark.parametrize(
+        "target_dim, seed", [(2.5, 1), ("2", 1), (True, 1), (2, 1.0), (2, "1"), (2, True), (2, -1)]
+    )
+    def test_random_projection_settings_must_be_integers(self, target_dim, seed):
+        with pytest.raises(ConfigError):
+            FeatureMap(kind="randproj", target_dim=target_dim, seed=seed)
+
     def test_whitening_centers_columns(self):
         rng = np.random.default_rng(3)
         data = rng.standard_normal((200, 2)) * 4.0 + 7.0
