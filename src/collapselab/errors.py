@@ -4,7 +4,8 @@ Each class carries the CLI exit code it maps to: file/format problems are
 I/O errors (2), violated data preconditions are precondition errors (3),
 contradictory or incomplete settings are configuration errors (4), and
 failures of the numerics themselves are numeric errors (5).
-check_integers is the integer-type check the settings dataclasses share.
+is_number and check_numbers are the int and float type checks that the
+settings dataclasses and the trace reader share.
 """
 
 
@@ -62,9 +63,15 @@ class ConfigError(CollapseLabError):
     exit_code = 4
 
 
-def check_integers(settings, *names: str) -> None:
-    """Refuse each named field of settings that is not an int (bool is not one)."""
+def is_number(value, kind: str) -> bool:
+    """value is an int (kind "int") or an int or float (kind "float"); bool is neither."""
+    return not isinstance(value, bool) and isinstance(value, int if kind == "int" else (int, float))
+
+
+def check_numbers(settings, kind: str, *names: str, optional: bool = False) -> None:
+    """Refuse each named field of settings that is not a number of kind; with
+    optional, None passes too."""
     for name in names:
         value = getattr(settings, name)
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if not (is_number(value, kind) or optional and value is None):
+            raise ConfigError(f"{name} must be {'an integer' if kind == 'int' else 'a number'}, got {value!r}")

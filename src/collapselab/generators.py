@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, InsufficientPointsError, NumericalError, check_integers
+from .errors import ConfigError, InsufficientPointsError, NumericalError, check_numbers
 from .metrics import _mle_moments, _psd_clip
 from .tensorset import PointSet
 
@@ -41,7 +41,8 @@ class GeneratorSpec:
     def __post_init__(self) -> None:
         if self.kind not in GENERATOR_FIELDS:
             raise ConfigError(f"unknown generator kind {self.kind!r}")
-        check_integers(self, "seed", "components", "max_iters")
+        check_numbers(self, "int", "seed", "components", "max_iters")
+        check_numbers(self, "float", "tol", "sigma")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.components < 1:

@@ -31,13 +31,15 @@ from datetime import datetime, timezone
 
 import numpy as np
 
+from . import metrics
 from .errors import (
     ConfigError,
     DimensionError,
     FormatError,
     InsufficientPointsError,
     NumericalError,
-    check_integers,
+    check_numbers,
+    is_number,
 )
 from .generators import GENERATOR_FIELDS, GeneratorSpec, fit, sample
 from .metrics import (
@@ -96,7 +98,8 @@ class LoopConfig:
     def __post_init__(self) -> None:
         if self.paradigm not in _PARADIGMS:
             raise ConfigError(f"unknown paradigm {self.paradigm!r}")
-        check_integers(self, "iterations", "train_size", "gamma", "master_seed", "pool_cap")
+        check_numbers(self, "int", "iterations", "train_size", "gamma", "master_seed", "pool_cap")
+        check_numbers(self, "float", "generation_multiplier", optional=True)
         if self.iterations < 1:
             raise ConfigError(f"iterations must be >= 1, got {self.iterations}")
         if self.train_size < 1:
@@ -150,6 +153,7 @@ def run_loop(config: LoopConfig, real_data: PointSet, progress=None) -> LoopTrac
 
     mult = config.effective_multiplier()
     fmap = config.metric.feature_map
+    squared = dataclasses.replace(config.metric, kind="sqeuclidean")
     real_ref = moment_summary(apply_feature_map(real_data, fmap))
 
     current = real_data if config.paradigm == "accumulate" else real_data.rows(np.arange(n))
@@ -179,8 +183,13 @@ def run_loop(config: LoopConfig, real_data: PointSet, progress=None) -> LoopTrac
             else:
                 nxt = pool
 
-            entropy = kl_entropy(nxt, config.gamma, config.metric)
-            mnnd_value = mnnd(nxt, config.metric)
+            # One search of D_{n+1} gives entropy its gamma-th neighbors and
+            # MNND its first; a set too small for it meets kl_entropy's check.
+            first = kth = None
+            if nxt.size > config.gamma:
+                first, kth = (r.distances for r in metrics.kth_nn_within(nxt, (1, config.gamma), squared))
+            entropy = kl_entropy(nxt, config.gamma, config.metric, kth)
+            mnnd_value = mnnd(nxt, config.metric, first)
             moments = moment_summary(apply_feature_map(nxt, fmap))
             frechet = frechet_gaussian_distance(moments, real_ref)
         except NumericalError as exc:
@@ -292,10 +301,6 @@ def correlate_trace(traces) -> CorrelationReport:
 #     the effective generation multiplier in place of the declared one.
 
 
-def _is_number(value, kind: str) -> bool:
-    return not isinstance(value, bool) and isinstance(value, int if kind == "int" else (int, float))
-
-
 def _typed(cls, fields: dict) -> dict:
     """fields, refused unless each value has the type its field of cls
     declares: the constructors check nothing, and bool is not a number."""
@@ -303,9 +308,9 @@ def _typed(cls, fields: dict) -> dict:
         value = fields.get(f.name)
         if f.type == "dict[str, float]":
             ok = isinstance(value, dict)
-            ok = ok and all(isinstance(k, str) and _is_number(v, "float") for k, v in value.items())
+            ok = ok and all(isinstance(k, str) and is_number(v, "float") for k, v in value.items())
         else:
-            ok = f.type not in ("int", "float") or _is_number(value, f.type)
+            ok = f.type not in ("int", "float") or is_number(value, f.type)
         if not ok:
             raise FormatError(f"{cls.__name__}.{f.name} must be {f.type}, got {value!r}")
     return fields

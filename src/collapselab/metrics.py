@@ -28,7 +28,7 @@ from .errors import (
 )
 from .neighbors import kth_nn_within, nn_cross
 from .specfun import digamma, log_unit_ball_volume
-from .tensorset import DistanceMetric, PointSet
+from .tensorset import EUCLIDEAN, DistanceMetric, PointSet
 
 EPS_FLOOR = 1e-12
 _PSD_TOL = -1e-9
@@ -54,13 +54,17 @@ class EntropyReport:
         return _assemble_estimate(self.size, self.dim, self.gamma, self.log_distance_sum)
 
 
-def kl_entropy(ps: PointSet, gamma: int = 1, metric: DistanceMetric = DistanceMetric()) -> EntropyReport:
+def kl_entropy(ps: PointSet, gamma: int = 1, metric: DistanceMetric = DistanceMetric(), squared=None) -> EntropyReport:
+    """Entropy estimate of ps; `squared` holds its squared gamma-th neighbor
+    distances when the caller has searched it (run_loop shares one search)."""
     if not isinstance(gamma, int) or isinstance(gamma, bool) or gamma < 1:
         raise DomainError(f"gamma must be a positive integer, got {gamma!r}")
     if ps.size <= gamma:
         raise InsufficientPointsError(f"entropy with gamma={gamma} needs at least {gamma + 1} points, got {ps.size}")
+    if squared is None:
+        squared = kth_nn_within(ps, gamma, replace(metric, kind="sqeuclidean")).distances
     # The estimator is defined on euclidean radii, whatever the metric's units.
-    eps = kth_nn_within(ps, gamma, replace(metric, kind="euclidean")).distances
+    eps = EUCLIDEAN.from_squared(squared)
     clamped = eps < EPS_FLOOR
     duplicate_count = int(np.count_nonzero(clamped))
     log_sum = float(np.log(np.where(clamped, EPS_FLOOR, eps)).sum())
@@ -91,12 +95,14 @@ def generalization_score(generated: PointSet, training: PointSet, metric: Distan
     return float(res.distances.mean())
 
 
-def mnnd(ps: PointSet, metric: DistanceMetric = DistanceMetric()) -> float:
-    """Mean nearest-neighbor distance within a set, self excluded."""
+def mnnd(ps: PointSet, metric: DistanceMetric = DistanceMetric(), squared=None) -> float:
+    """Mean nearest-neighbor distance within a set, self excluded; `squared`
+    as for kl_entropy, of the nearest neighbors."""
     if ps.size < 2:
         raise InsufficientPointsError(f"mean neighbor distance needs at least 2 points, got {ps.size}")
-    res = kth_nn_within(ps, 1, metric)
-    return float(res.distances.mean())
+    if squared is None:
+        squared = kth_nn_within(ps, 1, replace(metric, kind="sqeuclidean")).distances
+    return float(metric.from_squared(squared).mean())
 
 
 @dataclass(frozen=True, eq=False)

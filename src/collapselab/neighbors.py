@@ -19,7 +19,9 @@ subtraction, and a factor 1 - 4 (d + 2) eps covers the summed squares.
 Every point outside the region then measures strictly more than the
 answer, so the answer is the one the search over all points would give.
 Rows that fail the check, or whose region holds fewer than k candidates,
-are searched over all points.
+are searched over all points. A search for several ranks takes all from
+the same candidates, with the count, the check and the screen below set by
+the largest rank; whatever that proves exact holds for the smaller ones.
 
 When m < 4 (at d = 8, for n below about 400k) the grid is one cell: every
 query searches every point, through the screen below.
@@ -136,21 +138,28 @@ def _split(rows: np.ndarray, runs, n_cols: int, dim: int) -> list:
     return [(rows[s : s + step], runs) for s in range(0, rows.size, step)]
 
 
-def _select(d2: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """k-th smallest value of each row and its column, ties toward the lower column."""
-    if k == 1:
-        return d2.min(axis=1), d2.argmin(axis=1)
-    vals = np.partition(d2, k - 1, axis=1)[:, k - 1].copy()
-    below = np.count_nonzero(d2 < vals[:, None], axis=1)
-    # The answer is the (k - below)-th column holding the k-th value.
-    seen = np.cumsum(d2 == vals[:, None], axis=1, dtype=np.int32)
-    return vals, np.argmax(seen >= (k - below)[:, None], axis=1)
+def _select(d2: np.ndarray, ranks: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """For each rank k, the k-th smallest value of each row and its column,
+    ties toward the lower column; both of shape (len(ranks), rows)."""
+    vals = np.empty((len(ranks), d2.shape[0]))
+    cols = np.empty((len(ranks), d2.shape[0]), dtype=np.int64)
+    for j, k in enumerate(ranks):
+        if k == 1:
+            vals[j], cols[j] = d2.min(axis=1), d2.argmin(axis=1)
+            continue
+        vals[j] = np.partition(d2, k - 1, axis=1)[:, k - 1]
+        below = np.count_nonzero(d2 < vals[j, :, None], axis=1)
+        # The answer is the (k - below)-th column holding the k-th value.
+        seen = np.cumsum(d2 == vals[j, :, None], axis=1, dtype=np.int32)
+        cols[j] = np.argmax(seen >= (k - below)[:, None], axis=1)
+    return vals, cols
 
 
-def _screen(q, r, right, k: int, own) -> tuple[np.ndarray, np.ndarray]:
-    """`_select` of each query row over all of r: its k-th smallest squared
-    distance and that column. `own`, each row's own column within one set,
-    is left out.
+def _screen(q, r, right, ranks: tuple[int, ...], own) -> tuple[np.ndarray, np.ndarray]:
+    """`_select` of each query row over all of r: for each rank k its k-th
+    smallest squared distance and that column. `own`, each row's own column
+    within one set, is left out. The screen is set by the largest rank, and
+    keeps every column that a smaller rank could need.
 
     Kept columns are gathered per row, ascending and padded with -1. A
     block where some row keeps more than half the columns measures every
@@ -170,6 +179,7 @@ def _screen(q, r, right, k: int, own) -> tuple[np.ndarray, np.ndarray]:
         d2[(cand < 0) | (cand == own[:, None])] = np.inf
         return d2
 
+    k = ranks[-1]
     near = lo.argmin(axis=1)[:, None] if k == 1 else np.argpartition(lo, k - 1, axis=1)[:, :k]
     # "Not above" keeps a column whose bound is NaN.
     keep_r, keep_c = np.divmod(np.flatnonzero(~(lo > measure(near).max(axis=1)[:, None])), lo.shape[1])
@@ -182,8 +192,8 @@ def _screen(q, r, right, k: int, own) -> tuple[np.ndarray, np.ndarray]:
         cand = np.full((rows.size, counts.max()), -1, dtype=np.int64)
         cand[keep_r, np.arange(keep_r.size) - np.repeat(np.cumsum(counts) - counts, counts)] = keep_c
     del keep_r, keep_c
-    vals, cols = _select(measure(cand), k)
-    return vals, np.take_along_axis(cand, cols[:, None], axis=1)[:, 0]
+    vals, cols = _select(measure(cand), ranks)
+    return vals, np.take_along_axis(cand, cols.T, axis=1).T
 
 
 def _grid(q: np.ndarray, r: np.ndarray, within: bool):
@@ -255,15 +265,17 @@ def _grid(q: np.ndarray, r: np.ndarray, within: bool):
     return order, groups, bound
 
 
-def _search(q: np.ndarray, r: np.ndarray, k: int, within: bool) -> tuple[np.ndarray, np.ndarray]:
-    """k-th nearest reference row of every query, as squared distance and index.
+def _search(q: np.ndarray, r: np.ndarray, ranks: tuple[int, ...], within: bool) -> tuple[np.ndarray, np.ndarray]:
+    """k-th nearest reference row of every query for each k of the ascending
+    ranks, as squared distances and indices of shape (len(ranks), len(q)).
 
     With `within`, q is r and each query skips its own row.
     """
     n_q, dim = q.shape
     n_r = r.shape[0]
-    out_v = np.empty(n_q, dtype=np.float64)
-    out_i = np.empty(n_q, dtype=np.int64)
+    k = ranks[-1]
+    out_v = np.empty((len(ranks), n_q), dtype=np.float64)
+    out_i = np.empty((len(ranks), n_q), dtype=np.int64)
     accepted = np.zeros(n_q, dtype=bool)
     order, groups, bound = _grid(q, r, within)
 
@@ -274,17 +286,17 @@ def _search(q: np.ndarray, r: np.ndarray, k: int, within: bool) -> tuple[np.ndar
     def work(blk) -> None:
         rows, runs = blk
         if runs is None:
-            vals, idx = _screen(q[rows], r, right(), k, rows if within else None)
+            vals, idx = _screen(q[rows], r, right(), ranks, rows if within else None)
         else:
             cand = np.sort(np.concatenate([order[run] for run in runs]))
             d2 = sq_dists(q[rows], r[cand])
             if within:
                 d2[np.arange(rows.size), np.searchsorted(cand, rows)] = np.inf
-            vals, cols = _select(d2, k)
+            vals, cols = _select(d2, ranks)
             idx = cand[cols]
-        out_v[rows] = vals
-        out_i[rows] = idx
-        accepted[rows] = vals < bound[rows]
+        out_v[:, rows] = vals
+        out_i[:, rows] = idx
+        accepted[rows] = vals[-1] < bound[rows]
 
     blocks = []
     for rows, runs, n_cand in groups:
@@ -297,20 +309,30 @@ def _search(q: np.ndarray, r: np.ndarray, k: int, within: bool) -> tuple[np.ndar
     return out_v, out_i
 
 
-def kth_nn_within(ps: PointSet, k: int, metric: DistanceMetric = DistanceMetric()) -> NeighborResult:
+def kth_nn_within(
+    ps: PointSet, k: int | tuple[int, ...], metric: DistanceMetric = DistanceMetric()
+) -> NeighborResult | tuple[NeighborResult, ...]:
     """k-th nearest neighbor of every point within the same set, self excluded.
 
     Ties are broken toward the lower row index. Distances are reported in
     the metric's units (euclidean or squared euclidean) in feature space.
+    k may also be a sorted tuple of ranks, such as (1, gamma): one search
+    then gives a NeighborResult per rank, in the order of k, each the same
+    bits as its own single-rank call.
     """
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise ConfigError(f"k must be a positive integer, got {k!r}")
+    ranks = k if isinstance(k, tuple) else (k,)
+    valid = all(isinstance(j, int) and not isinstance(j, bool) and j >= 1 for j in ranks)
+    if not (ranks and valid and list(ranks) == sorted(ranks)):
+        raise ConfigError(f"k must be a positive integer or a sorted tuple of them, got {k!r}")
+    top = ranks[-1]
     n = ps.size
-    if n <= k:
-        raise InsufficientPointsError(f"need at least {k + 1} points for the {k}-th neighbor, got {n}")
+    if n <= top:
+        raise InsufficientPointsError(f"need at least {top + 1} points for the {top}-th neighbor, got {n}")
     x = np.ascontiguousarray(metric.feature_map.apply(ps.data))
-    out_v, out_i = _search(x, x, k, within=True)
-    return NeighborResult(metric.from_squared(out_v), out_i)
+    distinct = tuple(sorted(set(ranks)))
+    out_v, out_i = _search(x, x, distinct, within=True)
+    found = {j: NeighborResult(metric.from_squared(v), i) for j, v, i in zip(distinct, out_v, out_i)}
+    return tuple(found[j] for j in ranks) if isinstance(k, tuple) else found[k]
 
 
 def nn_cross(queries: PointSet, refs: PointSet, metric: DistanceMetric = DistanceMetric()) -> NeighborResult:
@@ -326,5 +348,5 @@ def nn_cross(queries: PointSet, refs: PointSet, metric: DistanceMetric = Distanc
         raise DimensionError(f"query dimension {queries.dim} != reference dimension {refs.dim}")
     q = np.ascontiguousarray(metric.feature_map.apply(queries.data))
     r = np.ascontiguousarray(metric.feature_map.apply(refs.data))
-    out_v, out_i = _search(q, r, 1, within=False)
-    return NeighborResult(metric.from_squared(out_v), out_i)
+    out_v, out_i = _search(q, r, (1,), within=False)
+    return NeighborResult(metric.from_squared(out_v[0]), out_i[0])

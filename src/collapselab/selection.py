@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InsufficientPointsError
+from .errors import ConfigError, InsufficientPointsError, check_numbers
 from .neighbors import _lift, sq_dists
 from .tensorset import DistanceMetric, PointSet, source_proportions
 
@@ -46,6 +46,7 @@ class SelectionPolicy:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.initial_index is not None and type(self.initial_index) is not int:
             raise ConfigError(f"initial_index must be an integer, got {self.initial_index!r}")
+        check_numbers(self, "float", "tau0", "alpha", optional=True)
         if self.kind == "threshold_decay":
             if self.tau0 is None or self.alpha is None:
                 raise ConfigError("threshold_decay requires explicit tau0 and alpha (no defaults)")

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, EmptyDatasetError, FormatError, check_integers
+from .errors import ConfigError, DimensionError, EmptyDatasetError, FormatError, check_numbers
 
 RAWBIN_MAGIC = b"CLPS"
 RAWBIN_VERSION = 1
@@ -157,7 +157,7 @@ class FeatureMap:
         if self.kind == "randproj":
             if self.target_dim is None or self.seed is None:
                 raise ConfigError("randproj feature map requires target_dim and seed")
-            check_integers(self, "target_dim", "seed")
+            check_numbers(self, "int", "target_dim", "seed")
             if self.target_dim < 1:
                 raise ConfigError("randproj target_dim must be >= 1")
             if self.seed < 0:

@@ -495,10 +495,19 @@ class TestAnalyze:
             lambda doc: doc["config"]["generator"].update(seed="x"),
             lambda doc: doc["config"]["metric"]["feature_map"].update(kind="randproj", target_dim=2.5, seed=1),
             lambda doc: doc["config"]["metric"]["feature_map"].update(kind="randproj", target_dim=2, seed=True),
+            lambda doc: doc["config"]["generator"].update(sigma=True),
+            lambda doc: doc["config"]["generator"].update(sigma="0.05"),
+            lambda doc: doc["config"]["generator"].update(tol=True),
+            lambda doc: doc["config"].update(generation_multiplier=True),
+            lambda doc: doc["config"].update(selection={
+                "kind": "threshold_decay", "seed": 0, "metric": doc["config"]["metric"], "tau0": True, "alpha": 0.5}),
+            lambda doc: doc["config"].update(selection={
+                "kind": "threshold_decay", "seed": 0, "metric": doc["config"]["metric"], "tau0": 1.0, "alpha": "x"}),
         ],
         ids=["real-reference-not-a-dict", "unknown-record-key", "unknown-metric-key", "invalid-paradigm",
              "record-not-a-dict", "config-not-a-dict", "generator-components-float", "generator-seed-string",
-             "feature-target-dim-float", "feature-seed-bool"],
+             "feature-target-dim-float", "feature-seed-bool", "generator-sigma-bool", "generator-sigma-string",
+             "generator-tol-bool", "multiplier-bool", "selection-tau0-bool", "selection-alpha-string"],
     )
     def test_damaged_trace_is_io_error(self, blob_csv, tmp_path, capsys, damage):
         trace = self.make_trace(blob_csv, tmp_path, "a")

@@ -45,6 +45,12 @@ class TestSpecValidation:
             fit(GeneratorSpec(kind="gmm", components=2.5), PointSet(np.zeros((4, 1))))
 
     @pytest.mark.parametrize("field", ["sigma", "tol"])
+    @pytest.mark.parametrize("value", [True, "0.1", None, [0.1]])
+    def test_float_fields_must_be_numbers(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            GeneratorSpec(kind="gmm" if field == "tol" else "bootstrap", **{field: value})
+
+    @pytest.mark.parametrize("field", ["sigma", "tol"])
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     def test_non_finite_floats_rejected(self, field, value):
         with pytest.raises(ConfigError, match=field):

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import collapselab.looper as looper
 import collapselab.neighbors as neighbors
 from collapselab import (
     ConfigError,
@@ -121,6 +122,12 @@ class TestLoopConfig:
     def test_integer_fields_reject_other_types(self, field, value):
         with pytest.raises(ConfigError, match=field):
             bootstrap_config(**{field: value})
+
+    @pytest.mark.parametrize("value", [True, "1.5", [1.5]])
+    def test_multiplier_must_be_a_number(self, value):
+        with pytest.raises(ConfigError, match="generation_multiplier"):
+            bootstrap_config(generation_multiplier=value)
+        assert bootstrap_config(generation_multiplier=2).effective_multiplier() == 2.0
 
 
 class TestRunLoop:
@@ -650,3 +657,53 @@ class TestToDoc:
             node["unexpected"] = 1
             with pytest.raises(TypeError, match="unexpected"):
                 trace_from_json(json.dumps(doc))
+
+
+_SHARED_REAL = blob_data(26, 300)
+_SHARED_MAPS = {
+    "identity": FeatureMap.identity(),
+    "randproj": FeatureMap.random_projection(3, 7),
+    "whiten": FeatureMap.affine_whitening(_SHARED_REAL.data.mean(axis=0), [[0.5, 0.25], [0.0, 2.0]]),
+}
+_SHARED_RUNS = {
+    # accumulate with a memorizer: duplicates, and a pool on the grid path
+    "accumulate": dict(generator=GeneratorSpec(kind="bootstrap", sigma=0.0)),
+    "accumulate_subsample": dict(
+        generator=GeneratorSpec(kind="bootstrap", sigma=0.05), selection="greedy"
+    ),
+    "replace": dict(generator=GeneratorSpec(kind="gmm", components=2), selection="threshold"),
+}
+
+
+class TestSharedNeighborSearch:
+    @pytest.mark.parametrize("fmap", sorted(_SHARED_MAPS))
+    @pytest.mark.parametrize("kind", ["euclidean", "sqeuclidean"])
+    @pytest.mark.parametrize("gamma", [1, 3])
+    @pytest.mark.parametrize("paradigm", sorted(_SHARED_RUNS))
+    def test_matches_separate_searches(self, monkeypatch, paradigm, gamma, kind, fmap):
+        # The reference is the loop before the search was shared: kl_entropy
+        # and mnnd each search D_{n+1} themselves.
+        metric = DistanceMetric(kind=kind, feature_map=_SHARED_MAPS[fmap])
+        run = dict(_SHARED_RUNS[paradigm])
+        selection = run.pop("selection", None)
+        cfg = LoopConfig(
+            paradigm=paradigm,
+            iterations=2,
+            train_size=150,
+            selection=_policy(selection, metric) if selection else None,
+            metric=metric,
+            gamma=gamma,
+            master_seed=4,
+            **run,
+        )
+        shared = trace_to_json(run_loop(cfg, _SHARED_REAL), canonical=True)
+        entropy, mean_nn = looper.kl_entropy, looper.mnnd
+        monkeypatch.setattr(looper, "kl_entropy", lambda ps, g, m, squared: entropy(ps, g, m))
+        monkeypatch.setattr(looper, "mnnd", lambda ps, m, squared: mean_nn(ps, m))
+        assert shared == trace_to_json(run_loop(cfg, _SHARED_REAL), canonical=True)
+
+    def test_set_too_small_for_gamma_meets_the_entropy_check(self):
+        cfg = bootstrap_config(train_size=3, gamma=3)
+        with pytest.raises(InsufficientPointsError, match="entropy with gamma=3 needs at least 4 points, got 3"):
+            run_loop(cfg, blob_data(27, 10))
+

@@ -155,6 +155,23 @@ class TestKthWithin:
         with pytest.raises(InsufficientPointsError):
             kth_nn_within(ps, k=2)
 
+    @pytest.mark.parametrize("k", [(), (0, 1), (2, 1), (1, True), (1, 2.0), [1, 2]])
+    def test_rank_tuple_validated(self, k):
+        with pytest.raises(ConfigError):
+            kth_nn_within(PointSet(np.arange(6.0)[:, None]), k)
+
+    def test_rank_tuple_needs_points_for_its_largest_rank(self):
+        with pytest.raises(InsufficientPointsError):
+            kth_nn_within(PointSet([[0.0], [1.0], [3.0]]), (1, 3))
+
+    def test_rank_tuple_gives_one_result_per_rank(self):
+        ps = PointSet([[0.0], [1.0], [-1.0], [2.0]])
+        first, again, third = kth_nn_within(ps, (1, 1, 3))
+        assert again is first
+        assert np.array_equal(first.indices, kth_nn_within(ps, 1).indices)
+        assert np.array_equal(third.distances, [2.0, 2.0, 3.0, 3.0])
+        assert np.array_equal(third.indices, [3, 2, 3, 2])
+
 
 class TestNnCross:
     def test_hand_value(self):
@@ -249,6 +266,37 @@ def screen_cases(draw):
     scale = 10.0 ** draw(st.integers(-6, 8))
     shift = draw(st.sampled_from([0.0, 1.0, -1e3, 1e6, 1e12]))
     return base * scale + shift, queries * scale + shift, k
+@st.composite
+def multi_rank_cases(draw):
+    """Point sets for a (1, g) search, g 1-5: on the grid path (d 1-3, enough
+    points for 4+ cells per axis) or the one-cell screen path (d 1-8), laid
+    out normal, heavy-tailed (a row's g-th neighbor may lie cells beyond its
+    first), as an integer lattice full of ties, duplicated, or collapsed to
+    a point; scaled over fourteen decades and offset up to 1e12."""
+    path = draw(st.sampled_from(["grid", "screen"]))
+    d = draw(st.integers(1, 3 if path == "grid" else 8))
+    cells = 6 * 4**d  # the fewest points for which the grid has 4 cells per axis
+    n = draw(st.integers(cells + 1, cells + 300) if path == "grid" else st.integers(6, min(60, cells - 1)))
+    g = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    layout = draw(st.sampled_from(["normal", "heavy-tails", "lattice", "duplicates", "collapsed"]))
+    if layout == "lattice":
+        base = rng.integers(-3, 4, (n, d)).astype(np.float64)
+    elif layout == "heavy-tails":
+        base = rng.standard_cauchy((n, d))
+    else:
+        base = rng.standard_normal((n, d))
+    if layout == "duplicates":
+        base = base[rng.integers(0, max(1, n // 3), n)]
+    elif layout == "collapsed":
+        base[:] = base[0]
+    scale = 10.0 ** draw(st.integers(-6, 8))
+    shift = draw(st.sampled_from([0.0, 1.0, -1e3, 1e6, 1e12]))
+    threads = draw(st.sampled_from(["1", "2"]))
+    budget = draw(st.sampled_from([neighbors._BLOCK_BUDGET, 1 << 10]))
+    return path, base * scale + shift, g, threads, budget
+
+
 TRANSFORMS = [(1.0, 0.0), (1e-8, 0.0), (1e8, 0.0), (1.0, 1e6), (1e-8, 1e6), (1e8, 1e6)]
 
 
@@ -340,6 +388,24 @@ class TestGridMatchesBruteForce:
         ref_d, ref_i = brute_kth(queries, data, 1, within=False)
         assert np.array_equal(res.distances, ref_d)
         assert np.array_equal(res.indices, ref_i)
+
+    @given(case=multi_rank_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_multi_rank_search_matches_single_rank_calls(self, case):
+        # One (1, g) search must give each rank the bits of its own call,
+        # whichever path, block size and worker count answered it.
+        path, data, g, threads, budget = case
+        ps = PointSet(data)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("COLLAPSE_LAB_THREADS", threads)
+            mp.setattr(neighbors, "_BLOCK_BUDGET", budget)
+            assert grid_active(data) == (path == "grid")
+            got = kth_nn_within(ps, (1, g))
+            assert len(got) == 2
+            for rank, res in zip((1, g), got):
+                want = kth_nn_within(ps, rank)
+                assert np.array_equal(res.distances, want.distances)
+                assert np.array_equal(res.indices, want.indices)
 
     def test_screen_where_norms_overflow(self):
         # Bounds turn NaN or +inf; the NaN ones must keep their columns, and a

@@ -174,6 +174,16 @@ class TestThresholdDecay:
         with pytest.raises(ConfigError):
             SelectionPolicy(kind="threshold_decay", tau0=0.0, alpha=0.5)
 
+    @pytest.mark.parametrize(
+        "field, tau0, alpha", [("tau0", True, 0.5), ("tau0", "1.0", 0.5), ("alpha", 1.0, True), ("alpha", 1.0, "0.5")]
+    )
+    def test_threshold_settings_must_be_numbers(self, field, tau0, alpha):
+        with pytest.raises(ConfigError, match=field):
+            SelectionPolicy(kind="threshold_decay", tau0=tau0, alpha=alpha)
+        # A policy that does not use them still refuses them.
+        with pytest.raises(ConfigError, match=field):
+            SelectionPolicy(kind="greedy", **{field: True})
+
     @pytest.mark.parametrize("tau0, alpha", [(math.inf, 0.5), (math.nan, 0.5), (1.0, math.nan), (0.0, math.nan)])
     def test_non_finite_threshold_settings_rejected(self, tau0, alpha):
         # A non-finite tau never decays below a candidate's distance, so the scan would not end.

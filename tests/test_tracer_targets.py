@@ -1,0 +1,98 @@
+"""The benchmark's tracer (bench/tracer.py) wraps collapselab functions by
+module attribute and reads some of their parameters by name. These checks
+keep those targets in place, so a refactor cannot silently break
+`python3 bench/run.py --trace 1`. The tracer source is only read here."""
+
+import dataclasses
+import inspect
+import types
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import collapselab.cli as cli
+import collapselab.looper as looper
+import collapselab.metrics as metrics
+import collapselab.neighbors as neighbors
+import collapselab.tensorset as tensorset
+from collapselab import GeneratorSpec, LoopConfig, PointSet, SelectionPolicy, run_loop, trace_to_json
+
+TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+PROGRAM = types.SimpleNamespace(cli=cli, looper=looper, metrics=metrics, tensorset=tensorset)
+# The parameters the tracer's counts read, by span name.
+COUNTED = {
+    "neighbors.kth_nn_within": ("ps", "k", "metric"),
+    "neighbors.nn_cross": ("queries", "refs", "metric"),
+    "selection.run_policy": ("policy",),
+    "tensorset.load_pointset": ("path",),
+}
+
+
+def load_tracer():
+    """bench/tracer.py as a module, compiled from its text so no bytecode is written."""
+    module = types.ModuleType("collapselab_bench_tracer")
+    module.__file__ = str(TRACER)
+    exec(compile(TRACER.read_text(), str(TRACER), "exec"), module.__dict__)
+    return module
+
+
+def accumulate_config(gamma=1, iterations=3):
+    return LoopConfig(
+        paradigm="accumulate",
+        iterations=iterations,
+        train_size=100,
+        generator=GeneratorSpec(kind="bootstrap", sigma=0.0),
+        gamma=gamma,
+    )
+
+
+def real_data(n=200):
+    return PointSet(np.random.default_rng(5).standard_normal((n, 2)))
+
+
+def test_every_target_resolves():
+    tracer = load_tracer()
+    for module, attr, name in tracer.TARGETS:
+        owner = getattr(PROGRAM, module)
+        assert callable(owner.__dict__.get(attr)), f"{module}.{attr} ({name}) is gone"
+        params = inspect.signature(owner.__dict__[attr]).parameters
+        for param in COUNTED.get(name, ()):
+            assert param in params, f"{module}.{attr} lost its parameter {param!r}"
+    assert isinstance(tensorset.PointSet.__dict__["concat"], staticmethod)
+
+
+def test_traced_loop_searches_each_set_once():
+    tracer_mod = load_tracer()
+    cfg = accumulate_config()
+    untraced = trace_to_json(run_loop(cfg, real_data()), canonical=True)
+    tracer = tracer_mod.Tracer()
+    tracer.install(PROGRAM)
+    try:
+        tracer.begin(1)
+        traced = trace_to_json(looper.run_loop(cfg, real_data()), canonical=True)
+        tracer.end()
+    finally:
+        tracer.remove()
+    assert traced == untraced
+    assert looper.kl_entropy is metrics.kl_entropy and metrics.kth_nn_within is neighbors.kth_nn_within
+    layers = tracer_mod.layer_metrics(tracer.spans)
+    assert layers["neighbors.kth_nn_within.calls"] == cfg.iterations
+    assert layers["neighbors.kth_nn_within.repeat_frac"] == 0.0
+
+
+@pytest.mark.parametrize("gamma", [1, 3])
+@pytest.mark.parametrize("paradigm", ["replace", "accumulate", "accumulate_subsample"])
+def test_one_within_set_search_per_iteration(monkeypatch, paradigm, gamma):
+    calls = []
+    search = metrics.kth_nn_within
+
+    def spy(ps, k, metric):
+        calls.append(k)
+        return search(ps, k, metric)
+
+    monkeypatch.setattr(metrics, "kth_nn_within", spy)
+    selection = None if paradigm == "accumulate" else SelectionPolicy(kind="greedy")
+    cfg = dataclasses.replace(accumulate_config(gamma), paradigm=paradigm, selection=selection)
+    run_loop(cfg, real_data())
+    assert calls == [(1, gamma)] * cfg.iterations
