@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 
 from . import looper
-from .errors import CollapseLabError, ConfigError, DimensionError, FormatError
+from .errors import CollapseLabError, ConfigError, DimensionError, FormatError, number_type
 from .generators import GENERATOR_FIELDS, GeneratorSpec, fit, sample
 from .metrics import (
     frechet_gaussian_distance,
@@ -52,66 +52,53 @@ def _emit(result) -> None:
     sys.stdout.write(json.dumps(doc, indent=2) + "\n")
 
 
-def parse_feature(text: str) -> FeatureMap:
-    if text == "identity":
-        return FeatureMap.identity()
-    if text.startswith("randproj:"):
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ConfigError(f"expected randproj:DIM:SEED, got {text!r}")
-        try:
-            return FeatureMap.random_projection(int(parts[1]), int(parts[2]))
-        except ValueError:
-            raise ConfigError(f"expected integer dim and seed in {text!r}") from None
-    raise ConfigError(f"unknown feature map {text!r} (expected identity or randproj:DIM:SEED)")
-
-
 def _convert(cls, name: str, value):
     """value as the int or float that field `name` of dataclass cls is
     annotated with; a field of any other type takes value as it is."""
-    annotation = next(f.type for f in dataclasses.fields(cls) if f.name == name)
-    convert = {"int": int, "float": float, "float | None": float}.get(annotation)
+    convert = number_type(cls, name)
     try:
         return value if convert is None else convert(value)
     except ValueError:
         raise ConfigError(f"malformed {name} {value!r} (expected {convert.__name__})") from None
 
 
-def parse_generator(text: str) -> GeneratorSpec:
-    """kind:v1:v2..., the values in GENERATOR_FIELDS order; the first is
-    required and GeneratorSpec supplies the rest."""
-    kind, *values = text.split(":")
-    fields = GENERATOR_FIELDS.get(kind)
-    if fields is None or not min(len(fields), 1) <= len(values) <= len(fields):
-        raise ConfigError(
-            f"unknown generator spec {text!r} (expected gaussian, gmm:K[:MAXITERS[:TOL]], or bootstrap:SIGMA)"
-        )
-    settings = {name: _convert(GeneratorSpec, name, v) for name, v in zip(fields, values)}
-    return GeneratorSpec(kind=kind, **settings)
+# The WORD:v1:v2... grammars of --generator, --feature and --selection: the
+# dataclass each builds, the kind and fields of each word (v1, v2... fill
+# the fields in order), and the help naming the specs.
+_SPECS = {
+    "generator": (
+        GeneratorSpec,
+        {kind: (kind, fields) for kind, fields in GENERATOR_FIELDS.items()},
+        "gaussian, gmm:K[:MAXITERS[:TOL]], or bootstrap:SIGMA",
+    ),
+    "feature": (
+        FeatureMap,
+        {"identity": ("identity", ()), "randproj": ("randproj", ("target_dim", "seed"))},
+        "identity or randproj:DIM:SEED",
+    ),
+    "selection": (
+        SelectionPolicy,
+        {"greedy": ("greedy", ()), "random": ("random", ()), "threshold": ("threshold_decay", ("tau0", "alpha"))},
+        "none, greedy, random, or threshold:TAU0:ALPHA",
+    ),
+}
 
 
-def parse_selection(text: str, metric: DistanceMetric) -> SelectionPolicy | None:
-    if text == "none":
-        return None
-    if text == "greedy":
-        return SelectionPolicy(kind="greedy", metric=metric)
-    if text == "random":
-        return SelectionPolicy(kind="random", metric=metric)
-    if text.startswith("threshold"):
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ConfigError(f"threshold selection needs threshold:TAU0:ALPHA, got {text!r}")
-        try:
-            return SelectionPolicy(
-                kind="threshold_decay", metric=metric, tau0=float(parts[1]), alpha=float(parts[2])
-            )
-        except ValueError:
-            raise ConfigError(f"malformed threshold selection {text!r}") from None
-    raise ConfigError(f"unknown selection {text!r} (expected none, greedy, random, or threshold:TAU0:ALPHA)")
+def parse_spec(grammar: str, text: str, **settings):
+    """The dataclass a WORD:v1:v2... spec of grammar describes. The first
+    value is required and the dataclass supplies the rest; settings are
+    passed on to it."""
+    cls, words, expected = _SPECS[grammar]
+    word, *values = text.split(":")
+    kind, fields = words.get(word, (None, ()))
+    if kind is None or not min(len(fields), 1) <= len(values) <= len(fields):
+        raise ConfigError(f"unknown {grammar} spec {text!r} (expected {expected})")
+    settings.update((name, _convert(cls, name, v)) for name, v in zip(fields, values))
+    return cls(kind=kind, **settings)
 
 
 def _metric_for(args) -> DistanceMetric:
-    return DistanceMetric(feature_map=parse_feature(args.feature))
+    return DistanceMetric(feature_map=parse_spec("feature", args.feature))
 
 
 def _load(args, attr="input"):
@@ -140,7 +127,7 @@ def cmd_mnnd(args) -> int:
 
 
 def cmd_frechet(args) -> int:
-    fmap = parse_feature(args.feature)
+    fmap = parse_spec("feature", args.feature)
     a = moment_summary(apply_feature_map(_load(args), fmap))
     b = moment_summary(apply_feature_map(load_pointset(args.other, args.format), fmap))
     value = frechet_gaussian_distance(a, b)
@@ -180,7 +167,7 @@ def cmd_select(args) -> int:
 
 def cmd_gen(args) -> int:
     training = _load(args)
-    spec = parse_generator(args.generator)
+    spec = parse_spec("generator", args.generator)
     fit_seed = looper.derive_seed(args.seed, 0, looper.ROLE_FIT)
     sample_seed = looper.derive_seed(args.seed, 0, looper.ROLE_SAMPLE)
     generator = fit(dataclasses.replace(spec, seed=fit_seed), training)
@@ -215,7 +202,8 @@ def load_config_file(path) -> dict[str, str]:
 
 def _build_loop_config(args) -> looper.LoopConfig:
     """LoopConfig from the flags laid over the --config file values, both
-    keyed by field name; the dataclasses supply every default."""
+    text keyed by field name; the annotations give the types and the
+    dataclasses supply every default."""
     values = load_config_file(args.config) if args.config else {}
     values.update((key, getattr(args, key)) for key in _CONFIG_KEYS if getattr(args, key) is not None)
     for f in dataclasses.fields(looper.LoopConfig):
@@ -225,11 +213,12 @@ def _build_loop_config(args) -> looper.LoopConfig:
     if "metric" in values:
         metric["kind"] = values["metric"]
     if "feature" in values:
-        metric["feature_map"] = parse_feature(values.pop("feature"))
+        metric["feature_map"] = parse_spec("feature", values.pop("feature"))
     values["metric"] = DistanceMetric(**metric)
-    if "selection" in values:
-        values["selection"] = parse_selection(values["selection"], values["metric"])
-    values["generator"] = parse_generator(values["generator"])
+    selection = values.pop("selection", "none")
+    if selection != "none":
+        values["selection"] = parse_spec("selection", selection, metric=values["metric"])
+    values["generator"] = parse_spec("generator", values["generator"])
     return looper.LoopConfig(**{name: _convert(looper.LoopConfig, name, v) for name, v in values.items()})
 
 
@@ -292,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, seed=True):
         p.add_argument("--input", required=True, help="input dataset path")
         p.add_argument("--format", choices=("csv", "rawbin"), default="csv")
-        p.add_argument("--feature", default="identity", help="identity or randproj:DIM:SEED")
+        p.add_argument("--feature", default="identity", help=_SPECS["feature"][2])
         if seed:
             p.add_argument("--seed", type=int, default=0)
 
@@ -327,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="fit a generator and sample from it")
     common(p)
-    p.add_argument("--generator", required=True, help="gaussian, gmm:K[:MAXITERS[:TOL]], or bootstrap:SIGMA")
+    p.add_argument("--generator", required=True, help=_SPECS["generator"][2])
     p.add_argument("--m", type=int, required=True, help="number of points to sample")
     p.add_argument("--tag-iteration", type=int, default=1, help="source tag for sampled rows")
     p.add_argument("--out", required=True)
@@ -338,16 +327,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "rawbin"), default="csv")
     p.add_argument("--config", default=None, help="key=value file mirroring the loop config")
     p.add_argument("--paradigm", choices=("replace", "accumulate", "accumulate_subsample"), default=None)
-    p.add_argument("--iterations", type=int, default=None)
-    p.add_argument("--train-size", type=int, default=None, dest="train_size")
+    p.add_argument("--iterations", default=None)
+    p.add_argument("--train-size", default=None, dest="train_size")
     p.add_argument("--generator", default=None)
-    p.add_argument("--selection", default=None, help="none, greedy, random, or threshold:TAU0:ALPHA")
-    p.add_argument("--generation-multiplier", type=float, default=None, dest="generation_multiplier")
+    p.add_argument("--selection", default=None, help=_SPECS["selection"][2])
+    p.add_argument("--generation-multiplier", default=None, dest="generation_multiplier")
     p.add_argument("--metric", choices=("euclidean", "sqeuclidean"), default=None)
-    p.add_argument("--feature", default=None, help="identity or randproj:DIM:SEED")
-    p.add_argument("--gamma", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None, dest="master_seed", metavar="SEED", help="master seed")
-    p.add_argument("--pool-cap", type=int, default=None, dest="pool_cap")
+    p.add_argument("--feature", default=None, help=_SPECS["feature"][2])
+    p.add_argument("--gamma", default=None)
+    p.add_argument("--seed", default=None, dest="master_seed", metavar="SEED", help="master seed")
+    p.add_argument("--pool-cap", default=None, dest="pool_cap")
     p.add_argument("--canonical", action="store_true", help="omit timestamp/host for byte-stable output")
     p.add_argument("--out", required=True, help="output prefix; writes PREFIX.json and PREFIX.csv")
     p.set_defaults(func=cmd_loop)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, InsufficientPointsError, NumericalError, check_numbers
+from .errors import ConfigError, InsufficientPointsError, NumericalError, check_fields, is_number
 from .metrics import _mle_moments, _psd_clip
 from .tensorset import PointSet
 
@@ -39,10 +39,9 @@ class GeneratorSpec:
     sigma: float = 0.0
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if self.kind not in GENERATOR_FIELDS:
             raise ConfigError(f"unknown generator kind {self.kind!r}")
-        check_numbers(self, "int", "seed", "components", "max_iters")
-        check_numbers(self, "float", "tol", "sigma")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.components < 1:
@@ -184,7 +183,7 @@ def fit(spec: GeneratorSpec, training: PointSet) -> FittedGenerator:
 
 def sample(gen: FittedGenerator, m: int, seed: int) -> PointSet:
     """Draw m points; rows come back tagged real (0), callers retag."""
-    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
+    if not is_number(m, int) or m < 1:
         raise ConfigError(f"sample count must be a positive integer, got {m!r}")
     rng = np.random.default_rng(seed)
     if gen.spec.kind == "gaussian":

@@ -32,15 +32,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import metrics
-from .errors import (
-    ConfigError,
-    DimensionError,
-    FormatError,
-    InsufficientPointsError,
-    NumericalError,
-    check_numbers,
-    is_number,
-)
+from .errors import ConfigError, DimensionError, InsufficientPointsError, NumericalError, check_fields
 from .generators import GENERATOR_FIELDS, GeneratorSpec, fit, sample
 from .metrics import (
     EntropyReport,
@@ -96,10 +88,9 @@ class LoopConfig:
     pool_cap: int = 1_000_000
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if self.paradigm not in _PARADIGMS:
             raise ConfigError(f"unknown paradigm {self.paradigm!r}")
-        check_numbers(self, "int", "iterations", "train_size", "gamma", "master_seed", "pool_cap")
-        check_numbers(self, "float", "generation_multiplier", optional=True)
         if self.iterations < 1:
             raise ConfigError(f"iterations must be >= 1, got {self.iterations}")
         if self.train_size < 1:
@@ -129,6 +120,9 @@ class IterationRecord:
     frechet_real: float
     source_proportions: dict[str, float]
     duplicate_count: int
+
+    def __post_init__(self) -> None:
+        check_fields(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -294,26 +288,12 @@ def correlate_trace(traces) -> CorrelationReport:
 #
 # A document is its dataclass's fields in declaration order, each key the
 # field's name (to_doc), and it is read back by calling the dataclass
-# constructors on it. Only two choices are not generic:
+# constructors on it, which check its number fields (errors.check_fields).
+# Only two choices are not generic:
 #   - a generator writes only the fields its kind uses, GENERATOR_FIELDS
 #     (so gmm:1 still writes components: 1);
 #   - the config echo writes selection: null when there is no policy, and
 #     the effective generation multiplier in place of the declared one.
-
-
-def _typed(cls, fields: dict) -> dict:
-    """fields, refused unless each value has the type its field of cls
-    declares: the constructors check nothing, and bool is not a number."""
-    for f in dataclasses.fields(cls):
-        value = fields.get(f.name)
-        if f.type == "dict[str, float]":
-            ok = isinstance(value, dict)
-            ok = ok and all(isinstance(k, str) and is_number(v, "float") for k, v in value.items())
-        else:
-            ok = f.type not in ("int", "float") or is_number(value, f.type)
-        if not ok:
-            raise FormatError(f"{cls.__name__}.{f.name} must be {f.type}, got {value!r}")
-    return fields
 
 
 def to_doc(obj):
@@ -354,8 +334,7 @@ def trace_from_json(text: str) -> LoopTrace:
         return DistanceMetric(**{**d, "feature_map": FeatureMap(**d["feature_map"])})
 
     def record(d: dict) -> IterationRecord:
-        entropy = EntropyReport(**_typed(EntropyReport, d["entropy"]))
-        return IterationRecord(**_typed(IterationRecord, {**d, "entropy": entropy}))
+        return IterationRecord(**{**d, "entropy": EntropyReport(**d["entropy"])})
 
     c = doc["config"]
     sel = c.get("selection")

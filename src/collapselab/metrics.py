@@ -25,6 +25,8 @@ from .errors import (
     EmptyDatasetError,
     InsufficientPointsError,
     NumericalError,
+    check_fields,
+    is_number,
 )
 from .neighbors import kth_nn_within, nn_cross
 from .specfun import digamma, log_unit_ball_volume
@@ -49,6 +51,9 @@ class EntropyReport:
     size: int
     dim: int
 
+    def __post_init__(self) -> None:
+        check_fields(self)
+
     def reconstruct(self) -> float:
         """Re-evaluate the estimate from the stored fields (bit-identical)."""
         return _assemble_estimate(self.size, self.dim, self.gamma, self.log_distance_sum)
@@ -57,7 +62,7 @@ class EntropyReport:
 def kl_entropy(ps: PointSet, gamma: int = 1, metric: DistanceMetric = DistanceMetric(), squared=None) -> EntropyReport:
     """Entropy estimate of ps; `squared` holds its squared gamma-th neighbor
     distances when the caller has searched it (run_loop shares one search)."""
-    if not isinstance(gamma, int) or isinstance(gamma, bool) or gamma < 1:
+    if not is_number(gamma, int) or gamma < 1:
         raise DomainError(f"gamma must be a positive integer, got {gamma!r}")
     if ps.size <= gamma:
         raise InsufficientPointsError(f"entropy with gamma={gamma} needs at least {gamma + 1} points, got {ps.size}")
@@ -112,6 +117,9 @@ class MomentSummary:
     mean: np.ndarray
     covariance: np.ndarray
     trace_cov: float
+
+    def __post_init__(self) -> None:
+        check_fields(self)
 
 
 def _mle_moments(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -66,7 +66,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, EmptyDatasetError, InsufficientPointsError
+from .errors import ConfigError, DimensionError, EmptyDatasetError, InsufficientPointsError, is_number
 from .tensorset import DistanceMetric, PointSet
 
 # Elements of the (rows x cols x dim) diff tensor per block, ~32 MB of f64.
@@ -296,7 +296,8 @@ def _search(q: np.ndarray, r: np.ndarray, ranks: tuple[int, ...], within: bool) 
             idx = cand[cols]
         out_v[:, rows] = vals
         out_i[:, rows] = idx
-        accepted[rows] = vals[-1] < bound[rows]
+        # A block that searched every point is exact, even at an inf distance.
+        accepted[rows] = True if runs is None else vals[-1] < bound[rows]
 
     blocks = []
     for rows, runs, n_cand in groups:
@@ -321,7 +322,7 @@ def kth_nn_within(
     bits as its own single-rank call.
     """
     ranks = k if isinstance(k, tuple) else (k,)
-    valid = all(isinstance(j, int) and not isinstance(j, bool) and j >= 1 for j in ranks)
+    valid = all(is_number(j, int) and j >= 1 for j in ranks)
     if not (ranks and valid and list(ranks) == sorted(ranks)):
         raise ConfigError(f"k must be a positive integer or a sorted tuple of them, got {k!r}")
     top = ranks[-1]

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InsufficientPointsError, check_numbers
+from .errors import ConfigError, InsufficientPointsError, check_fields, is_number
 from .neighbors import _lift, sq_dists
 from .tensorset import DistanceMetric, PointSet, source_proportions
 
@@ -40,13 +40,11 @@ class SelectionPolicy:
     initial_index: int | None = None
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if self.kind not in _POLICY_KINDS:
             raise ConfigError(f"unknown selection policy {self.kind!r}")
-        if type(self.seed) is not int or self.seed < 0:
+        if self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
-        if self.initial_index is not None and type(self.initial_index) is not int:
-            raise ConfigError(f"initial_index must be an integer, got {self.initial_index!r}")
-        check_numbers(self, "float", "tau0", "alpha", optional=True)
         if self.kind == "threshold_decay":
             if self.tau0 is None or self.alpha is None:
                 raise ConfigError("threshold_decay requires explicit tau0 and alpha (no defaults)")
@@ -70,7 +68,7 @@ class SelectionResult:
 
 
 def _check_request(pool: PointSet, n: int) -> None:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+    if not is_number(n, int) or n < 1:
         raise ConfigError(f"selection size must be a positive integer, got {n!r}")
     if n > pool.size:
         raise InsufficientPointsError(f"cannot select {n} points from a pool of {pool.size}")

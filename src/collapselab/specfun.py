@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import DomainError
+from .errors import DomainError, is_number
 
 EULER_GAMMA = 0.5772156649015329
 _ASYMPTOTIC_THRESHOLD = 10.0
@@ -64,7 +64,7 @@ def log_gamma(x: float) -> float:
 
 def log_unit_ball_volume(d: int) -> float:
     """log of the volume of the unit ball in R^d: (d/2) ln pi - ln Gamma(d/2 + 1)."""
-    if not isinstance(d, (int,)) or isinstance(d, bool):
+    if not is_number(d, int):
         raise DomainError(f"dimension must be an integer, got {d!r}")
     if d < 1:
         raise DomainError(f"dimension must be >= 1, got {d}")

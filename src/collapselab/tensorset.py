@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, EmptyDatasetError, FormatError, check_numbers
+from .errors import ConfigError, DimensionError, EmptyDatasetError, FormatError, check_fields
 
 RAWBIN_MAGIC = b"CLPS"
 RAWBIN_VERSION = 1
@@ -152,12 +152,12 @@ class FeatureMap:
     transform: np.ndarray | None = None
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if self.kind not in ("identity", "randproj", "whiten"):
             raise ConfigError(f"unknown feature map kind {self.kind!r}")
         if self.kind == "randproj":
             if self.target_dim is None or self.seed is None:
                 raise ConfigError("randproj feature map requires target_dim and seed")
-            check_numbers(self, "int", "target_dim", "seed")
             if self.target_dim < 1:
                 raise ConfigError("randproj target_dim must be >= 1")
             if self.seed < 0:
@@ -184,7 +184,7 @@ class FeatureMap:
 
     @classmethod
     def random_projection(cls, target_dim: int, seed: int) -> "FeatureMap":
-        return cls(kind="randproj", target_dim=int(target_dim), seed=int(seed))
+        return cls(kind="randproj", target_dim=target_dim, seed=seed)
 
     @classmethod
     def affine_whitening(cls, mean, transform) -> "FeatureMap":
@@ -194,7 +194,7 @@ class FeatureMap:
         if self.kind == "identity":
             return input_dim
         if self.kind == "randproj":
-            return int(self.target_dim)
+            return self.target_dim
         return self.transform.shape[1]
 
     def apply(self, data: np.ndarray) -> np.ndarray:

@@ -404,11 +404,10 @@ class TestLoop:
         assert (config["gamma"], config["master_seed"], config["pool_cap"]) == (2, 9, 500)
         assert config["generation_multiplier"] == 1.5
 
-    @pytest.mark.parametrize(
-        "key, value",
-        [("iterations", "2.0"), ("train_size", "x"), ("gamma", ""), ("master_seed", "1e3"), ("pool_cap", "many"),
-         ("generation_multiplier", "x")],
-    )
+    MALFORMED_NUMBERS = [("iterations", "2.0"), ("train_size", "x"), ("gamma", ""), ("master_seed", "1e3"),
+                         ("pool_cap", "many"), ("generation_multiplier", "x")]
+
+    @pytest.mark.parametrize("key, value", MALFORMED_NUMBERS)
     def test_malformed_number_in_config_file_is_config_error(self, blob_csv, tmp_path, key, value):
         settings = {**self.ALL_SETTINGS, key: value}
         cfg = tmp_path / "loop.cfg"
@@ -417,13 +416,57 @@ class TestLoop:
         assert main(["loop", "--real", str(blob_csv), "--config", str(cfg), "--out", str(prefix)]) == 4
         assert not prefix.with_suffix(".json").exists()
 
+    @pytest.mark.parametrize("key, value", MALFORMED_NUMBERS)
+    def test_malformed_number_flag_is_config_error(self, blob_csv, tmp_path, key, value):
+        # Flags and file values are both text that the annotations convert.
+        flag = "--seed" if key == "master_seed" else "--" + key.replace("_", "-")
+        prefix = tmp_path / "t"
+        assert main([*self.loop_args(blob_csv, prefix), flag, value]) == 4
+        assert not prefix.with_suffix(".json").exists()
+
     @pytest.mark.parametrize("text", ["gaussian", "gmm:3", "gmm:3:50", "gmm:3:50:1e-4", "bootstrap:0.5"])
     def test_parse_generator_writes_kind_seed_and_the_kind_fields(self, text):
-        spec = cli.parse_generator(text)
+        spec = cli.parse_spec("generator", text)
         assert list(looper.to_doc(spec)) == ["kind", "seed", *GENERATOR_FIELDS[spec.kind]]
 
     def test_gmm_spec_takes_generator_spec_defaults(self):
-        assert cli.parse_generator("gmm:3") == GeneratorSpec(kind="gmm", components=3)
+        assert cli.parse_spec("generator", "gmm:3") == GeneratorSpec(kind="gmm", components=3)
+
+    METRIC_DOC = {"kind": "euclidean", "feature_map": {"kind": "identity"}}
+
+    @pytest.mark.parametrize(
+        "grammar, text, doc",
+        [
+            ("feature", "identity", {"kind": "identity"}),
+            ("feature", "randproj:2:7", {"kind": "randproj", "target_dim": 2, "seed": 7}),
+            ("selection", "greedy", {"kind": "greedy", "seed": 0, "metric": METRIC_DOC}),
+            ("selection", "random", {"kind": "random", "seed": 0, "metric": METRIC_DOC}),
+            ("selection", "threshold:5.0:0.9",
+             {"kind": "threshold_decay", "seed": 0, "metric": METRIC_DOC, "tau0": 5.0, "alpha": 0.9}),
+            ("generator", "gaussian", {"kind": "gaussian", "seed": 0}),
+            ("generator", "gmm:3", {"kind": "gmm", "seed": 0, "components": 3, "max_iters": 200, "tol": 1e-8}),
+            ("generator", "gmm:3:50", {"kind": "gmm", "seed": 0, "components": 3, "max_iters": 50, "tol": 1e-8}),
+            ("generator", "gmm:3:50:1e-4",
+             {"kind": "gmm", "seed": 0, "components": 3, "max_iters": 50, "tol": 1e-4}),
+            ("generator", "bootstrap:0.5", {"kind": "bootstrap", "seed": 0, "sigma": 0.5}),
+            *((grammar, text, None) for grammar, text in [
+                ("selection", "threshold_decay:1.0:0.5"), ("selection", "thresholdx:1.0:0.5"),
+                ("selection", "threshold:1"), ("selection", "threshold:1:0.5:3"), ("selection", "greedy:1"),
+                ("feature", "identity:1"), ("feature", "randproj:2"), ("feature", "randproj:2:7:1"),
+                ("feature", "randproj:2.0:7"), ("generator", "gmm"), ("generator", "bootstrap:0.1:2"),
+            ]),
+        ],
+    )
+    def test_spec_grammars(self, blob_csv, tmp_path, grammar, text, doc):
+        # A well-formed spec gives the document the hand-written parsers gave;
+        # a malformed one stops the loop with exit 4 before anything is written.
+        if doc is not None:
+            settings = {"metric": DistanceMetric()} if grammar == "selection" else {}
+            assert list(looper.to_doc(cli.parse_spec(grammar, text, **settings)).items()) == list(doc.items())
+            return
+        prefix = tmp_path / "t"
+        assert main(self.loop_args(blob_csv, prefix, [f"--{grammar}", text])) == 4
+        assert not prefix.with_suffix(".json").exists()
 
     def test_numeric_failure_maps_to_exit_five(self, blob_csv, tmp_path, monkeypatch):
         def boom(config, real, progress=None):
@@ -503,11 +546,15 @@ class TestAnalyze:
                 "kind": "threshold_decay", "seed": 0, "metric": doc["config"]["metric"], "tau0": True, "alpha": 0.5}),
             lambda doc: doc["config"].update(selection={
                 "kind": "threshold_decay", "seed": 0, "metric": doc["config"]["metric"], "tau0": 1.0, "alpha": "x"}),
+            lambda doc: doc["real_reference"].update(trace_cov="x"),
+            lambda doc: doc["real_reference"].update(trace_cov=True),
+            lambda doc: doc["config"]["metric"]["feature_map"].update(seed=2.5),
         ],
         ids=["real-reference-not-a-dict", "unknown-record-key", "unknown-metric-key", "invalid-paradigm",
              "record-not-a-dict", "config-not-a-dict", "generator-components-float", "generator-seed-string",
              "feature-target-dim-float", "feature-seed-bool", "generator-sigma-bool", "generator-sigma-string",
-             "generator-tol-bool", "multiplier-bool", "selection-tau0-bool", "selection-alpha-string"],
+             "generator-tol-bool", "multiplier-bool", "selection-tau0-bool", "selection-alpha-string",
+             "trace-cov-string", "trace-cov-bool", "identity-seed-float"],
     )
     def test_damaged_trace_is_io_error(self, blob_csv, tmp_path, capsys, damage):
         trace = self.make_trace(blob_csv, tmp_path, "a")

@@ -444,6 +444,8 @@ class TestGridMatchesBruteForce:
     def test_screen_keeps_few_columns_unless_the_expansion_cancels(self, monkeypatch, shift, most_kept):
         # Where the expansion cancels every row keeps every column, and the
         # block measures them all from r itself, not from a gathered copy.
+        # One worker keeps each block's two measurements next to each other.
+        monkeypatch.setenv("COLLAPSE_LAB_THREADS", "1")
         measured = []
 
         def spy(a, b):
@@ -458,6 +460,26 @@ class TestGridMatchesBruteForce:
         assert max(shape[1] for shape in measured) <= most_kept
         if shift:
             assert all(shape == (1, 600, 8) for shape in measured[1::2])
+        ref_d, ref_i = brute_kth(data, data, 1, within=True)
+        assert np.array_equal(res.distances, ref_d)
+        assert np.array_equal(res.indices, ref_i)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e153, 1e155])
+    def test_one_cell_search_screens_each_row_once(self, monkeypatch, scale):
+        # At 1e155 every squared distance overflows to inf; a row that has
+        # searched every point is not searched over all points again.
+        screened = []
+        screen = neighbors._screen
+
+        def spy(q, *args):
+            screened.append(q.shape[0])
+            return screen(q, *args)
+
+        data = np.random.default_rng(71).standard_normal((50, 8)) * scale
+        monkeypatch.setattr(neighbors, "_screen", spy)
+        res = kth_nn_within(PointSet(data), 1)
+        monkeypatch.undo()
+        assert screened == [50]
         ref_d, ref_i = brute_kth(data, data, 1, within=True)
         assert np.array_equal(res.distances, ref_d)
         assert np.array_equal(res.indices, ref_i)
