@@ -166,6 +166,8 @@ def cmd_select(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    if args.tag_iteration < 0:
+        raise ConfigError(f"--tag-iteration must be non-negative, got {args.tag_iteration}")
     training = _load(args)
     spec = parse_spec("generator", args.generator)
     fit_seed = looper.derive_seed(args.seed, 0, looper.ROLE_FIT)

@@ -50,6 +50,7 @@ from .tensorset import (
     FeatureMap,
     PointSet,
     apply_feature_map,
+    source_label,
 )
 
 SCHEMA_VERSION = 1
@@ -372,8 +373,7 @@ def trace_to_csv(trace: LoopTrace) -> str:
             repr(rec.mnnd),
             repr(rec.trace_cov),
             repr(rec.frechet_real),
-            repr(props.get("real", 0.0)),
         ]
-        row += [repr(props.get(f"syn{i}", 0.0)) for i in range(1, n_iter + 1)]
+        row += [repr(props.get(source_label(i), 0.0)) for i in range(n_iter + 1)]
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"

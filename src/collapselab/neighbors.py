@@ -51,17 +51,13 @@ makes one huge block. A screened block also counts 8 elements per column
 for its bounds and index arrays; it gathers kept columns only when each
 row keeps at most half, so the gathered copy and its diff tensor fit too.
 The partition depends only on the data, and each block writes a disjoint
-set of output rows, so the results are bit-identical whether blocks run
-on one thread or many.
-COLLAPSE_LAB_THREADS caps the worker count.
+set of output rows, so the results do not depend on the block size.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,19 +85,6 @@ class NeighborResult:
     indices: np.ndarray
 
 
-def worker_count() -> int:
-    raw = os.environ.get("COLLAPSE_LAB_THREADS")
-    if raw is None:
-        return min(4, os.cpu_count() or 1)
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(f"COLLAPSE_LAB_THREADS must be a positive integer, got {raw!r}") from None
-    if value < 1:
-        raise ConfigError(f"COLLAPSE_LAB_THREADS must be a positive integer, got {raw!r}")
-    return value
-
-
 def sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact pairwise squared euclidean distances, shape (len(a), len(b)); b
     may also hold its own columns for each row of a, shape (len(a), m, dim)."""
@@ -120,16 +103,6 @@ def _lift(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     sq *= 1.0 - 4 * (dim + 4) * _EPS
     one = np.ones_like(sq)
     return np.hstack([x, sq, one]), np.hstack([-2.0 * x, one, sq - dim * _TINY])
-
-
-def _run_blocks(work, blocks: list) -> None:
-    workers = worker_count()
-    if workers == 1 or len(blocks) == 1:
-        for blk in blocks:
-            work(blk)
-        return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(work, blocks))
 
 
 def _split(rows: np.ndarray, runs, n_cols: int, dim: int) -> list:
@@ -283,8 +256,7 @@ def _search(q: np.ndarray, r: np.ndarray, ranks: tuple[int, ...], within: bool) 
     # settles skips them.
     right = functools.cache(lambda: _lift(r)[1])
 
-    def work(blk) -> None:
-        rows, runs = blk
+    def work(rows: np.ndarray, runs) -> None:
         if runs is None:
             vals, idx = _screen(q[rows], r, right(), ranks, rows if within else None)
         else:
@@ -299,14 +271,12 @@ def _search(q: np.ndarray, r: np.ndarray, ranks: tuple[int, ...], within: bool) 
         # A block that searched every point is exact, even at an inf distance.
         accepted[rows] = True if runs is None else vals[-1] < bound[rows]
 
-    blocks = []
     for rows, runs, n_cand in groups:
         if n_cand >= k + within:
-            blocks += _split(rows, runs, n_cand, dim)
-    _run_blocks(work, blocks)
-    rest = np.flatnonzero(~accepted)
-    if rest.size:
-        _run_blocks(work, _split(rest, None, n_r, dim))
+            for blk in _split(rows, runs, n_cand, dim):
+                work(*blk)
+    for blk in _split(np.flatnonzero(~accepted), None, n_r, dim):
+        work(*blk)
     return out_v, out_i
 
 

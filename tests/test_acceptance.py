@@ -329,10 +329,10 @@ def test_13_cli_determinism(tmp_path):
     save_pointset(gaussian_blobs(rng, 150), real)
 
     outputs = []
-    for workers, name in (("1", "w1"), ("4", "w4"), ("1", "w1-again")):
+    for blas, name in (("1", "b1"), ("2", "b2"), ("1", "b1-again")):
         prefix = tmp_path / name
         env = os.environ.copy()
-        env["COLLAPSE_LAB_THREADS"] = workers
+        env["OPENBLAS_NUM_THREADS"] = blas
         proc = subprocess.run(
             [
                 sys.executable, "-m", "collapselab", "loop",

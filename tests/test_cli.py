@@ -40,11 +40,7 @@ CONSOLE_WRAPPER = (
 
 
 def cli_env(env_extra=None):
-    env = os.environ.copy()
-    env.setdefault("COLLAPSE_LAB_THREADS", "2")
-    if env_extra:
-        env.update(env_extra)
-    return env
+    return {**os.environ, **(env_extra or {})}
 
 
 def run_cli(args, env_extra=None, cwd=None, timeout=None):
@@ -323,6 +319,16 @@ class TestGen:
         )
         assert code == 4
 
+    def test_negative_tag_iteration_is_config_error(self, blob_csv, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code = main(
+            ["gen", "--input", str(blob_csv), "--generator", "gaussian",
+             "--m", "5", "--out", str(out), "--tag-iteration", "-1"]
+        )
+        assert code == 4
+        assert "--tag-iteration" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestLoop:
     def loop_args(self, blob_csv, out_prefix, extra=()):
@@ -597,14 +603,14 @@ class TestSubprocessDeterminism:
             PointSet(centers[rng.integers(0, 4, 150)] + rng.standard_normal((150, 2))), real
         )
         blobs = []
-        for workers, name in (("1", "w1"), ("4", "w4"), ("1", "w1b")):
+        for blas, name in (("1", "b1"), ("2", "b2"), ("1", "b1b")):
             prefix = tmp_path / name
             proc = run_cli(
                 ["loop", "--real", str(real), "--paradigm", "accumulate_subsample",
                  "--iterations", "3", "--train-size", "60",
                  "--generator", "bootstrap:0.1", "--selection", "greedy",
                  "--seed", "21", "--canonical", "--out", str(prefix)],
-                env_extra={"COLLAPSE_LAB_THREADS": workers},
+                env_extra={"OPENBLAS_NUM_THREADS": blas},
             )
             assert proc.returncode == 0, proc.stderr
             blobs.append((prefix.with_suffix(".json").read_bytes(), prefix.with_suffix(".csv").read_bytes()))

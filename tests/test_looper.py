@@ -271,12 +271,9 @@ class TestDeterminism:
     def test_worker_count_invariant(self, monkeypatch):
         real = blob_data(15, 100)
         cfg = bootstrap_config(iterations=3, train_size=100, generator=GeneratorSpec(kind="gaussian"))
+        base = trace_to_json(run_loop(cfg, real), canonical=True)
         monkeypatch.setattr(neighbors, "_BLOCK_BUDGET", 1 << 10)
-        outputs = []
-        for workers in ("1", "4"):
-            monkeypatch.setenv("COLLAPSE_LAB_THREADS", workers)
-            outputs.append(trace_to_json(run_loop(cfg, real), canonical=True))
-        assert outputs[0] == outputs[1]
+        assert trace_to_json(run_loop(cfg, real), canonical=True) == base
 
 
 class TestCompare:
@@ -434,6 +431,20 @@ class TestSerialization:
         assert first[8] == "1.0"
         assert first[9] == "0.0"
         assert first[10] == "0.0"
+        # accumulate keeps the real rows and every earlier origin, so both
+        # kinds of fraction are non-zero; each cell is its record's value
+        labels = {"frac_real": "real", "frac_syn_1": "syn1", "frac_syn_2": "syn2", "frac_syn_3": "syn3"}
+        for paradigm in ("replace", "accumulate"):
+            trace = run_loop(bootstrap_config(paradigm=paradigm, iterations=3, train_size=50), blob_data(23, 50))
+            lines = trace_to_csv(trace).strip().split("\n")
+            assert lines[0].split(",") == header
+            for rec, line in zip(trace.records, lines[1:], strict=True):
+                row = dict(zip(header, line.split(","), strict=True))
+                assert set(rec.source_proportions) <= set(labels.values())
+                for col, label in labels.items():
+                    assert row[col] == repr(rec.source_proportions.get(label, 0.0))
+        last = trace.records[-1].source_proportions
+        assert set(last) == set(labels.values()) and all(v > 0 for v in last.values())
 
 
 # The hand-written trace writer that to_doc replaced, kept as the oracle for

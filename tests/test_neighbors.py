@@ -292,9 +292,8 @@ def multi_rank_cases(draw):
         base[:] = base[0]
     scale = 10.0 ** draw(st.integers(-6, 8))
     shift = draw(st.sampled_from([0.0, 1.0, -1e3, 1e6, 1e12]))
-    threads = draw(st.sampled_from(["1", "2"]))
     budget = draw(st.sampled_from([neighbors._BLOCK_BUDGET, 1 << 10]))
-    return path, base * scale + shift, g, threads, budget
+    return path, base * scale + shift, g, budget
 
 
 TRANSFORMS = [(1.0, 0.0), (1e-8, 0.0), (1e8, 0.0), (1.0, 1e6), (1e-8, 1e6), (1e8, 1e6)]
@@ -393,11 +392,10 @@ class TestGridMatchesBruteForce:
     @settings(max_examples=200, deadline=None)
     def test_multi_rank_search_matches_single_rank_calls(self, case):
         # One (1, g) search must give each rank the bits of its own call,
-        # whichever path, block size and worker count answered it.
-        path, data, g, threads, budget = case
+        # whichever path and block size answered it.
+        path, data, g, budget = case
         ps = PointSet(data)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setenv("COLLAPSE_LAB_THREADS", threads)
             mp.setattr(neighbors, "_BLOCK_BUDGET", budget)
             assert grid_active(data) == (path == "grid")
             got = kth_nn_within(ps, (1, g))
@@ -444,8 +442,6 @@ class TestGridMatchesBruteForce:
     def test_screen_keeps_few_columns_unless_the_expansion_cancels(self, monkeypatch, shift, most_kept):
         # Where the expansion cancels every row keeps every column, and the
         # block measures them all from r itself, not from a gathered copy.
-        # One worker keeps each block's two measurements next to each other.
-        monkeypatch.setenv("COLLAPSE_LAB_THREADS", "1")
         measured = []
 
         def spy(a, b):
@@ -487,7 +483,6 @@ class TestGridMatchesBruteForce:
     def test_collapsed_cell_stays_within_block_budget(self, monkeypatch):
         # 5,000 identical points share one grid cell; blocking must still cap
         # the diff tensor instead of building one 5000 x 5000 x 2 block
-        monkeypatch.setenv("COLLAPSE_LAB_THREADS", "1")
         ps = PointSet(np.full((5000, 2), 0.25))
         assert grid_active(ps.data)
         budget_bytes = neighbors._BLOCK_BUDGET * 8
@@ -505,7 +500,6 @@ class TestGridMatchesBruteForce:
     def test_screened_block_stays_within_block_budget(self, monkeypatch, layout):
         # A one-cell d=8 set where every row keeps every column: the block
         # must not gather them into a second rows x n x d copy.
-        monkeypatch.setenv("COLLAPSE_LAB_THREADS", "1")
         rng = np.random.default_rng(67)
         data = np.full((3000, 8), 0.25) if layout == "collapsed" else rng.standard_normal((3000, 8)) + 1e12
         ps = PointSet(data)
@@ -532,15 +526,15 @@ class TestDeterminism:
 
     def test_worker_count_does_not_change_bits(self, monkeypatch):
         rng = np.random.default_rng(41)
-        ps = PointSet(rng.standard_normal((500, 3)))
+        data = rng.standard_normal((500, 3))
+        ps = PointSet(data)
+        base = kth_nn_within(ps, k=1)
         monkeypatch.setattr(neighbors, "_BLOCK_BUDGET", 1 << 12)
-        results = []
-        for workers in ("1", "3", "8"):
-            monkeypatch.setenv("COLLAPSE_LAB_THREADS", workers)
-            results.append(kth_nn_within(ps, k=1))
-        for res in results[1:]:
-            assert np.array_equal(res.distances, results[0].distances)
-            assert np.array_equal(res.indices, results[0].indices)
+        small = kth_nn_within(ps, k=1)
+        ref_d, ref_i = brute_kth(data, data, 1, within=True)
+        for res in (base, small):
+            assert np.array_equal(res.distances, ref_d)
+            assert np.array_equal(res.indices, ref_i)
 
     @pytest.mark.parametrize("k", [1, 3])
     def test_worker_count_does_not_change_bits_on_grid(self, monkeypatch, k):
@@ -552,18 +546,17 @@ class TestDeterminism:
         data[:200] = 0.5
         ps = PointSet(data)
         assert grid_active(data)
-        queries = PointSet(rng.standard_normal((300, 2)) * 4.0)
+        queries = rng.standard_normal((300, 2)) * 4.0
+        results = [(kth_nn_within(ps, k=k), nn_cross(PointSet(queries), ps))]
         monkeypatch.setattr(neighbors, "_BLOCK_BUDGET", 1 << 12)
-        results = []
-        for workers in ("1", "3", "8"):
-            monkeypatch.setenv("COLLAPSE_LAB_THREADS", workers)
-            results.append((kth_nn_within(ps, k=k), nn_cross(queries, ps)))
-        for res in results[1:]:
-            for got, want in zip(res, results[0]):
-                assert np.array_equal(got.distances, want.distances)
-                assert np.array_equal(got.indices, want.indices)
+        results.append((kth_nn_within(ps, k=k), nn_cross(PointSet(queries), ps)))
+        want = (brute_kth(data, data, k, within=True), brute_kth(queries, data, 1, within=False))
+        for res in results:
+            for got, (ref_d, ref_i) in zip(res, want):
+                assert np.array_equal(got.distances, ref_d)
+                assert np.array_equal(got.indices, ref_i)
 
-    def test_blas_and_worker_threads_do_not_change_bits(self):
+    def test_blas_threads_do_not_change_bits(self):
         # The screen's GEMM and GEMV run in BLAS, whose summation order may
         # follow its thread count; the answers must not.
         script = (
@@ -581,19 +574,9 @@ class TestDeterminism:
         src = str(Path(__file__).resolve().parents[1] / "src")
         outputs = set()
         for blas in ("1", "2"):
-            for workers in ("1", "2"):
-                env = dict(os.environ, OPENBLAS_NUM_THREADS=blas, OMP_NUM_THREADS=blas, MKL_NUM_THREADS=blas,
-                           COLLAPSE_LAB_THREADS=workers)
-                env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-                proc = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env, timeout=120)
-                assert proc.returncode == 0, proc.stderr.decode()
-                outputs.add(proc.stdout)
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=blas, OMP_NUM_THREADS=blas, MKL_NUM_THREADS=blas)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            proc = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env, timeout=120)
+            assert proc.returncode == 0, proc.stderr.decode()
+            outputs.add(proc.stdout)
         assert len(outputs) == 1
-
-    def test_bad_worker_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("COLLAPSE_LAB_THREADS", "zero")
-        with pytest.raises(ConfigError):
-            neighbors.worker_count()
-        monkeypatch.setenv("COLLAPSE_LAB_THREADS", "0")
-        with pytest.raises(ConfigError):
-            neighbors.worker_count()
