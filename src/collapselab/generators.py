@@ -102,16 +102,6 @@ def _kmeanspp_centers(data: np.ndarray, k: int, rng: np.random.Generator) -> np.
     return centers
 
 
-def _gaussian_log_density(data: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    d = data.shape[1]
-    sign, logdet = np.linalg.slogdet(cov)
-    if sign <= 0:
-        raise NumericalError("component covariance lost positive definiteness")
-    solved = np.linalg.solve(cov, (data - mean).T).T
-    maha = np.einsum("ij,ij->i", data - mean, solved)
-    return -0.5 * (d * math.log(2.0 * math.pi) + logdet + maha)
-
-
 def _fit_gmm(spec: GeneratorSpec, data: np.ndarray) -> FittedGenerator:
     n, d = data.shape
     k = spec.components
@@ -127,10 +117,18 @@ def _fit_gmm(spec: GeneratorSpec, data: np.ndarray) -> FittedGenerator:
     history: list[float] = []
     converged = False
     for _ in range(spec.max_iters):
-        log_comp = np.stack(
-            [np.log(weights[j]) + _gaussian_log_density(data, means[j], covs[j]) for j in range(k)],
-            axis=1,
-        )
+        # Each step runs once on the (k, ...) stacks, and each component's
+        # slice keeps the operand layout and summation order it had when
+        # the components were looped over, so the bits are those of the loop.
+        sign, logdet = np.linalg.slogdet(covs)
+        if np.any(sign <= 0):
+            raise NumericalError("component covariance lost positive definiteness")
+        centered = data - means[:, None, :]
+        solved = np.linalg.solve(covs, centered.transpose(0, 2, 1)).transpose(0, 2, 1)
+        maha = np.einsum("kij,kij->ki", centered, solved)
+        log_density = -0.5 * (d * math.log(2.0 * math.pi) + logdet[:, None] + maha)
+        log_comp = np.empty((n, k))
+        log_comp.T[...] = np.log(weights)[:, None] + log_density
         top = log_comp.max(axis=1, keepdims=True)
         log_norm = top[:, 0] + np.log(np.exp(log_comp - top).sum(axis=1))
         ll = float(log_norm.mean())
@@ -139,14 +137,13 @@ def _fit_gmm(spec: GeneratorSpec, data: np.ndarray) -> FittedGenerator:
         mass = resp.sum(axis=0)
         weights = mass / n
         means = (resp.T @ data) / mass[:, None]
-        for j in range(k):
-            centered = data - means[j]
-            cov_j = (resp[:, j][:, None] * centered).T @ centered / mass[j]
-            cov_j = (cov_j + cov_j.T) / 2.0
-            if np.linalg.eigvalsh(cov_j).min() < _COV_FLOOR:
-                cov_j = cov_j + _COV_FLOOR * np.eye(d)
-                floored = True
-            covs[j] = cov_j
+        centered = data - means[:, None, :]
+        covs = (resp.T[:, :, None] * centered).transpose(0, 2, 1) @ centered / mass[:, None, None]
+        covs = (covs + covs.transpose(0, 2, 1)) / 2.0
+        low = np.linalg.eigvalsh(covs).min(axis=1) < _COV_FLOOR
+        if low.any():
+            covs[low] += _COV_FLOOR * np.eye(d)
+            floored = True
 
         history.append(ll)
         if len(history) > 1 and abs(history[-1] - history[-2]) < spec.tol:

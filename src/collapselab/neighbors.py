@@ -9,12 +9,18 @@ only the reference points of its 3**d neighboring cells.
 Exactness. Distances come from the literal (a - b)**2 kernel of
 `sq_dists` rather than the dot product expansion, so coincident points
 measure exactly zero, and a pair measures the same bits whichever block
-computes it. Each group's candidate columns are sorted by ascending row
-index, so the tie-break toward the lower index works as it does over all
-columns. A row's answer is accepted only when its k-th squared distance
-is strictly below the squared distance from the query to the edge of the
-searched region, shrunk by a rounding slack: 32 eps times the largest
-coordinate magnitude covers the cell assignment, the cell edges and the
+computes it. At d <= 2 the kernel adds the squares one coordinate at a
+time. Each square is rounded once, and a sum of at most two non-negative
+terms rounds once in any order, so these are the bits of the einsum
+reduction. At d >= 3 the einsum stays: its summation order varies with
+the CPU (which is why bench/pinned.json records the CPU model), and a
+fixed left-to-right sum would change the bits. Each group's candidate
+columns are sorted by ascending row index, so the tie-break toward the
+lower index works as it does over all columns. A row's answer is
+accepted only when its k-th squared distance is strictly below the
+squared distance from the query to the edge of the searched region,
+shrunk by a rounding slack: 32 eps times the largest coordinate
+magnitude covers the cell assignment, the cell edges and the
 subtraction, and a factor 1 - 4 (d + 2) eps covers the summed squares.
 Every point outside the region then measures strictly more than the
 answer, so the answer is the one the search over all points would give.
@@ -87,9 +93,25 @@ class NeighborResult:
 
 def sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact pairwise squared euclidean distances, shape (len(a), len(b)); b
-    may also hold its own columns for each row of a, shape (len(a), m, dim)."""
-    diff = a[:, None, :] - b
-    return np.einsum("ijk,ijk->ij", diff, diff)
+    may also hold its own columns for each row of a, shape (len(a), m, dim).
+
+    At dim <= 2 the squares are summed one coordinate at a time, so every
+    numpy loop runs over the columns instead of over a length-2 axis. The
+    bits are those of einsum("ijk,ijk->ij"): each square is rounded once,
+    and a sum of at most two non-negative terms rounds once in any order.
+    At dim >= 3 the einsum stays, since its summation order depends on
+    the CPU and no fixed order reproduces it.
+    """
+    if a.shape[1] > 2:
+        diff = a[:, None, :] - b
+        return np.einsum("ijk,ijk->ij", diff, diff)
+    out = a[:, None, 0] - b[..., 0]
+    out *= out
+    for k in range(1, a.shape[1]):
+        t = a[:, None, k] - b[..., k]
+        t *= t
+        out += t
+    return out
 
 
 def _lift(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -7,10 +7,68 @@ from collapselab import (
     ConfigError,
     GeneratorSpec,
     InsufficientPointsError,
+    NumericalError,
     PointSet,
     fit,
     sample,
 )
+from collapselab.generators import _COV_FLOOR, FitDiagnostics, _kmeanspp_centers
+from collapselab.metrics import _mle_moments
+
+
+def reference_log_density(data, mean, cov):
+    d = data.shape[1]
+    sign, logdet = np.linalg.slogdet(cov)
+    if sign <= 0:
+        raise NumericalError("component covariance lost positive definiteness")
+    solved = np.linalg.solve(cov, (data - mean).T).T
+    maha = np.einsum("ij,ij->i", data - mean, solved)
+    return -0.5 * (d * math.log(2.0 * math.pi) + logdet + maha)
+
+
+def reference_gmm(spec, data):
+    """The EM loop over one component at a time that the batched fit
+    replaced, kept as its oracle: (weights, means, covariances, diagnostics)."""
+    n, d = data.shape
+    k = spec.components
+    rng = np.random.default_rng(spec.seed)
+    means = _kmeanspp_centers(data, k, rng)
+    _, base_cov = _mle_moments(data)
+    floored = bool(np.linalg.eigvalsh(base_cov).min() < _COV_FLOOR)
+    if floored:
+        base_cov = base_cov + _COV_FLOOR * np.eye(d)
+    covs = np.repeat(base_cov[None, :, :], k, axis=0)
+    weights = np.full(k, 1.0 / k)
+
+    history = []
+    converged = False
+    for _ in range(spec.max_iters):
+        log_comp = np.stack(
+            [np.log(weights[j]) + reference_log_density(data, means[j], covs[j]) for j in range(k)],
+            axis=1,
+        )
+        top = log_comp.max(axis=1, keepdims=True)
+        log_norm = top[:, 0] + np.log(np.exp(log_comp - top).sum(axis=1))
+        ll = float(log_norm.mean())
+        resp = np.exp(log_comp - log_norm[:, None])
+
+        mass = resp.sum(axis=0)
+        weights = mass / n
+        means = (resp.T @ data) / mass[:, None]
+        for j in range(k):
+            centered = data - means[j]
+            cov_j = (resp[:, j][:, None] * centered).T @ centered / mass[j]
+            cov_j = (cov_j + cov_j.T) / 2.0
+            if np.linalg.eigvalsh(cov_j).min() < _COV_FLOOR:
+                cov_j = cov_j + _COV_FLOOR * np.eye(d)
+                floored = True
+            covs[j] = cov_j
+
+        history.append(ll)
+        if len(history) > 1 and abs(history[-1] - history[-2]) < spec.tol:
+            converged = True
+            break
+    return weights, means, covs, FitDiagnostics(tuple(history), floored=floored, converged=converged)
 
 
 class TestSpecValidation:
@@ -151,6 +209,58 @@ class TestGmm:
     def test_needs_enough_points(self):
         with pytest.raises(InsufficientPointsError):
             fit(GeneratorSpec(kind="gmm", components=5), PointSet(np.zeros((4, 1))))
+
+
+def em_layouts(d, k):
+    """Data sets for one (d, k): separated blobs, duplicated rows, a
+    collapsed set, rank-1 data, a 1e6 offset, a 1e-7 scale, k and k + 1
+    points, and a rank-1 cluster beside a full-rank one."""
+    rng = np.random.default_rng([d, k])
+    n = 4 * k + 7
+    base = rng.standard_normal((n, d)) + 6.0 * (np.arange(n) % 3)[:, None]
+    yield "blobs", base
+    yield "duplicated", np.repeat(base[: -(-n // 4)], 4, axis=0)[:n]
+    yield "collapsed", np.repeat(base[:1], n, axis=0)
+    yield "rank1", rng.standard_normal((n, 1)) * rng.standard_normal((1, d))
+    yield "offset", base + 1e6
+    yield "tiny", base * 1e-7
+    yield "k_points", base[:k]
+    yield "k_plus_one_points", base[: k + 1]
+    yield "line_beside_blob", np.concatenate([base[: n // 2, :1] * rng.standard_normal((1, d)), base[n // 2 :] + 50.0])
+
+
+class TestBatchedEmMatchesComponentLoop:
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 9])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 6, 8, 12])
+    def test_bit_identical(self, d, k):
+        for name, data in em_layouts(d, k):
+            # 40 iterations at the default tol, and 3 that stop unconverged.
+            for max_iters, tol in ((40, 1e-8), (3, 1e-300)):
+                spec = GeneratorSpec(kind="gmm", components=k, seed=d + k, max_iters=max_iters, tol=tol)
+                weights, means, covs, diagnostics = reference_gmm(spec, data)
+                gen = fit(spec, PointSet(data))
+                assert gen.weights.tobytes() == weights.tobytes(), name
+                assert gen.means.tobytes() == means.tobytes(), name
+                assert gen.covariances.tobytes() == covs.tobytes(), name
+                assert gen.diagnostics == diagnostics, name
+            if name in ("collapsed", "tiny"):
+                assert diagnostics.floored
+
+    @pytest.mark.parametrize(
+        "layout, d, k",
+        [(layout, d, k) for layout in ("rank1", "collapsed") for d in (2, 3, 8) for k in (1, 3)]
+        # Only the line's component turns singular.
+        + [("line_beside_blob", d, 2) for d in (3, 8)],
+    )
+    def test_numerical_error_stays_numerical_error(self, layout, d, k):
+        # At 1e150 the covariance floor is lost in rounding, so a
+        # rank-deficient covariance stays singular.
+        data = dict(em_layouts(d, k))[layout] * 1e150
+        spec = GeneratorSpec(kind="gmm", components=k, seed=d + k, max_iters=40)
+        with pytest.raises(NumericalError) as expected:
+            reference_gmm(spec, data)
+        with pytest.raises(NumericalError, match=str(expected.value)):
+            fit(spec, PointSet(data))
 
 
 class TestBootstrap:

@@ -210,6 +210,61 @@ class TestNnCross:
             nn_cross(ps, empty)
 
 
+def einsum_sq_dists(a, b):
+    """The einsum kernel, which sq_dists must match bit for bit."""
+    diff = a[:, None, :] - b
+    return np.einsum("ijk,ijk->ij", diff, diff)
+
+
+def same_bits(got, want):
+    """Equal shapes, NaN in the same places, every other value the same
+    bits, the sign of zero included."""
+    nan = np.isnan(want)
+    return (
+        got.shape == want.shape
+        and np.array_equal(np.isnan(got), nan)
+        and got[~nan].tobytes() == want[~nan].tobytes()
+    )
+
+
+# Signed zeros, subnormals, squares near the overflow threshold (1e154)
+# and past it, the largest finite values, infinities and NaN.
+KERNEL_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-160, 1.3e154, -9.5e153, 1e308, -1.7e308]
+KERNEL_EDGES += [math.inf, -math.inf, math.nan]
+
+
+@st.composite
+def kernel_cases(draw):
+    d = draw(st.integers(1, 2))
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    values = st.one_of(st.sampled_from(KERNEL_EDGES), st.floats(-1e3, 1e3), st.floats())
+
+    def block(*shape):
+        return np.array(draw(st.lists(values, min_size=math.prod(shape), max_size=math.prod(shape)))).reshape(shape)
+
+    b = block(rows, cols, d) if draw(st.booleans()) else block(cols, d)
+    return block(rows, d), b
+
+
+class TestSqDistsKernel:
+    @given(case=kernel_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_coordinate_sums_match_einsum(self, case):
+        a, b = case
+        with np.errstate(invalid="ignore", over="ignore"):
+            assert same_bits(sq_dists(a, b), einsum_sq_dists(a, b))
+
+    def test_three_dimensions_keep_einsum_order(self):
+        # Three terms give different bits in different orders; on CPUs
+        # whose einsum does not add left to right, a coordinate-by-coordinate
+        # sum at d = 3 differs from einsum in many of these rows.
+        rng = np.random.default_rng(71)
+        a = rng.standard_normal((2000, 3)) * 10.0 ** rng.integers(-3, 4, (2000, 3))
+        b = rng.standard_normal((1, 3))
+        assert same_bits(sq_dists(a, b), einsum_sq_dists(a, b))
+        assert same_bits(sq_dists(a, np.repeat(b[None], 2000, axis=0)), einsum_sq_dists(a, b))
+
+
 def grid_active(data):
     return neighbors._grid(data, data, True)[0] is not None
 
