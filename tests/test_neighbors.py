@@ -229,8 +229,9 @@ def same_bits(got, want):
 
 # Signed zeros, subnormals, squares near the overflow threshold (1e154)
 # and past it, the largest finite values, infinities and NaN.
-KERNEL_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-160, 1.3e154, -9.5e153, 1e308, -1.7e308]
-KERNEL_EDGES += [math.inf, -math.inf, math.nan]
+KERNEL_EDGES = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-160, 1.3e154, -9.5e153, 1e308, -1.7e308, math.inf, -math.inf, math.nan
+]
 
 
 @st.composite
