@@ -92,6 +92,8 @@ def _kmeanspp_centers(data: np.ndarray, k: int, rng: np.random.Generator) -> np.
     d2 = np.square(data - centers[0]).sum(axis=1)
     for j in range(1, k):
         total = float(d2.sum())
+        if not math.isfinite(total):
+            raise NumericalError("squared distances overflow in the k-means++ initialization")
         if total <= 0.0:
             # All mass sits on already-chosen centers; fall back to uniform.
             idx = int(rng.integers(n))
@@ -108,38 +110,70 @@ def _fit_gmm(spec: GeneratorSpec, data: np.ndarray) -> FittedGenerator:
     rng = np.random.default_rng(spec.seed)
     means = _kmeanspp_centers(data, k, rng)
     _, base_cov = _mle_moments(data)
+    if not np.all(np.isfinite(base_cov)):
+        raise NumericalError("component covariance is not finite")
     floored = bool(np.linalg.eigvalsh(base_cov).min() < _COV_FLOOR)
     if floored:
         base_cov = base_cov + _COV_FLOOR * np.eye(d)
     covs = np.repeat(base_cov[None, :, :], k, axis=0)
     weights = np.full(k, 1.0 / k)
 
+    # Every stack below is filled by numpy loops that run along the n data
+    # rows, never along the short d or k axes, and every value is the result
+    # of the same rounded operations, in the same order, as in the loop over
+    # one component at a time (tests/test_generators.py, reference_gmm). Two
+    # layouts carry bits and must stay:
+    #   - the covariance matmul reads both operands from (k, n, d) arrays; a
+    #     C-ordered (k, d, n) left operand sends BLAS down another path, which
+    #     rounds differently;
+    #   - the row sum of exp(log_comp - top) runs over an (n, k) array: from
+    #     8 terms up numpy sums pairwise, so an axis-0 sum of (k, n) differs.
+    columns = np.ascontiguousarray(data.T)
+    centered = np.empty((k, n, d))
+    weighted = np.empty((k, n, d))
+    shifted = np.empty((n, k))
+    resp = np.empty((n, k))
+
+    def center(means: np.ndarray) -> None:
+        for j in range(d):
+            np.subtract(columns[j], means[:, j, None], out=centered[:, :, j])
+
+    # The M-step centres on the means the next E-step uses, so centered
+    # carries over from one iteration to the next.
+    center(means)
     history: list[float] = []
     converged = False
     for _ in range(spec.max_iters):
-        # Each step runs once on the (k, ...) stacks, and each component's
-        # slice keeps the operand layout and summation order it had when
-        # the components were looped over, so the bits are those of the loop.
         sign, logdet = np.linalg.slogdet(covs)
-        if np.any(sign <= 0):
+        if not np.all(sign > 0):
             raise NumericalError("component covariance lost positive definiteness")
-        centered = data - means[:, None, :]
-        solved = np.linalg.solve(covs, centered.transpose(0, 2, 1)).transpose(0, 2, 1)
-        maha = np.einsum("kij,kij->ki", centered, solved)
-        log_density = -0.5 * (d * math.log(2.0 * math.pi) + logdet[:, None] + maha)
-        log_comp = np.empty((n, k))
-        log_comp.T[...] = np.log(weights)[:, None] + log_density
-        top = log_comp.max(axis=1, keepdims=True)
-        log_norm = top[:, 0] + np.log(np.exp(log_comp - top).sum(axis=1))
+        terms = np.linalg.solve(covs, centered.transpose(0, 2, 1))
+        terms *= centered.transpose(0, 2, 1)
+        # log_comp is built in place: the Mahalanobis sum one coordinate at
+        # a time, then the log normalizer and the log weight.
+        log_comp = terms[:, 0].copy()
+        for j in range(1, d):
+            log_comp += terms[:, j]
+        log_comp += d * math.log(2.0 * math.pi) + logdet[:, None]
+        log_comp *= -0.5
+        log_comp += np.log(weights)[:, None]
+        top = log_comp.max(axis=0)
+        np.subtract(log_comp, top, out=shifted.T)
+        log_norm = top + np.log(np.exp(shifted, out=shifted).sum(axis=1))
         ll = float(log_norm.mean())
-        resp = np.exp(log_comp - log_norm[:, None])
+        np.subtract(log_comp, log_norm, out=resp.T)
+        np.exp(resp, out=resp)
 
         mass = resp.sum(axis=0)
         weights = mass / n
         means = (resp.T @ data) / mass[:, None]
-        centered = data - means[:, None, :]
-        covs = (resp.T[:, :, None] * centered).transpose(0, 2, 1) @ centered / mass[:, None, None]
+        center(means)
+        for j in range(d):
+            np.multiply(resp.T, centered[:, :, j], out=weighted[:, :, j])
+        covs = weighted.transpose(0, 2, 1) @ centered / mass[:, None, None]
         covs = (covs + covs.transpose(0, 2, 1)) / 2.0
+        if not np.all(np.isfinite(covs)):
+            raise NumericalError("component covariance is not finite")
         low = np.linalg.eigvalsh(covs).min(axis=1) < _COV_FLOOR
         if low.any():
             covs[low] += _COV_FLOOR * np.eye(d)

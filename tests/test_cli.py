@@ -474,6 +474,19 @@ class TestLoop:
         assert main(self.loop_args(blob_csv, prefix, [f"--{grammar}", text])) == 4
         assert not prefix.with_suffix(".json").exists()
 
+    def test_overflowing_gmm_fit_exits_five(self, tmp_path):
+        # Squared distances between points near 1e155 overflow, a numerical failure.
+        real = tmp_path / "huge.csv"
+        save_pointset(PointSet(np.random.default_rng(0).standard_normal((30, 2)) * 1e155), real)
+        prefix = tmp_path / "t"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(
+                ["loop", "--real", str(real), "--paradigm", "replace", "--iterations", "2",
+                 "--train-size", "30", "--generator", "gmm:2", "--out", str(prefix)]
+            )
+        assert code == 5
+        assert not prefix.with_suffix(".json").exists()
+
     def test_numeric_failure_maps_to_exit_five(self, blob_csv, tmp_path, monkeypatch):
         def boom(config, real, progress=None):
             raise NumericalError("synthetic failure")
@@ -595,7 +608,9 @@ class TestAnalyze:
 
 
 class TestSubprocessDeterminism:
-    def test_loop_byte_identical_across_thread_counts(self, tmp_path):
+    @staticmethod
+    def loop_bytes_at_blas_counts(tmp_path, loop_args):
+        """The canonical trace bytes of one loop at 1, 2 and again 1 BLAS threads."""
         rng = np.random.default_rng(2)
         real = tmp_path / "real.csv"
         centers = rng.uniform(-4, 4, size=(4, 2))
@@ -606,14 +621,28 @@ class TestSubprocessDeterminism:
         for blas, name in (("1", "b1"), ("2", "b2"), ("1", "b1b")):
             prefix = tmp_path / name
             proc = run_cli(
-                ["loop", "--real", str(real), "--paradigm", "accumulate_subsample",
-                 "--iterations", "3", "--train-size", "60",
-                 "--generator", "bootstrap:0.1", "--selection", "greedy",
-                 "--seed", "21", "--canonical", "--out", str(prefix)],
+                ["loop", "--real", str(real), *loop_args, "--canonical", "--out", str(prefix)],
                 env_extra={"OPENBLAS_NUM_THREADS": blas},
             )
             assert proc.returncode == 0, proc.stderr
             blobs.append((prefix.with_suffix(".json").read_bytes(), prefix.with_suffix(".csv").read_bytes()))
+        return blobs
+
+    def test_loop_byte_identical_across_thread_counts(self, tmp_path):
+        blobs = self.loop_bytes_at_blas_counts(
+            tmp_path,
+            ["--paradigm", "accumulate_subsample", "--iterations", "3", "--train-size", "60",
+             "--generator", "bootstrap:0.1", "--selection", "greedy", "--seed", "21"],
+        )
+        assert blobs[0] == blobs[1] == blobs[2]
+
+    def test_gmm_loop_byte_identical_across_thread_counts(self, tmp_path):
+        # EM's slogdet, solve and matmuls run in BLAS; its thread count must not move a byte.
+        blobs = self.loop_bytes_at_blas_counts(
+            tmp_path,
+            ["--paradigm", "replace", "--iterations", "3", "--train-size", "100",
+             "--generator", "gmm:4", "--seed", "21"],
+        )
         assert blobs[0] == blobs[1] == blobs[2]
 
     def test_module_entry_point_reports_version_of_help(self):

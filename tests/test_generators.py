@@ -210,6 +210,15 @@ class TestGmm:
         with pytest.raises(InsufficientPointsError):
             fit(GeneratorSpec(kind="gmm", components=5), PointSet(np.zeros((4, 1))))
 
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_overflowing_data_is_numerical_error(self, d, k):
+        # Squared distances near 1e310 overflow: k-means++ sees an infinite
+        # total at k >= 2, and the data covariance is not finite at k = 1.
+        data = np.random.default_rng(d).standard_normal((30, d)) * 1e155
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalError):
+            fit(GeneratorSpec(kind="gmm", components=k), PointSet(data))
+
 
 def em_layouts(d, k):
     """Data sets for one (d, k): separated blobs, duplicated rows, a
@@ -245,6 +254,22 @@ class TestBatchedEmMatchesComponentLoop:
                 assert gen.diagnostics == diagnostics, name
             if name in ("collapsed", "tiny"):
                 assert diagnostics.floored
+
+    @pytest.mark.parametrize("k", [4, 9])
+    @pytest.mark.parametrize("d", [2, 3, 8])
+    def test_bit_identical_at_benchmark_scale(self, d, k):
+        # At n = 1000 every sum over the rows runs past numpy's 128-element
+        # pairwise blocks, so a layout change in any of them moves bits.
+        rng = np.random.default_rng([1000, d, k])
+        data = rng.standard_normal((1000, d)) + 4.0 * (np.arange(1000) % k)[:, None]
+        spec = GeneratorSpec(kind="gmm", components=k, seed=d + k, max_iters=4, tol=1e-300)
+        weights, means, covs, diagnostics = reference_gmm(spec, data)
+        gen = fit(spec, PointSet(data))
+        assert gen.weights.tobytes() == weights.tobytes()
+        assert gen.means.tobytes() == means.tobytes()
+        assert gen.covariances.tobytes() == covs.tobytes()
+        assert gen.diagnostics == diagnostics
+        assert len(diagnostics.log_likelihoods) == 4
 
     @pytest.mark.parametrize(
         "layout, d, k",

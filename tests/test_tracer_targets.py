@@ -96,3 +96,39 @@ def test_one_within_set_search_per_iteration(monkeypatch, paradigm, gamma):
     cfg = dataclasses.replace(accumulate_config(gamma), paradigm=paradigm, selection=selection)
     run_loop(cfg, real_data())
     assert calls == [(1, gamma)] * cfg.iterations
+
+
+def test_traced_gmm_loop_counts_the_em_diagnostics(monkeypatch):
+    # The tracer reads log_likelihoods, converged and floored from the
+    # diagnostics of each fit's result; a renamed field fails here.
+    fits = []
+    fit = looper.fit
+
+    def spy(spec, training):
+        gen = fit(spec, training)
+        fits.append(gen.diagnostics)
+        return gen
+
+    monkeypatch.setattr(looper, "fit", spy)
+    tracer_mod = load_tracer()
+    # Rank-1 data: every fit floors its covariances.
+    line = PointSet(np.random.default_rng(6).standard_normal((200, 1)) * np.array([[1.0, 2.0]]))
+    cfg = LoopConfig(
+        paradigm="replace",
+        iterations=3,
+        train_size=100,
+        generator=GeneratorSpec(kind="gmm", components=2, seed=1),
+    )
+    tracer = tracer_mod.Tracer()
+    tracer.install(PROGRAM)
+    try:
+        tracer.begin(1)
+        looper.run_loop(cfg, line)
+        tracer.end()
+    finally:
+        tracer.remove()
+    layers = tracer_mod.layer_metrics(tracer.spans)
+    assert len(fits) == cfg.iterations and all(diag.floored for diag in fits)
+    assert layers["generators.fit.em_iters"] == sum(len(diag.log_likelihoods) for diag in fits)
+    assert layers["generators.fit.floored"] == cfg.iterations
+    assert layers["generators.fit.em_converged_frac"] == sum(diag.converged for diag in fits) / len(fits)
