@@ -48,10 +48,9 @@ from .selection import (
     select_random,
     select_threshold_decay,
 )
-from .specfun import EULER_GAMMA, digamma, log_gamma, log_unit_ball_volume
+from .specfun import digamma, log_gamma, log_unit_ball_volume
 from .tensorset import (
     EUCLIDEAN,
-    SQEUCLIDEAN,
     DistanceMetric,
     FeatureMap,
     PointSet,

@@ -110,8 +110,6 @@ def _fit_gmm(spec: GeneratorSpec, data: np.ndarray) -> FittedGenerator:
     rng = np.random.default_rng(spec.seed)
     means = _kmeanspp_centers(data, k, rng)
     _, base_cov = _mle_moments(data)
-    if not np.all(np.isfinite(base_cov)):
-        raise NumericalError("component covariance is not finite")
     floored = bool(np.linalg.eigvalsh(base_cov).min() < _COV_FLOOR)
     if floored:
         base_cov = base_cov + _COV_FLOOR * np.eye(d)

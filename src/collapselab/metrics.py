@@ -123,11 +123,15 @@ class MomentSummary:
 
 
 def _mle_moments(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and symmetrized maximum-likelihood (1/n) covariance of the rows."""
+    """Mean and symmetrized maximum-likelihood (1/n) covariance of the rows;
+    a covariance that overflows is a NumericalError."""
     mean = data.mean(axis=0)
     centered = data - mean
     cov = centered.T @ centered / data.shape[0]
-    return mean, (cov + cov.T) / 2.0
+    cov = (cov + cov.T) / 2.0
+    if not np.all(np.isfinite(cov)):
+        raise NumericalError("covariance is not finite")
+    return mean, cov
 
 
 def moment_summary(ps: PointSet) -> MomentSummary:

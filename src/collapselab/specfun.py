@@ -16,7 +16,6 @@ import math
 
 from .errors import DomainError, is_number
 
-EULER_GAMMA = 0.5772156649015329
 _ASYMPTOTIC_THRESHOLD = 10.0
 
 _LANCZOS_G = 7.0

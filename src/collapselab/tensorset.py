@@ -3,7 +3,8 @@
 A PointSet is an immutable n x d matrix where every row carries a source
 tag saying which stage of a self-consuming loop produced it (real data,
 or synthetic data from iteration k >= 1). Distances are always taken in a
-feature space; the identity map makes that the raw coordinate space.
+feature space, one of two kinds: the identity map (the raw coordinates) or
+a seeded random projection.
 
 Two file formats round-trip point sets: a human-readable CSV and a small
 binary container ("rawbin") that preserves floats bit-exactly.
@@ -142,18 +143,15 @@ class FeatureMap:
       randproj  -- seeded Gaussian random projection to target_dim, scaled
                    by 1/sqrt(target_dim); the matrix is regenerated
                    deterministically from (seed, input dim).
-      whiten    -- affine map (x - mean) @ transform.
     """
 
     kind: str = "identity"
     target_dim: int | None = None
     seed: int | None = None
-    mean: np.ndarray | None = None
-    transform: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         check_fields(self)
-        if self.kind not in ("identity", "randproj", "whiten"):
+        if self.kind not in ("identity", "randproj"):
             raise ConfigError(f"unknown feature map kind {self.kind!r}")
         if self.kind == "randproj":
             if self.target_dim is None or self.seed is None:
@@ -162,55 +160,17 @@ class FeatureMap:
                 raise ConfigError("randproj target_dim must be >= 1")
             if self.seed < 0:
                 raise ConfigError(f"randproj seed must be >= 0, got {self.seed}")
-        if self.kind == "whiten":
-            if self.mean is None or self.transform is None:
-                raise ConfigError("whiten feature map requires mean and transform")
-            mean = np.array(self.mean, dtype=np.float64, copy=True).ravel()
-            transform = np.array(self.transform, dtype=np.float64, copy=True)
-            if transform.ndim != 2:
-                raise DimensionError("whiten transform must be a matrix")
-            if transform.shape[0] != mean.shape[0]:
-                raise DimensionError(
-                    f"whiten mean has length {mean.shape[0]} but transform has {transform.shape[0]} rows"
-                )
-            mean.setflags(write=False)
-            transform.setflags(write=False)
-            object.__setattr__(self, "mean", mean)
-            object.__setattr__(self, "transform", transform)
-
-    @classmethod
-    def identity(cls) -> "FeatureMap":
-        return cls()
-
-    @classmethod
-    def random_projection(cls, target_dim: int, seed: int) -> "FeatureMap":
-        return cls(kind="randproj", target_dim=target_dim, seed=seed)
-
-    @classmethod
-    def affine_whitening(cls, mean, transform) -> "FeatureMap":
-        return cls(kind="whiten", mean=mean, transform=transform)
 
     def output_dim(self, input_dim: int) -> int:
-        if self.kind == "identity":
-            return input_dim
-        if self.kind == "randproj":
-            return self.target_dim
-        return self.transform.shape[1]
+        return input_dim if self.kind == "identity" else self.target_dim
 
     def apply(self, data: np.ndarray) -> np.ndarray:
         data = np.asarray(data, dtype=np.float64)
         if self.kind == "identity":
             return data
-        if self.kind == "randproj":
-            d = data.shape[1]
-            rng = np.random.default_rng(self.seed)
-            matrix = rng.standard_normal((d, self.target_dim)) / math.sqrt(self.target_dim)
-            return data @ matrix
-        if data.shape[1] != self.mean.shape[0]:
-            raise DimensionError(
-                f"whiten feature map expects dimension {self.mean.shape[0]}, got {data.shape[1]}"
-            )
-        return (data - self.mean) @ self.transform
+        rng = np.random.default_rng(self.seed)
+        matrix = rng.standard_normal((data.shape[1], self.target_dim)) / math.sqrt(self.target_dim)
+        return data @ matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,7 +190,6 @@ class DistanceMetric:
 
 
 EUCLIDEAN = DistanceMetric()
-SQEUCLIDEAN = DistanceMetric(kind="sqeuclidean")
 
 
 def apply_feature_map(ps: PointSet, fmap: FeatureMap) -> PointSet:

@@ -202,7 +202,7 @@ class TestResultDocuments:
     @pytest.mark.parametrize("feature, gamma", [("identity", 1), ("identity", 3), ("randproj:2:7", 2)])
     def test_entropy(self, blob_csv, capsys, feature, gamma):
         assert main(["entropy", "--input", str(blob_csv), "--gamma", str(gamma), "--feature", feature]) == 0
-        fmap = FeatureMap.random_projection(2, 7) if feature != "identity" else FeatureMap.identity()
+        fmap = FeatureMap(kind="randproj", target_dim=2, seed=7) if feature != "identity" else FeatureMap()
         report = kl_entropy(load_pointset(blob_csv), gamma, DistanceMetric(feature_map=fmap))
         expected = {
             "schema_version": 1,
@@ -487,6 +487,21 @@ class TestLoop:
         assert code == 5
         assert not prefix.with_suffix(".json").exists()
 
+    @pytest.mark.parametrize("generator", ["gaussian", "bootstrap:0", "gmm:1", "gmm:2"])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_overflowing_data_exits_five_for_every_generator(self, tmp_path, generator, d):
+        # The covariance of points near 1e155 overflows, whatever the generator.
+        real = tmp_path / "huge.csv"
+        save_pointset(PointSet(np.random.default_rng(d).standard_normal((30, d)) * 1e155), real)
+        prefix = tmp_path / "t"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(
+                ["loop", "--real", str(real), "--paradigm", "replace", "--iterations", "2",
+                 "--train-size", "30", "--generator", generator, "--out", str(prefix)]
+            )
+        assert code == 5
+        assert not prefix.with_suffix(".json").exists()
+
     def test_numeric_failure_maps_to_exit_five(self, blob_csv, tmp_path, monkeypatch):
         def boom(config, real, progress=None):
             raise NumericalError("synthetic failure")
@@ -568,12 +583,15 @@ class TestAnalyze:
             lambda doc: doc["real_reference"].update(trace_cov="x"),
             lambda doc: doc["real_reference"].update(trace_cov=True),
             lambda doc: doc["config"]["metric"]["feature_map"].update(seed=2.5),
+            # The affine whitening map is no longer a kind; a trace that names it is refused.
+            lambda doc: doc["config"]["metric"]["feature_map"].update(
+                kind="whiten", mean=[0.0, 0.0], transform=[[1.0, 0.0], [0.0, 1.0]]),
         ],
         ids=["real-reference-not-a-dict", "unknown-record-key", "unknown-metric-key", "invalid-paradigm",
              "record-not-a-dict", "config-not-a-dict", "generator-components-float", "generator-seed-string",
              "feature-target-dim-float", "feature-seed-bool", "generator-sigma-bool", "generator-sigma-string",
              "generator-tol-bool", "multiplier-bool", "selection-tau0-bool", "selection-alpha-string",
-             "trace-cov-string", "trace-cov-bool", "identity-seed-float"],
+             "trace-cov-string", "trace-cov-bool", "identity-seed-float", "whiten-feature-map"],
     )
     def test_damaged_trace_is_io_error(self, blob_csv, tmp_path, capsys, damage):
         trace = self.make_trace(blob_csv, tmp_path, "a")

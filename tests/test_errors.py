@@ -16,7 +16,7 @@ _ENTROPY = EntropyReport(estimate=1.0, gamma=1, duplicate_count=0, log_distance_
 VALID = [
     GeneratorSpec(kind="gmm"),
     SelectionPolicy(kind="threshold_decay", tau0=1.0, alpha=0.5, initial_index=0),
-    FeatureMap.random_projection(2, 7),
+    FeatureMap(kind="randproj", target_dim=2, seed=7),
     LoopConfig(paradigm="replace", iterations=1, train_size=5, generator=GeneratorSpec(kind="gaussian"),
                generation_multiplier=1.0),
     _ENTROPY,
@@ -67,7 +67,7 @@ def test_float_fields_take_an_int_and_int_fields_refuse_a_float(obj, name, kind,
 @pytest.mark.parametrize("target_dim, seed", [(2.5, 7), (True, 7), (2, 7.9), ("2", 7)])
 def test_random_projection_passes_its_settings_to_the_check_as_given(target_dim, seed):
     with pytest.raises(ConfigError, match=r"must be int \| None"):
-        FeatureMap.random_projection(target_dim, seed)
+        FeatureMap(kind="randproj", target_dim=target_dim, seed=seed)
 
 
 @pytest.mark.parametrize("obj, name, kind, optional, in_dict", NUMBER_FIELDS, ids=IDS)

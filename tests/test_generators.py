@@ -159,6 +159,14 @@ class TestGaussian:
         with pytest.raises(InsufficientPointsError):
             fit(GeneratorSpec(kind="gaussian"), PointSet([[1.0]]))
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_overflowing_data_is_numerical_error(self, d):
+        # The covariance of points near 1e155 overflows; sampling from it
+        # would give NaN rows at d = 2 and fail in eigh at d = 3.
+        data = np.random.default_rng(d).standard_normal((30, d)) * 1e155
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalError, match="not finite"):
+            fit(GeneratorSpec(kind="gaussian"), PointSet(data))
+
 
 class TestGmm:
     def test_single_component_matches_gaussian(self):

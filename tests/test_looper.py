@@ -455,13 +455,7 @@ class TestSerialization:
 def reference_feature_map_doc(fmap):
     if fmap.kind == "identity":
         return {"kind": "identity"}
-    if fmap.kind == "randproj":
-        return {"kind": "randproj", "target_dim": fmap.target_dim, "seed": fmap.seed}
-    return {
-        "kind": "whiten",
-        "mean": [float(v) for v in fmap.mean],
-        "transform": [[float(v) for v in row] for row in fmap.transform],
-    }
+    return {"kind": "randproj", "target_dim": fmap.target_dim, "seed": fmap.seed}
 
 
 def reference_metric_doc(metric):
@@ -539,8 +533,8 @@ _GRID_GENERATORS = {
     "bootstrap:0.05": GeneratorSpec(kind="bootstrap", sigma=0.05),
     "bootstrap:0": GeneratorSpec(kind="bootstrap", sigma=0.0),
 }
-_WHITEN = FeatureMap.affine_whitening(_GRID_REAL.data.mean(axis=0), [[0.5, 0.25], [0.0, 2.0]])
-_RANDPROJ = FeatureMap.random_projection(3, 7)
+_RANDPROJ = FeatureMap(kind="randproj", target_dim=3, seed=7)
+_RANDPROJ2 = FeatureMap(kind="randproj", target_dim=2, seed=5)
 
 
 def _policy(name, metric):
@@ -564,7 +558,7 @@ _PRODUCT = [
 
 
 def _grid_config(paradigm, gen, sel, mult, fmap=None, kind="euclidean", gamma=1, **policy):
-    metric = DistanceMetric(kind=kind, feature_map=fmap or FeatureMap.identity())
+    metric = DistanceMetric(kind=kind, feature_map=fmap or FeatureMap())
     selection = _policy(sel, metric)
     if policy:
         selection = dataclasses.replace(selection, **policy)
@@ -582,11 +576,12 @@ def _grid_config(paradigm, gen, sel, mult, fmap=None, kind="euclidean", gamma=1,
 
 
 _FEATURE_CASES = {
-    "whiten": dict(paradigm="accumulate_subsample", gen="gmm:2", sel="threshold", mult=None, fmap=_WHITEN),
-    "whiten-sq-gamma2": dict(
-        paradigm="replace", gen="bootstrap:0.05", sel="greedy", mult=1.5, fmap=_WHITEN, kind="sqeuclidean", gamma=2
+    "randproj2": dict(paradigm="accumulate_subsample", gen="gmm:2", sel="threshold", mult=None, fmap=_RANDPROJ2),
+    "randproj2-sq-gamma2": dict(
+        paradigm="replace", gen="bootstrap:0.05", sel="greedy", mult=1.5, fmap=_RANDPROJ2, kind="sqeuclidean",
+        gamma=2,
     ),
-    "whiten-accumulate": dict(paradigm="accumulate", gen="gaussian", sel="none", mult=None, fmap=_WHITEN),
+    "randproj2-accumulate": dict(paradigm="accumulate", gen="gaussian", sel="none", mult=None, fmap=_RANDPROJ2),
     "randproj": dict(paradigm="replace", gen="gmm:1", sel="random", mult=None, fmap=_RANDPROJ),
     "randproj-sq": dict(
         paradigm="accumulate_subsample", gen="bootstrap:0", sel="threshold", mult=1.5, fmap=_RANDPROJ,
@@ -672,9 +667,9 @@ class TestToDoc:
 
 _SHARED_REAL = blob_data(26, 300)
 _SHARED_MAPS = {
-    "identity": FeatureMap.identity(),
-    "randproj": FeatureMap.random_projection(3, 7),
-    "whiten": FeatureMap.affine_whitening(_SHARED_REAL.data.mean(axis=0), [[0.5, 0.25], [0.0, 2.0]]),
+    "identity": FeatureMap(),
+    "randproj": FeatureMap(kind="randproj", target_dim=3, seed=7),
+    "randproj2": FeatureMap(kind="randproj", target_dim=2, seed=5),
 }
 _SHARED_RUNS = {
     # accumulate with a memorizer: duplicates, and a pool on the grid path

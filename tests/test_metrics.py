@@ -16,7 +16,6 @@ from collapselab import (
     MomentSummary,
     NumericalError,
     PointSet,
-    SQEUCLIDEAN,
     digamma,
     frechet_gaussian_distance,
     generalization_score,
@@ -82,7 +81,7 @@ class TestKlEntropy:
     def test_feature_map_changes_working_dimension(self):
         rng = np.random.default_rng(5)
         data = rng.standard_normal((40, 6))
-        fm = FeatureMap.random_projection(target_dim=2, seed=9)
+        fm = FeatureMap(kind="randproj", target_dim=2, seed=9)
         metric = DistanceMetric(feature_map=fm)
         direct = kl_entropy(PointSet(data), metric=metric)
         projected = kl_entropy(PointSet(fm.apply(data)))
@@ -96,15 +95,15 @@ class TestKlEntropy:
         data = rng.standard_normal((4000, 2))
         data[:50] = data[50]
         ps = PointSet(data)
-        fm = FeatureMap.random_projection(target_dim=2, seed=9)
+        fm = FeatureMap(kind="randproj", target_dim=2, seed=9)
         for gamma in (1, 3):
-            pairs = ((EUCLIDEAN, SQEUCLIDEAN), (DistanceMetric(feature_map=fm), DistanceMetric("sqeuclidean", fm)))
+            pairs = ((EUCLIDEAN, DistanceMetric("sqeuclidean")), (DistanceMetric(feature_map=fm), DistanceMetric("sqeuclidean", fm)))
             for euclid, squared in pairs:
                 a, b = kl_entropy(ps, gamma, euclid), kl_entropy(ps, gamma, squared)
                 assert a == b
                 assert a.estimate.hex() == b.estimate.hex()
         clean = PointSet(data[50:])
-        assert kl_entropy(clean, metric=SQEUCLIDEAN).estimate == pytest.approx(LN_2PIE, abs=0.05)
+        assert kl_entropy(clean, metric=DistanceMetric("sqeuclidean")).estimate == pytest.approx(LN_2PIE, abs=0.05)
 
     def test_uniform_single_seed_sanity(self):
         rng = np.random.default_rng(6)
@@ -209,6 +208,20 @@ class TestMoments:
         assert np.array_equal(ms.covariance, ms.covariance.T)
         assert np.min(np.linalg.eigvalsh(ms.covariance)) >= -1e-12
         assert ms.trace_cov == pytest.approx(float(np.trace(ms.covariance)), rel=1e-15)
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            np.random.default_rng(2).standard_normal((30, 2)) * 1e155,
+            np.random.default_rng(3).standard_normal((30, 3)) * 1e155,
+            # Each entry is 1.44e308, finite; symmetrizing doubles it past the largest float.
+            [[-1.2e154, -1.2e154], [1.2e154, 1.2e154]],
+        ],
+        ids=["1e155-d2", "1e155-d3", "finite-until-symmetrized"],
+    )
+    def test_overflowing_covariance_is_numerical_error(self, data):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalError, match="not finite"):
+            moment_summary(PointSet(data))
 
 
 class TestFrechetGaussian:

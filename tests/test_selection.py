@@ -10,7 +10,6 @@ from collapselab import (
     EUCLIDEAN,
     DistanceMetric,
     FeatureMap,
-    SQEUCLIDEAN,
     InsufficientPointsError,
     PointSet,
     SelectionPolicy,
@@ -285,15 +284,9 @@ def decay_cases(draw):
     data *= 10.0 ** draw(st.integers(-6, 6))
     data += draw(st.sampled_from([0.0, 0.0, 1e3, -1e6, 1e12]))
     pool = PointSet(data)
-    fmap = draw(st.sampled_from(["identity", "randproj", "whiten"]))
-    if fmap == "randproj":
-        fmap = FeatureMap.random_projection(draw(st.integers(1, 3)), draw(st.integers(0, 2**16)))
-    elif fmap == "whiten":
-        width = draw(st.integers(1, 3))
-        transform = draw(st.lists(st.integers(-3, 3), min_size=d * width, max_size=d * width))
-        fmap = FeatureMap.affine_whitening(data.mean(axis=0), np.reshape(transform, (d, width)) / 2.0)
-    else:
-        fmap = FeatureMap()
+    fmap = FeatureMap()
+    if draw(st.booleans()):
+        fmap = FeatureMap(kind="randproj", target_dim=draw(st.integers(1, 3)), seed=draw(st.integers(0, 2**16)))
     metric = DistanceMetric(kind=draw(st.sampled_from(["euclidean", "sqeuclidean"])), feature_map=fmap)
     n = draw(st.integers(1, size))
     seed = draw(st.integers(0, 2**16))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import struct
@@ -237,23 +238,23 @@ class TestRawbinFormat:
 class TestFeatureMap:
     def test_identity_returns_equal_values(self):
         data = np.arange(6.0).reshape(3, 2)
-        out = FeatureMap.identity().apply(data)
+        out = FeatureMap().apply(data)
         assert np.array_equal(out, data)
 
     def test_random_projection_deterministic(self):
         data = np.random.default_rng(0).standard_normal((10, 6))
-        fm = FeatureMap.random_projection(target_dim=3, seed=11)
+        fm = FeatureMap(kind="randproj", target_dim=3, seed=11)
         a = fm.apply(data)
         b = fm.apply(data)
         assert a.shape == (10, 3)
         assert np.array_equal(a, b)
-        other = FeatureMap.random_projection(target_dim=3, seed=12).apply(data)
+        other = FeatureMap(kind="randproj", target_dim=3, seed=12).apply(data)
         assert not np.array_equal(a, other)
 
     def test_random_projection_output_dim(self):
-        fm = FeatureMap.random_projection(target_dim=2, seed=0)
+        fm = FeatureMap(kind="randproj", target_dim=2, seed=0)
         assert fm.output_dim(7) == 2
-        assert FeatureMap.identity().output_dim(7) == 7
+        assert FeatureMap().output_dim(7) == 7
 
     @pytest.mark.parametrize(
         "target_dim, seed", [(2.5, 1), ("2", 1), (True, 1), (2, 1.0), (2, "1"), (2, True), (2, -1)]
@@ -262,21 +263,17 @@ class TestFeatureMap:
         with pytest.raises(ConfigError):
             FeatureMap(kind="randproj", target_dim=target_dim, seed=seed)
 
-    def test_whitening_centers_columns(self):
-        rng = np.random.default_rng(3)
-        data = rng.standard_normal((200, 2)) * 4.0 + 7.0
-        fm = FeatureMap.affine_whitening(mean=data.mean(axis=0), transform=np.eye(2))
-        out = fm.apply(data)
-        assert np.max(np.abs(out.mean(axis=0))) <= 1e-12
+    @pytest.mark.parametrize("kind", ["whiten", "Identity", ""])
+    def test_unknown_kind_rejected(self, kind):
+        with pytest.raises(ConfigError, match="unknown feature map kind"):
+            FeatureMap(kind=kind)
 
-    def test_whitening_dimension_mismatch(self):
-        fm = FeatureMap.affine_whitening(mean=np.zeros(2), transform=np.eye(2))
-        with pytest.raises(DimensionError):
-            fm.apply(np.zeros((4, 3)))
+    def test_holds_only_its_settings(self):
+        assert [f.name for f in dataclasses.fields(FeatureMap)] == ["kind", "target_dim", "seed"]
 
     def test_apply_feature_map_preserves_tags(self):
         ps = PointSet(np.ones((3, 4)), sources=[0, 1, 2])
-        out = apply_feature_map(ps, FeatureMap.random_projection(target_dim=2, seed=1))
+        out = apply_feature_map(ps, FeatureMap(kind="randproj", target_dim=2, seed=1))
         assert out.dim == 2
         assert np.array_equal(out.sources, ps.sources)
 
