@@ -58,6 +58,29 @@ for its bounds and index arrays; it gathers kept columns only when each
 row keeps at most half, so the gathered copy and its diff tensor fit too.
 The partition depends only on the data, and each block writes a disjoint
 set of output rows, so the results do not depend on the block size.
+
+Distinct points. Both queries search each distinct row of a set once (a
+memorizing generator fills its pool with copies). Rows whose coordinates
+compare equal are one point; a set with no repeated value in its first
+column has none and takes the search above unchanged. Points are ordered
+by their first row, so the tie-break toward the lower index picks, among
+tied points, the one holding the lowest tied row. `nn_cross` returns that
+point's first row to every copy of the query. `kth_nn_within` with
+largest rank K searches the points for ranks 1..K, then builds for each
+point g a list L_g of (squared distance, row) pairs: g's first K + 1 rows
+at distance 0, and the first K rows of each of g's K nearest points.
+Sorted, L_g starts with the first entries of the order A of all rows by
+(squared distance from g, row). Every point ranked ahead of a point h has
+its first row ahead of each row s of h in A, and so does every lower row
+of h. So the j-th entry of A is among its point's first j rows, and its
+point is g or one of g's j nearest others: any of A's first K entries is
+in L_g, and the (K + 1)-th is too once a row of g is ahead of it. Row r of
+g, skipping itself, then has as its k-th neighbor L_g[k] if
+L_g[k] < (0, r), else L_g[k + 1] (1-based), which is read only when r is
+among the first k entries. The rule compares only the bits the kernel
+returns, so it holds for ties, for zeros of either sign, whose distances
+have the same bits, and for distinct rows whose squared distance
+underflows to 0.
 """
 
 from __future__ import annotations
@@ -302,6 +325,68 @@ def _search(q: np.ndarray, r: np.ndarray, ranks: tuple[int, ...], within: bool) 
     return out_v, out_i
 
 
+def _distinct(x: np.ndarray, keep: int = 1) -> tuple[np.ndarray, np.ndarray] | None:
+    """The lowest `keep` rows of each distinct point of x, ascending and
+    padded with len(x), the points in order of first occurrence; and each
+    row's point. None when no row repeats.
+
+    Rows are one point when their coordinates compare equal, so rows that
+    differ only in the sign of a zero are one point: every distance to
+    them has the same bits. A set holding a non-finite value (a feature
+    map can overflow) is not split into points.
+    """
+    n = x.shape[0]
+    col = np.sort(x[:, 0])
+    if not (col[1:] == col[:-1]).any() or not np.isfinite(x).all():
+        return None
+    # The sort is stable, so each point's rows stay ascending.
+    order = np.lexsort(x.T[::-1])
+    s = x[order]
+    same = (s[1:] == s[:-1]).all(axis=1)
+    if not same.any():
+        return None
+    starts = np.flatnonzero(np.concatenate(([True], ~same)))
+    sizes = np.diff(starts, append=n)
+    t = np.arange(keep)
+    rows = np.where(t < sizes[:, None], order[np.minimum(starts[:, None] + t, n - 1)], n)
+    by_first = np.argsort(rows[:, 0])
+    label = np.empty(starts.size, dtype=np.int64)
+    label[by_first] = np.arange(starts.size)
+    point = np.empty(n, dtype=np.int64)
+    point[order] = np.repeat(label, sizes)
+    return rows[by_first], point
+
+
+def _within(x: np.ndarray, ranks: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """`_search(x, x, ranks, within=True)`, with each distinct point searched
+    once and its answers spread to its copies by the rule of the module
+    docstring."""
+    n, top = x.shape[0], ranks[-1]
+    found = _distinct(x, top + 1)
+    if found is None:
+        return _search(x, x, ranks, within=True)
+    copies, point = found
+    u = x[copies[:, 0]]
+    # Each point's nearest `top` other points, or all of them if fewer.
+    near = tuple(range(1, min(top, u.shape[0] - 1) + 1))
+    if near:
+        v, i = _search(u, u, near, within=True)
+    else:
+        v, i = np.empty((0, u.shape[0])), np.empty((0, u.shape[0]), dtype=np.int64)
+    # L_g: the point's own rows at distance 0, then each neighbor's first `top`.
+    rows = np.hstack([copies, copies[i.T, :top].reshape(u.shape[0], -1)])
+    d2 = np.hstack([np.zeros(copies.shape), np.repeat(v.T, top, axis=1)])
+    d2[rows == n] = np.inf
+    first = np.lexsort((rows, d2))[:, : top + 1]
+    # (top + 1, n): the first top + 1 entries of every row's point.
+    d2 = np.take_along_axis(d2, first, axis=1)[point].T
+    rows = np.take_along_axis(rows, first, axis=1)[point].T
+    # Row r's k-th neighbor is L_g[k] if it sorts before (0, r), else L_g[k + 1].
+    k = np.array(ranks)
+    ahead = (d2[k - 1] == 0.0) & (rows[k - 1] < np.arange(n))
+    return np.where(ahead, d2[k - 1], d2[k]), np.where(ahead, rows[k - 1], rows[k])
+
+
 def kth_nn_within(
     ps: PointSet, k: int | tuple[int, ...], metric: DistanceMetric = DistanceMetric()
 ) -> NeighborResult | tuple[NeighborResult, ...]:
@@ -323,7 +408,7 @@ def kth_nn_within(
         raise InsufficientPointsError(f"need at least {top + 1} points for the {top}-th neighbor, got {n}")
     x = np.ascontiguousarray(metric.feature_map.apply(ps.data))
     distinct = tuple(sorted(set(ranks)))
-    out_v, out_i = _search(x, x, distinct, within=True)
+    out_v, out_i = _within(x, distinct)
     found = {j: NeighborResult(metric.from_squared(v), i) for j, v, i in zip(distinct, out_v, out_i)}
     return tuple(found[j] for j in ranks) if isinstance(k, tuple) else found[k]
 
@@ -341,5 +426,17 @@ def nn_cross(queries: PointSet, refs: PointSet, metric: DistanceMetric = Distanc
         raise DimensionError(f"query dimension {queries.dim} != reference dimension {refs.dim}")
     q = np.ascontiguousarray(metric.feature_map.apply(queries.data))
     r = np.ascontiguousarray(metric.feature_map.apply(refs.data))
+    # Equal queries get equal answers, and the first row of the nearest
+    # distinct reference is the lowest of its tied rows.
+    q_found, r_found = _distinct(q), _distinct(r)
+    if q_found:
+        q = q[q_found[0][:, 0]]
+    if r_found:
+        r = r[r_found[0][:, 0]]
     out_v, out_i = _search(q, r, (1,), within=False)
-    return NeighborResult(metric.from_squared(out_v[0]), out_i[0])
+    out_v, out_i = out_v[0], out_i[0]
+    if q_found:
+        out_v, out_i = out_v[q_found[1]], out_i[q_found[1]]
+    if r_found:
+        out_i = r_found[0][out_i, 0]
+    return NeighborResult(metric.from_squared(out_v), out_i)

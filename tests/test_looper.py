@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import collapselab.looper as looper
+import collapselab.metrics as metrics
 import collapselab.neighbors as neighbors
 from collapselab import (
     ConfigError,
@@ -19,6 +20,7 @@ from collapselab import (
     InsufficientPointsError,
     IterationRecord,
     LoopConfig,
+    NeighborResult,
     PointSet,
     SelectionPolicy,
     compare_traces,
@@ -35,6 +37,7 @@ from collapselab import (
     trace_to_json,
 )
 from collapselab.looper import ROLE_FIT, ROLE_SAMPLE, ROLE_SELECT, SCHEMA_VERSION, to_doc
+from test_neighbors import brute_sq
 
 
 def blob_data(seed, n, d=2, spread=4.0):
@@ -713,3 +716,37 @@ class TestSharedNeighborSearch:
         with pytest.raises(InsufficientPointsError, match="entropy with gamma=3 needs at least 4 points, got 3"):
             run_loop(cfg, blob_data(27, 10))
 
+
+def all_pairs_kth(ps, k, metric=EUCLIDEAN):
+    """kth_nn_within by brute force over all pairs of rows."""
+    x = metric.feature_map.apply(ps.data)
+    found = [brute_sq(x, x, j, True) for j in (k if isinstance(k, tuple) else (k,))]
+    found = [NeighborResult(metric.from_squared(d2), i) for d2, i in found]
+    return tuple(found) if isinstance(k, tuple) else found[0]
+
+
+def all_pairs_cross(queries, refs, metric=EUCLIDEAN):
+    """nn_cross by brute force over all pairs of rows."""
+    d2, i = brute_sq(metric.feature_map.apply(queries.data), metric.feature_map.apply(refs.data), 1, False)
+    return NeighborResult(metric.from_squared(d2), i)
+
+
+class TestAllPairsReferee:
+    @pytest.mark.parametrize("gamma", [1, 3])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_memorizing_loop_matches_all_pairs_search(self, monkeypatch, d, gamma):
+        # A bootstrap:0 accumulate loop fills its pool with copies; its trace
+        # must have the bytes of a loop whose every neighbor comes from all pairs.
+        cfg = LoopConfig(
+            paradigm="accumulate",
+            iterations=3,
+            train_size=150,
+            generator=GeneratorSpec(kind="bootstrap", sigma=0.0),
+            gamma=gamma,
+            master_seed=6,
+        )
+        real = blob_data(28, 400, d)
+        fast = trace_to_json(run_loop(cfg, real), canonical=True)
+        monkeypatch.setattr(metrics, "kth_nn_within", all_pairs_kth)
+        monkeypatch.setattr(metrics, "nn_cross", all_pairs_cross)
+        assert trace_to_json(run_loop(cfg, real), canonical=True) == fast

@@ -13,8 +13,10 @@ import collapselab.neighbors as neighbors
 from collapselab import (
     ConfigError,
     DimensionError,
+    DistanceMetric,
     EmptyDatasetError,
     EUCLIDEAN,
+    FeatureMap,
     InsufficientPointsError,
     PointSet,
     kth_nn_within,
@@ -52,8 +54,9 @@ def naive_cross(queries, refs):
     return dists, idx
 
 
-def brute_kth(queries, refs, k, within):
-    """Blocked brute force: every query against every reference row.
+def brute_sq(queries, refs, k, within):
+    """Blocked brute force: every query against every reference row, as
+    squared distances and indices.
 
     This was the neighbor kernel before the cell grid; the grid must give
     the same bits. With `within`, queries is refs and a row skips itself.
@@ -73,6 +76,12 @@ def brute_kth(queries, refs, k, within):
         for r in range(e - s):
             below = int(np.count_nonzero(d2[r] < vals[r]))
             idx[s + r] = np.flatnonzero(d2[r] == vals[r])[k - 1 - below]
+    return dists, idx
+
+
+def brute_kth(queries, refs, k, within):
+    """brute_sq with euclidean distances."""
+    dists, idx = brute_sq(queries, refs, k, within)
     return np.sqrt(dists), idx
 
 
@@ -147,6 +156,13 @@ class TestKthWithin:
         assert res.distances[1] == 0.0
         assert res.indices[0] == 1
         assert res.indices[1] == 0
+
+    def test_copy_does_not_pass_an_underflowing_neighbor(self):
+        # (1e-170)**2 underflows to 0: row 1 ties row 0's copy, row 2, at
+        # distance 0 and wins on its lower index.
+        res = kth_nn_within(PointSet([[1e-170], [2e-170], [1e-170], [5.0]]), 1)
+        assert res.distances[0] == 0.0
+        assert res.indices[0] == 1
 
     def test_errors(self):
         ps = PointSet([[0.0], [1.0]])
@@ -289,6 +305,20 @@ def grid_datasets():
     for d, n in ((1, 200), (2, 600)):
         yield f"heavy-tails-{d}d", rng.standard_cauchy((n, d))
     yield "collapsed", np.full((600, 2), 1.5)
+    # Copies of distinct points that tie each other, as in a memorizing loop:
+    # a lattice whose rows repeat, repeated rows with a constant first
+    # column, rows that differ only by the sign of a zero, and distinct rows
+    # whose squared distance (1e-170)**2 underflows to exactly 0.
+    ints = np.arange(12.0)
+    lattice = np.array([[a, b] for a in ints for b in ints])
+    yield "repeated-lattice", lattice[rng.permutation(np.repeat(np.arange(len(lattice)), 3))]
+    column = np.column_stack([np.full(150, 2.5), rng.standard_normal(150)])
+    yield "constant-first-column", column[rng.integers(0, 150, 450)]
+    signed = np.array([[a, b] for a in np.arange(-6.0, 7.0) for b in np.arange(-6.0, 7.0)])
+    flipped = np.where(signed == 0.0, -0.0, signed)
+    yield "signed-zero", np.concatenate([signed, flipped, signed])[rng.permutation(3 * len(signed))]
+    tiny = np.array([[1e-170 * a, b] for a in range(3) for b in range(40)], dtype=np.float64)
+    yield "underflow", tiny[rng.permutation(np.repeat(np.arange(len(tiny)), 4))]
     spread = rng.standard_normal((600, 2))
     spread[7] = [1e6, -1e6]
     spread[400] = [-1e6, 2e6]
@@ -296,6 +326,12 @@ def grid_datasets():
 
 
 GRID_DATASETS = list(grid_datasets())
+
+
+def placed(base, scale, shift):
+    """base * scale + shift; a zero shift is not added, so the sign of a zero
+    survives."""
+    return base * scale + shift if shift else base * scale
 
 
 @st.composite
@@ -328,28 +364,40 @@ def multi_rank_cases(draw):
     points for 4+ cells per axis) or the one-cell screen path (d 1-8), laid
     out normal, heavy-tailed (a row's g-th neighbor may lie cells beyond its
     first), as an integer lattice full of ties, duplicated, or collapsed to
-    a point; scaled over fourteen decades and offset up to 1e12."""
+    a point; or with copies of distinct points that tie each other: a
+    repeated lattice, repeated rows with a constant first column, zeros of
+    either sign, or first coordinates 1e-170 apart whose squared distance
+    underflows to 0. Scaled over fourteen decades and offset up to 1e12."""
     path = draw(st.sampled_from(["grid", "screen"]))
     d = draw(st.integers(1, 3 if path == "grid" else 8))
     cells = 6 * 4**d  # the fewest points for which the grid has 4 cells per axis
     n = draw(st.integers(cells + 1, cells + 300) if path == "grid" else st.integers(6, min(60, cells - 1)))
     g = draw(st.integers(1, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    layout = draw(st.sampled_from(["normal", "heavy-tails", "lattice", "duplicates", "collapsed"]))
-    if layout == "lattice":
+    layout = draw(st.sampled_from(
+        ["normal", "heavy-tails", "lattice", "duplicates", "collapsed",
+         "repeated-lattice", "constant-first-column", "signed-zero", "underflow"]
+    ))
+    if layout in ("lattice", "repeated-lattice", "signed-zero", "underflow"):
         base = rng.integers(-3, 4, (n, d)).astype(np.float64)
     elif layout == "heavy-tails":
         base = rng.standard_cauchy((n, d))
     else:
         base = rng.standard_normal((n, d))
-    if layout == "duplicates":
+    if layout == "constant-first-column":
+        base[:, 0] = 2.5
+    elif layout == "signed-zero":
+        base[(base == 0.0) & (rng.random((n, d)) < 0.5)] = -0.0
+    elif layout == "underflow":
+        base[:, 0] = 1e-170 * rng.integers(0, 3, n)
+    if layout in ("duplicates", "repeated-lattice", "constant-first-column", "underflow"):
         base = base[rng.integers(0, max(1, n // 3), n)]
     elif layout == "collapsed":
         base[:] = base[0]
     scale = 10.0 ** draw(st.integers(-6, 8))
     shift = draw(st.sampled_from([0.0, 1.0, -1e3, 1e6, 1e12]))
     budget = draw(st.sampled_from([neighbors._BLOCK_BUDGET, 1 << 10]))
-    return path, base * scale + shift, g, budget
+    return path, placed(base, scale, shift), g, budget
 
 
 TRANSFORMS = [(1.0, 0.0), (1e-8, 0.0), (1e8, 0.0), (1.0, 1e6), (1e-8, 1e6), (1e8, 1e6)]
@@ -359,7 +407,7 @@ class TestGridMatchesBruteForce:
     @pytest.mark.parametrize("scale, shift", TRANSFORMS)
     @pytest.mark.parametrize("name, base", GRID_DATASETS, ids=[name for name, _ in GRID_DATASETS])
     def test_kth_within_bit_identical(self, name, base, scale, shift):
-        data = base * scale + shift
+        data = placed(base, scale, shift)
         assert grid_active(data)
         ps = PointSet(data)
         for k in range(1, 6):
@@ -383,8 +431,8 @@ class TestGridMatchesBruteForce:
                 rng.uniform(lo - span, hi + span, (30, base.shape[1])),
             ]
         )
-        data = base * scale + shift
-        queries = queries * scale + shift
+        data = placed(base, scale, shift)
+        queries = placed(queries, scale, shift)
         assert grid_active(data)
         res = nn_cross(PointSet(queries), PointSet(data))
         ref_d, ref_i = brute_kth(queries, data, 1, within=False)
@@ -447,8 +495,9 @@ class TestGridMatchesBruteForce:
     @given(case=multi_rank_cases())
     @settings(max_examples=200, deadline=None)
     def test_multi_rank_search_matches_single_rank_calls(self, case):
-        # One (1, g) search must give each rank the bits of its own call,
-        # whichever path and block size answered it.
+        # One (1, g) search must give each rank the bits of its own call and
+        # of brute force, whichever path and block size answered it; so must
+        # nn_cross, whose queries and references both repeat where the set does.
         path, data, g, budget = case
         ps = PointSet(data)
         with pytest.MonkeyPatch.context() as mp:
@@ -457,9 +506,15 @@ class TestGridMatchesBruteForce:
             got = kth_nn_within(ps, (1, g))
             assert len(got) == 2
             for rank, res in zip((1, g), got):
-                want = kth_nn_within(ps, rank)
-                assert np.array_equal(res.distances, want.distances)
-                assert np.array_equal(res.indices, want.indices)
+                ref_d, ref_i = brute_kth(data, data, rank, within=True)
+                for found in (res, kth_nn_within(ps, rank)):
+                    assert np.array_equal(found.distances, ref_d)
+                    assert np.array_equal(found.indices, ref_i)
+            queries = data[::-2]
+            res = nn_cross(PointSet(queries), ps)
+        ref_d, ref_i = brute_kth(queries, data, 1, within=False)
+        assert np.array_equal(res.distances, ref_d)
+        assert np.array_equal(res.indices, ref_i)
 
     def test_screen_where_norms_overflow(self):
         # Bounds turn NaN or +inf; the NaN ones must keep their columns, and a
@@ -568,6 +623,64 @@ class TestGridMatchesBruteForce:
             finally:
                 tracemalloc.stop()
             assert peak <= neighbors._BLOCK_BUDGET * 8, f"k={k}: peak {peak / 2**20:.1f} MiB"
+
+
+class TestDistinctPoints:
+    @staticmethod
+    def searched(monkeypatch):
+        """The (query rows, reference rows) of every `_search` call."""
+        calls = []
+        search = neighbors._search
+
+        def spy(q, r, *args, **kwargs):
+            calls.append((q.shape[0], r.shape[0]))
+            return search(q, r, *args, **kwargs)
+
+        monkeypatch.setattr(neighbors, "_search", spy)
+        return calls
+
+    @pytest.mark.parametrize("layout", ["normal", "lattice"])
+    def test_copies_are_searched_once(self, monkeypatch, layout):
+        # The final pool of a memorizing loop: 1,000 distinct rows, 3,500 in
+        # all. On the lattice, rows that share a first coordinate interleave.
+        rng = np.random.default_rng(73)
+        if layout == "lattice":
+            base = np.array([[a, b] for a in range(25) for b in range(40)], dtype=np.float64)
+        else:
+            base = rng.standard_normal((1000, 2))
+        pool = PointSet(np.concatenate([base, base[rng.integers(0, 1000, 2500)]]))
+        queries = PointSet(pool.data[rng.integers(0, 3500, 700)])
+        calls = self.searched(monkeypatch)
+        kth_nn_within(pool, (1, 3))
+        nn_cross(queries, pool)
+        assert calls == [(1000, 1000), (len(np.unique(queries.data, axis=0)), 1000)]
+
+    @pytest.mark.parametrize("layout", ["normal", "lattice"])
+    def test_duplicate_free_set_is_searched_whole(self, monkeypatch, layout):
+        # A lattice repeats every first coordinate, but no row.
+        rng = np.random.default_rng(79)
+        if layout == "lattice":
+            data = np.array([[a, b] for a in range(50) for b in range(70)], dtype=np.float64)
+        else:
+            data = rng.standard_normal((3500, 2))
+        calls = self.searched(monkeypatch)
+        kth_nn_within(PointSet(data), (1, 3))
+        nn_cross(PointSet(data[:700]), PointSet(data))
+        assert calls == [(3500, 3500), (700, 3500)]
+
+    def test_overflowing_features_are_searched_row_by_row(self):
+        # A random projection of rows near the largest double overflows to
+        # inf; copies of such a row measure NaN, not 0, as in the row search.
+        metric = DistanceMetric(kind="sqeuclidean", feature_map=FeatureMap(kind="randproj", target_dim=2, seed=1))
+        data = np.random.default_rng(83).standard_normal((30, 3))
+        data[:6] = 1.7e308
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = metric.feature_map.apply(data)
+            assert not np.isfinite(x[:6]).all(axis=1).any()
+            res = kth_nn_within(PointSet(data), 1, metric)
+            want_d, want_i = neighbors._search(x, x, (1,), within=True)
+        assert same_bits(res.distances, want_d[0])
+        assert np.array_equal(res.indices, want_i[0])
 
 
 class TestDeterminism:
