@@ -40,14 +40,7 @@ from .metrics import (
     pearson,
 )
 from .neighbors import NeighborResult, kth_nn_within, nn_cross
-from .selection import (
-    SelectionPolicy,
-    SelectionResult,
-    run_policy,
-    select_greedy,
-    select_random,
-    select_threshold_decay,
-)
+from .selection import SelectionPolicy, SelectionResult, run_policy
 from .specfun import digamma, log_gamma, log_unit_ball_volume
 from .tensorset import (
     EUCLIDEAN,

@@ -79,7 +79,7 @@ _SPECS = {
     "selection": (
         SelectionPolicy,
         {"greedy": ("greedy", ()), "random": ("random", ()), "threshold": ("threshold_decay", ("tau0", "alpha"))},
-        "none, greedy, random, or threshold:TAU0:ALPHA",
+        "greedy, random, or threshold:TAU0:ALPHA",
     ),
 }
 
@@ -136,27 +136,9 @@ def cmd_frechet(args) -> int:
 
 
 def cmd_select(args) -> int:
-    chosen = [flag for flag, on in (("--greedy", args.greedy), ("--random", args.random)) if on]
-    if args.threshold is not None:
-        chosen.append("--threshold")
-    if len(chosen) != 1:
-        raise ConfigError(f"exactly one selection policy flag is required, got {chosen or 'none'}")
-    metric = _metric_for(args)
-    if args.greedy:
-        policy = SelectionPolicy(kind="greedy", seed=args.seed, metric=metric, initial_index=args.start_index)
-    elif args.random:
-        policy = SelectionPolicy(kind="random", seed=args.seed, metric=metric)
-    else:
-        if len(args.threshold) != 2:
-            raise ConfigError("--threshold requires two values: TAU0 ALPHA (there is no default tau0)")
-        policy = SelectionPolicy(
-            kind="threshold_decay",
-            seed=args.seed,
-            metric=metric,
-            tau0=args.threshold[0],
-            alpha=args.threshold[1],
-            initial_index=args.start_index,
-        )
+    policy = parse_spec(
+        "selection", args.selection, seed=args.seed, metric=_metric_for(args), initial_index=args.start_index
+    )
     pool = _load(args)
     result = run_policy(pool, args.n, policy)
     if args.out:
@@ -309,9 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("select", help="select a subset of a candidate pool")
     common(p)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--greedy", action="store_true")
-    p.add_argument("--random", action="store_true")
-    p.add_argument("--threshold", nargs="*", type=float, default=None, metavar=("TAU0", "ALPHA"))
+    p.add_argument("--selection", required=True, help=_SPECS["selection"][2])
     p.add_argument("--start-index", type=int, default=None, help="pin the initial pick")
     p.add_argument("--out", default=None, help="write the selected subset here (input's format)")
     p.set_defaults(func=cmd_select)
@@ -332,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iterations", default=None)
     p.add_argument("--train-size", default=None, dest="train_size")
     p.add_argument("--generator", default=None)
-    p.add_argument("--selection", default=None, help=_SPECS["selection"][2])
+    p.add_argument("--selection", default=None, help="none, " + _SPECS["selection"][2])
     p.add_argument("--generation-multiplier", default=None, dest="generation_multiplier")
     p.add_argument("--metric", choices=("euclidean", "sqeuclidean"), default=None)
     p.add_argument("--feature", default=None, help=_SPECS["feature"][2])

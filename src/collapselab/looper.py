@@ -44,7 +44,7 @@ from .metrics import (
     moment_summary,
     pearson,
 )
-from .selection import SelectionPolicy, run_policy, select_random
+from .selection import SelectionPolicy, run_policy
 from .tensorset import (
     DistanceMetric,
     FeatureMap,
@@ -170,11 +170,9 @@ def run_loop(config: LoopConfig, real_data: PointSet, progress=None) -> LoopTrac
 
             if config.paradigm == "accumulate":
                 nxt = pool
-            elif config.selection is not None:
-                policy = dataclasses.replace(config.selection, seed=select_seed)
-                nxt = pool.rows(run_policy(pool, n, policy).indices)
-            elif config.paradigm == "accumulate_subsample":
-                nxt = pool.rows(select_random(pool, n, select_seed).indices)
+            elif config.selection is not None or config.paradigm == "accumulate_subsample":
+                policy = config.selection or SelectionPolicy(kind="random")
+                nxt = pool.rows(run_policy(pool, n, dataclasses.replace(policy, seed=select_seed)).indices)
             else:
                 nxt = pool
 

@@ -22,7 +22,6 @@ from .errors import (
     DegenerateInputError,
     DimensionError,
     DomainError,
-    EmptyDatasetError,
     InsufficientPointsError,
     NumericalError,
     check_fields,
@@ -88,14 +87,9 @@ def generalization_score(generated: PointSet, training: PointSet, metric: Distan
     """Mean distance from each generated point to its nearest training point.
 
     Zero means every generated point coincides with a training point: pure
-    memorization. Self-matches are not excluded by design.
+    memorization. Self-matches are not excluded by design. nn_cross
+    refuses an empty set and mismatched dimensions.
     """
-    if generated.size == 0:
-        raise EmptyDatasetError("generated set is empty")
-    if training.size == 0:
-        raise EmptyDatasetError("training set is empty")
-    if generated.dim != training.dim:
-        raise DimensionError(f"generated dimension {generated.dim} != training dimension {training.dim}")
     res = nn_cross(generated, training, metric)
     return float(res.distances.mean())
 

@@ -85,7 +85,6 @@ underflows to 0.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 
@@ -150,10 +149,11 @@ def _lift(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.hstack([x, sq, one]), np.hstack([-2.0 * x, one, sq - dim * _TINY])
 
 
-def _split(rows: np.ndarray, runs, n_cols: int, dim: int) -> list:
-    """Cut a group's query rows so each block fits _BLOCK_BUDGET."""
-    step = max(1, _BLOCK_BUDGET // max(1, n_cols * (dim if runs is not None else dim + 8)))
-    return [(rows[s : s + step], runs) for s in range(0, rows.size, step)]
+def _blocks(rows: np.ndarray, per_row: int) -> list[np.ndarray]:
+    """Cut query rows into blocks of at most _BLOCK_BUDGET elements, at
+    per_row elements a row."""
+    step = max(1, _BLOCK_BUDGET // max(1, per_row))
+    return [rows[s : s + step] for s in range(0, rows.size, step)]
 
 
 def _select(d2: np.ndarray, ranks: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
@@ -221,13 +221,13 @@ def _grid(q: np.ndarray, r: np.ndarray, within: bool):
     runs, candidate count), and for every query the bound its k-th squared
     distance must stay strictly below to be accepted. A group's runs are
     the slices of the sorted reference rows that make up its 3**d
-    neighboring cells; None stands for all reference rows.
+    neighboring cells. A one-cell grid has no groups: every query searches
+    all points.
     """
-    n_q, dim = q.shape
-    n_r = r.shape[0]
-    m = int((n_r / _POINTS_PER_CELL) ** (1.0 / dim))
+    dim = q.shape[1]
+    m = int((r.shape[0] / _POINTS_PER_CELL) ** (1.0 / dim))
     if m < _MIN_CELLS:
-        return None, [(np.arange(n_q), None, n_r)], np.full(n_q, np.inf)
+        return None, [], None
 
     lo = r.min(axis=0)
     hi = r.max(axis=0)
@@ -290,38 +290,28 @@ def _search(q: np.ndarray, r: np.ndarray, ranks: tuple[int, ...], within: bool) 
     With `within`, q is r and each query skips its own row.
     """
     n_q, dim = q.shape
-    n_r = r.shape[0]
-    k = ranks[-1]
     out_v = np.empty((len(ranks), n_q), dtype=np.float64)
     out_i = np.empty((len(ranks), n_q), dtype=np.int64)
     accepted = np.zeros(n_q, dtype=bool)
     order, groups, bound = _grid(q, r, within)
-
-    # Only screened blocks need the lifted references; a search the grid
-    # settles skips them.
-    right = functools.cache(lambda: _lift(r)[1])
-
-    def work(rows: np.ndarray, runs) -> None:
-        if runs is None:
-            vals, idx = _screen(q[rows], r, right(), ranks, rows if within else None)
-        else:
-            cand = np.sort(np.concatenate([order[run] for run in runs]))
-            d2 = sq_dists(q[rows], r[cand])
-            if within:
-                d2[np.arange(rows.size), np.searchsorted(cand, rows)] = np.inf
-            vals, cols = _select(d2, ranks)
-            idx = cand[cols]
-        out_v[:, rows] = vals
-        out_i[:, rows] = idx
-        # A block that searched every point is exact, even at an inf distance.
-        accepted[rows] = True if runs is None else vals[-1] < bound[rows]
-
     for rows, runs, n_cand in groups:
-        if n_cand >= k + within:
-            for blk in _split(rows, runs, n_cand, dim):
-                work(*blk)
-    for blk in _split(np.flatnonzero(~accepted), None, n_r, dim):
-        work(*blk)
+        if n_cand < ranks[-1] + within:
+            continue
+        cand = np.sort(np.concatenate([order[run] for run in runs]))
+        r_cand = r[cand]
+        for blk in _blocks(rows, cand.size * dim):
+            d2 = sq_dists(q[blk], r_cand)
+            if within:
+                d2[np.arange(blk.size), np.searchsorted(cand, blk)] = np.inf
+            vals, cols = _select(d2, ranks)
+            out_v[:, blk], out_i[:, blk] = vals, cand[cols]
+            accepted[blk] = vals[-1] < bound[blk]
+    # The rest search every point, which is exact even at an inf distance.
+    rest = np.flatnonzero(~accepted)
+    if rest.size:
+        right = _lift(r)[1]
+        for blk in _blocks(rest, r.shape[0] * (dim + 8)):
+            out_v[:, blk], out_i[:, blk] = _screen(q[blk], r, right, ranks, blk if within else None)
     return out_v, out_i
 
 
@@ -332,12 +322,11 @@ def _distinct(x: np.ndarray, keep: int = 1) -> tuple[np.ndarray, np.ndarray] | N
 
     Rows are one point when their coordinates compare equal, so rows that
     differ only in the sign of a zero are one point: every distance to
-    them has the same bits. A set holding a non-finite value (a feature
-    map can overflow) is not split into points.
+    them has the same bits.
     """
     n = x.shape[0]
     col = np.sort(x[:, 0])
-    if not (col[1:] == col[:-1]).any() or not np.isfinite(x).all():
+    if not (col[1:] == col[:-1]).any():
         return None
     # The sort is stable, so each point's rows stay ascending.
     order = np.lexsort(x.T[::-1])

@@ -11,9 +11,9 @@ Three policies:
                      again, until n points are selected.
   random          -- uniform sample without replacement (Fisher-Yates).
 
-All policies are deterministic given their seed. The initial point of the
-distance-based policies is a seeded uniform pick unless initial_index
-pins it.
+`run_policy` runs each of them. All are deterministic given their seed.
+The initial point of the distance-based policies is a seeded uniform pick
+unless initial_index pins it.
 """
 
 from __future__ import annotations
@@ -83,7 +83,7 @@ def _initial_index(pool_size: int, policy: SelectionPolicy) -> int:
     return int(rng.integers(pool_size))
 
 
-def _result(pool: PointSet, chosen: list[int], **extra) -> SelectionResult:
+def _result(pool: PointSet, chosen, **extra) -> SelectionResult:
     idx = np.asarray(chosen, dtype=np.int64)
     props = source_proportions(pool.sources[idx])
     return SelectionResult(indices=idx, source_proportions=props, **extra)
@@ -115,24 +115,9 @@ class _MinDistances:
         self.d2[i] = -1.0
 
 
-def select_greedy(pool: PointSet, n: int, policy: SelectionPolicy) -> SelectionResult:
-    """Farthest-point selection; ties break toward the lower index.
-
-    Squared distances order the argmax identically to true distances, so
-    the scan stays in squared form throughout.
-    """
-    if policy.kind != "greedy":
-        raise ConfigError(f"select_greedy called with policy kind {policy.kind!r}")
-    _check_request(pool, n)
-    nearest = _MinDistances(np.ascontiguousarray(policy.metric.feature_map.apply(pool.data)))
-    nearest.add(_initial_index(pool.size, policy))
-    for _ in range(1, n):
-        nearest.add(int(np.argmax(nearest.d2)))
-    return _result(pool, nearest.chosen)
-
-
-def select_threshold_decay(pool: PointSet, n: int, policy: SelectionPolicy) -> SelectionResult:
-    """Pass-and-decay filtering; membership grows within a pass.
+def _threshold_decay(nearest: _MinDistances, n: int, policy: SelectionPolicy) -> tuple[float, int]:
+    """Pass-and-decay filtering; membership grows within a pass. Returns
+    the final threshold and the number of passes.
 
     A candidate admitted mid-pass immediately constrains later candidates.
     If a full pass admits nothing the threshold decays by alpha; a run of
@@ -143,11 +128,6 @@ def select_threshold_decay(pool: PointSet, n: int, policy: SelectionPolicy) -> S
     minima, the minima of the distances: sqrt is monotone and correctly
     rounded.
     """
-    if policy.kind != "threshold_decay":
-        raise ConfigError(f"select_threshold_decay called with policy kind {policy.kind!r}")
-    _check_request(pool, n)
-    nearest = _MinDistances(np.ascontiguousarray(policy.metric.feature_map.apply(pool.data)))
-    nearest.add(_initial_index(pool.size, policy))
     dist = policy.metric.from_squared
     tau = float(policy.tau0)
     alpha = float(policy.alpha)
@@ -178,20 +158,22 @@ def select_threshold_decay(pool: PointSet, n: int, policy: SelectionPolicy) -> S
         while top <= tau:
             passes += 1
             tau *= alpha
-    return _result(pool, nearest.chosen, final_threshold=tau, passes=passes)
-
-
-def select_random(pool: PointSet, n: int, seed: int) -> SelectionResult:
-    """Uniform sample of n indices without replacement, deterministic in seed."""
-    _check_request(pool, n)
-    rng = np.random.default_rng(seed)
-    idx = rng.permutation(pool.size)[:n]
-    return _result(pool, [int(i) for i in idx])
+    return tau, passes
 
 
 def run_policy(pool: PointSet, n: int, policy: SelectionPolicy) -> SelectionResult:
+    """The n pool rows that the policy selects, in the order it picks them."""
+    _check_request(pool, n)
+    if policy.kind == "random":
+        # Uniform sample without replacement, deterministic in the seed.
+        return _result(pool, np.random.default_rng(policy.seed).permutation(pool.size)[:n])
+    nearest = _MinDistances(np.ascontiguousarray(policy.metric.feature_map.apply(pool.data)))
+    nearest.add(_initial_index(pool.size, policy))
     if policy.kind == "greedy":
-        return select_greedy(pool, n, policy)
-    if policy.kind == "threshold_decay":
-        return select_threshold_decay(pool, n, policy)
-    return select_random(pool, n, policy.seed)
+        # Farthest point first, ties toward the lower index. Squared
+        # distances order the argmax as true distances do.
+        while len(nearest.chosen) < n:
+            nearest.add(int(np.argmax(nearest.d2)))
+        return _result(pool, nearest.chosen)
+    tau, passes = _threshold_decay(nearest, n, policy)
+    return _result(pool, nearest.chosen, final_threshold=tau, passes=passes)

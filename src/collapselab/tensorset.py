@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, EmptyDatasetError, FormatError, check_fields
+from .errors import ConfigError, DimensionError, EmptyDatasetError, FormatError, NumericalError, check_fields
 
 RAWBIN_MAGIC = b"CLPS"
 RAWBIN_VERSION = 1
@@ -142,7 +142,8 @@ class FeatureMap:
       identity  -- raw coordinates.
       randproj  -- seeded Gaussian random projection to target_dim, scaled
                    by 1/sqrt(target_dim); the matrix is regenerated
-                   deterministically from (seed, input dim).
+                   deterministically from (seed, input dim). A projected
+                   coordinate that overflows is a NumericalError.
     """
 
     kind: str = "identity"
@@ -170,7 +171,11 @@ class FeatureMap:
             return data
         rng = np.random.default_rng(self.seed)
         matrix = rng.standard_normal((data.shape[1], self.target_dim)) / math.sqrt(self.target_dim)
-        return data @ matrix
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = data @ matrix
+        if not np.isfinite(out).all():
+            raise NumericalError("randproj feature map overflowed: a projected coordinate is not finite")
+        return out
 
 
 @dataclass(frozen=True, eq=False)

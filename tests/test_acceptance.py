@@ -35,10 +35,8 @@ from collapselab import (
     moment_summary,
     run_loop,
     sample,
+    run_policy,
     save_pointset,
-    select_greedy,
-    select_random,
-    select_threshold_decay,
 )
 from collapselab.looper import ROLE_FIT, ROLE_SAMPLE, derive_seed
 
@@ -112,7 +110,7 @@ def test_04_greedy_two_approximation():
         data = rng.standard_normal((10, 2)) * rng.uniform(0.2, 10.0)
         opt = max(min_pairwise(data, c) for c in itertools.combinations(range(10), 4))
         got = min_pairwise(
-            data, select_greedy(PointSet(data), 4, SelectionPolicy(kind="greedy", seed=trial)).indices
+            data, run_policy(PointSet(data), 4, SelectionPolicy(kind="greedy", seed=trial)).indices
         )
         worst_ratio = min(worst_ratio, got / opt)
     assert verdict(4, "greedy within 1/2 of optimum", worst_ratio >= 0.5 - 1e-12, f"worst_ratio={worst_ratio:.4f}")
@@ -124,8 +122,8 @@ def test_05_selection_entropy_dominance():
     for seed in range(20):
         rng = np.random.default_rng([5, seed])
         pool = gaussian_blobs(rng, 1024, spread=6.0)
-        g = select_greedy(pool, 256, SelectionPolicy(kind="greedy", seed=seed))
-        r = select_random(pool, 256, seed=seed)
+        g = run_policy(pool, 256, SelectionPolicy(kind="greedy", seed=seed))
+        r = run_policy(pool, 256, SelectionPolicy(kind="random", seed=seed))
         greedy_H.append(kl_entropy(pool.rows(g.indices)).estimate)
         random_H.append(kl_entropy(pool.rows(r.indices)).estimate)
     delta = float(np.mean(greedy_H) - np.mean(random_H))
@@ -137,10 +135,10 @@ def test_05_selection_entropy_dominance():
 
 def test_06_threshold_decay_hand_trace():
     pool = PointSet([[0.0], [1.0], [9.0], [10.0]])
-    res = select_threshold_decay(
+    res = run_policy(
         pool, 3, SelectionPolicy(kind="threshold_decay", tau0=5.0, alpha=0.5, initial_index=0)
     )
-    vanilla = select_threshold_decay(
+    vanilla = run_policy(
         pool, 3, SelectionPolicy(kind="threshold_decay", tau0=0.0, alpha=0.0, initial_index=0)
     )
     got = [int(i) for i in res.indices]

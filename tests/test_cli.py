@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import pytest
 import collapselab.cli as cli
 import collapselab.looper as looper
 from collapselab import (
+    ConfigError,
     DistanceMetric,
     FeatureMap,
     GeneratorSpec,
@@ -27,6 +29,7 @@ from collapselab.cli import main
 from collapselab.generators import GENERATOR_FIELDS
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 # What the installer's generated console-script wrapper does, with the
 # `module:attr` target taken from argv[1] instead of baked in.
@@ -130,13 +133,24 @@ class TestScalarCommands:
     def test_negative_projection_seed_is_config_error(self, two_point_csv):
         assert main(["entropy", "--input", str(two_point_csv), "--feature", "randproj:2:-1"]) == 4
 
+    def test_overflowing_projection_is_numerical_error(self, tmp_path, capsys):
+        # Rows near the largest double project to inf; the frechet path used
+        # to leave through PointSet's non-finite check as an I/O error (exit 2).
+        data = np.random.default_rng(83).standard_normal((30, 3))
+        data[:6] = 1.7e308
+        p = tmp_path / "huge.csv"
+        save_pointset(PointSet(data), p)
+        for command in (["entropy"], ["frechet", "--other", str(p)], ["select", "--n", "3", "--selection", "greedy"]):
+            assert main([*command, "--input", str(p), "--feature", "randproj:2:1"]) == 5
+            assert "randproj" in capsys.readouterr().err
+
 
 class TestSelect:
     def test_greedy_forced_start_hand_trace(self, tmp_path, capsys):
         p = tmp_path / "pool.csv"
         p.write_text("0.0\n1.0\n9.0\n10.0\n")
         code = main(
-            ["select", "--input", str(p), "--n", "2", "--greedy", "--start-index", "0"]
+            ["select", "--input", str(p), "--n", "2", "--selection", "greedy", "--start-index", "0"]
         )
         assert code == 0
         assert json.loads(capsys.readouterr().out)["indices"] == [0, 3]
@@ -147,7 +161,7 @@ class TestSelect:
         code = main(
             [
                 "select", "--input", str(p), "--n", "3",
-                "--threshold", "5", "0.5", "--start-index", "0",
+                "--selection", "threshold:5:0.5", "--start-index", "0",
             ]
         )
         assert code == 0
@@ -156,33 +170,34 @@ class TestSelect:
         assert doc["final_threshold"] == 0.625
         assert doc["passes"] == 5
 
-    def test_exactly_one_policy_required(self, tmp_path):
+    def test_selection_is_required(self, tmp_path):
         p = tmp_path / "pool.csv"
         p.write_text("0.0\n1.0\n")
         assert main(["select", "--input", str(p), "--n", "1"]) == 4
-        assert main(["select", "--input", str(p), "--n", "1", "--greedy", "--random"]) == 4
+        # `none` is a loop word: a loop may train without selecting.
+        assert main(["select", "--input", str(p), "--n", "1", "--selection", "none"]) == 4
 
     def test_threshold_needs_two_values(self, tmp_path):
         p = tmp_path / "pool.csv"
         p.write_text("0.0\n1.0\n")
-        assert main(["select", "--input", str(p), "--n", "1", "--threshold"]) == 4
-        assert main(["select", "--input", str(p), "--n", "1", "--threshold", "5"]) == 4
+        assert main(["select", "--input", str(p), "--n", "1", "--selection", "threshold"]) == 4
+        assert main(["select", "--input", str(p), "--n", "1", "--selection", "threshold:5"]) == 4
 
-    @pytest.mark.parametrize("policy", ["--greedy", "--random"])
+    @pytest.mark.parametrize("policy", ["greedy", "random"])
     def test_negative_seed_is_config_error(self, two_point_csv, capsys, policy):
         # It used to reach numpy's generator and leave as an I/O error (exit 2).
-        assert main(["select", "--input", str(two_point_csv), "--n", "2", policy, "--seed", "-1"]) == 4
+        assert main(["select", "--input", str(two_point_csv), "--n", "2", "--selection", policy, "--seed", "-1"]) == 4
         assert capsys.readouterr().err.startswith("error: ")
 
     def test_request_larger_than_pool_is_precondition_error(self, tmp_path):
         p = tmp_path / "pool.csv"
         p.write_text("0.0\n1.0\n")
-        assert main(["select", "--input", str(p), "--n", "10", "--random"]) == 3
+        assert main(["select", "--input", str(p), "--n", "10", "--selection", "random"]) == 3
 
     def test_out_writes_subset(self, blob_csv, tmp_path, capsys):
         out = tmp_path / "subset.csv"
         code = main(
-            ["select", "--input", str(blob_csv), "--n", "10", "--greedy", "--out", str(out)]
+            ["select", "--input", str(blob_csv), "--n", "10", "--selection", "greedy", "--out", str(out)]
         )
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
@@ -190,6 +205,41 @@ class TestSelect:
         pool = load_pointset(blob_csv)
         assert subset.size == 10
         assert np.array_equal(subset.data, pool.data[np.array(doc["indices"])])
+
+    @pytest.mark.parametrize(
+        "spec",
+        ["greedy", "random", "threshold:5:0.5", "threshold:0:0", "threshold:5", "threshold", "threshold:5:0.5:1",
+         "threshold:5:2", "threshold:x:0.5", "threshold_decay:5:0.5", "greedy:1", "bogus"],
+    )
+    def test_select_and_loop_accept_the_same_specs(self, blob_csv, tmp_path, capsys, spec):
+        select = main(["select", "--input", str(blob_csv), "--n", "12", "--selection", spec])
+        loop = main(
+            ["loop", "--real", str(blob_csv), "--paradigm", "replace", "--iterations", "1", "--train-size", "30",
+             "--generator", "bootstrap:0.1", "--selection", spec, "--canonical", "--out", str(tmp_path / "t")]
+        )
+        assert (select, loop) in ((0, 0), (4, 4))
+
+    def test_help_names_only_the_selection_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["select", "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert "--selection" in out
+        assert not any(flag in out for flag in ("--greedy", "--random", "--threshold"))
+
+
+def test_readme_command_lines_parse():
+    """Every `collapselab ...` line of the README's "Command line" block,
+    continuations joined, is a command line the parser accepts."""
+    section = README.read_text().split("\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("\n```", 1)[0].replace("\\\n", " ")
+    lines = [line for line in block.splitlines() if line.startswith("collapselab ")]
+    assert len(lines) >= 8
+    for line in lines:
+        try:
+            cli.build_parser().parse_args(shlex.split(line)[1:])
+        except ConfigError as exc:
+            pytest.fail(f"README line {line!r}: {exc}")
 
 
 class TestResultDocuments:
@@ -218,11 +268,11 @@ class TestResultDocuments:
     @pytest.mark.parametrize(
         "flags, policy",
         [
-            (["--greedy"], dict(kind="greedy", seed=4)),
-            (["--greedy", "--start-index", "7"], dict(kind="greedy", seed=4, initial_index=7)),
-            (["--random"], dict(kind="random", seed=4)),
-            (["--threshold", "3", "0.5"], dict(kind="threshold_decay", seed=4, tau0=3.0, alpha=0.5)),
-            (["--threshold", "0", "0", "--start-index", "2"],
+            (["--selection", "greedy"], dict(kind="greedy", seed=4)),
+            (["--selection", "greedy", "--start-index", "7"], dict(kind="greedy", seed=4, initial_index=7)),
+            (["--selection", "random"], dict(kind="random", seed=4)),
+            (["--selection", "threshold:3:0.5"], dict(kind="threshold_decay", seed=4, tau0=3.0, alpha=0.5)),
+            (["--selection", "threshold:0:0", "--start-index", "2"],
              dict(kind="threshold_decay", seed=4, tau0=0.0, alpha=0.0, initial_index=2)),
         ],
     )
@@ -270,9 +320,11 @@ class TestNonFiniteSettings:
         assert proc.stderr.splitlines()[-1].startswith("error: ")
         assert not prefix.with_suffix(".json").exists()
 
-    @pytest.mark.parametrize("threshold", [["inf", "0.5"], ["nan", "0.5"], ["1.0", "nan"], ["1.0", "inf"]])
-    def test_select(self, two_point_csv, threshold):
-        proc = run_cli(["select", "--input", str(two_point_csv), "--n", "2", "--threshold", *threshold], timeout=60)
+    @pytest.mark.parametrize(
+        "spec", ["threshold:inf:0.5", "threshold:nan:0.5", "threshold:1.0:nan", "threshold:1.0:inf"]
+    )
+    def test_select(self, two_point_csv, spec):
+        proc = run_cli(["select", "--input", str(two_point_csv), "--n", "2", "--selection", spec], timeout=60)
         assert proc.returncode == 4, proc.stderr
         assert proc.stderr.startswith("error: ")
         assert proc.stdout == ""

@@ -8,6 +8,7 @@ from collapselab import (
     DegenerateInputError,
     DimensionError,
     DomainError,
+    EmptyDatasetError,
     EPS_FLOOR,
     EUCLIDEAN,
     FeatureMap,
@@ -161,6 +162,11 @@ class TestGeneralizationScore:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             generalization_score(PointSet([[0.0]]), PointSet([[0.0, 1.0]]))
+
+    def test_empty_sets(self):
+        for generated, training in ((np.empty((0, 2)), [[0.0, 1.0]]), ([[0.0, 1.0]], np.empty((0, 2)))):
+            with pytest.raises(EmptyDatasetError):
+                generalization_score(PointSet(generated), PointSet(training))
 
 
 class TestMnnd:

@@ -18,6 +18,7 @@ from collapselab import (
     EUCLIDEAN,
     FeatureMap,
     InsufficientPointsError,
+    NumericalError,
     PointSet,
     kth_nn_within,
     nn_cross,
@@ -668,19 +669,17 @@ class TestDistinctPoints:
         nn_cross(PointSet(data[:700]), PointSet(data))
         assert calls == [(3500, 3500), (700, 3500)]
 
-    def test_overflowing_features_are_searched_row_by_row(self):
+    def test_overflowing_features_are_numerical_errors(self):
         # A random projection of rows near the largest double overflows to
-        # inf; copies of such a row measure NaN, not 0, as in the row search.
+        # inf; those rows used to measure NaN distances.
         metric = DistanceMetric(kind="sqeuclidean", feature_map=FeatureMap(kind="randproj", target_dim=2, seed=1))
         data = np.random.default_rng(83).standard_normal((30, 3))
         data[:6] = 1.7e308
-        with np.errstate(over="ignore", invalid="ignore"):
-            x = metric.feature_map.apply(data)
-            assert not np.isfinite(x[:6]).all(axis=1).any()
-            res = kth_nn_within(PointSet(data), 1, metric)
-            want_d, want_i = neighbors._search(x, x, (1,), within=True)
-        assert same_bits(res.distances, want_d[0])
-        assert np.array_equal(res.indices, want_i[0])
+        with pytest.raises(NumericalError, match="randproj"):
+            kth_nn_within(PointSet(data), 1, metric)
+        with pytest.raises(NumericalError, match="randproj"):
+            nn_cross(PointSet(data[6:]), PointSet(data), metric)
+        assert np.isfinite(kth_nn_within(PointSet(data[6:]), 1, metric).distances).all()
 
 
 class TestDeterminism:
@@ -731,14 +730,14 @@ class TestDeterminism:
         script = (
             "import sys\n"
             "import numpy as np\n"
-            "from collapselab import PointSet, SelectionPolicy, kth_nn_within, nn_cross, select_greedy\n"
+            "from collapselab import PointSet, SelectionPolicy, kth_nn_within, nn_cross, run_policy\n"
             "rng = np.random.default_rng(67)\n"
             "data = rng.standard_normal((1500, 8)) + rng.uniform(-4, 4, (4, 8))[rng.integers(0, 4, 1500)]\n"
             "data[1000:1200] = data[:200]\n"
             "ps = PointSet(data)\n"
             "out = [kth_nn_within(ps, k) for k in (1, 3)] + [nn_cross(PointSet(rng.standard_normal((700, 8))), ps)]\n"
             "sys.stdout.buffer.write(b''.join(r.distances.tobytes() + r.indices.tobytes() for r in out))\n"
-            "sys.stdout.buffer.write(select_greedy(ps, 300, SelectionPolicy(kind='greedy')).indices.tobytes())\n"
+            "sys.stdout.buffer.write(run_policy(ps, 300, SelectionPolicy(kind='greedy')).indices.tobytes())\n"
         )
         src = str(Path(__file__).resolve().parents[1] / "src")
         outputs = set()

@@ -15,9 +15,6 @@ from collapselab import (
     SelectionPolicy,
     kl_entropy,
     run_policy,
-    select_greedy,
-    select_random,
-    select_threshold_decay,
 )
 from collapselab.neighbors import sq_dists
 from collapselab.selection import _check_request, _initial_index
@@ -37,26 +34,26 @@ LINE = PointSet([[0.0], [1.0], [9.0], [10.0]])
 class TestGreedy:
     def test_hand_trace_forced_start(self):
         policy = SelectionPolicy(kind="greedy", initial_index=0)
-        res2 = select_greedy(LINE, 2, policy)
+        res2 = run_policy(LINE, 2, policy)
         assert list(res2.indices) == [0, 3]
-        res3 = select_greedy(LINE, 3, policy)
+        res3 = run_policy(LINE, 3, policy)
         assert list(res3.indices) == [0, 3, 1]
 
     def test_tie_breaks_to_lowest_index(self):
         # symmetric pool: both endpoints are farthest from the center
         ps = PointSet([[0.0], [-5.0], [5.0]])
-        res = select_greedy(ps, 2, SelectionPolicy(kind="greedy", initial_index=0))
+        res = run_policy(ps, 2, SelectionPolicy(kind="greedy", initial_index=0))
         assert list(res.indices) == [0, 1]
 
     def test_full_selection_is_permutation(self):
         rng = np.random.default_rng(1)
         ps = PointSet(rng.standard_normal((30, 2)))
-        res = select_greedy(ps, 30, SelectionPolicy(kind="greedy", seed=4))
+        res = run_policy(ps, 30, SelectionPolicy(kind="greedy", seed=4))
         assert sorted(res.indices) == list(range(30))
 
     def test_duplicate_heavy_pool_fills_up(self):
         ps = PointSet([[0.0], [0.0], [0.0], [1.0]])
-        res = select_greedy(ps, 4, SelectionPolicy(kind="greedy", initial_index=0))
+        res = run_policy(ps, 4, SelectionPolicy(kind="greedy", initial_index=0))
         assert sorted(res.indices) == [0, 1, 2, 3]
         assert list(res.indices[:2]) == [0, 3]
 
@@ -64,8 +61,8 @@ class TestGreedy:
         rng = np.random.default_rng(2)
         ps = PointSet(rng.standard_normal((50, 3)))
         policy = SelectionPolicy(kind="greedy", seed=77)
-        a = select_greedy(ps, 10, policy)
-        b = select_greedy(ps, 10, policy)
+        a = run_policy(ps, 10, policy)
+        b = run_policy(ps, 10, policy)
         assert np.array_equal(a.indices, b.indices)
 
     def test_two_approximation_against_exhaustive_oracle(self):
@@ -76,7 +73,7 @@ class TestGreedy:
             opt = max(
                 min_pairwise(data, combo) for combo in itertools.combinations(range(10), 4)
             )
-            res = select_greedy(ps, 4, SelectionPolicy(kind="greedy", seed=trial))
+            res = run_policy(ps, 4, SelectionPolicy(kind="greedy", seed=trial))
             assert min_pairwise(data, res.indices) >= 0.5 * opt - 1e-12
 
     def test_entropy_dominates_random_subsets(self):
@@ -105,11 +102,11 @@ class TestGreedy:
 
     def test_request_validation(self):
         with pytest.raises(InsufficientPointsError):
-            select_greedy(LINE, 5, SelectionPolicy(kind="greedy"))
+            run_policy(LINE, 5, SelectionPolicy(kind="greedy"))
         with pytest.raises(ConfigError):
-            select_greedy(LINE, 0, SelectionPolicy(kind="greedy"))
+            run_policy(LINE, 0, SelectionPolicy(kind="greedy"))
         with pytest.raises(ConfigError):
-            select_greedy(LINE, 2, SelectionPolicy(kind="greedy", initial_index=4))
+            run_policy(LINE, 2, SelectionPolicy(kind="greedy", initial_index=4))
 
 
 class TestThresholdDecay:
@@ -117,19 +114,19 @@ class TestThresholdDecay:
         policy = SelectionPolicy(
             kind="threshold_decay", tau0=5.0, alpha=0.5, initial_index=0
         )
-        res = select_threshold_decay(LINE, 3, policy)
+        res = run_policy(LINE, 3, policy)
         assert list(res.indices) == [0, 2, 1]
         assert res.final_threshold == 0.625
         assert res.passes == 5
 
     def test_vanilla_reduction_scan_order_prefix(self):
         policy = SelectionPolicy(kind="threshold_decay", tau0=0.0, alpha=0.0, initial_index=0)
-        res = select_threshold_decay(LINE, 3, policy)
+        res = run_policy(LINE, 3, policy)
         assert list(res.indices) == [0, 1, 2]
 
     def test_single_point_needs_no_pass(self):
         policy = SelectionPolicy(kind="threshold_decay", tau0=5.0, alpha=0.5, initial_index=0)
-        res = select_threshold_decay(LINE, 1, policy)
+        res = run_policy(LINE, 1, policy)
         assert list(res.indices) == [0]
         assert res.passes == 0
         assert res.final_threshold == 5.0
@@ -137,14 +134,14 @@ class TestThresholdDecay:
     def test_duplicate_stagnation_fills_in_scan_order(self):
         ps = PointSet([[0.0], [0.0], [0.0], [5.0]])
         policy = SelectionPolicy(kind="threshold_decay", tau0=1.0, alpha=0.5, initial_index=0)
-        res = select_threshold_decay(ps, 3, policy)
+        res = run_policy(ps, 3, policy)
         assert list(res.indices) == [0, 3, 1]
 
     def test_no_decay_with_unreachable_threshold_rejected(self):
         ps = PointSet([[0.0], [1.0]])
         policy = SelectionPolicy(kind="threshold_decay", tau0=10.0, alpha=1.0, initial_index=0)
         with pytest.raises(ConfigError):
-            select_threshold_decay(ps, 2, policy)
+            run_policy(ps, 2, policy)
 
     def test_slow_decay_behaves_like_spacing_filter(self):
         # with tau0 above the diameter and alpha near 1, admitted points
@@ -157,8 +154,8 @@ class TestThresholdDecay:
             policy = SelectionPolicy(
                 kind="threshold_decay", tau0=1.1 * diam, alpha=0.999, seed=trial
             )
-            res = select_threshold_decay(ps, 30, policy)
-            base = select_random(ps, 30, seed=trial)
+            res = run_policy(ps, 30, policy)
+            base = run_policy(ps, 30, SelectionPolicy(kind="random", seed=trial))
             assert min_pairwise(data, res.indices) >= min_pairwise(data, base.indices) - 1e-12
 
     def test_policy_validation(self):
@@ -191,8 +188,8 @@ class TestThresholdDecay:
 
 
 def reference_threshold_decay(pool, n, policy):
-    """The pass-by-pass scan that select_threshold_decay replaced, kept as
-    its oracle: (indices, passes, final_threshold)."""
+    """The pass-by-pass scan that the threshold-decay selection replaced,
+    kept as its oracle: (indices, passes, final_threshold)."""
     _check_request(pool, n)
     x = np.ascontiguousarray(policy.metric.feature_map.apply(pool.data))
     start = _initial_index(pool.size, policy)
@@ -240,8 +237,8 @@ def reference_threshold_decay(pool, n, policy):
 
 
 def reference_greedy(pool, n, policy):
-    """The full-row update loop that select_greedy replaced, kept as its
-    oracle: (indices, None, None)."""
+    """The full-row update loop that the greedy selection replaced, kept as
+    its oracle: (indices, None, None)."""
     _check_request(pool, n)
     x = np.ascontiguousarray(policy.metric.feature_map.apply(pool.data))
     start = _initial_index(pool.size, policy)
@@ -326,7 +323,7 @@ class TestThresholdDecayMatchesPassByPassScan:
         for seed in range(2):
             policy = SelectionPolicy(kind="greedy", seed=seed)
             expect = decay_outcome(reference_greedy, PointSet(data), 400, policy)
-            assert decay_outcome(select_greedy, PointSet(data), 400, policy) == expect
+            assert decay_outcome(run_policy, PointSet(data), 400, policy) == expect
 
     @pytest.mark.parametrize(
         "data",
@@ -353,9 +350,9 @@ class TestThresholdDecayMatchesPassByPassScan:
     def test_long_barren_run_is_counted_pass_by_pass(self):
         pool = PointSet([[0.0], [1.0], [2.0]])
         policy = SelectionPolicy(kind="threshold_decay", tau0=1000.0, alpha=0.999, initial_index=0)
-        res = select_threshold_decay(pool, 3, policy)
+        res = run_policy(pool, 3, policy)
         assert res.passes == 6907
-        assert decay_outcome(select_threshold_decay, pool, 3, policy) == decay_outcome(
+        assert decay_outcome(run_policy, pool, 3, policy) == decay_outcome(
             reference_threshold_decay, pool, 3, policy
         )
 
@@ -365,28 +362,28 @@ class TestThresholdDecayMatchesPassByPassScan:
         for alpha in (0.5, 0.9, 0.999):
             policy = SelectionPolicy(kind="threshold_decay", tau0=5.0, alpha=alpha, seed=3)
             expect = decay_outcome(reference_threshold_decay, pool, 150, policy)
-            assert decay_outcome(select_threshold_decay, pool, 150, policy) == expect
+            assert decay_outcome(run_policy, pool, 150, policy) == expect
 
 
 class TestRandom:
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(6)
         ps = PointSet(rng.standard_normal((40, 2)))
-        a = select_random(ps, 15, seed=3)
-        b = select_random(ps, 15, seed=3)
+        a = run_policy(ps, 15, SelectionPolicy(kind="random", seed=3))
+        b = run_policy(ps, 15, SelectionPolicy(kind="random", seed=3))
         assert np.array_equal(a.indices, b.indices)
         assert len(set(a.indices)) == 15
 
     def test_full_draw_is_permutation(self):
         ps = PointSet(np.arange(12.0).reshape(12, 1))
-        res = select_random(ps, 12, seed=0)
+        res = run_policy(ps, 12, SelectionPolicy(kind="random", seed=0))
         assert sorted(res.indices) == list(range(12))
 
     def test_roughly_uniform_over_seeds(self):
         ps = PointSet(np.arange(20.0).reshape(20, 1))
         counts = np.zeros(20)
         for seed in range(200):
-            counts[list(select_random(ps, 5, seed=seed).indices)] += 1
+            counts[list(run_policy(ps, 5, SelectionPolicy(kind="random", seed=seed)).indices)] += 1
         freq = counts / (200 * 5)
         assert np.all(np.abs(freq - 1.0 / 20.0) < 0.02)
 
@@ -395,14 +392,16 @@ class TestPolicyDispatch:
     def test_run_policy_routes_by_kind(self):
         rng = np.random.default_rng(7)
         ps = PointSet(rng.standard_normal((30, 2)))
-        g = run_policy(ps, 8, SelectionPolicy(kind="greedy", seed=1))
-        assert np.array_equal(g.indices, select_greedy(ps, 8, SelectionPolicy(kind="greedy", seed=1)).indices)
+        policy = SelectionPolicy(kind="greedy", seed=1)
+        assert decay_outcome(run_policy, ps, 8, policy) == decay_outcome(reference_greedy, ps, 8, policy)
+        policy = SelectionPolicy(kind="threshold_decay", tau0=2.0, alpha=0.5, seed=1)
+        assert decay_outcome(run_policy, ps, 8, policy) == decay_outcome(reference_threshold_decay, ps, 8, policy)
         r = run_policy(ps, 8, SelectionPolicy(kind="random", seed=1))
-        assert np.array_equal(r.indices, select_random(ps, 8, seed=1).indices)
+        assert np.array_equal(r.indices, np.random.default_rng(1).permutation(30)[:8])
 
     def test_source_proportions_of_choice(self):
         ps = PointSet(np.arange(8.0).reshape(8, 1), sources=[0, 0, 0, 0, 1, 1, 2, 2])
-        res = select_random(ps, 4, seed=9)
+        res = run_policy(ps, 4, SelectionPolicy(kind="random", seed=9))
         manual = {}
         for i in res.indices:
             label = source_label(ps.sources[i])
