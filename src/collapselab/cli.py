@@ -101,18 +101,14 @@ def _metric_for(args) -> DistanceMetric:
     return DistanceMetric(feature_map=parse_spec("feature", args.feature))
 
 
-def _load(args, attr="input"):
-    return load_pointset(getattr(args, attr), args.format)
-
-
 def cmd_entropy(args) -> int:
-    ps = _load(args)
+    ps = load_pointset(args.input, args.format)
     _emit(kl_entropy(ps, args.gamma, _metric_for(args)))
     return 0
 
 
 def cmd_gs(args) -> int:
-    generated = _load(args)
+    generated = load_pointset(args.input, args.format)
     training = load_pointset(args.training, args.format)
     value = generalization_score(generated, training, _metric_for(args))
     _emit({"gs": value})
@@ -120,7 +116,7 @@ def cmd_gs(args) -> int:
 
 
 def cmd_mnnd(args) -> int:
-    ps = _load(args)
+    ps = load_pointset(args.input, args.format)
     value = mnnd(ps, _metric_for(args))
     _emit({"mnnd": value})
     return 0
@@ -128,7 +124,7 @@ def cmd_mnnd(args) -> int:
 
 def cmd_frechet(args) -> int:
     fmap = parse_spec("feature", args.feature)
-    a = moment_summary(apply_feature_map(_load(args), fmap))
+    a = moment_summary(apply_feature_map(load_pointset(args.input, args.format), fmap))
     b = moment_summary(apply_feature_map(load_pointset(args.other, args.format), fmap))
     value = frechet_gaussian_distance(a, b)
     _emit({"frechet": value})
@@ -139,7 +135,7 @@ def cmd_select(args) -> int:
     policy = parse_spec(
         "selection", args.selection, seed=args.seed, metric=_metric_for(args), initial_index=args.start_index
     )
-    pool = _load(args)
+    pool = load_pointset(args.input, args.format)
     result = run_policy(pool, args.n, policy)
     if args.out:
         save_pointset(pool.rows(result.indices), args.out, args.format)
@@ -150,7 +146,7 @@ def cmd_select(args) -> int:
 def cmd_gen(args) -> int:
     if args.tag_iteration < 0:
         raise ConfigError(f"--tag-iteration must be non-negative, got {args.tag_iteration}")
-    training = _load(args)
+    training = load_pointset(args.input, args.format)
     spec = parse_spec("generator", args.generator)
     fit_seed = looper.derive_seed(args.seed, 0, looper.ROLE_FIT)
     sample_seed = looper.derive_seed(args.seed, 0, looper.ROLE_SAMPLE)
@@ -304,21 +300,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("loop", help="run a self-consuming training loop")
+    p = sub.add_parser("loop", help="run a self-consuming training loop", description="--selection also takes none.")
     p.add_argument("--real", required=True, help="real dataset path")
     p.add_argument("--format", choices=("csv", "rawbin"), default="csv")
     p.add_argument("--config", default=None, help="key=value file mirroring the loop config")
-    p.add_argument("--paradigm", choices=("replace", "accumulate", "accumulate_subsample"), default=None)
-    p.add_argument("--iterations", default=None)
-    p.add_argument("--train-size", default=None, dest="train_size")
-    p.add_argument("--generator", default=None)
-    p.add_argument("--selection", default=None, help="none, " + _SPECS["selection"][2])
-    p.add_argument("--generation-multiplier", default=None, dest="generation_multiplier")
-    p.add_argument("--metric", choices=("euclidean", "sqeuclidean"), default=None)
-    p.add_argument("--feature", default=None, help=_SPECS["feature"][2])
-    p.add_argument("--gamma", default=None)
-    p.add_argument("--seed", default=None, dest="master_seed", metavar="SEED", help="master seed")
-    p.add_argument("--pool-cap", default=None, dest="pool_cap")
+    for key in _CONFIG_KEYS:
+        flag = "--seed" if key == "master_seed" else "--" + key.replace("_", "-")
+        p.add_argument(flag, dest=key, help=_SPECS[key][2] if key in _SPECS else None)
     p.add_argument("--canonical", action="store_true", help="omit timestamp/host for byte-stable output")
     p.add_argument("--out", required=True, help="output prefix; writes PREFIX.json and PREFIX.csv")
     p.set_defaults(func=cmd_loop)

@@ -2,11 +2,13 @@
 
 Three fit/sample families, all deterministic given their seeds:
 
-  gaussian  -- maximum-likelihood Gaussian (mean, 1/n covariance), sampled
-               through the symmetric eigendecomposition of the covariance.
+  gaussian  -- maximum-likelihood Gaussian (mean, 1/n covariance), kept as
+               a one-component mixture.
   gmm       -- full-covariance Gaussian mixture fit by EM with a seeded
                k-means++-style initialization; collapsing component
-               covariances are floored at 1e-9 I and flagged.
+               covariances are floored at 1e-9 I and flagged. A mixture
+               samples each component through the symmetric
+               eigendecomposition of its covariance.
   bootstrap -- resample training rows with replacement and add isotropic
                Gaussian jitter sigma; sigma=0 is a pure memorizer whose
                samples are bit-exact training rows.
@@ -67,10 +69,7 @@ class FitDiagnostics:
 class FittedGenerator:
     spec: GeneratorSpec
     dim: int
-    # gaussian
-    mean: np.ndarray | None = None
-    covariance: np.ndarray | None = None
-    # gmm
+    # gaussian and gmm
     weights: np.ndarray | None = None
     means: np.ndarray | None = None
     covariances: np.ndarray | None = None
@@ -198,7 +197,9 @@ def fit(spec: GeneratorSpec, training: PointSet) -> FittedGenerator:
         if training.size < 2:
             raise InsufficientPointsError(f"gaussian fit needs at least 2 points, got {training.size}")
         mean, cov = _mle_moments(data)
-        return FittedGenerator(spec=spec, dim=training.dim, mean=mean, covariance=cov)
+        return FittedGenerator(
+            spec=spec, dim=training.dim, weights=np.array([1.0]), means=mean[None], covariances=cov[None]
+        )
     if spec.kind == "gmm":
         if training.size < spec.components:
             raise InsufficientPointsError(
@@ -215,15 +216,12 @@ def sample(gen: FittedGenerator, m: int, seed: int) -> PointSet:
     if not is_number(m, int) or m < 1:
         raise ConfigError(f"sample count must be a positive integer, got {m!r}")
     rng = np.random.default_rng(seed)
-    if gen.spec.kind == "gaussian":
-        a = _sample_transform(gen.covariance)
-        z = rng.standard_normal((m, gen.dim))
-        return PointSet(gen.mean + z @ a.T)
-    if gen.spec.kind == "gmm":
-        comp = rng.choice(gen.weights.shape[0], size=m, p=gen.weights)
+    if gen.spec.kind != "bootstrap":
+        # A gaussian draws no component labels, so its samples keep their bits; gmm:1 draws them.
+        comp = np.zeros(m, np.intp) if gen.spec.kind == "gaussian" else rng.choice(len(gen.weights), m, p=gen.weights)
         z = rng.standard_normal((m, gen.dim))
         out = np.empty((m, gen.dim), dtype=np.float64)
-        for j in range(gen.weights.shape[0]):
+        for j in range(len(gen.weights)):
             mask = comp == j
             if not mask.any():
                 continue

@@ -11,9 +11,14 @@ carries over except data.
 Paradigms:
   replace               D_{n+1} comes from G_n alone.
   accumulate            D_{n+1} is the whole pool: real data plus every
-                        generation so far (capped, hard error beyond).
+                        generation so far.
   accumulate_subsample  D_{n+1} is a fixed-size subset of that pool
                         (random when no selection policy is given).
+
+Every generation has ceil(generation_multiplier * train_size) points, and
+the largest pool a run holds (the generation under replace, the final
+accumulated pool otherwise) must fit in pool_cap, or the run is refused
+before its first fit.
 
 Per-iteration seeds derive from master_seed via SplitMix64:
 seed = splitmix64(master_seed ^ (iteration * GOLDEN) ^ role), with role
@@ -26,6 +31,7 @@ import dataclasses
 import json
 import math
 import platform
+import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
@@ -82,6 +88,8 @@ class LoopConfig:
     train_size: int
     generator: GeneratorSpec
     selection: SelectionPolicy | None = None
+    # None resolves to 2.0 for replace with a policy and to 1.0 otherwise;
+    # the field holds the float the loop runs with.
     generation_multiplier: float | None = None
     metric: DistanceMetric = DistanceMetric()
     gamma: int = 1
@@ -91,24 +99,23 @@ class LoopConfig:
     def __post_init__(self) -> None:
         check_fields(self)
         if self.paradigm not in _PARADIGMS:
-            raise ConfigError(f"unknown paradigm {self.paradigm!r}")
+            raise ConfigError(f"unknown paradigm {self.paradigm!r} (expected {', '.join(_PARADIGMS)})")
         if self.iterations < 1:
             raise ConfigError(f"iterations must be >= 1, got {self.iterations}")
         if self.train_size < 1:
             raise ConfigError(f"train_size must be >= 1, got {self.train_size}")
         if self.gamma < 1:
             raise ConfigError(f"gamma must be >= 1, got {self.gamma}")
-        if self.generation_multiplier is not None and not 0.0 < self.generation_multiplier < math.inf:
+        # An int multiplier too large for a float fails here, not in float().
+        if self.generation_multiplier is not None and not 0.0 < self.generation_multiplier <= sys.float_info.max:
             raise ConfigError(f"generation_multiplier must be positive and finite, got {self.generation_multiplier}")
         if self.pool_cap < 1:
             raise ConfigError(f"pool_cap must be >= 1, got {self.pool_cap}")
         if self.paradigm == "accumulate" and self.selection is not None:
             raise ConfigError("accumulate trains on the full pool; a selection policy is contradictory")
-
-    def effective_multiplier(self) -> float:
-        if self.generation_multiplier is not None:
-            return float(self.generation_multiplier)
-        return 2.0 if (self.paradigm == "replace" and self.selection is not None) else 1.0
+        default = 2.0 if (self.paradigm == "replace" and self.selection is not None) else 1.0
+        multiplier = default if self.generation_multiplier is None else self.generation_multiplier
+        object.__setattr__(self, "generation_multiplier", float(multiplier))
 
 
 @dataclass(frozen=True)
@@ -139,14 +146,19 @@ def run_loop(config: LoopConfig, real_data: PointSet, progress=None) -> LoopTrac
         raise InsufficientPointsError(f"need at least {n} real points, got {real_data.size}")
     if real_data.size and int(real_data.sources.max()) != 0:
         raise ConfigError("real_data must be tagged real (source code 0) throughout")
-    if config.paradigm in ("accumulate", "accumulate_subsample"):
-        final_pool = real_data.size + config.iterations * n
-        if final_pool > config.pool_cap:
-            raise ConfigError(
-                f"pool would grow to {final_pool} points, beyond the cap of {config.pool_cap}"
-            )
+    # The largest pool is one generation under replace and the real data
+    # plus every generation otherwise. The unrounded generation is held to
+    # its share of the cap, which is exact for integer sizes and keeps an
+    # overflowing product (inf) away from ceil.
+    share = config.generation_multiplier * n
+    cap = config.pool_cap
+    if share > (cap if config.paradigm == "replace" else (cap - real_data.size) // config.iterations):
+        raise ConfigError(
+            f"generation_multiplier {config.generation_multiplier:g} x train_size {n} would grow "
+            f"the pool beyond pool_cap {cap}"
+        )
+    g_size = math.ceil(share)
 
-    mult = config.effective_multiplier()
     fmap = config.metric.feature_map
     squared = dataclasses.replace(config.metric, kind="sqeuclidean")
     real_ref = moment_summary(apply_feature_map(real_data, fmap))
@@ -162,7 +174,6 @@ def run_loop(config: LoopConfig, real_data: PointSet, progress=None) -> LoopTrac
             select_seed = derive_seed(config.master_seed, it, ROLE_SELECT)
 
             gen = fit(dataclasses.replace(config.generator, seed=fit_seed), current)
-            g_size = math.ceil(mult * n) if config.paradigm == "replace" else n
             generation = sample(gen, g_size, sample_seed).with_sources(it)
             gs_value = generalization_score(generation, current, config.metric)
 
@@ -291,8 +302,7 @@ def correlate_trace(traces) -> CorrelationReport:
 # Only two choices are not generic:
 #   - a generator writes only the fields its kind uses, GENERATOR_FIELDS
 #     (so gmm:1 still writes components: 1);
-#   - the config echo writes selection: null when there is no policy, and
-#     the effective generation multiplier in place of the declared one.
+#   - the config echo writes selection: null when there is no policy.
 
 
 def to_doc(obj):
@@ -316,11 +326,8 @@ def trace_to_json(trace: LoopTrace, canonical: bool = False) -> str:
     if not canonical:
         doc["timestamp"] = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
         doc["host"] = platform.node()
-    # Every config field has its key, so an absent selection stays as null,
-    # and assigning to an existing key keeps the key order.
-    config = dict.fromkeys(f.name for f in dataclasses.fields(LoopConfig))
-    config.update(to_doc(trace.config), generation_multiplier=trace.config.effective_multiplier())
-    doc["config"] = config
+    # Every config field has its key, so an absent selection stays as null.
+    doc["config"] = {**dict.fromkeys(f.name for f in dataclasses.fields(LoopConfig)), **to_doc(trace.config)}
     doc["real_reference"] = to_doc(trace.real_reference)
     doc["records"] = [to_doc(r) for r in trace.records]
     return json.dumps(doc, indent=2) + "\n"

@@ -187,7 +187,7 @@ class DistanceMetric:
 
     def __post_init__(self) -> None:
         if self.kind not in ("euclidean", "sqeuclidean"):
-            raise ConfigError(f"unknown metric kind {self.kind!r}")
+            raise ConfigError(f"unknown metric kind {self.kind!r} (expected euclidean, sqeuclidean)")
 
     def from_squared(self, sq: np.ndarray) -> np.ndarray:
         """Convert exact squared euclidean values into this metric's units."""

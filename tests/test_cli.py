@@ -554,6 +554,38 @@ class TestLoop:
         assert code == 5
         assert not prefix.with_suffix(".json").exists()
 
+    @pytest.mark.parametrize("paradigm", ["replace", "accumulate", "accumulate_subsample"])
+    def test_overflowing_generation_multiplier_is_config_error(self, blob_csv, tmp_path, capsys, paradigm):
+        # 1e308 x train_size overflows to inf: the pool cap refuses it before
+        # any generation size is rounded up.
+        prefix = tmp_path / "t"
+        code = main(
+            ["loop", "--real", str(blob_csv), "--paradigm", paradigm, "--iterations", "2", "--train-size", "50",
+             "--generator", "bootstrap:0.1", "--generation-multiplier", "1e308", "--out", str(prefix)]
+        )
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].startswith("error: generation_multiplier 1e+308 x train_size 50")
+        assert "Traceback" not in err
+        assert not prefix.with_suffix(".json").exists()
+
+    def test_replace_generation_is_held_to_the_pool_cap(self, blob_csv, tmp_path):
+        # --train-size 100 at 1.5 samples generations of 150 points.
+        prefix = tmp_path / "t"
+        extra = ["--generation-multiplier", "1.5", "--pool-cap"]
+        assert main(self.loop_args(blob_csv, prefix, [*extra, "149"])) == 4
+        assert not prefix.with_suffix(".json").exists()
+        assert main(self.loop_args(blob_csv, prefix, [*extra, "150"])) == 0
+
+    @pytest.mark.parametrize(
+        "flag, value, expected",
+        [("--paradigm", "mixup", "replace, accumulate, accumulate_subsample"),
+         ("--metric", "cosine", "euclidean, sqeuclidean")],
+    )
+    def test_refused_word_names_the_valid_ones(self, blob_csv, tmp_path, capsys, flag, value, expected):
+        assert main(self.loop_args(blob_csv, tmp_path / "t", [flag, value])) == 4
+        assert f"{value!r} (expected {expected})" in capsys.readouterr().err
+
     def test_numeric_failure_maps_to_exit_five(self, blob_csv, tmp_path, monkeypatch):
         def boom(config, real, progress=None):
             raise NumericalError("synthetic failure")

@@ -13,7 +13,7 @@ from collapselab import (
     sample,
 )
 from collapselab.generators import _COV_FLOOR, FitDiagnostics, _kmeanspp_centers
-from collapselab.metrics import _mle_moments
+from collapselab.metrics import _mle_moments, _psd_clip
 
 
 def reference_log_density(data, mean, cov):
@@ -118,12 +118,12 @@ class TestSpecValidation:
 class TestGaussian:
     def test_mle_moments_hand_value(self):
         gen = fit(GeneratorSpec(kind="gaussian"), PointSet([[-1.0], [1.0]]))
-        assert gen.mean[0] == 0.0
-        assert gen.covariance[0, 0] == 1.0
+        assert gen.means[0][0] == 0.0
+        assert gen.covariances[0][0, 0] == 1.0
 
     def test_population_normalization(self):
         gen = fit(GeneratorSpec(kind="gaussian"), PointSet([[0.0], [1.0]]))
-        assert gen.covariance[0, 0] == 0.25
+        assert gen.covariances[0][0, 0] == 0.25
 
     def test_sampling_deterministic(self):
         rng = np.random.default_rng(0)
@@ -139,9 +139,9 @@ class TestGaussian:
         source = rng.standard_normal((400, 2)) @ np.array([[2.0, 0.3], [0.0, 0.5]]) + [1.0, -2.0]
         gen = fit(GeneratorSpec(kind="gaussian"), PointSet(source))
         out = sample(gen, 65536, seed=2)
-        assert np.max(np.abs(out.data.mean(axis=0) - gen.mean)) <= 0.02
+        assert np.max(np.abs(out.data.mean(axis=0) - gen.means[0])) <= 0.02
         emp_cov = np.cov(out.data, rowvar=False, bias=True)
-        assert np.max(np.abs(emp_cov - gen.covariance)) <= 0.05
+        assert np.max(np.abs(emp_cov - gen.covariances[0])) <= 0.05
 
     def test_refit_contraction_law(self):
         # one resampling step shrinks the covariance trace by (m-1)/m on average
@@ -151,9 +151,31 @@ class TestGaussian:
             base = fit(GeneratorSpec(kind="gaussian"), PointSet(rng.standard_normal((100, 2))))
             refit = fit(GeneratorSpec(kind="gaussian"), sample(base, 100, seed=rep))
             ratios.append(
-                float(np.trace(refit.covariance)) / float(np.trace(base.covariance))
+                float(np.trace(refit.covariances[0])) / float(np.trace(base.covariances[0]))
             )
         assert abs(float(np.mean(ratios)) - 0.99) <= 0.02
+
+    def test_fit_is_a_one_component_mixture(self):
+        data = np.random.default_rng(7).standard_normal((40, 3))
+        gen = fit(GeneratorSpec(kind="gaussian"), PointSet(data))
+        mean, cov = _mle_moments(data)
+        assert gen.weights.tolist() == [1.0]
+        assert gen.means.tobytes() == mean[None].tobytes()
+        assert gen.covariances.tobytes() == cov[None].tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 8, 17])
+    @pytest.mark.parametrize("m", [1, 7, 1000])
+    def test_sample_bits_match_the_single_gaussian_formula(self, d, m):
+        # The sampler before the gaussian became a one-component mixture:
+        # no component labels, then mean + z @ a.T on the whole draw.
+        for seed in range(5):
+            rng = np.random.default_rng([d, seed])
+            data = rng.standard_normal((30, d)) @ rng.standard_normal((d, d))
+            gen = fit(GeneratorSpec(kind="gaussian"), PointSet(data))
+            w, v = np.linalg.eigh(gen.covariances[0])
+            a = v * np.sqrt(_psd_clip(w, "covariance"))
+            z = np.random.default_rng(seed).standard_normal((m, d))
+            assert sample(gen, m, seed).data.tobytes() == (gen.means[0] + z @ a.T).tobytes()
 
     def test_needs_two_points(self):
         with pytest.raises(InsufficientPointsError):
@@ -174,8 +196,8 @@ class TestGmm:
         data = PointSet(rng.standard_normal((80, 2)) * 2.0 + 5.0)
         g1 = fit(GeneratorSpec(kind="gmm", components=1), data)
         g0 = fit(GeneratorSpec(kind="gaussian"), data)
-        np.testing.assert_allclose(g1.means[0], g0.mean, rtol=1e-10)
-        np.testing.assert_allclose(g1.covariances[0], g0.covariance, rtol=1e-8, atol=1e-12)
+        np.testing.assert_allclose(g1.means[0], g0.means[0], rtol=1e-10)
+        np.testing.assert_allclose(g1.covariances[0], g0.covariances[0], rtol=1e-8, atol=1e-12)
         assert g1.weights[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_log_likelihood_monotone(self):

@@ -92,11 +92,11 @@ class TestLoopConfig:
             bootstrap_config(paradigm="accumulate", selection=SelectionPolicy(kind="random"))
 
     def test_effective_multiplier_defaults(self):
-        assert bootstrap_config().effective_multiplier() == 1.0
+        assert bootstrap_config().generation_multiplier == 1.0
         greedy = bootstrap_config(selection=SelectionPolicy(kind="greedy"))
-        assert greedy.effective_multiplier() == 2.0
+        assert greedy.generation_multiplier == 2.0
         explicit = bootstrap_config(generation_multiplier=1.5)
-        assert explicit.effective_multiplier() == 1.5
+        assert explicit.generation_multiplier == 1.5
 
     def test_multiplier_validated(self):
         with pytest.raises(ConfigError):
@@ -110,6 +110,10 @@ class TestLoopConfig:
             bootstrap_config(train_size=0)
         with pytest.raises(ConfigError):
             bootstrap_config(gamma=0)
+
+    def test_int_multiplier_beyond_float_range_is_config_error(self):
+        with pytest.raises(ConfigError, match="generation_multiplier must be positive and finite"):
+            bootstrap_config(generation_multiplier=10**400)
 
     @pytest.mark.parametrize(
         "field, value",
@@ -130,7 +134,7 @@ class TestLoopConfig:
     def test_multiplier_must_be_a_number(self, value):
         with pytest.raises(ConfigError, match="generation_multiplier"):
             bootstrap_config(generation_multiplier=value)
-        assert bootstrap_config(generation_multiplier=2).effective_multiplier() == 2.0
+        assert bootstrap_config(generation_multiplier=2).generation_multiplier == 2.0
 
 
 class TestRunLoop:
@@ -215,12 +219,40 @@ class TestRunLoop:
         trace = run_loop(cfg, blob_data(8, 100))
         assert trace.records[0].entropy.size == 150
 
+    @pytest.mark.parametrize("paradigm", ["accumulate", "accumulate_subsample"])
+    def test_accumulating_multiplier_sets_the_rows_added_per_iteration(self, monkeypatch, paradigm):
+        sizes = []
+        draw = looper.sample
+
+        def spy(gen, m, seed):
+            sizes.append(m)
+            return draw(gen, m, seed)
+
+        monkeypatch.setattr(looper, "sample", spy)
+        cfg = bootstrap_config(paradigm=paradigm, iterations=3, train_size=25, generation_multiplier=1.5)
+        trace = run_loop(cfg, blob_data(8, 50))
+        assert sizes == [math.ceil(1.5 * 25)] * 3
+        if paradigm == "accumulate":
+            assert [rec.entropy.size for rec in trace.records] == [50 + 38 * it for it in (1, 2, 3)]
+
+    @pytest.mark.parametrize(
+        "paradigm, fits", [("replace", 16), ("accumulate", 30 + 2 * 16), ("accumulate_subsample", 30 + 2 * 16)]
+    )
+    def test_pool_cap_bounds_the_largest_rounded_pool(self, paradigm, fits):
+        # Generations of ceil(1.55 x 10) = 16 points: the largest pool is one
+        # generation under replace and 30 real rows plus two otherwise.
+        cfg = dict(paradigm=paradigm, iterations=2, train_size=10, generation_multiplier=1.55)
+        real = blob_data(9, 30)
+        run_loop(bootstrap_config(**cfg, pool_cap=fits), real)
+        with pytest.raises(ConfigError, match=f"beyond pool_cap {fits - 1}"):
+            run_loop(bootstrap_config(**cfg, pool_cap=fits - 1), real)
+
     def test_replace_selection_cuts_pool_back_to_train_size(self):
         cfg = bootstrap_config(
             iterations=2, train_size=80, selection=SelectionPolicy(kind="greedy", seed=0)
         )
         trace = run_loop(cfg, blob_data(9, 80))
-        assert cfg.effective_multiplier() == 2.0
+        assert cfg.generation_multiplier == 2.0
         assert all(rec.entropy.size == 80 for rec in trace.records)
 
     def test_gaussian_loop_contracts_covariance(self):
@@ -400,7 +432,7 @@ class TestSerialization:
         assert back.config.metric.kind == trace.config.metric.kind
         assert back.config.metric.feature_map.kind == trace.config.metric.feature_map.kind
         assert dataclasses.replace(back.config, metric=trace.config.metric) == dataclasses.replace(
-            trace.config, generation_multiplier=trace.config.effective_multiplier()
+            trace.config, generation_multiplier=trace.config.generation_multiplier
         )
 
     def test_canonical_omits_environment_fields(self):
@@ -417,6 +449,11 @@ class TestSerialization:
         cfg = bootstrap_config(selection=SelectionPolicy(kind="greedy", seed=0))
         doc = json.loads(trace_to_json(run_loop(cfg, blob_data(22, 60)), canonical=True))
         assert doc["config"]["generation_multiplier"] == 2.0
+
+    def test_int_multiplier_echoes_as_a_float(self):
+        trace = run_loop(bootstrap_config(iterations=1, generation_multiplier=2), blob_data(22, 60))
+        assert trace.config.generation_multiplier == 2.0
+        assert '"generation_multiplier": 2.0,' in trace_to_json(trace, canonical=True)
 
     def test_csv_shape_and_padding(self):
         cfg = bootstrap_config(iterations=3, train_size=50)
@@ -486,7 +523,7 @@ def reference_config_doc(config):
         "train_size": config.train_size,
         "generator": gen_doc,
         "selection": sel_doc,
-        "generation_multiplier": config.effective_multiplier(),
+        "generation_multiplier": config.generation_multiplier,
         "metric": reference_metric_doc(config.metric),
         "gamma": config.gamma,
         "master_seed": config.master_seed,
