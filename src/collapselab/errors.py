@@ -11,6 +11,7 @@ number_type gives the CLI the type to convert a setting's text to.
 """
 
 import dataclasses
+import sys
 
 
 class CollapseLabError(Exception):
@@ -73,8 +74,11 @@ _NUMBERS = {"int": (int, False), "int | None": (int, True), "float": (float, Fal
 
 
 def is_number(value, kind: type = float) -> bool:
-    """value is an int, or for kind float an int or a float; a bool is neither."""
-    return not isinstance(value, bool) and isinstance(value, int if kind is int else (int, float))
+    """value is an int, or for kind float a float or an int within the float
+    range; a bool is neither."""
+    if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
+        return False
+    return kind is int or isinstance(value, float) or abs(value) <= sys.float_info.max
 
 
 def number_type(cls, name: str) -> type | None:
@@ -87,7 +91,8 @@ def number_type(cls, name: str) -> type | None:
 def check_fields(obj) -> None:
     """Refuse each field of dataclass obj whose value lacks the type of its
     number annotation: int, float, int | None, float | None or
-    dict[str, float]. A float field takes an int; other fields pass."""
+    dict[str, float]. A float field takes an int that a float can hold;
+    other fields pass."""
     for f in dataclasses.fields(obj):
         value = getattr(obj, f.name)
         if f.type == "dict[str, float]":
@@ -96,4 +101,8 @@ def check_fields(obj) -> None:
             kind, optional = _NUMBERS.get(f.type, (None, True))
             ok = kind is None or is_number(value, kind) or optional and value is None
         if not ok:
-            raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
+            try:
+                shown = repr(value)
+            except ValueError:  # an int with more digits than Python prints
+                shown = "an int too long to print"
+            raise ConfigError(f"{f.name} must be {f.type}, got {shown}")

@@ -31,7 +31,6 @@ import dataclasses
 import json
 import math
 import platform
-import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
@@ -106,8 +105,7 @@ class LoopConfig:
             raise ConfigError(f"train_size must be >= 1, got {self.train_size}")
         if self.gamma < 1:
             raise ConfigError(f"gamma must be >= 1, got {self.gamma}")
-        # An int multiplier too large for a float fails here, not in float().
-        if self.generation_multiplier is not None and not 0.0 < self.generation_multiplier <= sys.float_info.max:
+        if self.generation_multiplier is not None and not 0.0 < self.generation_multiplier < math.inf:
             raise ConfigError(f"generation_multiplier must be positive and finite, got {self.generation_multiplier}")
         if self.pool_cap < 1:
             raise ConfigError(f"pool_cap must be >= 1, got {self.pool_cap}")

@@ -81,6 +81,29 @@ among the first k entries. The rule compares only the bits the kernel
 returns, so it holds for ties, for zeros of either sign, whose distances
 have the same bits, and for distinct rows whose squared distance
 underflows to 0.
+
+Exact matches. `nn_cross` splits the references stacked over the queries
+once. The points that hold a reference row come first, and each one's
+first row is its lowest reference row. A query in such a point measures 0
+to that row, and only copies can measure 0 when every non-zero |coordinate|
+of the stack is at least 1e-145 (features are finite: PointSet refuses
+anything else, and the feature maps refuse overflow). Such a coordinate
+lies at or above 2^-482, so it is a multiple of 2^-534, its unit in the
+last place; two distinct values then differ by at least 2^-534, and by
+monotone rounding so does their computed difference. Its square is at
+least 2^-1068, a non-zero subnormal, and a sum of non-negative squares is
+at least each of them. So such a query gets (0, that first row) without a
+search, and only the points that hold no reference row are searched.
+Below the bound, distinct rows may measure 0, and every point that holds
+a query is searched.
+
+Reuse. `_search(u, u, ranks, within=True)` is a pure function of the bits
+of u and of the ranks: blocks, screens and BLAS threads change no bit.
+`_within` keeps its last search of a set's distinct points. When the next
+set has the same distinct points, compared as integer bit patterns so that
+zeros of either sign never alias, at the same ranks, it reads those
+answers and only rebuilds L_g and spreads them. A loop whose generations
+copy points it has already measured searches them once.
 """
 
 from __future__ import annotations
@@ -103,6 +126,12 @@ _MIN_CELLS = 4
 _EPS = float(np.finfo(np.float64).eps)
 _TINY = float(np.finfo(np.float64).tiny)
 _HUGE = float(np.finfo(np.float64).max) / 8
+# Non-zero coordinates at least this large keep every distinct pair above
+# squared distance 0 (module docstring, "Exact matches").
+_MATCH_FLOOR = 1e-145
+# The last distinct-point search of `_within` as (ranks, points, squared
+# distances, indices), all read-only; None before the first.
+_memo = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -350,6 +379,7 @@ def _within(x: np.ndarray, ranks: tuple[int, ...]) -> tuple[np.ndarray, np.ndarr
     """`_search(x, x, ranks, within=True)`, with each distinct point searched
     once and its answers spread to its copies by the rule of the module
     docstring."""
+    global _memo
     n, top = x.shape[0], ranks[-1]
     found = _distinct(x, top + 1)
     if found is None:
@@ -358,10 +388,18 @@ def _within(x: np.ndarray, ranks: tuple[int, ...]) -> tuple[np.ndarray, np.ndarr
     u = x[copies[:, 0]]
     # Each point's nearest `top` other points, or all of them if fewer.
     near = tuple(range(1, min(top, u.shape[0] - 1) + 1))
-    if near:
-        v, i = _search(u, u, near, within=True)
-    else:
+    memo = _memo
+    if not near:
         v, i = np.empty((0, u.shape[0])), np.empty((0, u.shape[0]), dtype=np.int64)
+    elif memo and memo[0] == near and memo[1].shape == u.shape and np.array_equal(
+        memo[1].view(np.uint64), u.view(np.uint64)
+    ):
+        v, i = memo[2:]
+    else:
+        v, i = _search(u, u, near, within=True)
+        for a in (u, v, i):
+            a.flags.writeable = False
+        _memo = (near, u, v, i)
     # L_g: the point's own rows at distance 0, then each neighbor's first `top`.
     rows = np.hstack([copies, copies[i.T, :top].reshape(u.shape[0], -1)])
     d2 = np.hstack([np.zeros(copies.shape), np.repeat(v.T, top, axis=1)])
@@ -405,7 +443,8 @@ def kth_nn_within(
 def nn_cross(queries: PointSet, refs: PointSet, metric: DistanceMetric = DistanceMetric()) -> NeighborResult:
     """Nearest reference point for every query; a query may match itself.
 
-    Identical rows in queries and refs produce a distance of exactly zero.
+    Identical rows in queries and refs produce a distance of exactly zero,
+    and a query that copies a reference row is answered without a search.
     """
     if refs.size == 0:
         raise EmptyDatasetError("reference set is empty")
@@ -415,17 +454,24 @@ def nn_cross(queries: PointSet, refs: PointSet, metric: DistanceMetric = Distanc
         raise DimensionError(f"query dimension {queries.dim} != reference dimension {refs.dim}")
     q = np.ascontiguousarray(metric.feature_map.apply(queries.data))
     r = np.ascontiguousarray(metric.feature_map.apply(refs.data))
-    # Equal queries get equal answers, and the first row of the nearest
-    # distinct reference is the lowest of its tied rows.
-    q_found, r_found = _distinct(q), _distinct(r)
-    if q_found:
-        q = q[q_found[0][:, 0]]
-    if r_found:
-        r = r[r_found[0][:, 0]]
-    out_v, out_i = _search(q, r, (1,), within=False)
-    out_v, out_i = out_v[0], out_i[0]
-    if q_found:
-        out_v, out_i = out_v[q_found[1]], out_i[q_found[1]]
-    if r_found:
-        out_i = r_found[0][out_i, 0]
-    return NeighborResult(metric.from_squared(out_v), out_i)
+    x = np.vstack([r, q])
+    found = _distinct(x)
+    if found is None:
+        v, i = _search(q, r, (1,), within=False)
+        return NeighborResult(metric.from_squared(v[0]), i[0])
+    heads, point = found[0][:, 0], found[1][r.shape[0] :]
+    # Points 0..shared-1 hold a reference row, their first row: a query in
+    # one measures 0 to it, and above the floor nothing else measures 0.
+    shared = int(np.searchsorted(heads, r.shape[0]))
+    v, i = np.zeros(heads.size), heads.copy()
+    ask = np.zeros(heads.size, dtype=bool)
+    ask[point] = True
+    mag = np.abs(x)
+    if not ((mag > 0.0) & (mag < _MATCH_FLOOR)).any():
+        ask[:shared] = False
+    ask = np.flatnonzero(ask)
+    if ask.size:
+        found_v, found_i = _search(x[heads[ask]], r[heads[:shared]], (1,), within=False)
+        # The first row of the nearest distinct reference is the lowest of its tied rows.
+        v[ask], i[ask] = found_v[0], heads[found_i[0]]
+    return NeighborResult(metric.from_squared(v[point]), i[point])

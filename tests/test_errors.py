@@ -1,6 +1,7 @@
 """errors.check_fields: every number field of every checked dataclass."""
 
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -62,6 +63,27 @@ def test_float_fields_take_an_int_and_int_fields_refuse_a_float(obj, name, kind,
     else:
         with pytest.raises(ConfigError, match=f"^{name} must be "):
             dataclasses.replace(obj, **changed)
+
+
+FLOAT_FIELDS = [case for case in NUMBER_FIELDS if case[2] == "float"]
+
+
+def test_float_fields_of_every_setting_are_checked():
+    assert {type(obj) for obj, *_ in FLOAT_FIELDS} >= {GeneratorSpec, SelectionPolicy, LoopConfig}
+
+
+@pytest.mark.parametrize("obj, name, kind, optional, in_dict", FLOAT_FIELDS,
+                         ids=[f"{type(obj).__name__}.{name}" for obj, name, *_ in FLOAT_FIELDS])
+def test_float_fields_refuse_an_int_beyond_the_float_range(obj, name, kind, optional, in_dict):
+    # float() of such an int raises OverflowError, so it is refused here.
+    for bad, shown in ((10**400, "1000"), (-(10**400), "-1000"), (10**5000, "an int too long to print")):
+        with pytest.raises(ConfigError, match=f"^{name} must be .*got {{?('real': )?{shown}"):
+            dataclasses.replace(obj, **{name: {"real": bad} if in_dict else bad})
+    # The check itself, on a copy: the largest float as an int passes it.
+    copy = dataclasses.replace(obj)
+    largest = int(sys.float_info.max)
+    object.__setattr__(copy, name, {"real": largest} if in_dict else largest)
+    check_fields(copy)
 
 
 @pytest.mark.parametrize("target_dim, seed", [(2.5, 7), (True, 7), (2, 7.9), ("2", 7)])

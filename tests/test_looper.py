@@ -112,7 +112,7 @@ class TestLoopConfig:
             bootstrap_config(gamma=0)
 
     def test_int_multiplier_beyond_float_range_is_config_error(self):
-        with pytest.raises(ConfigError, match="generation_multiplier must be positive and finite"):
+        with pytest.raises(ConfigError, match="^generation_multiplier must be float"):
             bootstrap_config(generation_multiplier=10**400)
 
     @pytest.mark.parametrize(
@@ -769,16 +769,15 @@ def all_pairs_cross(queries, refs, metric=EUCLIDEAN):
 
 
 class TestAllPairsReferee:
-    @pytest.mark.parametrize("gamma", [1, 3])
-    @pytest.mark.parametrize("d", [2, 3])
-    def test_memorizing_loop_matches_all_pairs_search(self, monkeypatch, d, gamma):
-        # A bootstrap:0 accumulate loop fills its pool with copies; its trace
-        # must have the bytes of a loop whose every neighbor comes from all pairs.
+    @staticmethod
+    def assert_matches_all_pairs(monkeypatch, paradigm, sigma, d, gamma):
+        # The trace must have the bytes of a loop whose every neighbor comes
+        # from all pairs.
         cfg = LoopConfig(
-            paradigm="accumulate",
+            paradigm=paradigm,
             iterations=3,
             train_size=150,
-            generator=GeneratorSpec(kind="bootstrap", sigma=0.0),
+            generator=GeneratorSpec(kind="bootstrap", sigma=sigma),
             gamma=gamma,
             master_seed=6,
         )
@@ -787,3 +786,18 @@ class TestAllPairsReferee:
         monkeypatch.setattr(metrics, "kth_nn_within", all_pairs_kth)
         monkeypatch.setattr(metrics, "nn_cross", all_pairs_cross)
         assert trace_to_json(run_loop(cfg, real), canonical=True) == fast
+
+    @pytest.mark.parametrize("gamma", [1, 3, 4])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_memorizing_loop_matches_all_pairs_search(self, monkeypatch, d, gamma):
+        # A bootstrap:0 accumulate loop fills its pool with copies: the
+        # exact-match pass answers each generation, and each iteration
+        # reuses the search of the last.
+        self.assert_matches_all_pairs(monkeypatch, "accumulate", 0.0, d, gamma)
+
+    @pytest.mark.parametrize("gamma", [1, 4])
+    @pytest.mark.parametrize("paradigm, sigma", [("accumulate", 0.05), ("replace", 0.0)])
+    def test_loop_matches_all_pairs_search(self, monkeypatch, paradigm, sigma, gamma):
+        # New points at every iteration (sigma 0.05), and a replaced
+        # training set of copies.
+        self.assert_matches_all_pairs(monkeypatch, paradigm, sigma, 2, gamma)

@@ -629,7 +629,8 @@ class TestGridMatchesBruteForce:
 class TestDistinctPoints:
     @staticmethod
     def searched(monkeypatch):
-        """The (query rows, reference rows) of every `_search` call."""
+        """The (query rows, reference rows) of every `_search` call, from a
+        state in which no earlier search is kept for reuse."""
         calls = []
         search = neighbors._search
 
@@ -638,36 +639,120 @@ class TestDistinctPoints:
             return search(q, r, *args, **kwargs)
 
         monkeypatch.setattr(neighbors, "_search", spy)
+        monkeypatch.setattr(neighbors, "_memo", None)
         return calls
 
     @pytest.mark.parametrize("layout", ["normal", "lattice"])
     def test_copies_are_searched_once(self, monkeypatch, layout):
         # The final pool of a memorizing loop: 1,000 distinct rows, 3,500 in
         # all. On the lattice, rows that share a first coordinate interleave.
+        # The queries copy pool rows, except 100 new points taken twice each:
+        # only those are searched, once each.
         rng = np.random.default_rng(73)
         if layout == "lattice":
             base = np.array([[a, b] for a in range(25) for b in range(40)], dtype=np.float64)
+            new = base[:100] + 0.5
         else:
             base = rng.standard_normal((1000, 2))
+            new = rng.standard_normal((100, 2))
         pool = PointSet(np.concatenate([base, base[rng.integers(0, 1000, 2500)]]))
-        queries = PointSet(pool.data[rng.integers(0, 3500, 700)])
+        queries = np.concatenate([pool.data[rng.integers(0, 3500, 700)], new, new])
         calls = self.searched(monkeypatch)
         kth_nn_within(pool, (1, 3))
-        nn_cross(queries, pool)
-        assert calls == [(1000, 1000), (len(np.unique(queries.data, axis=0)), 1000)]
+        nn_cross(PointSet(queries[rng.permutation(len(queries))]), pool)
+        assert calls == [(1000, 1000), (100, 1000)]
 
     @pytest.mark.parametrize("layout", ["normal", "lattice"])
     def test_duplicate_free_set_is_searched_whole(self, monkeypatch, layout):
-        # A lattice repeats every first coordinate, but no row.
+        # A lattice repeats every first coordinate, but no row; no query is
+        # a reference row.
         rng = np.random.default_rng(79)
         if layout == "lattice":
             data = np.array([[a, b] for a in range(50) for b in range(70)], dtype=np.float64)
+            queries = data[:700] + 0.5
         else:
             data = rng.standard_normal((3500, 2))
+            queries = rng.standard_normal((700, 2))
         calls = self.searched(monkeypatch)
         kth_nn_within(PointSet(data), (1, 3))
-        nn_cross(PointSet(data[:700]), PointSet(data))
+        nn_cross(PointSet(queries), PointSet(data))
         assert calls == [(3500, 3500), (700, 3500)]
+
+    def test_exact_matches_are_refused_where_distinct_rows_can_measure_zero(self, monkeypatch):
+        # Coordinates near 1e-160, 1e-163 apart: (1e-163)**2 underflows to 0,
+        # so a copy of row 1 ties at 0 with the lower, distinct row 0, and
+        # the answer is row 0. Every distinct query point is searched.
+        rng = np.random.default_rng(89)
+        base = 1e-160 + 1e-163 * rng.integers(0, 4, (40, 2))
+        refs = base[rng.integers(0, 40, 120)]
+        queries = np.concatenate([refs[rng.integers(0, 120, 60)], 1e-160 + 1e-163 * rng.integers(4, 9, (20, 2))])
+        calls = self.searched(monkeypatch)
+        res = nn_cross(PointSet(queries), PointSet(refs))
+        assert calls == [(len(np.unique(queries, axis=0)), len(np.unique(refs, axis=0)))]
+        ref_d, ref_i = brute_kth(queries, refs, 1, within=False)
+        assert np.array_equal(res.distances, ref_d)
+        assert np.array_equal(res.indices, ref_i)
+        # Some copy's answer is not the reference row it copies.
+        first_copy = np.argmax((queries[:60, None] == refs).all(axis=2), axis=1)
+        assert (res.indices[:60] != first_copy).any()
+
+    def test_a_reused_search_answers_only_its_own_points(self, monkeypatch):
+        # A, then A with one coordinate moved by one ulp, then A again, then
+        # A with a zero of the other sign: each is searched, and a repeat of
+        # the last set is not.
+        rng = np.random.default_rng(97)
+        base = np.concatenate([rng.integers(-4, 5, (300, 2)).astype(np.float64), [[0.0, 1.0]]])
+        a = base[rng.integers(0, 301, 900)]
+        a[0] = [0.0, 1.0]
+        moved = a.copy()
+        moved[a[:, 0] == a[5, 0], 0] = np.nextafter(a[5, 0], np.inf)
+        signed = a.copy()
+        signed[a[:, 0] == 0.0, 0] = -0.0
+        calls = self.searched(monkeypatch)
+        for data in (a, moved, a, signed, signed):
+            for k, res in zip((1, 3), kth_nn_within(PointSet(data), (1, 3))):
+                ref_d, ref_i = brute_kth(data, data, k, within=True)
+                assert np.array_equal(res.distances, ref_d)
+                assert np.array_equal(res.indices, ref_i)
+        assert [q for q, _ in calls] == [len(np.unique(x, axis=0)) for x in (a, moved, a, signed)]
+
+    def test_mutating_a_result_changes_no_later_answer(self, monkeypatch):
+        rng = np.random.default_rng(101)
+        base = rng.standard_normal((200, 2))
+        pool = np.concatenate([base, base[rng.integers(0, 200, 400)]])
+        queries = pool[rng.integers(0, 600, 100)]
+        self.searched(monkeypatch)
+        want = brute_kth(pool, pool, 2, within=True), brute_kth(queries, pool, 1, within=False)
+        for _ in range(2):
+            got = kth_nn_within(PointSet(pool), 2), nn_cross(PointSet(queries), PointSet(pool))
+            for res, (ref_d, ref_i) in zip(got, want):
+                assert np.array_equal(res.distances, ref_d)
+                assert np.array_equal(res.indices, ref_i)
+                res.distances[:] = -1.0
+                res.indices[:] = 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_nn_cross_with_copies_matches_all_pairs(self, data):
+        # Queries mix copies of reference rows, the same rows with zeros of
+        # the other sign, and new points, on a small integer lattice full of
+        # ties, scaled down to where squared distances underflow.
+        d = data.draw(st.integers(1, 3))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        n = data.draw(st.integers(1, 200))
+        refs = rng.integers(-3, 4, (n, d)).astype(np.float64)
+        refs = refs[rng.integers(0, n, data.draw(st.integers(1, 400)))]
+        refs[(refs == 0.0) & (rng.random(refs.shape) < 0.3)] = -0.0
+        copies = refs[rng.integers(0, len(refs), data.draw(st.integers(0, 100)))]
+        flipped = np.where(copies == 0.0, np.copysign(0.0, -np.copysign(1.0, copies)), copies)
+        new = rng.integers(-4, 5, (data.draw(st.integers(0, 50)), d)) + rng.choice([0.0, 0.5], (1, d))
+        queries = np.concatenate([copies, flipped, new, refs[:1]])[rng.permutation(2 * len(copies) + len(new) + 1)]
+        scale = data.draw(st.sampled_from([1.0, 1e-8, 1e8, 1e-150, 1e-160, 1e-170]))
+        queries, refs = queries * scale, refs * scale
+        res = nn_cross(PointSet(queries), PointSet(refs))
+        ref_d, ref_i = brute_kth(queries, refs, 1, within=False)
+        assert same_bits(res.distances, ref_d)
+        assert np.array_equal(res.indices, ref_i)
 
     def test_overflowing_features_are_numerical_errors(self):
         # A random projection of rows near the largest double overflows to

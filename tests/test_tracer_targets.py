@@ -78,6 +78,7 @@ def test_traced_loop_searches_each_set_once():
     assert looper.kl_entropy is metrics.kl_entropy and metrics.kth_nn_within is neighbors.kth_nn_within
     layers = tracer_mod.layer_metrics(tracer.spans)
     assert layers["neighbors.kth_nn_within.calls"] == cfg.iterations
+    assert layers["neighbors.nn_cross.calls"] == cfg.iterations
     assert layers["neighbors.kth_nn_within.repeat_frac"] == 0.0
 
 
