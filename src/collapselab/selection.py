@@ -89,30 +89,84 @@ def _result(pool: PointSet, chosen, **extra) -> SelectionResult:
     return SelectionResult(indices=idx, source_proportions=props, **extra)
 
 
+# Picks decided from one block of rows before the pool's minima are updated.
+_BLOCK = 32
+# Elements of the bound block per row chunk in `_MinDistances.add`. A pool
+# whose screen keeps every pair (offset far from the origin, or collapsed)
+# then measures at most this many pairs at once.
+_BOUND_BUDGET = 1 << 16
+
+
 class _MinDistances:
     """The members chosen so far, and the squared distance from every pool
     row to its nearest member.
 
     Members park at -1, so duplicates of a member (distance 0) stay
-    selectable. Adding a member bounds every row's distance to it from
-    below with one GEMV and measures with `sq_dists` only the rows whose
-    bound is not above their minimum: `np.minimum` would leave every other
-    row as it is, so the values have the bits of a full update.
+    selectable. Adding a block of members bounds every (member, row) pair
+    from below with one GEMM per chunk of rows (`neighbors._lift`) and
+    measures with `sq_dists` only the pairs whose bound is not above the
+    row's minimum: `np.minimum` would leave every other row as it is. A
+    pair measures the same bits in any block (the `neighbors` invariant),
+    and a minimum is exact in any order, so the values have the bits of
+    adding the members one at a time with full updates.
     """
 
     def __init__(self, x: np.ndarray) -> None:
         self.x = x
         left, self.right = _lift(x)
-        self.left = np.asfortranarray(left)  # column-major, the GEMV runs about twice as fast
+        self.left = np.asfortranarray(left)  # column-major, the GEMM runs faster
         self.d2 = np.full(x.shape[0], np.inf)
         self.chosen: list[int] = []
 
-    def add(self, i: int) -> None:
-        self.chosen.append(i)
-        with np.errstate(over="ignore", invalid="ignore"):
-            rows = np.flatnonzero(~(self.left @ self.right[i] > self.d2))  # a NaN bound measures
-        self.d2[rows] = np.minimum(self.d2[rows], sq_dists(self.x[rows], self.x[i : i + 1])[:, 0])
-        self.d2[i] = -1.0
+    def add(self, members: list[int]) -> None:
+        self.chosen.extend(members)
+        m = np.asarray(members, dtype=np.int64)
+        right, xm = self.right[m], self.x[m]
+        step = max(1, _BOUND_BUDGET // m.size)
+        for s in range(0, self.d2.size, step):
+            d2 = self.d2[s : s + step]
+            with np.errstate(over="ignore", invalid="ignore"):
+                # "Not above" keeps a pair whose bound is NaN.
+                mem, rows = np.divmod(np.flatnonzero(~(right @ self.left[s : s + step].T > d2)), d2.size)
+            np.minimum.at(d2, rows, sq_dists(self.x[s + rows], xm[mem][:, None, :])[:, 0])
+        self.d2[m] = -1.0
+
+
+def _greedy(nearest: _MinDistances, n: int) -> None:
+    """Farthest point first, ties toward the lower index, picked in blocks.
+
+    The cut is the _BLOCK-th largest minimum of the rows not yet chosen.
+    The candidates are the rows above it and, in index order, enough of
+    the rows at it to make _BLOCK; the first row at the cut left out is
+    the first tie. Each pick updates the candidates' minima from their
+    literal-kernel matrix, which holds the bits `add` would measure. A
+    pick only lowers minima, so every other row stays at or below the cut,
+    and rows left at the cut all come from the first tie on. So while the
+    best updated candidate is above the cut, or at it with a lower index
+    than the first tie, it is the pool's maximum, and index order breaks
+    its ties as the pool would. The first pick always qualifies. Squared
+    distances order the argmax as true distances do.
+    """
+    while len(nearest.chosen) < n:
+        d2 = nearest.d2
+        k = min(_BLOCK, d2.size - len(nearest.chosen))
+        cut = np.partition(d2, -k)[-k]
+        above, ties = np.flatnonzero(d2 > cut), np.flatnonzero(d2 == cut)
+        take = k - above.size
+        cand = np.sort(np.concatenate([above, ties[:take]]))
+        first_tie = ties[take] if take < ties.size else d2.size
+        x = nearest.x[cand]
+        pair = sq_dists(x, x)
+        vals = d2[cand]
+        picks: list[int] = []
+        while len(nearest.chosen) + len(picks) < n:
+            j = int(np.argmax(vals))
+            if vals[j] < cut or (vals[j] == cut and cand[j] > first_tie):
+                break
+            picks.append(int(cand[j]))
+            np.minimum(vals, pair[:, j], out=vals)
+            vals[j] = -1.0
+        nearest.add(picks)
 
 
 def _threshold_decay(nearest: _MinDistances, n: int, policy: SelectionPolicy) -> tuple[float, int]:
@@ -127,6 +181,13 @@ def _threshold_decay(nearest: _MinDistances, n: int, policy: SelectionPolicy) ->
     tail is filled in scan order. Distances are from_squared of the squared
     minima, the minima of the distances: sqrt is monotone and correctly
     rounded.
+
+    A pass takes its hits _BLOCK at a time. Every hit of a block is farther
+    than tau from the members at the block's start, so it is admitted, in
+    index order, when it is farther than tau from each hit admitted before
+    it in the block; from_squared is monotone, so comparing the block's own
+    literal-kernel distances decides this exactly. One `add` then updates
+    the pool, and the later hits are filtered again.
     """
     dist = policy.metric.from_squared
     tau = float(policy.tau0)
@@ -142,14 +203,24 @@ def _threshold_decay(nearest: _MinDistances, n: int, policy: SelectionPolicy) ->
         hits = remaining[dist(nearest.d2[remaining]) > tau]
         if hits.size:
             while hits.size and len(nearest.chosen) < n:
-                nearest.add(int(hits[0]))
-                hits = hits[1:][dist(nearest.d2[hits[1:]]) > tau]
+                block, hits = hits[:_BLOCK], hits[_BLOCK:]
+                x = nearest.x[block]
+                far = dist(sq_dists(x, x)) > tau
+                free = np.ones(block.size, dtype=bool)
+                picks: list[int] = []
+                for j in range(block.size):
+                    if free[j]:
+                        picks.append(int(block[j]))
+                        if len(nearest.chosen) + len(picks) == n:
+                            break
+                        free &= far[:, j]
+                nearest.add(picks)
+                hits = hits[dist(nearest.d2[hits]) > tau]
             continue
         top = float(dist(nearest.d2[remaining]).max())
         if top <= 0.0:
             # Only exact duplicates of members remain.
-            for i in remaining[: n - len(nearest.chosen)]:
-                nearest.add(int(i))
+            nearest.add(remaining[: n - len(nearest.chosen)].tolist())
             break
         if alpha == 1.0:
             raise ConfigError("threshold decay stalled: alpha=1 can never admit the remaining candidates")
@@ -168,12 +239,9 @@ def run_policy(pool: PointSet, n: int, policy: SelectionPolicy) -> SelectionResu
         # Uniform sample without replacement, deterministic in the seed.
         return _result(pool, np.random.default_rng(policy.seed).permutation(pool.size)[:n])
     nearest = _MinDistances(np.ascontiguousarray(policy.metric.feature_map.apply(pool.data)))
-    nearest.add(_initial_index(pool.size, policy))
+    nearest.add([_initial_index(pool.size, policy)])
     if policy.kind == "greedy":
-        # Farthest point first, ties toward the lower index. Squared
-        # distances order the argmax as true distances do.
-        while len(nearest.chosen) < n:
-            nearest.add(int(np.argmax(nearest.d2)))
+        _greedy(nearest, n)
         return _result(pool, nearest.chosen)
     tau, passes = _threshold_decay(nearest, n, policy)
     return _result(pool, nearest.chosen, final_threshold=tau, passes=passes)

@@ -17,7 +17,8 @@ from collapselab import (
     run_policy,
 )
 from collapselab.neighbors import sq_dists
-from collapselab.selection import _check_request, _initial_index
+from collapselab import selection
+from collapselab.selection import _BLOCK, _check_request, _initial_index
 from collapselab.tensorset import source_label
 
 
@@ -272,9 +273,11 @@ def decay_outcome(fn, pool, n, policy):
 def decay_cases(draw):
     """Integer lattices (ties, duplicates) with a collapsed leading block,
     scaled over twelve decades and offset up to 1e12, seen through every
-    feature map kind, for greedy and every kind of decay schedule."""
+    feature map kind, for greedy and every kind of decay schedule. Pools
+    reach three selection blocks, so ties at greedy's cut, the n limit
+    reached mid-block and passes with more hits than a block all occur."""
     d = draw(st.integers(1, 3))
-    size = draw(st.integers(1, 24))
+    size = draw(st.integers(1, 3 * _BLOCK))
     coords = draw(st.lists(st.lists(st.integers(-6, 6), min_size=d, max_size=d), min_size=size, max_size=size))
     data = np.array(coords, dtype=np.float64)
     data[: draw(st.integers(0, size))] = data[0]
@@ -312,18 +315,51 @@ class TestThresholdDecayMatchesPassByPassScan:
         expect = decay_outcome(REFERENCE[policy.kind], pool, n, policy)
         assert decay_outcome(run_policy, pool, n, policy) == expect
 
-    @pytest.mark.parametrize("shift", [0.0, 1e12])
-    def test_greedy_on_large_d8_pool_matches(self, shift):
-        # The subsample-greedy shape: the screen measures a few rows per pick,
-        # or, where the norm expansion cancels, every row.
+    @staticmethod
+    def large_d8_pool(shift):
         rng = np.random.default_rng(13)
         centers = rng.uniform(-4, 4, (4, 8))
         data = centers[rng.integers(0, 4, 3000)] + rng.standard_normal((3000, 8)) + shift
         data[1500:1600] = data[:100]
+        return PointSet(data)
+
+    @pytest.mark.parametrize("shift", [0.0, 1e12])
+    def test_greedy_on_large_d8_pool_matches(self, shift):
+        # The subsample-greedy shape: the screen measures a few rows per pick,
+        # or, where the norm expansion cancels, every row.
+        pool = self.large_d8_pool(shift)
         for seed in range(2):
             policy = SelectionPolicy(kind="greedy", seed=seed)
-            expect = decay_outcome(reference_greedy, PointSet(data), 400, policy)
-            assert decay_outcome(run_policy, PointSet(data), 400, policy) == expect
+            expect = decay_outcome(reference_greedy, pool, 400, policy)
+            assert decay_outcome(run_policy, pool, 400, policy) == expect
+
+    @pytest.mark.parametrize("shift", [0.0, 1e12])
+    def test_threshold_decay_on_large_d8_pool_matches(self, shift):
+        # The same pool for threshold decay: passes with many blocks of hits,
+        # where the norm expansion cancels every pair is measured.
+        pool = self.large_d8_pool(shift)
+        for seed in range(2):
+            policy = SelectionPolicy(kind="threshold_decay", tau0=6.0, alpha=0.8, seed=seed)
+            expect = decay_outcome(reference_threshold_decay, pool, 400, policy)
+            assert decay_outcome(run_policy, pool, 400, policy) == expect
+
+    def test_outcome_does_not_depend_on_block_sizes(self, monkeypatch):
+        # A 7 x 7 lattice in 200 rows: ties at every cut, duplicate tails, and
+        # the n limit inside a block, under blocks of 1, 2 and 5 picks and a
+        # bound budget of a few rows per chunk.
+        rng = np.random.default_rng(17)
+        pool = PointSet(rng.integers(-3, 4, (200, 2)).astype(np.float64))
+        policies = [
+            SelectionPolicy(kind="greedy", seed=5),
+            SelectionPolicy(kind="threshold_decay", tau0=4.0, alpha=0.7, seed=5),
+        ]
+        cases = [(policy, n) for policy in policies for n in (40, 150)]
+        expect = [decay_outcome(run_policy, pool, n, policy) for policy, n in cases]
+        assert expect == [decay_outcome(REFERENCE[policy.kind], pool, n, policy) for policy, n in cases]
+        monkeypatch.setattr(selection, "_BOUND_BUDGET", 64)
+        for block in (1, 2, 5):
+            monkeypatch.setattr(selection, "_BLOCK", block)
+            assert [decay_outcome(run_policy, pool, n, policy) for policy, n in cases] == expect
 
     @pytest.mark.parametrize(
         "data",
