@@ -62,8 +62,18 @@ set of output rows, so the results do not depend on the block size.
 Distinct points. Both queries search each distinct row of a set once (a
 memorizing generator fills its pool with copies). Rows whose coordinates
 compare equal are one point; a set with no repeated value in its first
-column has none and takes the search above unchanged. Points are ordered
-by their first row, so the tie-break toward the lower index picks, among
+column has none and takes the search above unchanged. `_split` ranks each
+column with np.unique, where values that compare equal, zeros of either
+sign among them, share a rank. It folds the ranks into one integer key per
+row, key * m + rank for a column of m values, and ranks the keys again
+whenever key * n + row could pass the int64 range. A fold is one-to-one on
+(key, rank), since rank < m, and a re-rank keeps equality, so two rows
+share a key exactly when all their coordinates compare equal. One argsort
+of key * n + row, whose values are all distinct, lists each point's rows
+together and ascending. Points are ordered by their first row, so the
+split depends only on which rows compare equal: it is the one a stable
+lexsort of the coordinates gives, and the search sees the same points in
+the same order. The tie-break toward the lower index then picks, among
 tied points, the one holding the lowest tied row. `nn_cross` returns that
 point's first row to every copy of the query. `kth_nn_within` with
 largest rank K searches the points for ranks 1..K, then builds for each
@@ -103,13 +113,20 @@ of u and of the ranks: blocks, screens and BLAS threads change no bit.
 set has the same distinct points, compared as integer bit patterns so that
 zeros of either sign never alias, at the same ranks, it reads those
 answers and only rebuilds L_g and spreads them. A loop whose generations
-copy points it has already measured searches them once.
+copy points it has already measured searches them once. `_distinct` keeps
+its last split the same way, for any `keep`: a matrix of the same shape and
+bits reads it back. Under accumulate, `nn_cross` splits the training set
+stacked over the generation, and the pool `kth_nn_within` splits next has
+those bits, so a loop splits each pool once. The split holds a read-only
+matrix that owns its data (a PointSet's, or `nn_cross`'s frozen stack) as
+it is, and a copy of any other, so no caller's later write reaches it.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -129,9 +146,19 @@ _HUGE = float(np.finfo(np.float64).max) / 8
 # Non-zero coordinates at least this large keep every distinct pair above
 # squared distance 0 (module docstring, "Exact matches").
 _MATCH_FLOOR = 1e-145
-# The last distinct-point search of `_within` as (ranks, points, squared
-# distances, indices), all read-only; None before the first.
-_memo = None
+
+
+class _Memo(NamedTuple):
+    """What the last calls left for reuse, all arrays read-only, each slot
+    None before its first: `_within`'s search of a set's distinct points as
+    (ranks, points, squared distances, indices), and `_distinct`'s last
+    split as (matrix, then `_split` of it)."""
+
+    search: tuple | None = None
+    split: tuple | None = None
+
+
+_memo = _Memo()
 
 
 @dataclass(frozen=True, eq=False)
@@ -344,35 +371,69 @@ def _search(q: np.ndarray, r: np.ndarray, ranks: tuple[int, ...], within: bool) 
     return out_v, out_i
 
 
-def _distinct(x: np.ndarray, keep: int = 1) -> tuple[np.ndarray, np.ndarray] | None:
-    """The lowest `keep` rows of each distinct point of x, ascending and
-    padded with len(x), the points in order of first occurrence; and each
-    row's point. None when no row repeats.
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Same shape and bits, compared as integers so that zeros of either sign differ."""
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
-    Rows are one point when their coordinates compare equal, so rows that
-    differ only in the sign of a zero are one point: every distance to
-    them has the same bits.
+
+def _split(x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """x's distinct points, as (the rows ordered by point and ascending
+    within one, each point's start and size in that order, and each row's
+    point), the points in order of first occurrence.
+
+    Each column's dense rank is folded into one integer key per row. The
+    key is ranked again, to below n, whenever the bound on it passes
+    int64 max // n, so key * n + row and the next fold fit in an int64.
     """
     n = x.shape[0]
-    col = np.sort(x[:, 0])
-    if not (col[1:] == col[:-1]).any():
-        return None
-    # The sort is stable, so each point's rows stay ascending.
-    order = np.lexsort(x.T[::-1])
-    s = x[order]
-    same = (s[1:] == s[:-1]).all(axis=1)
-    if not same.any():
-        return None
-    starts = np.flatnonzero(np.concatenate(([True], ~same)))
+    key, bound = np.zeros(n, dtype=np.int64), 1
+    for column in x.T:
+        values, rank = np.unique(column, return_inverse=True)
+        key = key * values.size + rank
+        bound *= values.size
+        if bound > np.iinfo(np.int64).max // n:
+            values, key = np.unique(key, return_inverse=True)
+            bound = values.size
+    order = np.argsort(key * n + np.arange(n))
+    key = key[order]
+    starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
     sizes = np.diff(starts, append=n)
-    t = np.arange(keep)
-    rows = np.where(t < sizes[:, None], order[np.minimum(starts[:, None] + t, n - 1)], n)
-    by_first = np.argsort(rows[:, 0])
+    by_first = np.argsort(order[starts])
     label = np.empty(starts.size, dtype=np.int64)
     label[by_first] = np.arange(starts.size)
     point = np.empty(n, dtype=np.int64)
     point[order] = np.repeat(label, sizes)
-    return rows[by_first], point
+    return order, starts[by_first], sizes[by_first], point
+
+
+def _distinct(x: np.ndarray, keep: int = 1) -> tuple[np.ndarray, np.ndarray] | None:
+    """The lowest `keep` rows of each distinct point of x, ascending and
+    padded with len(x), the points in order of first occurrence; and each
+    row's point, read-only. None when no row repeats.
+
+    Rows are one point when their coordinates compare equal, so rows that
+    differ only in the sign of a zero are one point: every distance to
+    them has the same bits. The split is kept: a matrix with the same
+    shape and bits, compared as integers, reuses it at any `keep`.
+    """
+    global _memo
+    n = x.shape[0]
+    col = np.sort(x[:, 0])
+    if not (col[1:] == col[:-1]).any():
+        return None
+    split = _memo.split
+    if not (split and _same_bits(split[0], x)):
+        # A read-only matrix that owns its data cannot change under the memo.
+        split = (x if x.flags.owndata and not x.flags.writeable else x.copy(), *_split(x))
+        for a in split:
+            a.flags.writeable = False
+        _memo = _memo._replace(split=split)
+    _, order, starts, sizes, point = split
+    if starts.size == n:
+        return None
+    t = np.arange(keep)
+    rows = np.where(t < sizes[:, None], order[np.minimum(starts[:, None] + t, n - 1)], n)
+    return rows, point
 
 
 def _within(x: np.ndarray, ranks: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
@@ -388,18 +449,16 @@ def _within(x: np.ndarray, ranks: tuple[int, ...]) -> tuple[np.ndarray, np.ndarr
     u = x[copies[:, 0]]
     # Each point's nearest `top` other points, or all of them if fewer.
     near = tuple(range(1, min(top, u.shape[0] - 1) + 1))
-    memo = _memo
+    memo = _memo.search
     if not near:
         v, i = np.empty((0, u.shape[0])), np.empty((0, u.shape[0]), dtype=np.int64)
-    elif memo and memo[0] == near and memo[1].shape == u.shape and np.array_equal(
-        memo[1].view(np.uint64), u.view(np.uint64)
-    ):
+    elif memo and memo[0] == near and _same_bits(memo[1], u):
         v, i = memo[2:]
     else:
         v, i = _search(u, u, near, within=True)
         for a in (u, v, i):
             a.flags.writeable = False
-        _memo = (near, u, v, i)
+        _memo = _memo._replace(search=(near, u, v, i))
     # L_g: the point's own rows at distance 0, then each neighbor's first `top`.
     rows = np.hstack([copies, copies[i.T, :top].reshape(u.shape[0], -1)])
     d2 = np.hstack([np.zeros(copies.shape), np.repeat(v.T, top, axis=1)])
@@ -455,6 +514,8 @@ def nn_cross(queries: PointSet, refs: PointSet, metric: DistanceMetric = Distanc
     q = np.ascontiguousarray(metric.feature_map.apply(queries.data))
     r = np.ascontiguousarray(metric.feature_map.apply(refs.data))
     x = np.vstack([r, q])
+    # Frozen, the stack is held by the split memo without a copy.
+    x.flags.writeable = False
     found = _distinct(x)
     if found is None:
         v, i = _search(q, r, (1,), within=False)

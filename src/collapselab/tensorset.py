@@ -249,11 +249,12 @@ def _parse_table(lines: list[str], n_cols: int, has_source: bool):
 
     numpy accepts a subset of what the per-cell parser accepts and reads it
     to the same bits; it refuses whitespace-only lines, ragged rows,
-    underscores in numbers and non-ASCII digits. Tags are parsed once per
-    distinct value. A tag of _TAG_WIDTH characters may have been cut short;
-    such files, and files with an invalid tag, go to the per-cell parser,
+    underscores in numbers and non-ASCII digits. Tags are told apart as
+    integers, not sorted as strings, and parsed once per distinct value. A
+    tag of _TAG_WIDTH characters may have been cut short; such files, and
+    files with an invalid or non-ASCII tag, go to the per-cell parser,
     which names the first bad row. `lines` is emptied once numpy has read
-    it, so a large file's line strings are freed before the tags are sorted.
+    it, so a large file's line strings are freed before the tags are read.
     """
     dtype = [("x", np.float64, (n_cols,))] + ([("tag", f"U{_TAG_WIDTH}")] if has_source else [])
     try:
@@ -265,7 +266,20 @@ def _parse_table(lines: list[str], n_cols: int, has_source: bool):
         lines.clear()
     if not has_source:
         return table["x"], None
-    tags, inverse = np.unique(table["tag"], return_inverse=True)
+    # The tags' code points, one row per line, read in place.
+    points = np.ndarray((table.size, _TAG_WIDTH), np.uint32, table, table.dtype.fields["tag"][1], (table.itemsize, 4))
+    if (points >= 128).any():
+        return None
+    # Seven bits per ASCII code point make one integer per tag, equal only for equal tags.
+    packed = np.zeros(table.size, dtype=np.uint64)
+    for column in points.T:
+        packed <<= 7
+        packed |= column
+    keys, inverse = np.unique(packed, return_inverse=True)
+    # One row holding each tag.
+    holder = np.empty(keys.size, dtype=np.int64)
+    holder[inverse] = np.arange(table.size)
+    tags = table["tag"][holder]
     codes = np.empty(tags.size, dtype=np.int64)
     for j, tag in enumerate(tags):
         if len(tag) >= _TAG_WIDTH:

@@ -626,6 +626,83 @@ class TestGridMatchesBruteForce:
             assert peak <= neighbors._BLOCK_BUDGET * 8, f"k={k}: peak {peak / 2**20:.1f} MiB"
 
 
+def reference_distinct(x, keep=1):
+    """`neighbors._distinct` as one stable lexsort of the coordinates, the
+    split before the rank keys: the oracle the rank split must equal."""
+    n = x.shape[0]
+    col = np.sort(x[:, 0])
+    if not (col[1:] == col[:-1]).any():
+        return None
+    order = np.lexsort(x.T[::-1])
+    s = x[order]
+    same = (s[1:] == s[:-1]).all(axis=1)
+    if not same.any():
+        return None
+    starts = np.flatnonzero(np.concatenate(([True], ~same)))
+    sizes = np.diff(starts, append=n)
+    t = np.arange(keep)
+    rows = np.where(t < sizes[:, None], order[np.minimum(starts[:, None] + t, n - 1)], n)
+    by_first = np.argsort(rows[:, 0])
+    label = np.empty(starts.size, dtype=np.int64)
+    label[by_first] = np.arange(starts.size)
+    point = np.empty(n, dtype=np.int64)
+    point[order] = np.repeat(label, sizes)
+    return rows[by_first], point
+
+
+@st.composite
+def split_cases(draw):
+    """A matrix at d = 1..8: a small lattice full of ties, a collapsed set
+    with a few other points, copies of a few points, or rows that never
+    repeat; with zeros of either sign, scaled to subnormals or near 1e300."""
+    d = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    layout = draw(st.sampled_from(["lattice", "collapsed", "copies", "copy_free"]))
+    if layout == "lattice":
+        x = rng.integers(-2, 3, (n, d)).astype(np.float64)
+    elif layout == "collapsed":
+        x = np.repeat(rng.standard_normal((1, d)), n, axis=0)
+        x[rng.random(n) < 0.1] = rng.standard_normal(d)
+    elif layout == "copies":
+        base = rng.standard_normal((draw(st.integers(1, 20)), d))
+        x = base[rng.integers(0, len(base), n)]
+    else:
+        x = rng.standard_normal((n, d))
+    x[(x == 0.0) & (rng.random(x.shape) < 0.5)] = -0.0
+    scale = draw(st.sampled_from([1.0, 1e-310, 5e-324, 1e300]))
+    return x * scale, draw(st.integers(1, 4))
+
+
+class TestSplit:
+    @settings(max_examples=300, deadline=None)
+    @given(split_cases())
+    def test_rank_split_matches_lexsort(self, case):
+        # Built, then read back from the memo: both are the lexsort's split.
+        x, keep = case
+        want = reference_distinct(x, keep)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(neighbors, "_memo", neighbors._Memo())
+            for _ in range(2):
+                got = neighbors._distinct(x, keep)
+                if want is None:
+                    assert got is None
+                else:
+                    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    def test_keys_past_the_int64_range_are_ranked_again(self, monkeypatch):
+        # Eight columns of 256 values fill 64 bits: folded on without a new
+        # rank, the first column's rank would be shifted out, and rows that
+        # differ only there would be one point.
+        rng = np.random.default_rng(113)
+        rest = np.stack([rng.permutation(256) for _ in range(8)], axis=1).astype(np.float64)
+        x = np.hstack([np.repeat([[0.0], [1.0]], 256, axis=0), np.vstack([rest, rest])])
+        x = np.vstack([x, x[rng.integers(0, 512, 40)]])
+        monkeypatch.setattr(neighbors, "_memo", neighbors._Memo())
+        for got, want in zip(neighbors._distinct(x, 3), reference_distinct(x, 3)):
+            assert np.array_equal(got, want)
+
+
 class TestDistinctPoints:
     @staticmethod
     def searched(monkeypatch):
@@ -639,8 +716,22 @@ class TestDistinctPoints:
             return search(q, r, *args, **kwargs)
 
         monkeypatch.setattr(neighbors, "_search", spy)
-        monkeypatch.setattr(neighbors, "_memo", None)
+        monkeypatch.setattr(neighbors, "_memo", neighbors._Memo())
         return calls
+
+    @staticmethod
+    def splits(monkeypatch):
+        """The shape of every matrix `_split` builds from; `searched` empties
+        the memo first."""
+        shapes = []
+        split = neighbors._split
+
+        def spy(x):
+            shapes.append(x.shape)
+            return split(x)
+
+        monkeypatch.setattr(neighbors, "_split", spy)
+        return shapes
 
     @pytest.mark.parametrize("layout", ["normal", "lattice"])
     def test_copies_are_searched_once(self, monkeypatch, layout):
@@ -730,6 +821,61 @@ class TestDistinctPoints:
                 assert np.array_equal(res.indices, ref_i)
                 res.distances[:] = -1.0
                 res.indices[:] = 0
+
+    def test_a_pool_is_split_once_for_both_queries(self, monkeypatch):
+        # As in an accumulate loop: nn_cross stacks the training set over
+        # the generation, and the next pool has the bits of that stack.
+        rng = np.random.default_rng(103)
+        current = PointSet(rng.standard_normal((300, 2))[rng.integers(0, 300, 600)])
+        generation = current.rows(rng.integers(0, 600, 200))
+        pool = PointSet.concat([current, generation])
+        self.searched(monkeypatch)
+        shapes = self.splits(monkeypatch)
+        cross = nn_cross(generation, current)
+        within = kth_nn_within(pool, (1, 3))
+        assert shapes == [(800, 2)]
+        kth_nn_within(pool, 2)
+        assert shapes == [(800, 2)]
+        ref_d, ref_i = brute_kth(generation.data, current.data, 1, within=False)
+        assert np.array_equal(cross.distances, ref_d) and np.array_equal(cross.indices, ref_i)
+        for k, res in zip((1, 3), within):
+            ref_d, ref_i = brute_kth(pool.data, pool.data, k, within=True)
+            assert np.array_equal(res.distances, ref_d) and np.array_equal(res.indices, ref_i)
+
+    def test_other_bits_are_split_again(self, monkeypatch):
+        # The same shape with 0.0 turned into -0.0, then with one coordinate
+        # moved by one ulp: each is split, and a repeat is not.
+        rng = np.random.default_rng(107)
+        a = rng.integers(-3, 4, (100, 2)).astype(np.float64)[rng.integers(0, 100, 400)]
+        a[0] = [0.0, 2.0]
+        moved = a.copy()
+        moved[a[:, 1] == a[3, 1], 1] = np.nextafter(a[3, 1], np.inf)
+        signed = a.copy()
+        signed[a == 0.0] = -0.0
+        self.searched(monkeypatch)
+        shapes = self.splits(monkeypatch)
+        sets = [PointSet(data) for data in (a, signed, moved, moved)]
+        for ps in sets:
+            for k, res in zip((1, 3), kth_nn_within(ps, (1, 3))):
+                ref_d, ref_i = brute_kth(ps.data, ps.data, k, within=True)
+                assert same_bits(res.distances, ref_d) and np.array_equal(res.indices, ref_i)
+        assert len(shapes) == 3
+        # A PointSet's frozen data is kept as it is, not copied.
+        assert neighbors._memo.split[0] is sets[2].data
+
+    def test_a_writable_matrix_is_copied_before_it_is_kept(self, monkeypatch):
+        # The split memo must not see a caller's later writes, and what it
+        # hands out cannot write into it.
+        rng = np.random.default_rng(109)
+        x = rng.integers(0, 5, (200, 2)).astype(np.float64)
+        self.searched(monkeypatch)
+        rows, point = neighbors._distinct(x, 2)
+        assert not point.flags.writeable
+        rows[:] = 0
+        for _ in range(2):
+            for got, want in zip(neighbors._distinct(x, 2), reference_distinct(x, 2)):
+                assert np.array_equal(got, want)
+            x[:] = x[::-1]
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())

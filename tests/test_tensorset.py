@@ -432,6 +432,27 @@ class TestCsvReaderMatchesPerCellReader:
         p.write_bytes(text.encode("utf-8"))
         assert csv_outcome(load_pointset, p) == csv_outcome(reference_load_csv, p)
 
+    @pytest.mark.parametrize(
+        "n_tags, odd",
+        [(1, None), (9, None), (2000, None), (9, "junk"), (9, "syn12345"), (9, "r\u00e9al"), (9, "\xa0syn2"), (9, "syn1\x80")],
+    )
+    def test_tag_codes_match_the_per_cell_parser(self, tmp_path, monkeypatch, n_tags, odd):
+        # Many rows per tag, every tag present; one row may carry an invalid,
+        # full-width or non-ASCII tag, which sends the file to the per-cell
+        # parser. The rest never reach it. Packed seven bits a code point,
+        # "syn1\x80" would carry into "syn2".
+        rng = np.random.default_rng(n_tags)
+        names = ["real"] + [f"syn{j}" for j in range(1, n_tags)]
+        tags = names + [names[t] for t in rng.integers(0, n_tags, 3000)]
+        if odd is not None:
+            tags[1234] = odd
+        p = tmp_path / "tags.csv"
+        p.write_bytes("\n".join(["x0,x1,source"] + [f"{j},{-j},{t}" for j, t in enumerate(tags)]).encode("utf-8"))
+        want = csv_outcome(lambda path: tensorset._parse_cells(path, True, 3, True), p)
+        if odd is None:
+            monkeypatch.setattr(tensorset, "_parse_cells", None)
+        assert csv_outcome(load_pointset, p) == want
+
     def test_well_formed_files_skip_the_per_cell_parser(self, tmp_path, monkeypatch):
         def refuse(*args):
             raise AssertionError("per-cell parser reached")

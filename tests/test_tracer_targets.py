@@ -99,6 +99,24 @@ def test_one_within_set_search_per_iteration(monkeypatch, paradigm, gamma):
     assert calls == [(1, gamma)] * cfg.iterations
 
 
+@pytest.mark.parametrize("gamma", [1, 3])
+def test_memorizing_loop_splits_each_pool_once(monkeypatch, gamma):
+    # Under accumulate, the stack nn_cross splits has the bits of the pool
+    # kth_nn_within splits next, so the second reads the first's split.
+    built = []
+    split = neighbors._split
+
+    def spy(x):
+        built.append(x.shape[0])
+        return split(x)
+
+    monkeypatch.setattr(neighbors, "_split", spy)
+    monkeypatch.setattr(neighbors, "_memo", neighbors._Memo())
+    cfg = accumulate_config(gamma, iterations=4)
+    run_loop(cfg, real_data())
+    assert len(built) == cfg.iterations
+
+
 def test_traced_gmm_loop_counts_the_em_diagnostics(monkeypatch):
     # The tracer reads log_likelihoods, converged and floored from the
     # diagnostics of each fit's result; a renamed field fails here.
