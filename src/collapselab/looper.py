@@ -37,7 +37,9 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import metrics
-from .errors import ConfigError, DimensionError, InsufficientPointsError, NumericalError, check_fields
+from .errors import (
+    ConfigError, DimensionError, FormatError, InsufficientPointsError, NumericalError, check_fields, is_number
+)
 from .generators import GENERATOR_FIELDS, GeneratorSpec, fit, sample
 from .metrics import (
     EntropyReport,
@@ -333,6 +335,12 @@ def trace_to_json(trace: LoopTrace, canonical: bool = False) -> str:
 
 def trace_from_json(text: str) -> LoopTrace:
     doc = json.loads(text)
+    version = doc.get("schema_version")
+    if not (is_number(version, int) and version == SCHEMA_VERSION):
+        raise FormatError(f"schema_version must be {SCHEMA_VERSION}, got {version!r}")
+    unknown = doc.keys() - {"schema_version", "timestamp", "host", "config", "real_reference", "records"}
+    if unknown:
+        raise FormatError(f"unknown trace keys {sorted(unknown)}")
 
     def metric(d: dict) -> DistanceMetric:
         return DistanceMetric(**{**d, "feature_map": FeatureMap(**d["feature_map"])})

@@ -115,11 +115,24 @@ zeros of either sign never alias, at the same ranks, it reads those
 answers and only rebuilds L_g and spreads them. A loop whose generations
 copy points it has already measured searches them once. `_distinct` keeps
 its last split the same way, for any `keep`: a matrix of the same shape and
-bits reads it back. Under accumulate, `nn_cross` splits the training set
-stacked over the generation, and the pool `kth_nn_within` splits next has
-those bits, so a loop splits each pool once. The split holds a read-only
-matrix that owns its data (a PointSet's, or `nn_cross`'s frozen stack) as
-it is, and a copy of any other, so no caller's later write reaches it.
+bits reads it back. A matrix of the same width whose leading rows have the
+held bits and whose other rows all equal held points grows the split
+(`_grow`). Each appended row is keyed by the bits of its coordinates plus
+0.0, which gives zeros of either sign one key; equal finite coordinates
+have equal bits once zeros are alike, so a row's key is that of its point.
+The key only proposes a point, and the row joins it only if their
+coordinates compare equal, the very rule of `_split`. A row that matches
+no held point (a new point, or a key collision) sends the matrix to a full
+split. Appended rows come after every held row and join existing points,
+so each point keeps its first row and its label; one argsort of point * n
++ row, whose values are all distinct, lists each point's rows together and
+ascending. Under accumulate, `nn_cross` splits the training set stacked
+over the generation, the pool `kth_nn_within` splits next has those bits,
+and the next stack is that pool over the next generation. So a memorizing
+loop builds its first split in full, grows each later one, and splits each
+pool once. The split holds a read-only matrix that owns its data (a
+PointSet's, or `nn_cross`'s frozen stack) as it is, and a copy of any
+other, so no caller's later write reaches it.
 """
 
 from __future__ import annotations
@@ -152,7 +165,8 @@ class _Memo(NamedTuple):
     """What the last calls left for reuse, all arrays read-only, each slot
     None before its first: `_within`'s search of a set's distinct points as
     (ranks, points, squared distances, indices), and `_distinct`'s last
-    split as (matrix, then `_split` of it)."""
+    split as (matrix, then `_split` of it, built in full or grown from the
+    split before by `_grow`)."""
 
     search: tuple | None = None
     split: tuple | None = None
@@ -406,6 +420,40 @@ def _split(x: np.ndarray) -> tuple[np.ndarray, ...]:
     return order, starts[by_first], sizes[by_first], point
 
 
+def _row_keys(x: np.ndarray) -> np.ndarray:
+    """One uint64 per row, mixed from the bits of x + 0.0: rows whose
+    coordinates compare equal share a key, and rows that share a key may
+    still differ."""
+    bits = (x + 0.0).view(np.uint64)
+    key = np.zeros(x.shape[0], dtype=np.uint64)
+    for column in bits.T:
+        key ^= column
+        key *= np.uint64(0x9E3779B97F4A7C15)
+        key ^= key >> np.uint64(29)
+    return key
+
+
+def _grow(split: tuple, x: np.ndarray) -> tuple[np.ndarray, ...] | None:
+    """x's split, grown from the held split of x's leading rows when every
+    row appended to them equals a held point; else None. It equals
+    `_split(x)` but that its row order lists the points' runs by label, not
+    by key; each run, and so `_distinct`'s output, is the same."""
+    held, order, starts, sizes, point = split
+    m, n = held.shape[0], x.shape[0]
+    if not _same_bits(held, x[:m]):
+        return None
+    heads = held[order[starts]]
+    keys = _row_keys(heads)
+    by_key = np.argsort(keys)
+    # A key only proposes a point; equal coordinates decide.
+    near = by_key[np.minimum(np.searchsorted(keys[by_key], _row_keys(x[m:])), by_key.size - 1)]
+    if not (heads[near] == x[m:]).all():
+        return None
+    point = np.concatenate([point, near])
+    sizes = sizes + np.bincount(near, minlength=sizes.size)
+    return np.argsort(point * n + np.arange(n)), np.cumsum(sizes) - sizes, sizes, point
+
+
 def _distinct(x: np.ndarray, keep: int = 1) -> tuple[np.ndarray, np.ndarray] | None:
     """The lowest `keep` rows of each distinct point of x, ascending and
     padded with len(x), the points in order of first occurrence; and each
@@ -414,17 +462,21 @@ def _distinct(x: np.ndarray, keep: int = 1) -> tuple[np.ndarray, np.ndarray] | N
     Rows are one point when their coordinates compare equal, so rows that
     differ only in the sign of a zero are one point: every distance to
     them has the same bits. The split is kept: a matrix with the same
-    shape and bits, compared as integers, reuses it at any `keep`.
+    shape and bits, compared as integers, reuses it at any `keep`, and one
+    that only appends copies of its points grows it (`_grow`).
     """
     global _memo
     n = x.shape[0]
-    col = np.sort(x[:, 0])
-    if not (col[1:] == col[:-1]).any():
-        return None
     split = _memo.split
     if not (split and _same_bits(split[0], x)):
+        found = split and _grow(split, x)
+        if found is None:
+            col = np.sort(x[:, 0])
+            if not (col[1:] == col[:-1]).any():
+                return None
+            found = _split(x)
         # A read-only matrix that owns its data cannot change under the memo.
-        split = (x if x.flags.owndata and not x.flags.writeable else x.copy(), *_split(x))
+        split = (x if x.flags.owndata and not x.flags.writeable else x.copy(), *found)
         for a in split:
             a.flags.writeable = False
         _memo = _memo._replace(split=split)

@@ -670,12 +670,17 @@ class TestAnalyze:
             # The affine whitening map is no longer a kind; a trace that names it is refused.
             lambda doc: doc["config"]["metric"]["feature_map"].update(
                 kind="whiten", mean=[0.0, 0.0], transform=[[1.0, 0.0], [0.0, 1.0]]),
+            lambda doc: doc.update(schema_version=99),
+            lambda doc: doc.update(schema_version=True),
+            lambda doc: doc.pop("schema_version"),
+            lambda doc: doc.update(unexpected=1),
         ],
         ids=["real-reference-not-a-dict", "unknown-record-key", "unknown-metric-key", "invalid-paradigm",
              "record-not-a-dict", "config-not-a-dict", "generator-components-float", "generator-seed-string",
              "feature-target-dim-float", "feature-seed-bool", "generator-sigma-bool", "generator-sigma-string",
              "generator-tol-bool", "multiplier-bool", "selection-tau0-bool", "selection-alpha-string",
-             "trace-cov-string", "trace-cov-bool", "identity-seed-float", "whiten-feature-map"],
+             "trace-cov-string", "trace-cov-bool", "identity-seed-float", "whiten-feature-map",
+             "schema-version-99", "schema-version-bool", "schema-version-missing", "unknown-top-level-key"],
     )
     def test_damaged_trace_is_io_error(self, blob_csv, tmp_path, capsys, damage):
         trace = self.make_trace(blob_csv, tmp_path, "a")

@@ -702,6 +702,59 @@ class TestSplit:
         for got, want in zip(neighbors._distinct(x, 3), reference_distinct(x, 3)):
             assert np.array_equal(got, want)
 
+    @staticmethod
+    def grow_from(mp, held, stack, keep):
+        """`_distinct(stack, keep)` with the split of `held` kept, checked
+        against the oracle; returns how many full splits it built."""
+        held = held.copy()
+        held.flags.writeable = False
+        mp.setattr(neighbors, "_memo", neighbors._Memo(split=(held, *neighbors._split(held))))
+        built = []
+        split = neighbors._split
+        mp.setattr(neighbors, "_split", lambda x: built.append(x.shape) or split(x))
+        got, want = neighbors._distinct(stack, keep), reference_distinct(stack, keep)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        return len(built)
+
+    @settings(max_examples=200, deadline=None)
+    @given(split_cases(), st.data())
+    def test_appended_copies_grow_the_split(self, case, data):
+        # Copies of held rows, some with zeros of the other sign, and
+        # sometimes one new point: only the new point forces a full split.
+        x, keep = case
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        tail = x[rng.integers(0, len(x), data.draw(st.integers(1, 100)))]
+        tail = np.where((tail == 0.0) & (rng.random(tail.shape) < 0.5), -tail, tail)
+        new = data.draw(st.booleans())
+        if new:
+            row = x[rng.integers(0, len(x))].copy()
+            row[0] = np.nextafter(x[:, 0].max(), np.inf)
+            tail = np.insert(tail, rng.integers(0, len(tail) + 1), row, axis=0)
+        with pytest.MonkeyPatch.context() as mp:
+            assert self.grow_from(mp, x, np.vstack([x, tail]), keep) == new
+
+    @pytest.mark.parametrize("change", ["moved", "signed"])
+    def test_leading_rows_with_other_bits_are_split_in_full(self, monkeypatch, change):
+        # One value moved by one ulp makes a new point; a zero of the other
+        # sign keeps the points but not the bits. Either way the held split
+        # is not grown.
+        rng = np.random.default_rng(131)
+        x = rng.integers(-2, 3, (60, 2)).astype(np.float64)
+        lead = x.copy()
+        if change == "moved":
+            lead[lead[:, 1] == lead[7, 1], 1] = np.nextafter(lead[7, 1], np.inf)
+        else:
+            lead[lead == 0.0] = -0.0
+        assert self.grow_from(monkeypatch, x, np.vstack([lead, x[::-1]]), 2) == 1
+
+    def test_a_key_collision_falls_back_to_a_full_split(self, monkeypatch):
+        # Every row gets one key, so copies of other points are proposed the
+        # wrong point; the coordinates refuse it and the matrix is split.
+        rng = np.random.default_rng(127)
+        x = rng.integers(-2, 3, (60, 2)).astype(np.float64)
+        monkeypatch.setattr(neighbors, "_row_keys", lambda rows: np.zeros(len(rows), dtype=np.uint64))
+        assert self.grow_from(monkeypatch, x, np.vstack([x, x[::-1]]), 2) == 1
+
 
 class TestDistinctPoints:
     @staticmethod

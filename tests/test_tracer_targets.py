@@ -103,18 +103,28 @@ def test_one_within_set_search_per_iteration(monkeypatch, paradigm, gamma):
 def test_memorizing_loop_splits_each_pool_once(monkeypatch, gamma):
     # Under accumulate, the stack nn_cross splits has the bits of the pool
     # kth_nn_within splits next, so the second reads the first's split.
-    built = []
-    split = neighbors._split
+    # Each later stack is the last pool plus copies of its points, so its
+    # split grows from the last one: one full split per run.
+    built, grown = [], []
+    split, grow = neighbors._split, neighbors._grow
 
-    def spy(x):
+    def split_spy(x):
         built.append(x.shape[0])
         return split(x)
 
-    monkeypatch.setattr(neighbors, "_split", spy)
+    def grow_spy(held, x):
+        found = grow(held, x)
+        if found is not None:
+            grown.append(x.shape[0])
+        return found
+
+    monkeypatch.setattr(neighbors, "_split", split_spy)
+    monkeypatch.setattr(neighbors, "_grow", grow_spy)
     monkeypatch.setattr(neighbors, "_memo", neighbors._Memo())
     cfg = accumulate_config(gamma, iterations=4)
     run_loop(cfg, real_data())
-    assert len(built) == cfg.iterations
+    assert len(built) == 1
+    assert len(grown) == cfg.iterations - 1
 
 
 def test_traced_gmm_loop_counts_the_em_diagnostics(monkeypatch):
