@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from pathlib import Path
 
@@ -49,7 +48,7 @@ class _Parser(argparse.ArgumentParser):
 def _emit(result) -> None:
     """Print a result (a dict or a dataclass) as JSON, schema_version first."""
     doc = {"schema_version": looper.SCHEMA_VERSION, **looper.to_doc(result)}
-    sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+    sys.stdout.write(looper.json_text(doc))
 
 
 def _convert(cls, name: str, value):

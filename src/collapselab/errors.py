@@ -11,6 +11,7 @@ number_type gives the CLI the type to convert a setting's text to.
 """
 
 import dataclasses
+import functools
 import sys
 
 
@@ -81,10 +82,16 @@ def is_number(value, kind: type = float) -> bool:
     return kind is int or isinstance(value, float) or abs(value) <= sys.float_info.max
 
 
+@functools.cache
+def _annotations(cls) -> tuple[tuple[str, str], ...]:
+    """(name, annotation) of each field of dataclass cls, read once per class."""
+    return tuple((f.name, f.type) for f in dataclasses.fields(cls))
+
+
 def number_type(cls, name: str) -> type | None:
     """int or float, the number type field `name` of dataclass cls is
     annotated with; None for a field that holds no number."""
-    annotation = next(f.type for f in dataclasses.fields(cls) if f.name == name)
+    annotation = dict(_annotations(cls))[name]
     return _NUMBERS.get(annotation, (None,))[0]
 
 
@@ -93,16 +100,16 @@ def check_fields(obj) -> None:
     number annotation: int, float, int | None, float | None or
     dict[str, float]. A float field takes an int that a float can hold;
     other fields pass."""
-    for f in dataclasses.fields(obj):
-        value = getattr(obj, f.name)
-        if f.type == "dict[str, float]":
+    for name, annotation in _annotations(type(obj)):
+        value = getattr(obj, name)
+        if annotation == "dict[str, float]":
             ok = isinstance(value, dict) and all(isinstance(k, str) and is_number(v) for k, v in value.items())
         else:
-            kind, optional = _NUMBERS.get(f.type, (None, True))
+            kind, optional = _NUMBERS.get(annotation, (None, True))
             ok = kind is None or is_number(value, kind) or optional and value is None
         if not ok:
             try:
                 shown = repr(value)
             except ValueError:  # an int with more digits than Python prints
                 shown = "an int too long to print"
-            raise ConfigError(f"{f.name} must be {f.type}, got {shown}")
+            raise ConfigError(f"{name} must be {annotation}, got {shown}")

@@ -330,7 +330,16 @@ def trace_to_json(trace: LoopTrace, canonical: bool = False) -> str:
     doc["config"] = {**dict.fromkeys(f.name for f in dataclasses.fields(LoopConfig)), **to_doc(trace.config)}
     doc["real_reference"] = to_doc(trace.real_reference)
     doc["records"] = [to_doc(r) for r in trace.records]
-    return json.dumps(doc, indent=2) + "\n"
+    return json_text(doc)
+
+
+def json_text(doc) -> str:
+    """doc as indented JSON text. JSON has no NaN or infinity, so a
+    non-finite float is a NumericalError, not a bare NaN token."""
+    try:
+        return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise NumericalError(f"a non-finite value cannot be written as JSON ({exc})") from None
 
 
 def trace_from_json(text: str) -> LoopTrace:

@@ -19,6 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DegenerateInputError,
     DimensionError,
     DomainError,
@@ -52,6 +53,10 @@ class EntropyReport:
 
     def __post_init__(self) -> None:
         check_fields(self)
+        if min(self.gamma, self.size, self.dim) < 1:
+            raise ConfigError(f"gamma, size and dim must be >= 1, got {self.gamma}, {self.size}, {self.dim}")
+        if not 0 <= self.duplicate_count <= self.size:
+            raise ConfigError(f"duplicate_count must lie in [0, size {self.size}], got {self.duplicate_count}")
 
     def reconstruct(self) -> float:
         """Re-evaluate the estimate from the stored fields (bit-identical)."""
@@ -151,19 +156,28 @@ def frechet_gaussian_distance(a: MomentSummary, b: MomentSummary) -> float:
     ||mu_a - mu_b||^2 + Tr(S_a + S_b - 2 (S_a S_b)^{1/2}), with the matrix
     square root taken through the symmetric eigendecomposition of
     S_a^{1/2} S_b S_a^{1/2}. Eigenvalues below -1e-9 are an error; tiny
-    negatives from roundoff clamp to zero.
+    negatives from roundoff clamp to zero. A cross term or distance that
+    overflows, or an eigensolver that fails, is a NumericalError.
     """
     if a.mean.shape != b.mean.shape:
         raise DimensionError(f"moment summaries of dimension {a.mean.shape[0]} vs {b.mean.shape[0]}")
-    wa, va = np.linalg.eigh(a.covariance)
-    wa = _psd_clip(wa, "first covariance")
-    _psd_clip(np.linalg.eigvalsh(b.covariance), "second covariance")
-    root_a = (va * np.sqrt(wa)) @ va.T
-    inner = root_a @ b.covariance @ root_a
-    inner = (inner + inner.T) / 2.0
-    wm = _psd_clip(np.linalg.eigvalsh(inner), "cross term")
-    mean_term = float(np.square(a.mean - b.mean).sum())
-    value = mean_term + float(np.trace(a.covariance) + np.trace(b.covariance)) - 2.0 * float(np.sqrt(wm).sum())
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            wa, va = np.linalg.eigh(a.covariance)
+            wa = _psd_clip(wa, "first covariance")
+            _psd_clip(np.linalg.eigvalsh(b.covariance), "second covariance")
+            root_a = (va * np.sqrt(wa)) @ va.T
+            inner = root_a @ b.covariance @ root_a
+            inner = (inner + inner.T) / 2.0
+            if not np.isfinite(inner).all():
+                raise NumericalError("Frechet cross term is not finite")
+            wm = _psd_clip(np.linalg.eigvalsh(inner), "cross term")
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"Frechet distance: {exc}") from None
+        mean_term = float(np.square(a.mean - b.mean).sum())
+        value = mean_term + float(np.trace(a.covariance) + np.trace(b.covariance)) - 2.0 * float(np.sqrt(wm).sum())
+    if not np.isfinite(value):
+        raise NumericalError("Frechet distance is not finite")
     return max(value, 0.0)
 
 

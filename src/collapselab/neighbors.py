@@ -124,9 +124,14 @@ The key only proposes a point, and the row joins it only if their
 coordinates compare equal, the very rule of `_split`. A row that matches
 no held point (a new point, or a key collision) sends the matrix to a full
 split. Appended rows come after every held row and join existing points,
-so each point keeps its first row and its label; one argsort of point * n
-+ row, whose values are all distinct, lists each point's rows together and
-ascending. Under accumulate, `nn_cross` splits the training set stacked
+so each point keeps its first row, its label and its key: the held points'
+sorted keys are computed at a split's first growth and kept for the later
+ones, and a full split drops them. The grown order is placed, not sorted:
+each held row goes to its point's new start plus its rank among the
+point's held rows, and each appended row after its point's held rows, in
+row order (one stable argsort of the appended labels). That lists each
+point's rows together and ascending, the order an argsort of point * n +
+row gives. Under accumulate, `nn_cross` splits the training set stacked
 over the generation, the pool `kth_nn_within` splits next has those bits,
 and the next stack is that pool over the next generation. So a memorizing
 loop builds its first split in full, grows each later one, and splits each
@@ -162,14 +167,17 @@ _MATCH_FLOOR = 1e-145
 
 
 class _Memo(NamedTuple):
-    """What the last calls left for reuse, all arrays read-only, each slot
-    None before its first: `_within`'s search of a set's distinct points as
-    (ranks, points, squared distances, indices), and `_distinct`'s last
-    split as (matrix, then `_split` of it, built in full or grown from the
-    split before by `_grow`)."""
+    """What the last calls left for reuse, each slot None before its first:
+    `_within`'s search of a set's distinct points as (ranks, points, squared
+    distances, indices); `_distinct`'s last split as (matrix, then `_split`
+    of it, built in full or grown from the split before by `_grow`), its
+    arrays read-only; and that split's point keys as (sorted `_row_keys` of
+    each point's first row, the labels in that order), filled by its first
+    growth, kept by later ones, and dropped by a full split."""
 
     search: tuple | None = None
     split: tuple | None = None
+    keys: tuple | None = None
 
 
 _memo = _Memo()
@@ -438,20 +446,30 @@ def _grow(split: tuple, x: np.ndarray) -> tuple[np.ndarray, ...] | None:
     row appended to them equals a held point; else None. It equals
     `_split(x)` but that its row order lists the points' runs by label, not
     by key; each run, and so `_distinct`'s output, is the same."""
+    global _memo
     held, order, starts, sizes, point = split
     m, n = held.shape[0], x.shape[0]
     if not _same_bits(held, x[:m]):
         return None
-    heads = held[order[starts]]
-    keys = _row_keys(heads)
-    by_key = np.argsort(keys)
+    heads = order[starts]
+    if _memo.keys is None:
+        keys = _row_keys(held[heads])
+        by_key = np.argsort(keys)
+        _memo = _memo._replace(keys=(keys[by_key], by_key))
+    keys, by_key = _memo.keys
     # A key only proposes a point; equal coordinates decide.
-    near = by_key[np.minimum(np.searchsorted(keys[by_key], _row_keys(x[m:])), by_key.size - 1)]
-    if not (heads[near] == x[m:]).all():
+    near = by_key[np.minimum(np.searchsorted(keys, _row_keys(x[m:])), by_key.size - 1)]
+    if not (held[heads[near]] == x[m:]).all():
         return None
-    point = np.concatenate([point, near])
-    sizes = sizes + np.bincount(near, minlength=sizes.size)
-    return np.argsort(point * n + np.arange(n)), np.cumsum(sizes) - sizes, sizes, point
+    grown = sizes + np.bincount(near, minlength=sizes.size)
+    new_starts = np.cumsum(grown) - grown
+    # Each held row keeps its rank within its point; the appended rows of a
+    # point follow its held rows, in row order.
+    out = np.empty(n, dtype=np.int64)
+    out[np.arange(m) + (new_starts - starts)[point[order]]] = order
+    by_point = np.argsort(near, kind="stable")
+    out[np.cumsum(sizes)[near[by_point]] + np.arange(n - m)] = by_point + m
+    return out, new_starts, grown, np.concatenate([point, near])
 
 
 def _distinct(x: np.ndarray, keep: int = 1) -> tuple[np.ndarray, np.ndarray] | None:
@@ -475,6 +493,7 @@ def _distinct(x: np.ndarray, keep: int = 1) -> tuple[np.ndarray, np.ndarray] | N
             if not (col[1:] == col[:-1]).any():
                 return None
             found = _split(x)
+            _memo = _memo._replace(keys=None)
         # A read-only matrix that owns its data cannot change under the memo.
         split = (x if x.flags.owndata and not x.flags.writeable else x.copy(), *found)
         for a in split:
@@ -516,9 +535,9 @@ def _within(x: np.ndarray, ranks: tuple[int, ...]) -> tuple[np.ndarray, np.ndarr
     d2 = np.hstack([np.zeros(copies.shape), np.repeat(v.T, top, axis=1)])
     d2[rows == n] = np.inf
     first = np.lexsort((rows, d2))[:, : top + 1]
-    # (top + 1, n): the first top + 1 entries of every row's point.
-    d2 = np.take_along_axis(d2, first, axis=1)[point].T
-    rows = np.take_along_axis(rows, first, axis=1)[point].T
+    # (top + 1, n): the first top + 1 entries of every row's point, by one flat index.
+    flat = np.take(first.T + np.arange(0, rows.size, rows.shape[1]), point, axis=1)
+    d2, rows = np.take(d2, flat), np.take(rows, flat)
     # Row r's k-th neighbor is L_g[k] if it sorts before (0, r), else L_g[k + 1].
     k = np.array(ranks)
     ahead = (d2[k - 1] == 0.0) & (rows[k - 1] < np.arange(n))

@@ -198,8 +198,9 @@ EUCLIDEAN = DistanceMetric()
 
 
 def apply_feature_map(ps: PointSet, fmap: FeatureMap) -> PointSet:
-    """Map a whole point set into feature space, preserving count and tags."""
-    return PointSet(fmap.apply(ps.data), ps.sources)
+    """Map a whole point set into feature space, preserving count and tags;
+    the identity map returns ps itself, which is immutable."""
+    return ps if fmap.kind == "identity" else PointSet(fmap.apply(ps.data), ps.sources)
 
 
 def _parse_float(token: str) -> float | None:

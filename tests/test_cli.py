@@ -144,6 +144,31 @@ class TestScalarCommands:
             assert main([*command, "--input", str(p), "--feature", "randproj:2:1"]) == 5
             assert "randproj" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_overflowing_frechet_cross_term_exits_five(self, tmp_path, d):
+        # Covariances near 1e300 are finite but their cross term is not: d = 2
+        # used to print "frechet": NaN and exit 0, d = 3 to exit 2 after
+        # numpy's overflow warnings.
+        rng = np.random.default_rng(d)
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        save_pointset(PointSet(rng.standard_normal((60, d)) * 1e150), a)
+        save_pointset(PointSet(rng.standard_normal((60, d)) * 1e150), b)
+        proc = run_cli(["frechet", "--input", str(a), "--other", str(b)])
+        assert proc.returncode == 5
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == ["error: Frechet cross term is not finite"]
+
+    def test_non_finite_result_exits_five_with_no_document(self, tmp_path, capsys):
+        # Squared distances between points near 1e200 overflow, so the mean
+        # neighbor distance is inf; JSON has no token for it.
+        p = tmp_path / "huge.csv"
+        save_pointset(PointSet(np.random.default_rng(4).standard_normal((40, 2)) * 1e200), p)
+        with np.errstate(over="ignore"):
+            assert main(["mnnd", "--input", str(p)]) == 5
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "non-finite value cannot be written as JSON" in err
+
 
 class TestSelect:
     def test_greedy_forced_start_hand_trace(self, tmp_path, capsys):
@@ -586,6 +611,17 @@ class TestLoop:
         assert main(self.loop_args(blob_csv, tmp_path / "t", [flag, value])) == 4
         assert f"{value!r} (expected {expected})" in capsys.readouterr().err
 
+    def test_overflowing_frechet_writes_no_trace(self, tmp_path, capsys):
+        # This loop used to exit 0 and write "frechet_real": NaN.
+        real = tmp_path / "huge.csv"
+        save_pointset(PointSet(np.random.default_rng(2).standard_normal((60, 2)) * 1e150), real)
+        prefix = tmp_path / "t"
+        code = main(["loop", "--real", str(real), "--paradigm", "replace", "--generator", "bootstrap:0",
+                     "--train-size", "30", "--iterations", "2", "--out", str(prefix)])
+        assert code == 5
+        assert capsys.readouterr().err.splitlines()[-1] == "error: iteration 1: Frechet cross term is not finite"
+        assert not prefix.with_suffix(".json").exists()
+
     def test_numeric_failure_maps_to_exit_five(self, blob_csv, tmp_path, monkeypatch):
         def boom(config, real, progress=None):
             raise NumericalError("synthetic failure")
@@ -698,10 +734,16 @@ class TestAnalyze:
             ("compare", lambda rec: rec.update(mnnd="x")),
             ("compare", lambda rec: rec["entropy"].update(estimate=None)),
             ("compare", lambda rec: rec["entropy"].update(duplicate_count=1.5)),
+            ("compare", lambda rec: rec["entropy"].update(gamma=0)),
+            ("compare", lambda rec: rec["entropy"].update(size=0)),
+            ("compare", lambda rec: rec["entropy"].update(dim=0)),
+            ("compare", lambda rec: rec["entropy"].update(duplicate_count=-1)),
+            ("compare", lambda rec: rec["entropy"].update(duplicate_count=10**6)),
             ("compare", lambda rec: rec["source_proportions"].update(real="x")),
             ("compare", lambda rec: rec.update(gs_value=rec.pop("gs"))),
         ],
-        ids=["gs-string", "mnnd-string", "estimate-null", "duplicate-count-float", "proportion-string",
+        ids=["gs-string", "mnnd-string", "estimate-null", "duplicate-count-float", "gamma-zero", "size-zero",
+             "dim-zero", "duplicate-count-negative", "duplicate-count-above-size", "proportion-string",
              "field-name-as-key"],
     )
     def test_bad_record_value_is_io_error(self, blob_csv, tmp_path, capsys, mode, damage):

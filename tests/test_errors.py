@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from collapselab import FeatureMap, GeneratorSpec, SelectionPolicy
-from collapselab.errors import ConfigError, check_fields
+from collapselab.errors import ConfigError, check_fields, number_type
 from collapselab.looper import IterationRecord, LoopConfig
 from collapselab.metrics import EntropyReport, MomentSummary
 
@@ -103,3 +103,33 @@ def test_none_passes_only_a_field_declared_optional(obj, name, kind, optional, i
     else:
         with pytest.raises(ConfigError, match=f"^{name} must be "):
             check_fields(copy)
+
+
+@dataclasses.dataclass(frozen=True)
+class _Whole:
+    value: "int"
+
+    def __post_init__(self) -> None:
+        check_fields(self)
+
+
+@dataclasses.dataclass(frozen=True)
+class _Real:
+    value: "float"
+
+    def __post_init__(self) -> None:
+        check_fields(self)
+
+
+def test_classes_sharing_a_field_name_keep_their_own_annotations():
+    # Field tables are read once per class: each class's field `value` is
+    # held to its own annotation, whichever class was checked first.
+    assert _Real(1.5).value == 1.5
+    with pytest.raises(ConfigError, match=r"^value must be int, got 1\.5"):
+        _Whole(1.5)
+    assert _Whole(2).value == 2
+    assert _Real(2).value == 2
+    with pytest.raises(ConfigError, match=r"^value must be float, got 'x'"):
+        _Real("x")
+    assert number_type(_Whole, "value") is int
+    assert number_type(_Real, "value") is float

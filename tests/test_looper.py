@@ -21,6 +21,7 @@ from collapselab import (
     IterationRecord,
     LoopConfig,
     NeighborResult,
+    NumericalError,
     PointSet,
     SelectionPolicy,
     compare_traces,
@@ -444,6 +445,16 @@ class TestSerialization:
         assert "timestamp" in full
         assert "host" in full
         assert canonical["schema_version"] == 1
+
+    @pytest.mark.parametrize("field, value", [("frechet_real", math.nan), ("gs", math.inf), ("mnnd", -math.inf)])
+    def test_non_finite_value_is_numerical_error(self, field, value):
+        # JSON has no NaN or infinity: the writer refuses them rather than
+        # write a bare NaN token no strict reader accepts.
+        trace = run_loop(bootstrap_config(iterations=2), blob_data(21, 60))
+        records = (trace.records[0], dataclasses.replace(trace.records[1], **{field: value}))
+        with pytest.raises(NumericalError, match="non-finite"):
+            trace_to_json(dataclasses.replace(trace, records=records), canonical=True)
+        trace_to_json(trace, canonical=True)
 
     def test_config_echo_reports_effective_multiplier(self):
         cfg = bootstrap_config(selection=SelectionPolicy(kind="greedy", seed=0))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -266,6 +267,38 @@ class TestFrechetGaussian:
         a = moment_summary(PointSet(rng.standard_normal((30, 2))))
         jitter = moment_summary(PointSet(rng.standard_normal((30, 2)) * (1.0 + 1e-14)))
         assert frechet_gaussian_distance(a, jitter) >= 0.0
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_overflowing_cross_term_is_numerical_error(self, d):
+        # Covariances near 1e300 are finite, but S_a^{1/2} S_b S_a^{1/2} is
+        # not: at d = 2 it used to give NaN and at d = 3 a failed
+        # eigensolver, each after overflow warnings.
+        rng = np.random.default_rng(40 + d)
+        a = moment_summary(PointSet(rng.standard_normal((60, d)) * 1e150))
+        b = moment_summary(PointSet(rng.standard_normal((60, d)) * 1e150))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="cross term is not finite"):
+                frechet_gaussian_distance(a, b)
+
+    def test_overflowing_mean_term_is_numerical_error(self):
+        # Collapsed sets with finite means 2e160 apart: the cross term is 0
+        # but the squared distance of the means is inf.
+        a = moment_summary(PointSet([[1e160], [1e160]]))
+        b = moment_summary(PointSet([[-1e160], [-1e160]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="distance is not finite"):
+                frechet_gaussian_distance(a, b)
+
+    def test_failed_eigensolver_is_numerical_error(self, monkeypatch):
+        def fail(_matrix):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        a = moment_summary(PointSet([[-1.0], [1.0]]))
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        with pytest.raises(NumericalError, match="did not converge"):
+            frechet_gaussian_distance(a, a)
 
     def test_non_psd_covariance_rejected(self):
         good = moment_summary(PointSet([[-1.0], [1.0]]))

@@ -747,6 +747,49 @@ class TestSplit:
             lead[lead == 0.0] = -0.0
         assert self.grow_from(monkeypatch, x, np.vstack([lead, x[::-1]]), 2) == 1
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_successive_growths_match_all_pairs(self, data):
+        # A pool grown by copies over several steps, as an accumulating loop
+        # grows it: nn_cross of each step's rows against the pool grows the
+        # split, whose point keys are kept from growth to growth; a new point
+        # forces a full split, whose keys are then made afresh. Each step
+        # copies the newest point, so keys left from the split before would
+        # miss it and force another full split.
+        d = data.draw(st.integers(1, 3))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        scale = data.draw(st.sampled_from([1.0, 1e-310, 1e150]))
+        if data.draw(st.booleans()):
+            pool = rng.integers(-2, 3, (data.draw(st.integers(6, 40)), d)).astype(np.float64)
+        else:
+            pool = rng.standard_normal((data.draw(st.integers(6, 40)), d))
+        pool = pool * scale
+        k = data.draw(st.integers(2, 4))
+        newest, new_points, built = pool[-1], 0, []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(neighbors, "_memo", neighbors._Memo())
+            split = neighbors._split
+            mp.setattr(neighbors, "_split", lambda x: built.append(x.shape) or split(x))
+            for step in range(data.draw(st.integers(3, 5))):
+                tail = pool[rng.integers(0, len(pool), data.draw(st.integers(1, 40)))]
+                tail = np.insert(tail, rng.integers(0, len(tail) + 1), newest, axis=0)
+                tail = np.where((tail == 0.0) & (rng.random(tail.shape) < 0.5), -tail, tail)
+                if data.draw(st.booleans()):
+                    newest = pool[rng.integers(0, len(pool))].copy()
+                    newest[0] = np.nextafter(pool[:, 0].max(), np.inf)
+                    tail = np.insert(tail, rng.integers(0, len(tail) + 1), newest, axis=0)
+                    new_points += step > 0
+                got = nn_cross(PointSet(tail), PointSet(pool), DistanceMetric(kind="sqeuclidean"))
+                want = brute_sq(tail, pool, 1, within=False)
+                assert np.array_equal(got.distances, want[0]) and np.array_equal(got.indices, want[1])
+                pool = np.vstack([pool, tail])
+                ranks = kth_nn_within(PointSet(pool), (1, k), DistanceMetric(kind="sqeuclidean"))
+                for rank, res in zip((1, k), ranks):
+                    want = brute_sq(pool, pool, rank, within=True)
+                    assert np.array_equal(res.distances, want[0]) and np.array_equal(res.indices, want[1])
+        # The first step has nothing to grow from; later ones split only for a new point.
+        assert len(built) == 1 + new_points
+
     def test_a_key_collision_falls_back_to_a_full_split(self, monkeypatch):
         # Every row gets one key, so copies of other points are proposed the
         # wrong point; the coordinates refuse it and the matrix is split.

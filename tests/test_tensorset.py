@@ -277,6 +277,15 @@ class TestFeatureMap:
         assert out.dim == 2
         assert np.array_equal(out.sources, ps.sources)
 
+    def test_apply_feature_map_returns_the_set_itself_under_identity(self):
+        # A PointSet is immutable, so the identity map needs no copy; a
+        # projection still makes a new set.
+        ps = PointSet(np.arange(8.0).reshape(4, 2), sources=[0, 1, 1, 2])
+        assert apply_feature_map(ps, FeatureMap()) is ps
+        out = apply_feature_map(ps, FeatureMap(kind="randproj", target_dim=2, seed=1))
+        assert out is not ps
+        assert np.array_equal(out.data, FeatureMap(kind="randproj", target_dim=2, seed=1).apply(ps.data))
+
 
 class TestDistanceMetric:
     def test_unknown_kind_rejected(self):

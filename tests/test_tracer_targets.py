@@ -104,9 +104,11 @@ def test_memorizing_loop_splits_each_pool_once(monkeypatch, gamma):
     # Under accumulate, the stack nn_cross splits has the bits of the pool
     # kth_nn_within splits next, so the second reads the first's split.
     # Each later stack is the last pool plus copies of its points, so its
-    # split grows from the last one: one full split per run.
-    built, grown = [], []
-    split, grow = neighbors._split, neighbors._grow
+    # split grows from the last one: one full split per run. The held
+    # points are keyed once, at the first growth; later growths key only
+    # the rows they append.
+    built, grown, keyed = [], [], []
+    split, grow, row_keys = neighbors._split, neighbors._grow, neighbors._row_keys
 
     def split_spy(x):
         built.append(x.shape[0])
@@ -120,11 +122,16 @@ def test_memorizing_loop_splits_each_pool_once(monkeypatch, gamma):
 
     monkeypatch.setattr(neighbors, "_split", split_spy)
     monkeypatch.setattr(neighbors, "_grow", grow_spy)
+    monkeypatch.setattr(neighbors, "_row_keys", lambda x: keyed.append(x.shape[0]) or row_keys(x))
     monkeypatch.setattr(neighbors, "_memo", neighbors._Memo())
     cfg = accumulate_config(gamma, iterations=4)
-    run_loop(cfg, real_data())
+    real = real_data()
+    run_loop(cfg, real)
     assert len(built) == 1
     assert len(grown) == cfg.iterations - 1
+    # The real rows are the pool's points (no two coincide), and each
+    # generation appends train_size copies.
+    assert keyed == [real.size] + [cfg.train_size] * (cfg.iterations - 1)
 
 
 def test_traced_gmm_loop_counts_the_em_diagnostics(monkeypatch):
