@@ -19,6 +19,8 @@ import dataclasses
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import looper
 from .errors import CollapseLabError, ConfigError, DimensionError, FormatError, number_type
 from .generators import GENERATOR_FIELDS, GeneratorSpec, fit, sample
@@ -230,8 +232,9 @@ def _read_trace(path) -> looper.LoopTrace:
     text = Path(path).read_text()
     try:
         return looper.trace_from_json(text)
-    except (AttributeError, KeyError, TypeError, ValueError, CollapseLabError) as exc:
-        # Wrong JSON types, missing or unknown keys, and values the dataclasses refuse.
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError, CollapseLabError) as exc:
+        # Wrong JSON types, missing or unknown keys, values the dataclasses
+        # refuse, and entropy fields beyond the float range.
         raise FormatError(f"{path}: not a trace file ({type(exc).__name__}: {exc})") from None
 
 
@@ -322,7 +325,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        # Every non-finite result is refused by an explicit check with its
+        # own error line, so numpy's warnings would only repeat it.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
     except (CollapseLabError, OSError, ValueError) as exc:
         # Non-finite data is rejected at load time with the stock ValueError.
         sys.stderr.write(f"error: {exc}\n")

@@ -6,9 +6,12 @@ Three fit/sample families, all deterministic given their seeds:
                a one-component mixture.
   gmm       -- full-covariance Gaussian mixture fit by EM with a seeded
                k-means++-style initialization; collapsing component
-               covariances are floored at 1e-9 I and flagged. A mixture
-               samples each component through the symmetric
-               eigendecomposition of its covariance.
+               covariances are floored at 1e-9 I and flagged. At d = 2 the
+               E-step solves with two batched matmuls that give the bits of
+               np.linalg.solve (_solve_2d), once a one-time probe has seen
+               them agree on this BLAS; otherwise, and at d != 2 or n = 1,
+               it calls solve. A mixture samples each component through the
+               symmetric eigendecomposition of its covariance.
   bootstrap -- resample training rows with replacement and add isotropic
                Gaussian jitter sigma; sigma=0 is a pure memorizer whose
                samples are bit-exact training rows.
@@ -16,6 +19,7 @@ Three fit/sample families, all deterministic given their seeds:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -103,6 +107,67 @@ def _kmeanspp_centers(data: np.ndarray, k: int, rng: np.random.Generator) -> np.
     return centers
 
 
+def _solve_2d(covs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """np.linalg.solve(covs, rhs + 0.0) for a (k, 2, 2) stack and (k, 2, n)
+    right-hand sides, n >= 2, bit for bit on a BLAS that passes
+    _solve_2d_matches_solve.
+
+    LAPACK's dgesv factors each matrix with getf2. The pivot row p is row 1
+    when |a10| > |a00| and row 0 otherwise; q is the other row. The factors
+    r0 = 1/a_p0, l = a_q0 r0 and r1 = 1/(a_q1 - l a_p1) are unfused (trsm
+    keeps the reciprocal of each diagonal), and the two triangular solves
+    give x1 = fma(-l, b_p, b_q) r1 and x0 = fma(-a_p1, x1, b_p) r0. numpy has
+    no fma, but the dgemm kernel behind a batched matmul sums its K axis in
+    order with FMA from a zeroed register, so [[0, 1], [1, -l]] @ [b_q; b_p]
+    gives [b_p; fma(-l, b_p, b_q)] and [[1, -a_p1], [0, 1]] @ [b_p; x1] gives
+    [fma(-a_p1, x1, b_p); x1]. The register adds +0.0 to each first term, so
+    a -0.0 on the right reads as +0.0; x1 is copied, not taken from the
+    second product, so it keeps the sign of a zero.
+
+    No pivot is subnormal in a fit: the 1e-9 covariance floor keeps
+    |a_p0| >= a00 >= ~1e-9, so getf2 never takes its divide branch. The fit
+    keeps slogdet and its sign check, which refuse a singular stack first.
+    """
+    k, _, n = rhs.shape
+    swapped = np.empty((k, 2, n))
+    work = np.empty((k, 2, n))
+    lower = np.zeros((k, 2, 2))
+    lower[:, 0, 1] = lower[:, 1, 0] = 1.0
+    upper = np.zeros((k, 2, 2))
+    upper[:, 0, 0] = upper[:, 1, 1] = 1.0
+    scale = np.empty((2, k, 1))
+    for i, (p, q) in enumerate(covs.tolist()):
+        if abs(q[0]) > abs(p[0]):
+            p, q = q, p
+            swapped[i] = rhs[i]
+        else:
+            swapped[i, 0] = rhs[i, 1]
+            swapped[i, 1] = rhs[i, 0]
+        scale[0, i] = r0 = 1.0 / p[0]
+        l = q[0] * r0
+        scale[1, i] = 1.0 / (q[1] - l * p[1])
+        lower[i, 1, 1] = -l
+        upper[i, 0, 1] = -p[1]
+    np.matmul(lower, swapped, out=work)
+    work[:, 1] *= scale[1]
+    np.matmul(upper, work, out=swapped)
+    swapped[:, 0] *= scale[0]
+    swapped[:, 1] = work[:, 1]
+    return swapped
+
+
+@functools.cache
+def _solve_2d_matches_solve() -> bool:
+    """Whether _solve_2d gives np.linalg.solve's bits here, on a fixed stack:
+    an unpivoted, a pivoted, a tied and a floored matrix against 37 columns,
+    every fifth one zero. A BLAS that does not fuse, or that pivots
+    otherwise, keeps solve."""
+    covs = np.array([[[2.0, 0.6], [0.6, 1.5]], [[0.5, 1.5], [1.5, 5.0]], [[3.0, -3.0], [-3.0, 4.0]], _COV_FLOOR * np.eye(2)])
+    rhs = np.random.default_rng(2).standard_normal((4, 2, 37)) * np.array([1.0, 1e3, 1e-3, 1e-5])[:, None, None]
+    rhs[:, :, ::5] = 0.0
+    return _solve_2d(covs, rhs).tobytes() == np.linalg.solve(covs, rhs).tobytes()
+
+
 def _fit_gmm(spec: GeneratorSpec, data: np.ndarray) -> FittedGenerator:
     n, d = data.shape
     k = spec.components
@@ -125,11 +190,18 @@ def _fit_gmm(spec: GeneratorSpec, data: np.ndarray) -> FittedGenerator:
     #     rounds differently;
     #   - the row sum of exp(log_comp - top) runs over an (n, k) array: from
     #     8 terms up numpy sums pairwise, so an axis-0 sum of (k, n) differs.
+    # At d = 2 and n >= 2 the E-step solves with _solve_2d once the
+    # one-time probe has passed; at n = 1 LAPACK takes a one-column path
+    # that rounds otherwise. _solve_2d reads a -0.0 in centered (a -0.0
+    # coordinate at a mean of exactly +0.0) as +0.0. That can flip only the
+    # sign of a zero Mahalanobis sum, which adding d log(2 pi) + logdet
+    # hides unless that constant is exactly zero.
     columns = np.ascontiguousarray(data.T)
     centered = np.empty((k, n, d))
     weighted = np.empty((k, n, d))
     shifted = np.empty((n, k))
     resp = np.empty((n, k))
+    solve = _solve_2d if d == 2 and n > 1 and _solve_2d_matches_solve() else np.linalg.solve
 
     def center(means: np.ndarray) -> None:
         for j in range(d):
@@ -144,7 +216,7 @@ def _fit_gmm(spec: GeneratorSpec, data: np.ndarray) -> FittedGenerator:
         sign, logdet = np.linalg.slogdet(covs)
         if not np.all(sign > 0):
             raise NumericalError("component covariance lost positive definiteness")
-        terms = np.linalg.solve(covs, centered.transpose(0, 2, 1))
+        terms = solve(covs, centered.transpose(0, 2, 1))
         terms *= centered.transpose(0, 2, 1)
         # log_comp is built in place: the Mahalanobis sum one coordinate at
         # a time, then the log normalizer and the log weight.

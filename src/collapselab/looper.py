@@ -342,8 +342,19 @@ def json_text(doc) -> str:
         raise NumericalError(f"a non-finite value cannot be written as JSON ({exc})") from None
 
 
+def _finite(token: str) -> float:
+    value = float(token)
+    if not math.isfinite(value):
+        raise FormatError(f"a trace holds no non-finite number, got {token}")
+    return value
+
+
 def trace_from_json(text: str) -> LoopTrace:
-    doc = json.loads(text)
+    """The trace `text` holds; a FormatError for a non-finite number, for
+    records that do not run 1..config.iterations in order, or for an entropy
+    whose gamma is not the config's or whose estimate is not its
+    reconstruction, bit for bit. The dataclasses refuse the rest."""
+    doc = json.loads(text, parse_constant=_finite, parse_float=_finite)
     version = doc.get("schema_version")
     if not (is_number(version, int) and version == SCHEMA_VERSION):
         raise FormatError(f"schema_version must be {SCHEMA_VERSION}, got {version!r}")
@@ -369,11 +380,16 @@ def trace_from_json(text: str) -> LoopTrace:
     arrays = {key: np.array(rr[key], dtype=np.float64) for key in ("mean", "covariance")}
     for a in arrays.values():
         a.setflags(write=False)
-    return LoopTrace(
-        config=config,
-        records=tuple(record(r) for r in doc["records"]),
-        real_reference=MomentSummary(**{**rr, **arrays}),
-    )
+    records = tuple(record(r) for r in doc["records"])
+    if [r.iteration for r in records] != list(range(1, config.iterations + 1)):
+        raise FormatError(f"record iterations must run 1..{config.iterations} in order")
+    for r in records:
+        gamma, estimate, rebuilt = r.entropy.gamma, r.entropy.estimate, r.entropy.reconstruct()
+        if gamma != config.gamma:
+            raise FormatError(f"iteration {r.iteration}: entropy gamma {gamma} is not the config's {config.gamma}")
+        if estimate != rebuilt or math.copysign(1.0, estimate) != math.copysign(1.0, rebuilt):
+            raise FormatError(f"iteration {r.iteration}: entropy estimate {estimate!r} is not its reconstruction {rebuilt!r}")
+    return LoopTrace(config=config, records=records, real_reference=MomentSummary(**{**rr, **arrays}))
 
 
 def trace_to_csv(trace: LoopTrace) -> str:

@@ -169,6 +169,17 @@ class TestScalarCommands:
         assert out == ""
         assert "non-finite value cannot be written as JSON" in err
 
+    def test_overflow_prints_only_the_error_line(self, tmp_path):
+        # The squared distances overflow inside numpy; the explicit check's
+        # error is the one stderr line, with no RuntimeWarning before it.
+        p = tmp_path / "huge.csv"
+        save_pointset(PointSet(np.random.default_rng(4).standard_normal((40, 2)) * 1e200), p)
+        proc = run_cli(["mnnd", "--input", str(p)])
+        assert proc.returncode == 5
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("error: ")
+
 
 class TestSelect:
     def test_greedy_forced_start_hand_trace(self, tmp_path, capsys):
@@ -710,13 +721,17 @@ class TestAnalyze:
             lambda doc: doc.update(schema_version=True),
             lambda doc: doc.pop("schema_version"),
             lambda doc: doc.update(unexpected=1),
+            lambda doc: doc["records"].pop(),
+            lambda doc: doc["records"].reverse(),
+            lambda doc: doc["records"].append(doc["records"][-1]),
         ],
         ids=["real-reference-not-a-dict", "unknown-record-key", "unknown-metric-key", "invalid-paradigm",
              "record-not-a-dict", "config-not-a-dict", "generator-components-float", "generator-seed-string",
              "feature-target-dim-float", "feature-seed-bool", "generator-sigma-bool", "generator-sigma-string",
              "generator-tol-bool", "multiplier-bool", "selection-tau0-bool", "selection-alpha-string",
              "trace-cov-string", "trace-cov-bool", "identity-seed-float", "whiten-feature-map",
-             "schema-version-99", "schema-version-bool", "schema-version-missing", "unknown-top-level-key"],
+             "schema-version-99", "schema-version-bool", "schema-version-missing", "unknown-top-level-key",
+             "last-record-missing", "records-reversed", "record-repeated"],
     )
     def test_damaged_trace_is_io_error(self, blob_csv, tmp_path, capsys, damage):
         trace = self.make_trace(blob_csv, tmp_path, "a")
@@ -741,10 +756,18 @@ class TestAnalyze:
             ("compare", lambda rec: rec["entropy"].update(duplicate_count=10**6)),
             ("compare", lambda rec: rec["source_proportions"].update(real="x")),
             ("compare", lambda rec: rec.update(gs_value=rec.pop("gs"))),
+            # json.dumps writes these as the bare tokens NaN and Infinity.
+            ("compare", lambda rec: rec.update(gs=math.nan)),
+            ("compare", lambda rec: rec.update(mnnd=math.inf)),
+            ("correlate", lambda rec: rec.update(iteration=3)),
+            ("compare", lambda rec: rec["entropy"].update(gamma=2)),
+            ("compare", lambda rec: rec["entropy"].update(estimate=math.nextafter(rec["entropy"]["estimate"], 0.0))),
+            ("compare", lambda rec: rec["entropy"].update(size=10**400)),
         ],
         ids=["gs-string", "mnnd-string", "estimate-null", "duplicate-count-float", "gamma-zero", "size-zero",
              "dim-zero", "duplicate-count-negative", "duplicate-count-above-size", "proportion-string",
-             "field-name-as-key"],
+             "field-name-as-key", "gs-nan", "mnnd-infinity", "iteration-out-of-order", "gamma-not-config",
+             "estimate-one-ulp-off", "size-beyond-float"],
     )
     def test_bad_record_value_is_io_error(self, blob_csv, tmp_path, capsys, mode, damage):
         trace = self.make_trace(blob_csv, tmp_path, "a")

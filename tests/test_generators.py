@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from collapselab import (
     ConfigError,
@@ -12,7 +13,8 @@ from collapselab import (
     fit,
     sample,
 )
-from collapselab.generators import _COV_FLOOR, FitDiagnostics, _kmeanspp_centers
+import collapselab.generators as generators
+from collapselab.generators import _COV_FLOOR, FitDiagnostics, _kmeanspp_centers, _solve_2d, _solve_2d_matches_solve
 from collapselab.metrics import _mle_moments, _psd_clip
 
 
@@ -316,6 +318,81 @@ class TestBatchedEmMatchesComponentLoop:
             reference_gmm(spec, data)
         with pytest.raises(NumericalError, match=str(expected.value)):
             fit(spec, PointSet(data))
+
+
+@st.composite
+def solve_2d_cases(draw):
+    """A (k, 2, 2) covariance stack and (k, 2, n) centered right-hand sides,
+    laid out as the fit passes them, at a data scale from 1e-7 to 1e150.
+    Each covariance is SPD, or rank one plus the 1e-9 floor, or tied
+    (|a10| = |a00|, no pivot); a rotation steeper than 45 degrees makes
+    getf2 pivot. Some right-hand sides hold zeros of either sign."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.integers(1, 5))
+    n = draw(st.sampled_from([2, 3, 8, 9, 127, 1000, 1200]) | st.integers(2, 1200))
+    scale = 10.0 ** draw(st.integers(-7, 150))
+    covs = np.empty((k, 2, 2))
+    for i in range(k):
+        kind = draw(st.sampled_from(["spd", "floored", "tied"]))
+        a = scale**2 * 10.0 ** rng.uniform(-2, 2)
+        if kind == "tied":
+            c = rng.choice([-a, a])
+            covs[i] = [[a, c], [c, a * rng.uniform(1.01, 5.0)]]
+            continue
+        angle = rng.uniform(0, 2 * np.pi)
+        rot = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+        low = 0.0 if kind == "floored" else a * 10.0 ** rng.uniform(-6, 0)
+        cov = rot @ np.diag([a, low]) @ rot.T
+        cov = (cov + cov.T) / 2.0
+        covs[i] = cov + _COV_FLOOR * np.eye(2) if np.linalg.eigvalsh(cov).min() < _COV_FLOOR else cov
+    # The fit solves only after slogdet's sign check; at large scales the
+    # floor is lost in rounding and a rank-one covariance fails it.
+    assume(np.all(np.linalg.slogdet(covs)[0] > 0))
+    centered = rng.standard_normal((k, n, 2)) * scale
+    zeros = draw(st.sampled_from([0.0, 0.1, 1.0]))
+    centered[rng.random(centered.shape) < zeros] = 0.0
+    if draw(st.booleans()):
+        centered[rng.random(centered.shape) < zeros] = -0.0
+    return covs, centered
+
+
+@pytest.mark.skipif(not _solve_2d_matches_solve(), reason="this BLAS fails the probe, so the fit keeps solve")
+@settings(max_examples=300, deadline=None)
+@given(solve_2d_cases())
+def test_solve_2d_has_the_bits_of_solve(case):
+    covs, centered = case
+    rhs = centered.transpose(0, 2, 1)
+    # A -0.0 on the right reads as +0.0; otherwise every bit, zeros' signs included.
+    assert _solve_2d(covs, rhs).tobytes() == np.linalg.solve(covs, rhs + 0.0).tobytes()
+
+
+def test_replace_gmm_shaped_fit_matches_component_loop():
+    # d = 2, k = 4, n = 1000 and 200 EM iterations, as the replace-gmm benchmark fits.
+    rng = np.random.default_rng(7)
+    data = rng.uniform(-4, 4, (4, 2))[rng.integers(0, 4, 1000)] + rng.standard_normal((1000, 2))
+    spec = GeneratorSpec(kind="gmm", components=4, seed=3, max_iters=200, tol=1e-300)
+    weights, means, covs, diagnostics = reference_gmm(spec, data)
+    gen = fit(spec, PointSet(data))
+    assert gen.weights.tobytes() == weights.tobytes()
+    assert gen.means.tobytes() == means.tobytes()
+    assert gen.covariances.tobytes() == covs.tobytes()
+    assert gen.diagnostics == diagnostics
+    assert len(diagnostics.log_likelihoods) == 200
+
+
+def test_failed_probe_keeps_solve(monkeypatch):
+    def refuse(covs, rhs):
+        raise AssertionError("_solve_2d ran after a failed probe")
+
+    monkeypatch.setattr(generators, "_solve_2d_matches_solve", lambda: False)
+    monkeypatch.setattr(generators, "_solve_2d", refuse)
+    for name, data in em_layouts(2, 3):
+        spec = GeneratorSpec(kind="gmm", components=3, seed=5, max_iters=40)
+        weights, means, covs, diagnostics = reference_gmm(spec, data)
+        gen = fit(spec, PointSet(data))
+        assert gen.means.tobytes() == means.tobytes(), name
+        assert gen.covariances.tobytes() == covs.tobytes(), name
+        assert gen.diagnostics == diagnostics, name
 
 
 class TestBootstrap:

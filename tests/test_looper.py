@@ -16,6 +16,7 @@ from collapselab import (
     EUCLIDEAN,
     EntropyReport,
     FeatureMap,
+    FormatError,
     GeneratorSpec,
     InsufficientPointsError,
     IterationRecord,
@@ -455,6 +456,14 @@ class TestSerialization:
         with pytest.raises(NumericalError, match="non-finite"):
             trace_to_json(dataclasses.replace(trace, records=records), canonical=True)
         trace_to_json(trace, canonical=True)
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999"])
+    def test_non_finite_number_is_format_error(self, token):
+        # json.loads reads these tokens, and 1e999 as inf, unless told not to.
+        doc = json.loads(trace_to_json(run_loop(bootstrap_config(iterations=2), blob_data(21, 60)), canonical=True))
+        doc["records"][1]["mnnd"] = "here"
+        with pytest.raises(FormatError, match="non-finite"):
+            trace_from_json(json.dumps(doc).replace('"here"', token))
 
     def test_config_echo_reports_effective_multiplier(self):
         cfg = bootstrap_config(selection=SelectionPolicy(kind="greedy", seed=0))
