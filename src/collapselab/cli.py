@@ -232,9 +232,9 @@ def _read_trace(path) -> looper.LoopTrace:
     text = Path(path).read_text()
     try:
         return looper.trace_from_json(text)
-    except (AttributeError, KeyError, OverflowError, TypeError, ValueError, CollapseLabError) as exc:
-        # Wrong JSON types, missing or unknown keys, values the dataclasses
-        # refuse, and entropy fields beyond the float range.
+    except (AttributeError, KeyError, TypeError, ValueError, CollapseLabError) as exc:
+        # Wrong JSON types, missing or unknown keys, and values the reader
+        # or the dataclasses refuse.
         raise FormatError(f"{path}: not a trace file ({type(exc).__name__}: {exc})") from None
 
 

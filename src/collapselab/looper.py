@@ -179,13 +179,12 @@ def run_loop(config: LoopConfig, real_data: PointSet, progress=None) -> LoopTrac
 
             pool = generation if config.paradigm == "replace" else PointSet.concat([pool, generation])
 
-            if config.paradigm == "accumulate":
+            # LoopConfig refuses a policy under accumulate.
+            if config.selection is None and config.paradigm != "accumulate_subsample":
                 nxt = pool
-            elif config.selection is not None or config.paradigm == "accumulate_subsample":
+            else:
                 policy = config.selection or SelectionPolicy(kind="random")
                 nxt = pool.rows(run_policy(pool, n, dataclasses.replace(policy, seed=select_seed)).indices)
-            else:
-                nxt = pool
 
             # One search of D_{n+1} gives entropy its gamma-th neighbors and
             # MNND its first; a set too small for it meets kl_entropy's check.
@@ -350,10 +349,11 @@ def _finite(token: str) -> float:
 
 
 def trace_from_json(text: str) -> LoopTrace:
-    """The trace `text` holds; a FormatError for a non-finite number, for
-    records that do not run 1..config.iterations in order, or for an entropy
-    whose gamma is not the config's or whose estimate is not its
-    reconstruction, bit for bit. The dataclasses refuse the rest."""
+    """The trace `text` holds; a FormatError for a non-finite number, a
+    moment or an entropy size or dim beyond the float range, records that do
+    not run 1..config.iterations in order, a duplicate_count other than the
+    entropy's, an entropy gamma other than the config's, or an estimate other
+    than its reconstruction, bit for bit. The dataclasses refuse the rest."""
     doc = json.loads(text, parse_constant=_finite, parse_float=_finite)
     version = doc.get("schema_version")
     if not (is_number(version, int) and version == SCHEMA_VERSION):
@@ -377,18 +377,26 @@ def trace_from_json(text: str) -> LoopTrace:
         "metric": metric(c["metric"]),
     })
     rr = doc["real_reference"]
-    arrays = {key: np.array(rr[key], dtype=np.float64) for key in ("mean", "covariance")}
+    try:
+        arrays = {key: np.array(rr[key], dtype=np.float64) for key in ("mean", "covariance")}
+    except OverflowError:
+        raise FormatError("real_reference holds a number beyond the float range") from None
     for a in arrays.values():
         a.setflags(write=False)
     records = tuple(record(r) for r in doc["records"])
-    if [r.iteration for r in records] != list(range(1, config.iterations + 1)):
+    if len(records) != config.iterations or any(r.iteration != i for i, r in enumerate(records, 1)):
         raise FormatError(f"record iterations must run 1..{config.iterations} in order")
     for r in records:
-        gamma, estimate, rebuilt = r.entropy.gamma, r.entropy.estimate, r.entropy.reconstruct()
-        if gamma != config.gamma:
-            raise FormatError(f"iteration {r.iteration}: entropy gamma {gamma} is not the config's {config.gamma}")
+        e, at = r.entropy, f"iteration {r.iteration}:"
+        if r.duplicate_count != e.duplicate_count:
+            raise FormatError(f"{at} duplicate_count {r.duplicate_count} is not the entropy's {e.duplicate_count}")
+        if e.gamma != config.gamma:
+            raise FormatError(f"{at} entropy gamma {e.gamma} is not the config's {config.gamma}")
+        if not (is_number(e.size) and is_number(e.dim)):
+            raise FormatError(f"{at} entropy size and dim must lie within the float range")
+        estimate, rebuilt = e.estimate, e.reconstruct()
         if estimate != rebuilt or math.copysign(1.0, estimate) != math.copysign(1.0, rebuilt):
-            raise FormatError(f"iteration {r.iteration}: entropy estimate {estimate!r} is not its reconstruction {rebuilt!r}")
+            raise FormatError(f"{at} entropy estimate {estimate!r} is not its reconstruction {rebuilt!r}")
     return LoopTrace(config=config, records=records, real_reference=MomentSummary(**{**rr, **arrays}))
 
 

@@ -114,30 +114,27 @@ set has the same distinct points, compared as integer bit patterns so that
 zeros of either sign never alias, at the same ranks, it reads those
 answers and only rebuilds L_g and spreads them. A loop whose generations
 copy points it has already measured searches them once. `_distinct` keeps
-its last split the same way, for any `keep`: a matrix of the same shape and
-bits reads it back. A matrix of the same width whose leading rows have the
-held bits and whose other rows all equal held points grows the split
-(`_grow`). Each appended row is keyed by the bits of its coordinates plus
-0.0, which gives zeros of either sign one key; equal finite coordinates
-have equal bits once zeros are alike, so a row's key is that of its point.
-The key only proposes a point, and the row joins it only if their
-coordinates compare equal, the very rule of `_split`. A row that matches
-no held point (a new point, or a key collision) sends the matrix to a full
-split. Appended rows come after every held row and join existing points,
-so each point keeps its first row, its label and its key: the held points'
-sorted keys are computed at a split's first growth and kept for the later
-ones, and a full split drops them. The grown order is placed, not sorted:
-each held row goes to its point's new start plus its rank among the
-point's held rows, and each appended row after its point's held rows, in
-row order (one stable argsort of the appended labels). That lists each
-point's rows together and ascending, the order an argsort of point * n +
-row gives. Under accumulate, `nn_cross` splits the training set stacked
-over the generation, the pool `kth_nn_within` splits next has those bits,
-and the next stack is that pool over the next generation. So a memorizing
-loop builds its first split in full, grows each later one, and splits each
-pool once. The split holds a read-only matrix that owns its data (a
-PointSet's, or `nn_cross`'s frozen stack) as it is, and a copy of any
-other, so no caller's later write reaches it.
+its last split with a copy of the matrix it split, so no caller's later
+write reaches it, and one rule extends it (`_grow`): a matrix whose leading
+rows have the held bits, compared the same way, and whose other rows all
+equal held points reads or grows the held split; any other is split in full.
+Each appended row is keyed by the bits of its coordinates plus 0.0, which
+gives zeros of either sign one key; equal finite coordinates have equal
+bits once zeros are alike, so a row's key is that of its point. The key
+only proposes a point, and the row joins it only if their coordinates
+compare equal, the very rule of `_split`; a row that matches no held point
+(a new point, or a key collision) sends the matrix to a full split.
+Appended rows come after every held row and join existing points, so each
+point keeps its first row, its label and its key, and the held points'
+keys ride with the split. The grown order is placed, not sorted: each held
+row goes to its point's new start plus its rank among the point's held
+rows, and each appended row after its point's held rows, in row order (one
+stable argsort of the appended labels). That lists each point's rows
+together and ascending, as an argsort of point * n + row does. Under
+accumulate, `nn_cross` splits the training set stacked over the
+generation, the pool `kth_nn_within` splits next has those bits, and the
+next stack is that pool over the next generation: a memorizing loop builds
+its first split in full, grows each later one, and splits each pool once.
 """
 
 from __future__ import annotations
@@ -169,15 +166,13 @@ _MATCH_FLOOR = 1e-145
 class _Memo(NamedTuple):
     """What the last calls left for reuse, each slot None before its first:
     `_within`'s search of a set's distinct points as (ranks, points, squared
-    distances, indices); `_distinct`'s last split as (matrix, then `_split`
-    of it, built in full or grown from the split before by `_grow`), its
-    arrays read-only; and that split's point keys as (sorted `_row_keys` of
-    each point's first row, the labels in that order), filled by its first
-    growth, kept by later ones, and dropped by a full split."""
+    distances, indices); and `_distinct`'s split record as (a copy of the
+    matrix it split, its `order`, `starts`, `sizes` and `point`, all five
+    read-only, and the held points' sorted `_row_keys` with their labels,
+    or None until a growth needs them)."""
 
     search: tuple | None = None
     split: tuple | None = None
-    keys: tuple | None = None
 
 
 _memo = _Memo()
@@ -441,24 +436,26 @@ def _row_keys(x: np.ndarray) -> np.ndarray:
     return key
 
 
-def _grow(split: tuple, x: np.ndarray) -> tuple[np.ndarray, ...] | None:
-    """x's split, grown from the held split of x's leading rows when every
-    row appended to them equals a held point; else None. It equals
-    `_split(x)` but that its row order lists the points' runs by label, not
-    by key; each run, and so `_distinct`'s output, is the same."""
-    global _memo
-    held, order, starts, sizes, point = split
+def _grow(record: tuple, x: np.ndarray) -> tuple | None:
+    """x's split record from a held one: `record` itself when x has the held
+    bits; grown, with x as its matrix and the held keys (computed if absent),
+    when x's leading rows have them and every row appended equals a held
+    point; else None. A grown order lists the points' runs by label, not by
+    key; each run, and so `_distinct`'s output, is that of `_split(x)`."""
+    held, order, starts, sizes, point, keys = record
     m, n = held.shape[0], x.shape[0]
     if not _same_bits(held, x[:m]):
         return None
+    if n == m:
+        return record
     heads = order[starts]
-    if _memo.keys is None:
-        keys = _row_keys(held[heads])
-        by_key = np.argsort(keys)
-        _memo = _memo._replace(keys=(keys[by_key], by_key))
-    keys, by_key = _memo.keys
+    if keys is None:
+        head_keys = _row_keys(held[heads])
+        by_key = np.argsort(head_keys)
+        keys = (head_keys[by_key], by_key)
+    sorted_keys, by_key = keys
     # A key only proposes a point; equal coordinates decide.
-    near = by_key[np.minimum(np.searchsorted(keys, _row_keys(x[m:])), by_key.size - 1)]
+    near = by_key[np.minimum(np.searchsorted(sorted_keys, _row_keys(x[m:])), by_key.size - 1)]
     if not (held[heads[near]] == x[m:]).all():
         return None
     grown = sizes + np.bincount(near, minlength=sizes.size)
@@ -469,7 +466,7 @@ def _grow(split: tuple, x: np.ndarray) -> tuple[np.ndarray, ...] | None:
     out[np.arange(m) + (new_starts - starts)[point[order]]] = order
     by_point = np.argsort(near, kind="stable")
     out[np.cumsum(sizes)[near[by_point]] + np.arange(n - m)] = by_point + m
-    return out, new_starts, grown, np.concatenate([point, near])
+    return x, out, new_starts, grown, np.concatenate([point, near]), keys
 
 
 def _distinct(x: np.ndarray, keep: int = 1) -> tuple[np.ndarray, np.ndarray] | None:
@@ -479,27 +476,23 @@ def _distinct(x: np.ndarray, keep: int = 1) -> tuple[np.ndarray, np.ndarray] | N
 
     Rows are one point when their coordinates compare equal, so rows that
     differ only in the sign of a zero are one point: every distance to
-    them has the same bits. The split is kept: a matrix with the same
-    shape and bits, compared as integers, reuses it at any `keep`, and one
-    that only appends copies of its points grows it (`_grow`).
+    them has the same bits. The split record is kept, with a copy of x, for
+    the next call to read or grow (`_grow`), at any `keep`.
     """
     global _memo
     n = x.shape[0]
-    split = _memo.split
-    if not (split and _same_bits(split[0], x)):
-        found = split and _grow(split, x)
-        if found is None:
-            col = np.sort(x[:, 0])
-            if not (col[1:] == col[:-1]).any():
-                return None
-            found = _split(x)
-            _memo = _memo._replace(keys=None)
-        # A read-only matrix that owns its data cannot change under the memo.
-        split = (x if x.flags.owndata and not x.flags.writeable else x.copy(), *found)
-        for a in split:
+    record = _memo.split and _grow(_memo.split, x)
+    if record is None:
+        col = np.sort(x[:, 0])
+        if not (col[1:] == col[:-1]).any():
+            return None
+        record = (x, *_split(x), None)
+    if record is not _memo.split:
+        record = (x.copy(), *record[1:])
+        for a in record[:5]:
             a.flags.writeable = False
-        _memo = _memo._replace(split=split)
-    _, order, starts, sizes, point = split
+        _memo = _memo._replace(split=record)
+    _, order, starts, sizes, point, _ = record
     if starts.size == n:
         return None
     t = np.arange(keep)
@@ -585,8 +578,6 @@ def nn_cross(queries: PointSet, refs: PointSet, metric: DistanceMetric = Distanc
     q = np.ascontiguousarray(metric.feature_map.apply(queries.data))
     r = np.ascontiguousarray(metric.feature_map.apply(refs.data))
     x = np.vstack([r, q])
-    # Frozen, the stack is held by the split memo without a copy.
-    x.flags.writeable = False
     found = _distinct(x)
     if found is None:
         v, i = _search(q, r, (1,), within=False)

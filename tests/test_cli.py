@@ -763,11 +763,12 @@ class TestAnalyze:
             ("compare", lambda rec: rec["entropy"].update(gamma=2)),
             ("compare", lambda rec: rec["entropy"].update(estimate=math.nextafter(rec["entropy"]["estimate"], 0.0))),
             ("compare", lambda rec: rec["entropy"].update(size=10**400)),
+            ("compare", lambda rec: rec.update(duplicate_count=rec["entropy"]["duplicate_count"] + 1)),
         ],
         ids=["gs-string", "mnnd-string", "estimate-null", "duplicate-count-float", "gamma-zero", "size-zero",
              "dim-zero", "duplicate-count-negative", "duplicate-count-above-size", "proportion-string",
              "field-name-as-key", "gs-nan", "mnnd-infinity", "iteration-out-of-order", "gamma-not-config",
-             "estimate-one-ulp-off", "size-beyond-float"],
+             "estimate-one-ulp-off", "size-beyond-float", "duplicate-count-not-entropy"],
     )
     def test_bad_record_value_is_io_error(self, blob_csv, tmp_path, capsys, mode, damage):
         trace = self.make_trace(blob_csv, tmp_path, "a")
@@ -777,6 +778,18 @@ class TestAnalyze:
         capsys.readouterr()
         assert main(["analyze", "--mode", mode, str(trace), str(trace)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {trace}: not a trace file")
+
+    def test_huge_iteration_count_is_io_error(self, blob_csv, tmp_path, capsys):
+        # The reader counts the records before it lists the iterations a
+        # config claims, so a claim of 10**12 costs no memory.
+        trace = self.make_trace(blob_csv, tmp_path, "a")
+        doc = json.loads(trace.read_text())
+        doc["config"]["iterations"] = 10**12
+        trace.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["analyze", "--mode", "correlate", str(trace)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {trace}: not a trace file") and err.count("\n") == 1
 
 
 class TestSubprocessDeterminism:

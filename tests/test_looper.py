@@ -465,6 +465,26 @@ class TestSerialization:
         with pytest.raises(FormatError, match="non-finite"):
             trace_from_json(json.dumps(doc).replace('"here"', token))
 
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda doc: doc["config"].update(iterations=10**12),
+            lambda doc: doc["records"][1].update(duplicate_count=doc["records"][1]["duplicate_count"] + 1),
+            lambda doc: doc["records"][1]["entropy"].update(size=10**400),
+            lambda doc: doc["records"][1]["entropy"].update(dim=10**400),
+            lambda doc: doc["real_reference"]["covariance"][0].__setitem__(1, -(10**400)),
+        ],
+        ids=["iterations-huge", "duplicate-count-not-entropy", "size-beyond-float", "dim-beyond-float",
+             "covariance-beyond-float"],
+    )
+    def test_reader_refuses_with_format_error(self, damage):
+        # Each is a FormatError from the library call, not a MemoryError or
+        # an OverflowError.
+        doc = json.loads(trace_to_json(run_loop(bootstrap_config(iterations=2), blob_data(21, 60)), canonical=True))
+        damage(doc)
+        with pytest.raises(FormatError):
+            trace_from_json(json.dumps(doc))
+
     def test_config_echo_reports_effective_multiplier(self):
         cfg = bootstrap_config(selection=SelectionPolicy(kind="greedy", seed=0))
         doc = json.loads(trace_to_json(run_loop(cfg, blob_data(22, 60)), canonical=True))

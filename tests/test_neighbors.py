@@ -708,7 +708,7 @@ class TestSplit:
         against the oracle; returns how many full splits it built."""
         held = held.copy()
         held.flags.writeable = False
-        mp.setattr(neighbors, "_memo", neighbors._Memo(split=(held, *neighbors._split(held))))
+        mp.setattr(neighbors, "_memo", neighbors._Memo(split=(held, *neighbors._split(held), None)))
         built = []
         split = neighbors._split
         mp.setattr(neighbors, "_split", lambda x: built.append(x.shape) or split(x))
@@ -956,8 +956,9 @@ class TestDistinctPoints:
                 ref_d, ref_i = brute_kth(ps.data, ps.data, k, within=True)
                 assert same_bits(res.distances, ref_d) and np.array_equal(res.indices, ref_i)
         assert len(shapes) == 3
-        # A PointSet's frozen data is kept as it is, not copied.
-        assert neighbors._memo.split[0] is sets[2].data
+        # The split holds a copy of the matrix it split, with its bits.
+        held = neighbors._memo.split[0]
+        assert same_bits(held, sets[2].data) and not np.shares_memory(held, sets[2].data)
 
     def test_a_writable_matrix_is_copied_before_it_is_kept(self, monkeypatch):
         # The split memo must not see a caller's later writes, and what it
@@ -972,6 +973,36 @@ class TestDistinctPoints:
             for got, want in zip(neighbors._distinct(x, 2), reference_distinct(x, 2)):
                 assert np.array_equal(got, want)
             x[:] = x[::-1]
+
+    def test_a_set_written_in_place_is_measured_afresh(self, monkeypatch):
+        # PointSet data is read-only, but a caller can make it writable. The
+        # split holds a copy, so the write reaches the next call's answer.
+        self.searched(monkeypatch)
+        ps = PointSet(np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [3.0, 0.0]]))
+        assert kth_nn_within(ps, 1).distances.tolist() == [0.0, 0.0, 1.0, 2.0]
+        ps.data.flags.writeable = True
+        ps.data[1] = [5.0, 0.0]
+        assert kth_nn_within(ps, 1).distances.tolist() == [1.0, 2.0, 1.0, 2.0]
+
+    def test_grow_reads_grows_or_refuses_a_record(self):
+        # `_grow` alone, with no module state: the record back for the held
+        # bits, a grown record for appended copies, None otherwise.
+        memo = neighbors._memo
+        x = np.array([[0.0, 1.0], [2.0, 3.0], [0.0, 1.0]])
+        record = (x, *neighbors._split(x), None)
+        assert neighbors._grow(record, x.copy()) is record
+        stack = np.vstack([x, x[[1, 0]]])
+        grown = neighbors._grow(record, stack)
+        assert grown[0] is stack
+        for got, want in zip(grown[1:5], ([0, 2, 4, 1, 3], [0, 3], [3, 2], [0, 1, 0, 1, 0])):
+            assert got.tolist() == want
+        # The keys are computed once and ride with each later growth.
+        assert grown[5] is not None
+        assert neighbors._grow(grown, np.vstack([stack, x[:1]]))[5] is grown[5]
+        new = np.vstack([x, [[2.0, 4.0]]])
+        signed = np.vstack([np.where(x == 0.0, -0.0, x), x])
+        assert neighbors._grow(record, new) is None and neighbors._grow(record, signed) is None
+        assert neighbors._memo is memo
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
