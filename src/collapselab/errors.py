@@ -7,12 +7,13 @@ failures of the numerics themselves are numeric errors (5).
 
 The field annotations of the package's dataclasses are read here and only
 here: check_fields holds every dataclass to its number annotations, and
-number_type gives the CLI the type to convert a setting's text to.
+number_type (for the CLI) and field_types (for from_doc) resolve them.
 """
 
 import dataclasses
 import functools
 import sys
+import typing
 
 
 class CollapseLabError(Exception):
@@ -86,6 +87,12 @@ def is_number(value, kind: type = float) -> bool:
 def _annotations(cls) -> tuple[tuple[str, str], ...]:
     """(name, annotation) of each field of dataclass cls, read once per class."""
     return tuple((f.name, f.type) for f in dataclasses.fields(cls))
+
+
+@functools.cache
+def field_types(cls) -> dict[str, object]:
+    """Each field's type in dataclass cls, resolved in its module, once per class."""
+    return typing.get_type_hints(cls)
 
 
 def number_type(cls, name: str) -> type | None:

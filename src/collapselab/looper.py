@@ -31,6 +31,7 @@ import dataclasses
 import json
 import math
 import platform
+import typing
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
@@ -38,7 +39,8 @@ import numpy as np
 
 from . import metrics
 from .errors import (
-    ConfigError, DimensionError, FormatError, InsufficientPointsError, NumericalError, check_fields, is_number
+    CollapseLabError, ConfigError, DimensionError, FormatError, InsufficientPointsError, NumericalError, check_fields,
+    field_types, is_number,
 )
 from .generators import GENERATOR_FIELDS, GeneratorSpec, fit, sample
 from .metrics import (
@@ -52,13 +54,7 @@ from .metrics import (
     pearson,
 )
 from .selection import SelectionPolicy, run_policy
-from .tensorset import (
-    DistanceMetric,
-    FeatureMap,
-    PointSet,
-    apply_feature_map,
-    source_label,
-)
+from .tensorset import DistanceMetric, PointSet, apply_feature_map, source_label
 
 SCHEMA_VERSION = 1
 
@@ -136,8 +132,24 @@ class IterationRecord:
 @dataclass(frozen=True, eq=False)
 class LoopTrace:
     config: LoopConfig
-    records: tuple[IterationRecord, ...]
     real_reference: MomentSummary
+    records: tuple[IterationRecord, ...]
+
+
+def _generation_size(config: LoopConfig, real_size: int) -> int:
+    """ceil(generation_multiplier * train_size), the points in a generation;
+    a ConfigError when the largest pool, one generation under replace and
+    real_size points plus every generation otherwise, would exceed pool_cap.
+    The unrounded generation is held to its share of the cap, which is exact
+    for integer sizes and keeps an overflowing product (inf) away from ceil."""
+    share = config.generation_multiplier * config.train_size
+    cap = config.pool_cap
+    if share > (cap if config.paradigm == "replace" else (cap - real_size) // config.iterations):
+        raise ConfigError(
+            f"generation_multiplier {config.generation_multiplier:g} x train_size {config.train_size} would grow "
+            f"the pool beyond pool_cap {cap}"
+        )
+    return math.ceil(share)
 
 
 def run_loop(config: LoopConfig, real_data: PointSet, progress=None) -> LoopTrace:
@@ -146,18 +158,7 @@ def run_loop(config: LoopConfig, real_data: PointSet, progress=None) -> LoopTrac
         raise InsufficientPointsError(f"need at least {n} real points, got {real_data.size}")
     if real_data.size and int(real_data.sources.max()) != 0:
         raise ConfigError("real_data must be tagged real (source code 0) throughout")
-    # The largest pool is one generation under replace and the real data
-    # plus every generation otherwise. The unrounded generation is held to
-    # its share of the cap, which is exact for integer sizes and keeps an
-    # overflowing product (inf) away from ceil.
-    share = config.generation_multiplier * n
-    cap = config.pool_cap
-    if share > (cap if config.paradigm == "replace" else (cap - real_data.size) // config.iterations):
-        raise ConfigError(
-            f"generation_multiplier {config.generation_multiplier:g} x train_size {n} would grow "
-            f"the pool beyond pool_cap {cap}"
-        )
-    g_size = math.ceil(share)
+    g_size = _generation_size(config, real_data.size)
 
     fmap = config.metric.feature_map
     squared = dataclasses.replace(config.metric, kind="sqeuclidean")
@@ -213,7 +214,7 @@ def run_loop(config: LoopConfig, real_data: PointSet, progress=None) -> LoopTrac
             progress(record)
         current = nxt
 
-    return LoopTrace(config=config, records=tuple(records), real_reference=real_ref)
+    return LoopTrace(config=config, real_reference=real_ref, records=tuple(records))
 
 
 # --- comparison and correlation -------------------------------------------
@@ -296,26 +297,51 @@ def correlate_trace(traces) -> CorrelationReport:
 # --- serialization ----------------------------------------------------------
 #
 # A document is its dataclass's fields in declaration order, each key the
-# field's name (to_doc), and it is read back by calling the dataclass
-# constructors on it, which check its number fields (errors.check_fields).
-# Only two choices are not generic:
+# field's name (to_doc), and from_doc reads it back through the same
+# dataclasses, whose constructors check its number fields
+# (errors.check_fields). Only two choices are not generic:
 #   - a generator writes only the fields its kind uses, GENERATOR_FIELDS
 #     (so gmm:1 still writes components: 1);
 #   - the config echo writes selection: null when there is no policy.
 
 
 def to_doc(obj):
-    """A dataclass as a dict in field order, an ndarray as nested lists,
-    anything else as it is; a field that is None is left out."""
+    """A dataclass as a dict in field order, an ndarray or a tuple as a
+    list, anything else as it is; a field that is None is left out."""
     if isinstance(obj, np.ndarray):
         return obj.tolist()
+    if isinstance(obj, tuple):
+        return [to_doc(item) for item in obj]
     if not dataclasses.is_dataclass(obj):
         return obj
     names = [f.name for f in dataclasses.fields(obj)]
     if isinstance(obj, GeneratorSpec):
         names = ["kind", "seed", *GENERATOR_FIELDS[obj.kind]]
+    kept = "selection" if isinstance(obj, LoopConfig) else None
     values = ((name, getattr(obj, name)) for name in names)
-    return {name: to_doc(value) for name, value in values if value is not None}
+    return {name: to_doc(value) for name, value in values if value is not None or name == kept}
+
+
+def from_doc(kind, doc):
+    """The value of type kind that to_doc writes as doc: a dataclass built
+    from its fields' types, an ndarray as a read-only float64 array of
+    numbers within the float range, a tuple[X, ...] item by item and an
+    X | None as either; anything else as it is."""
+    if dataclasses.is_dataclass(kind):
+        if not isinstance(doc, dict):
+            raise FormatError(f"{kind.__name__} must be a JSON object, got {type(doc).__name__}")
+        return kind(**{name: from_doc(field_types(kind).get(name), value) for name, value in doc.items()})
+    if kind is np.ndarray:
+        entries = np.array(doc, dtype=object)
+        if not all(map(is_number, entries.flat)):
+            raise FormatError("an array must hold only numbers within the float range")
+        array = entries.astype(np.float64)
+        array.setflags(write=False)
+        return array
+    args = typing.get_args(kind)
+    if typing.get_origin(kind) is tuple:
+        return tuple(from_doc(args[0], item) for item in doc)
+    return from_doc(args[0], doc) if type(None) in args and doc is not None else doc
 
 
 def trace_to_json(trace: LoopTrace, canonical: bool = False) -> str:
@@ -325,11 +351,7 @@ def trace_to_json(trace: LoopTrace, canonical: bool = False) -> str:
     if not canonical:
         doc["timestamp"] = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
         doc["host"] = platform.node()
-    # Every config field has its key, so an absent selection stays as null.
-    doc["config"] = {**dict.fromkeys(f.name for f in dataclasses.fields(LoopConfig)), **to_doc(trace.config)}
-    doc["real_reference"] = to_doc(trace.real_reference)
-    doc["records"] = [to_doc(r) for r in trace.records]
-    return json_text(doc)
+    return json_text({**doc, **to_doc(trace)})
 
 
 def json_text(doc) -> str:
@@ -349,55 +371,56 @@ def _finite(token: str) -> float:
 
 
 def trace_from_json(text: str) -> LoopTrace:
-    """The trace `text` holds; a FormatError for a non-finite number, a
-    moment or an entropy size or dim beyond the float range, records that do
-    not run 1..config.iterations in order, a duplicate_count other than the
-    entropy's, an entropy gamma other than the config's, or an estimate other
-    than its reconstruction, bit for bit. The dataclasses refuse the rest."""
-    doc = json.loads(text, parse_constant=_finite, parse_float=_finite)
-    version = doc.get("schema_version")
-    if not (is_number(version, int) and version == SCHEMA_VERSION):
-        raise FormatError(f"schema_version must be {SCHEMA_VERSION}, got {version!r}")
-    unknown = doc.keys() - {"schema_version", "timestamp", "host", "config", "real_reference", "records"}
-    if unknown:
-        raise FormatError(f"unknown trace keys {sorted(unknown)}")
-
-    def metric(d: dict) -> DistanceMetric:
-        return DistanceMetric(**{**d, "feature_map": FeatureMap(**d["feature_map"])})
-
-    def record(d: dict) -> IterationRecord:
-        return IterationRecord(**{**d, "entropy": EntropyReport(**d["entropy"])})
-
-    c = doc["config"]
-    sel = c.get("selection")
-    config = LoopConfig(**{
-        **c,
-        "generator": GeneratorSpec(**c["generator"]),
-        "selection": None if sel is None else SelectionPolicy(**{**sel, "metric": metric(sel["metric"])}),
-        "metric": metric(c["metric"]),
-    })
-    rr = doc["real_reference"]
+    """The trace `text` holds, read by from_doc. It must write back to itself
+    (to_doc of it is the document less schema_version, timestamp and host),
+    hold schema_version SCHEMA_VERSION and pass the checks README "Trace
+    JSON" lists; any failure to read it is a FormatError."""
     try:
-        arrays = {key: np.array(rr[key], dtype=np.float64) for key in ("mean", "covariance")}
-    except OverflowError:
-        raise FormatError("real_reference holds a number beyond the float range") from None
-    for a in arrays.values():
-        a.setflags(write=False)
-    records = tuple(record(r) for r in doc["records"])
-    if len(records) != config.iterations or any(r.iteration != i for i, r in enumerate(records, 1)):
-        raise FormatError(f"record iterations must run 1..{config.iterations} in order")
-    for r in records:
-        e, at = r.entropy, f"iteration {r.iteration}:"
-        if r.duplicate_count != e.duplicate_count:
-            raise FormatError(f"{at} duplicate_count {r.duplicate_count} is not the entropy's {e.duplicate_count}")
-        if e.gamma != config.gamma:
-            raise FormatError(f"{at} entropy gamma {e.gamma} is not the config's {config.gamma}")
-        if not (is_number(e.size) and is_number(e.dim)):
-            raise FormatError(f"{at} entropy size and dim must lie within the float range")
-        estimate, rebuilt = e.estimate, e.reconstruct()
-        if estimate != rebuilt or math.copysign(1.0, estimate) != math.copysign(1.0, rebuilt):
-            raise FormatError(f"{at} entropy estimate {estimate!r} is not its reconstruction {rebuilt!r}")
-    return LoopTrace(config=config, records=records, real_reference=MomentSummary(**{**rr, **arrays}))
+        doc = json.loads(text, parse_constant=_finite, parse_float=_finite)
+        version = doc.get("schema_version") if isinstance(doc, dict) else None
+        if not (is_number(version, int) and version == SCHEMA_VERSION):
+            raise FormatError(f"schema_version must be {SCHEMA_VERSION}, got {version!r}")
+        body = {key: value for key, value in doc.items() if key not in ("schema_version", "timestamp", "host")}
+        trace = from_doc(LoopTrace, body)
+        if to_doc(trace) != body:
+            raise FormatError("the document is not the one its trace writes: a key is missing, added or retyped")
+        config, rr, records = trace.config, trace.real_reference, trace.records
+        if len(records) != config.iterations or any(r.iteration != i for i, r in enumerate(records, 1)):
+            raise FormatError(f"record iterations must run 1..{config.iterations} in order")
+        d = config.metric.feature_map.output_dim(rr.mean.size)
+        if rr.mean.shape != (d,) or rr.covariance.shape != (d, d):
+            raise FormatError(f"real_reference must hold a mean of length {d} and a {d} x {d} covariance")
+        if rr.trace_cov != float(np.trace(rr.covariance)):
+            raise FormatError(f"real_reference trace_cov {rr.trace_cov!r} is not the trace of its covariance")
+        # Each record's size, from the smallest real size the trace allows:
+        # train_size, or under accumulate the first record's less a generation.
+        n = config.train_size
+        g = _generation_size(config, n)
+        if config.paradigm == "accumulate":
+            real = max(n, records[0].entropy.size - g)
+            _generation_size(config, real)
+            sizes = [real + g * i for i in range(1, len(records) + 1)]
+        else:
+            sizes = [g if config.selection is None and config.paradigm == "replace" else n] * len(records)
+        labels = [source_label(i) for i in range(len(records) + 1)]
+        for r, size in zip(records, sizes):
+            e, props, at = r.entropy, r.source_proportions, f"iteration {r.iteration}:"
+            if r.duplicate_count != e.duplicate_count:
+                raise FormatError(f"{at} duplicate_count {r.duplicate_count} is not the entropy's {e.duplicate_count}")
+            if e.gamma != config.gamma:
+                raise FormatError(f"{at} entropy gamma {e.gamma} is not the config's {config.gamma}")
+            if not (is_number(e.size) and is_number(e.dim)):
+                raise FormatError(f"{at} entropy size and dim must lie within the float range")
+            if (e.size, e.dim) != (size, d):
+                raise FormatError(f"{at} entropy size {e.size} and dim {e.dim} are not the config's {size} and {d}")
+            if not (props.keys() <= set(labels[: r.iteration + 1]) and all(0 <= p <= 1 for p in props.values())):
+                raise FormatError(f"{at} source_proportions {props} must map labels of 0..{r.iteration} into [0, 1]")
+            estimate, rebuilt = e.estimate, e.reconstruct()
+            if estimate != rebuilt or math.copysign(1.0, estimate) != math.copysign(1.0, rebuilt):
+                raise FormatError(f"{at} entropy estimate {estimate!r} is not its reconstruction {rebuilt!r}")
+    except (ValueError, TypeError, OverflowError, CollapseLabError) as exc:
+        raise FormatError(str(exc) if isinstance(exc, FormatError) else f"{type(exc).__name__}: {exc}") from None
+    return trace
 
 
 def trace_to_csv(trace: LoopTrace) -> str:

@@ -1,10 +1,13 @@
 import dataclasses
+import functools
 import itertools
 import json
 import math
+import operator
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import collapselab.looper as looper
 import collapselab.metrics as metrics
@@ -38,6 +41,7 @@ from collapselab import (
     trace_to_csv,
     trace_to_json,
 )
+from collapselab.cli import main
 from collapselab.looper import ROLE_FIT, ROLE_SAMPLE, ROLE_SELECT, SCHEMA_VERSION, to_doc
 from test_neighbors import brute_sq
 
@@ -741,8 +745,250 @@ class TestToDoc:
             for key in path:
                 node = node[key]
             node["unexpected"] = 1
-            with pytest.raises(TypeError, match="unexpected"):
+            with pytest.raises(FormatError, match="unexpected"):
                 trace_from_json(json.dumps(doc))
+
+
+# --- a trace reads only if it writes back to itself ---------------------------
+
+def _canonical_doc(config, real):
+    return json.loads(trace_to_json(run_loop(config, real), canonical=True))
+
+
+def _rebuild_estimate(entropy: dict) -> None:
+    """Set an edited entropy document's estimate to its reconstruction, so
+    that only the edit itself can be refused."""
+    entropy["estimate"] = EntropyReport(**entropy).reconstruct()
+
+
+_READ_REAL = blob_data(29, 80)
+# replace, gmm:2 and threshold decay, the trace the edits below damage.
+_READ_DOC = _canonical_doc(
+    bootstrap_config(
+        train_size=40,
+        generator=GeneratorSpec(kind="gmm", components=2),
+        selection=SelectionPolicy(kind="threshold_decay", tau0=1.0, alpha=0.5),
+        generation_multiplier=1.5,
+    ),
+    _READ_REAL,
+)
+
+# Single edits of _READ_DOC, each a trace run_loop could not have written.
+_REFUSED_EDITS = {
+    # The round trip refuses these: the trace does not write the edited document.
+    "gamma-missing": lambda doc: doc["config"].pop("gamma"),
+    "master-seed-missing": lambda doc: doc["config"].pop("master_seed"),
+    "selection-missing": lambda doc: doc["config"].pop("selection"),
+    "multiplier-missing": lambda doc: doc["config"].pop("generation_multiplier"),
+    "pool-cap-missing": lambda doc: doc["config"].pop("pool_cap"),
+    "gmm-sigma-added": lambda doc: doc["config"]["generator"].update(sigma=0.5),
+    "covariance-nan-string": lambda doc: doc["real_reference"]["covariance"][0].__setitem__(1, "nan"),
+    # A round trip cannot see these; the record checks refuse them.
+    "mean-scalar": lambda doc: doc["real_reference"].update(mean=3.0),
+    "mean-entry-true": lambda doc: doc["real_reference"]["mean"].__setitem__(0, True),
+    "trace-cov-plus-one": lambda doc: doc["real_reference"].update(trace_cov=doc["real_reference"]["trace_cov"] + 1),
+    "proportion-unknown-label": lambda doc: doc["records"][0].update(source_proportions={"a": 1.0}),
+    "proportion-above-one": lambda doc: doc["records"][0].update(source_proportions={"syn1": 2.0}),
+    "proportion-later-label": lambda doc: doc["records"][0].update(source_proportions={"syn2": 1.0}),
+    "train-size-huge": lambda doc: doc["config"].update(train_size=10**12),
+    "train-size-beyond-float": lambda doc: doc["config"].update(train_size=10**400),
+    "multiplier-huge": lambda doc: doc["config"].update(generation_multiplier=10**12),
+}
+
+
+class TestTraceWritesBackToItself:
+    def test_canonical_trace_reads(self):
+        trace = trace_from_json(json.dumps(_READ_DOC))
+        assert to_doc(trace) == {k: v for k, v in _READ_DOC.items() if k != "schema_version"}
+
+    @pytest.mark.parametrize("name", list(_REFUSED_EDITS))
+    def test_edit_is_format_error_and_exit_2(self, tmp_path, capsys, name):
+        doc = json.loads(json.dumps(_READ_DOC))
+        _REFUSED_EDITS[name](doc)
+        text = json.dumps(doc)
+        with pytest.raises(FormatError):
+            trace_from_json(text)
+        path = tmp_path / "t.json"
+        path.write_text(text)
+        capsys.readouterr()
+        assert main(["analyze", "--mode", "compare", str(path), str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: not a trace file") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "paradigm, selection, sizes",
+        [
+            ("replace", None, [60, 60, 60]),
+            ("replace", "greedy", [40, 40, 40]),
+            ("accumulate_subsample", None, [40, 40, 40]),
+            ("accumulate_subsample", "greedy", [40, 40, 40]),
+            ("accumulate", None, [140, 200, 260]),
+        ],
+    )
+    def test_record_sizes_are_the_ones_the_config_implies(self, paradigm, selection, sizes):
+        policy = None if selection is None else SelectionPolicy(kind=selection)
+        config = bootstrap_config(
+            paradigm=paradigm, train_size=40, selection=policy, generation_multiplier=1.5,
+            generator=GeneratorSpec(kind="bootstrap", sigma=0.05),
+        )
+        doc = _canonical_doc(config, _READ_REAL)
+        assert [r["entropy"]["size"] for r in doc["records"]] == sizes
+        for shift in (-1, 1):
+            edited = json.loads(json.dumps(doc))
+            entropy = edited["records"][1]["entropy"]
+            entropy["size"] += shift
+            _rebuild_estimate(entropy)
+            with pytest.raises(FormatError, match="size"):
+                trace_from_json(json.dumps(edited))
+
+    def test_accumulate_reads_any_real_size_from_train_size_up(self):
+        # An accumulating trace says how much real data it started from: its
+        # first record's size less one generation, at least train_size.
+        config = bootstrap_config(paradigm="accumulate", train_size=40, generator=GeneratorSpec(kind="bootstrap"))
+        doc = _canonical_doc(config, _READ_REAL.rows(np.arange(40)))
+        for shift, reads in ((0, True), (5, True), (-1, False)):
+            edited = json.loads(json.dumps(doc))
+            for record in edited["records"]:
+                record["entropy"]["size"] += shift
+                _rebuild_estimate(record["entropy"])
+            if reads:
+                assert [r.entropy.size for r in trace_from_json(json.dumps(edited)).records] == [
+                    80 + shift, 120 + shift, 160 + shift
+                ]
+            else:
+                with pytest.raises(FormatError, match="size"):
+                    trace_from_json(json.dumps(edited))
+
+    def test_pool_cap_is_checked_at_the_real_size_the_trace_implies(self):
+        # 80 real points and three generations of 40: a pool of 200.
+        config = bootstrap_config(paradigm="accumulate", train_size=40, generator=GeneratorSpec(kind="bootstrap"))
+        doc = _canonical_doc(config, _READ_REAL)
+        doc["config"]["pool_cap"] = 200
+        trace_from_json(json.dumps(doc))
+        doc["config"]["pool_cap"] = 199
+        with pytest.raises(FormatError, match="pool_cap"):
+            trace_from_json(json.dumps(doc))
+
+    def test_entropy_dim_is_the_feature_space_dimension(self):
+        # run_loop measures real_reference and every record in feature space:
+        # randproj 3 -> 2 gives 2 for both.
+        metric = DistanceMetric(feature_map=FeatureMap(kind="randproj", target_dim=2, seed=5))
+        doc = _canonical_doc(bootstrap_config(train_size=40, metric=metric), blob_data(30, 40, d=3))
+        assert len(doc["real_reference"]["mean"]) == 2
+        assert {r["entropy"]["dim"] for r in doc["records"]} == {2}
+        entropy = doc["records"][0]["entropy"]
+        entropy["dim"] = 3
+        _rebuild_estimate(entropy)
+        with pytest.raises(FormatError, match="dim"):
+            trace_from_json(json.dumps(doc))
+
+    def test_accumulate_proportions_read_every_label_up_to_their_iteration(self):
+        config = bootstrap_config(paradigm="accumulate", train_size=40, generator=GeneratorSpec(kind="bootstrap"))
+        doc = _canonical_doc(config, _READ_REAL)
+        assert list(doc["records"][2]["source_proportions"]) == ["real", "syn1", "syn2", "syn3"]
+        trace_from_json(json.dumps(doc))
+        doc["records"][1]["source_proportions"]["syn3"] = 0.0
+        with pytest.raises(FormatError, match="source_proportions"):
+            trace_from_json(json.dumps(doc))
+
+
+# Canonical traces of the three paradigms for the edit fuzz below; one
+# projects 3 -> 2 and selects by threshold decay.
+_FUZZ_REAL = blob_data(31, 40, d=3)
+_FUZZ_TEXTS = {
+    "replace-randproj-threshold": trace_to_json(run_loop(bootstrap_config(
+        train_size=20,
+        generator=GeneratorSpec(kind="gmm", components=2),
+        metric=DistanceMetric(feature_map=FeatureMap(kind="randproj", target_dim=2, seed=5)),
+        selection=SelectionPolicy(kind="threshold_decay", tau0=0.5, alpha=0.5, initial_index=2),
+    ), _FUZZ_REAL), canonical=True),
+    "accumulate-bootstrap0": trace_to_json(run_loop(bootstrap_config(
+        paradigm="accumulate", train_size=20, gamma=2,
+    ), _FUZZ_REAL), canonical=True),
+    "subsample-greedy": trace_to_json(run_loop(bootstrap_config(
+        paradigm="accumulate_subsample", train_size=20, selection=SelectionPolicy(kind="greedy"),
+        generator=GeneratorSpec(kind="bootstrap", sigma=0.05),
+    ), _FUZZ_REAL), canonical=True),
+}
+
+
+def _node_paths(node, path=()):
+    """The path of every key and list item below node."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from _node_paths(child, path + (key,))
+
+
+_FUZZ_PATHS = {name: list(_node_paths(json.loads(text))) for name, text in _FUZZ_TEXTS.items()}
+_FUZZ_KEYS = sorted(
+    {f.name for cls in (LoopConfig, GeneratorSpec, SelectionPolicy, DistanceMetric, FeatureMap, IterationRecord,
+                        EntropyReport, metrics.MomentSummary) for f in dataclasses.fields(cls)}
+    | {"real", "syn1", "syn2", "syn3", "syn4", "schema_version", "timestamp", "host"}
+)
+_JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.sampled_from([10**12, 10**400, -(10**400)]),
+    st.floats(allow_nan=False, allow_infinity=False), st.text(max_size=3), st.lists(st.floats(-2, 2), max_size=3),
+    st.just({}),
+)
+
+
+@st.composite
+def edited_traces(draw):
+    """A canonical trace document with one key or leaf deleted, added or
+    given a value of a random JSON type."""
+    name = draw(st.sampled_from(sorted(_FUZZ_TEXTS)))
+    doc = json.loads(_FUZZ_TEXTS[name])
+    # Each section in turn, so that the short real_reference is edited as
+    # often as the records.
+    section = draw(st.sampled_from(list(doc)))
+    *above, key = draw(st.sampled_from([path for path in _FUZZ_PATHS[name] if path[0] == section]))
+    parent = functools.reduce(operator.getitem, above, doc)
+    edit = draw(st.sampled_from(["delete", "add", "retype"]))
+    if edit == "delete":
+        del parent[key]
+    elif edit == "retype":
+        parent[key] = draw(_JSON_VALUES)
+    elif isinstance(parent, dict):
+        parent[draw(st.sampled_from(_FUZZ_KEYS))] = draw(_JSON_VALUES)
+    else:
+        parent.insert(key, draw(_JSON_VALUES))
+    return doc
+
+
+def assert_run_loop_could_write(trace):
+    """The record laws of every trace run_loop writes, stated apart from the
+    reader."""
+    config, rr, records = trace.config, trace.real_reference, trace.records
+    d = config.metric.feature_map.output_dim(rr.mean.size)
+    assert rr.mean.shape == (d,) and rr.covariance.shape == (d, d) and not rr.mean.flags.writeable
+    assert rr.trace_cov == float(np.trace(rr.covariance))
+    assert [r.iteration for r in records] == list(range(1, config.iterations + 1))
+    g = math.ceil(config.generation_multiplier * config.train_size)
+    first = records[0].entropy.size
+    for r in records:
+        e = r.entropy
+        assert (r.duplicate_count, e.gamma, e.dim) == (e.duplicate_count, config.gamma, d)
+        if config.paradigm == "accumulate":
+            assert e.size == first + g * (r.iteration - 1) and first >= config.train_size + g
+        else:
+            assert e.size == (g if config.paradigm == "replace" and config.selection is None else config.train_size)
+        assert set(r.source_proportions) <= {"real", *(f"syn{i}" for i in range(1, r.iteration + 1))}
+        assert all(0 <= p <= 1 for p in r.source_proportions.values())
+        assert repr(e.estimate) == repr(e.reconstruct())
+
+
+@settings(max_examples=300, deadline=None)
+@given(edited_traces())
+def test_an_edited_trace_reads_only_as_a_trace_run_loop_could_write(doc):
+    # The reader may refuse an edit or accept it, but only with a FormatError
+    # and only as the trace the edited document is: nothing else may raise.
+    try:
+        trace = trace_from_json(json.dumps(doc))
+    except FormatError:
+        return
+    assert to_doc(trace) == {k: v for k, v in doc.items() if k not in ("schema_version", "timestamp", "host")}
+    assert_run_loop_could_write(trace)
 
 
 _SHARED_REAL = blob_data(26, 300)
