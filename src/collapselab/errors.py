@@ -5,9 +5,9 @@ I/O errors (2), violated data preconditions are precondition errors (3),
 contradictory or incomplete settings are configuration errors (4), and
 failures of the numerics themselves are numeric errors (5).
 
-The field annotations of the package's dataclasses are read here and only
-here: check_fields holds every dataclass to its number annotations, and
-number_type (for the CLI) and field_types (for from_doc) resolve them.
+The annotations of the fields a dataclass constructor takes are read here
+and only here: check_fields holds every dataclass to its number annotations,
+and number_type (for the CLI) and field_types (for from_doc) resolve them.
 """
 
 import dataclasses
@@ -85,14 +85,15 @@ def is_number(value, kind: type = float) -> bool:
 
 @functools.cache
 def _annotations(cls) -> tuple[tuple[str, str], ...]:
-    """(name, annotation) of each field of dataclass cls, read once per class."""
-    return tuple((f.name, f.type) for f in dataclasses.fields(cls))
+    """(name, annotation) of each field dataclass cls's constructor takes, read once per class."""
+    return tuple((f.name, f.type) for f in dataclasses.fields(cls) if f.init)
 
 
 @functools.cache
 def field_types(cls) -> dict[str, object]:
-    """Each field's type in dataclass cls, resolved in its module, once per class."""
-    return typing.get_type_hints(cls)
+    """The type of each field dataclass cls's constructor takes, resolved in its module, once per class."""
+    hints = typing.get_type_hints(cls)
+    return {name: hints[name] for name, _ in _annotations(cls)}
 
 
 def number_type(cls, name: str) -> type | None:

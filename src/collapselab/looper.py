@@ -32,7 +32,7 @@ import json
 import math
 import platform
 import typing
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
 import numpy as np
@@ -123,10 +123,11 @@ class IterationRecord:
     trace_cov: float
     frechet_real: float
     source_proportions: dict[str, float]
-    duplicate_count: int
+    duplicate_count: int = field(init=False)
 
     def __post_init__(self) -> None:
         check_fields(self)
+        object.__setattr__(self, "duplicate_count", self.entropy.duplicate_count)
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,7 +208,6 @@ def run_loop(config: LoopConfig, real_data: PointSet, progress=None) -> LoopTrac
             trace_cov=moments.trace_cov,
             frechet_real=frechet,
             source_proportions=nxt.proportions(),
-            duplicate_count=entropy.duplicate_count,
         )
         records.append(record)
         if progress is not None:
@@ -297,9 +297,9 @@ def correlate_trace(traces) -> CorrelationReport:
 # --- serialization ----------------------------------------------------------
 #
 # A document is its dataclass's fields in declaration order, each key the
-# field's name (to_doc), and from_doc reads it back through the same
-# dataclasses, whose constructors check its number fields
-# (errors.check_fields). Only two choices are not generic:
+# field's name (to_doc). from_doc passes the fields a constructor takes to
+# it, and it checks them (errors.check_fields) and computes the rest. Only
+# two choices are not generic:
 #   - a generator writes only the fields its kind uses, GENERATOR_FIELDS
 #     (so gmm:1 still writes components: 1);
 #   - the config echo writes selection: null when there is no policy.
@@ -324,13 +324,13 @@ def to_doc(obj):
 
 def from_doc(kind, doc):
     """The value of type kind that to_doc writes as doc: a dataclass built
-    from its fields' types, an ndarray as a read-only float64 array of
-    numbers within the float range, a tuple[X, ...] item by item and an
-    X | None as either; anything else as it is."""
+    from the fields its constructor takes, an ndarray as a read-only float64
+    array of numbers within the float range, a tuple[X, ...] item by item
+    and an X | None as either; anything else as it is."""
     if dataclasses.is_dataclass(kind):
         if not isinstance(doc, dict):
             raise FormatError(f"{kind.__name__} must be a JSON object, got {type(doc).__name__}")
-        return kind(**{name: from_doc(field_types(kind).get(name), value) for name, value in doc.items()})
+        return kind(**{name: from_doc(t, doc[name]) for name, t in field_types(kind).items() if name in doc})
     if kind is np.ndarray:
         entries = np.array(doc, dtype=object)
         if not all(map(is_number, entries.flat)):
@@ -372,9 +372,10 @@ def _finite(token: str) -> float:
 
 def trace_from_json(text: str) -> LoopTrace:
     """The trace `text` holds, read by from_doc. It must write back to itself
-    (to_doc of it is the document less schema_version, timestamp and host),
-    hold schema_version SCHEMA_VERSION and pass the checks README "Trace
-    JSON" lists; any failure to read it is a FormatError."""
+    (to_doc of it is, as JSON up to key order, the document less
+    schema_version, timestamp and host), hold schema_version SCHEMA_VERSION
+    and pass the checks README "Trace JSON" lists; any failure to read it is
+    a FormatError."""
     try:
         doc = json.loads(text, parse_constant=_finite, parse_float=_finite)
         version = doc.get("schema_version") if isinstance(doc, dict) else None
@@ -382,16 +383,19 @@ def trace_from_json(text: str) -> LoopTrace:
             raise FormatError(f"schema_version must be {SCHEMA_VERSION}, got {version!r}")
         body = {key: value for key, value in doc.items() if key not in ("schema_version", "timestamp", "host")}
         trace = from_doc(LoopTrace, body)
-        if to_doc(trace) != body:
-            raise FormatError("the document is not the one its trace writes: a key is missing, added or retyped")
+        if json.dumps(to_doc(trace), sort_keys=True) != json.dumps(body, sort_keys=True):
+            raise FormatError("the document is not the one its trace writes: a key or a value differs")
         config, rr, records = trace.config, trace.real_reference, trace.records
         if len(records) != config.iterations or any(r.iteration != i for i, r in enumerate(records, 1)):
             raise FormatError(f"record iterations must run 1..{config.iterations} in order")
         d = config.metric.feature_map.output_dim(rr.mean.size)
         if rr.mean.shape != (d,) or rr.covariance.shape != (d, d):
             raise FormatError(f"real_reference must hold a mean of length {d} and a {d} x {d} covariance")
-        if rr.trace_cov != float(np.trace(rr.covariance)):
-            raise FormatError(f"real_reference trace_cov {rr.trace_cov!r} is not the trace of its covariance")
+        # run_loop writes a symmetrized covariance, and frechet_gaussian_distance
+        # holds it to the PSD rule at every iteration.
+        if not np.array_equal(rr.covariance, rr.covariance.T):
+            raise FormatError("real_reference covariance must be symmetric")
+        metrics._psd_clip(np.linalg.eigvalsh(rr.covariance), "real_reference covariance")
         # Each record's size, from the smallest real size the trace allows:
         # train_size, or under accumulate the first record's less a generation.
         n = config.train_size
@@ -405,19 +409,17 @@ def trace_from_json(text: str) -> LoopTrace:
         labels = [source_label(i) for i in range(len(records) + 1)]
         for r, size in zip(records, sizes):
             e, props, at = r.entropy, r.source_proportions, f"iteration {r.iteration}:"
-            if r.duplicate_count != e.duplicate_count:
-                raise FormatError(f"{at} duplicate_count {r.duplicate_count} is not the entropy's {e.duplicate_count}")
             if e.gamma != config.gamma:
                 raise FormatError(f"{at} entropy gamma {e.gamma} is not the config's {config.gamma}")
-            if not (is_number(e.size) and is_number(e.dim)):
-                raise FormatError(f"{at} entropy size and dim must lie within the float range")
             if (e.size, e.dim) != (size, d):
                 raise FormatError(f"{at} entropy size {e.size} and dim {e.dim} are not the config's {size} and {d}")
-            if not (props.keys() <= set(labels[: r.iteration + 1]) and all(0 <= p <= 1 for p in props.values())):
-                raise FormatError(f"{at} source_proportions {props} must map labels of 0..{r.iteration} into [0, 1]")
-            estimate, rebuilt = e.estimate, e.reconstruct()
-            if estimate != rebuilt or math.copysign(1.0, estimate) != math.copysign(1.0, rebuilt):
-                raise FormatError(f"{at} entropy estimate {estimate!r} is not its reconstruction {rebuilt!r}")
+            # Each proportion is a correctly rounded quotient count / size, so
+            # their exact sum lies within 2**-53 of 1, and fsum rounds it once.
+            labelled = props.keys() <= set(labels[: r.iteration + 1]) and all(0 <= p <= 1 for p in props.values())
+            if not (labelled and abs(math.fsum(props.values()) - 1.0) <= 2**-52):
+                raise FormatError(
+                    f"{at} source_proportions {props} must map labels of 0..{r.iteration} into [0, 1] and sum to 1"
+                )
     except (ValueError, TypeError, OverflowError, CollapseLabError) as exc:
         raise FormatError(str(exc) if isinstance(exc, FormatError) else f"{type(exc).__name__}: {exc}") from None
     return trace

@@ -10,11 +10,13 @@ where eps_gamma(x) is the distance from x to its gamma-th neighbor within
 D and c_d is the unit-ball volume. Duplicate points drive eps to zero, so
 distances below EPS_FLOOR are clamped and counted: collapse shows up as a
 crashing estimate plus a rising duplicate count rather than -inf.
+EntropyReport and MomentSummary compute the estimate and the covariance
+trace from their other fields, so neither can disagree with them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -36,15 +38,12 @@ EPS_FLOOR = 1e-12
 _PSD_TOL = -1e-9
 
 
-def _assemble_estimate(size: int, dim: int, gamma: int, log_distance_sum: float) -> float:
-    return digamma(size) - digamma(gamma) + log_unit_ball_volume(dim) + (dim / size) * log_distance_sum
-
-
 @dataclass(frozen=True)
 class EntropyReport:
-    """Entropy estimate plus the pieces needed to rebuild and audit it."""
+    """Entropy estimate plus the pieces it is built from; the constructor
+    computes it from them, so a report is its own reconstruction."""
 
-    estimate: float
+    estimate: float = field(init=False)
     gamma: int
     duplicate_count: int
     log_distance_sum: float
@@ -53,14 +52,14 @@ class EntropyReport:
 
     def __post_init__(self) -> None:
         check_fields(self)
+        if not all(map(is_number, (self.gamma, self.size, self.dim))):
+            raise ConfigError("gamma, size and dim must lie within the float range")
         if min(self.gamma, self.size, self.dim) < 1:
             raise ConfigError(f"gamma, size and dim must be >= 1, got {self.gamma}, {self.size}, {self.dim}")
         if not 0 <= self.duplicate_count <= self.size:
             raise ConfigError(f"duplicate_count must lie in [0, size {self.size}], got {self.duplicate_count}")
-
-    def reconstruct(self) -> float:
-        """Re-evaluate the estimate from the stored fields (bit-identical)."""
-        return _assemble_estimate(self.size, self.dim, self.gamma, self.log_distance_sum)
+        estimate = digamma(self.size) - digamma(self.gamma) + log_unit_ball_volume(self.dim)
+        object.__setattr__(self, "estimate", estimate + (self.dim / self.size) * self.log_distance_sum)
 
 
 def kl_entropy(ps: PointSet, gamma: int = 1, metric: DistanceMetric = DistanceMetric(), squared=None) -> EntropyReport:
@@ -79,7 +78,6 @@ def kl_entropy(ps: PointSet, gamma: int = 1, metric: DistanceMetric = DistanceMe
     log_sum = float(np.log(np.where(clamped, EPS_FLOOR, eps)).sum())
     dim = metric.feature_map.output_dim(ps.dim)
     return EntropyReport(
-        estimate=_assemble_estimate(ps.size, dim, gamma, log_sum),
         gamma=gamma,
         duplicate_count=duplicate_count,
         log_distance_sum=log_sum,
@@ -111,14 +109,14 @@ def mnnd(ps: PointSet, metric: DistanceMetric = DistanceMetric(), squared=None) 
 
 @dataclass(frozen=True, eq=False)
 class MomentSummary:
-    """Mean vector and maximum-likelihood (1/n) covariance."""
+    """Mean vector, maximum-likelihood (1/n) covariance, and the covariance's trace, computed on construction."""
 
     mean: np.ndarray
     covariance: np.ndarray
-    trace_cov: float
+    trace_cov: float = field(init=False)
 
     def __post_init__(self) -> None:
-        check_fields(self)
+        object.__setattr__(self, "trace_cov", float(np.trace(self.covariance)))
 
 
 def _mle_moments(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -139,7 +137,7 @@ def moment_summary(ps: PointSet) -> MomentSummary:
     mean, cov = _mle_moments(ps.data)
     mean.setflags(write=False)
     cov.setflags(write=False)
-    return MomentSummary(mean=mean, covariance=cov, trace_cov=float(np.trace(cov)))
+    return MomentSummary(mean=mean, covariance=cov)
 
 
 def _psd_clip(w: np.ndarray, what: str) -> np.ndarray:

@@ -3,6 +3,7 @@ import math
 import os
 import shlex
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -27,6 +28,7 @@ from collapselab import (
 )
 from collapselab.cli import main
 from collapselab.generators import GENERATOR_FIELDS
+from collapselab.tensorset import RAWBIN_MAGIC
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -119,6 +121,34 @@ class TestScalarCommands:
         b.write_text("2.0\n4.0\n")
         assert main(["frechet", "--input", str(a), "--other", str(b)]) == 0
         assert json.loads(capsys.readouterr().out)["frechet"] == pytest.approx(9.0, abs=1e-10)
+
+    @pytest.mark.parametrize(
+        "other, message",
+        [("1.0,2.0,3.0\n", "at least 2 points"), ("1.0,2.0\n3.0,4.0\n", "dimension 3 vs 2")],
+        ids=["one-point", "other-dimension"],
+    )
+    def test_frechet_precondition_is_exit_3(self, tmp_path, capsys, other, message):
+        a = tmp_path / "a.csv"
+        a.write_text("0.0,0.0,0.0\n1.0,2.0,3.0\n")
+        b = tmp_path / "b.csv"
+        b.write_text(other)
+        assert main(["frechet", "--input", str(a), "--other", str(b)]) == 3
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "blob, message",
+        [
+            (b"", "empty file"),
+            (RAWBIN_MAGIC + struct.pack("<IQQ", 1, 0, 2), "zero points"),
+            (RAWBIN_MAGIC + struct.pack("<IQQ", 1, 1, 0) + b"\x00", "zero dimension"),
+        ],
+        ids=["empty", "zero-points", "zero-dimension"],
+    )
+    def test_degenerate_rawbin_is_io_error(self, tmp_path, capsys, blob, message):
+        p = tmp_path / "x.bin"
+        p.write_bytes(blob)
+        assert main(["entropy", "--input", str(p), "--format", "rawbin"]) == 2
+        assert message in capsys.readouterr().err
 
     def test_entropy_with_random_projection_feature(self, tmp_path, capsys):
         rng = np.random.default_rng(1)
@@ -473,6 +503,18 @@ class TestLoop:
         )
         assert code == 4
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [(None, "cannot read config file"), ("paradigm replace\n", "expected key=value")],
+        ids=["missing-file", "line-without-equals"],
+    )
+    def test_unreadable_config_file_is_config_error(self, blob_csv, tmp_path, capsys, text, message):
+        cfg = tmp_path / "loop.cfg"
+        if text is not None:
+            cfg.write_text(text)
+        assert main(["loop", "--real", str(blob_csv), "--config", str(cfg), "--out", str(tmp_path / "t")]) == 4
+        assert message in capsys.readouterr().err
+
     # Every LoopConfig key (and feature), as flags and as the same settings in a file.
     ALL_SETTINGS = {
         "paradigm": "accumulate_subsample", "iterations": "2", "train_size": "40",
@@ -642,13 +684,13 @@ class TestLoop:
 
 
 class TestAnalyze:
-    def make_trace(self, blob_csv, tmp_path, name, sigma="0.05", seed="11"):
+    def make_trace(self, blob_csv, tmp_path, name, sigma="0.05", seed="11", extra=()):
         prefix = tmp_path / name
         code = main(
             ["loop", "--real", str(blob_csv), "--paradigm", "replace",
              "--iterations", "4", "--train-size", "100",
              "--generator", f"bootstrap:{sigma}", "--seed", seed,
-             "--canonical", "--out", str(prefix)]
+             "--canonical", "--out", str(prefix), *extra]
         )
         assert code == 0
         return tmp_path / f"{name}.json"
@@ -664,6 +706,24 @@ class TestAnalyze:
     def test_compare_needs_exactly_two(self, blob_csv, tmp_path):
         trace = self.make_trace(blob_csv, tmp_path, "a")
         assert main(["analyze", "--mode", "compare", str(trace)]) == 4
+
+    def test_correlate_needs_a_trace(self, capsys):
+        assert main(["analyze", "--mode", "correlate"]) == 4
+        assert "at least one trace file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--iterations", "3", "of length 4 vs 3"), ("--paradigm", "accumulate", "'replace' vs 'accumulate'")],
+        ids=["iterations", "paradigm"],
+    )
+    def test_mismatched_compare_is_config_error(self, blob_csv, tmp_path, capsys, flag, value, message):
+        # A mismatch is a precondition error in the library, but an operator
+        # mistake in what analyze was asked for.
+        a = self.make_trace(blob_csv, tmp_path, "a")
+        b = self.make_trace(blob_csv, tmp_path, "b", extra=(flag, value))
+        capsys.readouterr()
+        assert main(["analyze", "--mode", "compare", str(a), str(b)]) == 4
+        assert message in capsys.readouterr().err
 
     def test_correlate_reports_r(self, blob_csv, tmp_path, capsys):
         t1 = self.make_trace(blob_csv, tmp_path, "a", seed="11")

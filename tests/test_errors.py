@@ -3,15 +3,17 @@
 import dataclasses
 import sys
 
-import numpy as np
 import pytest
 
 from collapselab import FeatureMap, GeneratorSpec, SelectionPolicy
-from collapselab.errors import ConfigError, check_fields, number_type
+from collapselab.errors import ConfigError, check_fields, field_types, number_type
 from collapselab.looper import IterationRecord, LoopConfig
-from collapselab.metrics import EntropyReport, MomentSummary
+from collapselab.metrics import EntropyReport, moment_summary
+from collapselab.tensorset import PointSet
 
-_ENTROPY = EntropyReport(estimate=1.0, gamma=1, duplicate_count=0, log_distance_sum=0.0, size=2, dim=1)
+_ENTROPY = EntropyReport(gamma=1, duplicate_count=0, log_distance_sum=0.0, size=2, dim=1)
+_RECORD = IterationRecord(iteration=1, entropy=_ENTROPY, gs=0.5, mnnd=0.5, trace_cov=1.0, frechet_real=0.0,
+                          source_proportions={"real": 1.0})
 
 # One valid instance of each dataclass that calls check_fields.
 VALID = [
@@ -21,18 +23,16 @@ VALID = [
     LoopConfig(paradigm="replace", iterations=1, train_size=5, generator=GeneratorSpec(kind="gaussian"),
                generation_multiplier=1.0),
     _ENTROPY,
-    MomentSummary(mean=np.zeros(1), covariance=np.ones((1, 1)), trace_cov=1.0),
-    IterationRecord(iteration=1, entropy=_ENTROPY, gs=0.5, mnnd=0.5, trace_cov=1.0, frechet_real=0.0,
-                    source_proportions={"real": 1.0}, duplicate_count=0),
+    _RECORD,
 ]
 
 
 def _number_fields():
     """(instance, field, number type, None allowed, values of a dict) of each
-    number field, read from the annotation here and not from the table
-    check_fields uses."""
+    number field a constructor takes, read from the annotation here and not
+    from the table check_fields uses."""
     for obj in VALID:
-        for f in dataclasses.fields(obj):
+        for f in (f for f in dataclasses.fields(obj) if f.init):
             in_dict = f.type == "dict[str, float]"
             kind = "float" if in_dict else f.type.removesuffix(" | None")
             if kind in ("int", "float"):
@@ -133,3 +133,20 @@ def test_classes_sharing_a_field_name_keep_their_own_annotations():
         _Real("x")
     assert number_type(_Whole, "value") is int
     assert number_type(_Real, "value") is float
+
+
+# The fields a class computes from its others, on one instance each.
+DERIVED = [
+    (_ENTROPY, "estimate"),
+    (moment_summary(PointSet([[0.0], [1.0]])), "trace_cov"),
+    (_RECORD, "duplicate_count"),
+]
+
+
+@pytest.mark.parametrize("obj, name", DERIVED, ids=[f"{type(obj).__name__}.{name}" for obj, name in DERIVED])
+def test_a_derived_field_cannot_be_passed_in(obj, name):
+    taken = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj) if f.init}
+    assert name not in taken and name not in field_types(type(obj))
+    with pytest.raises(TypeError, match=name):
+        type(obj)(**taken, **{name: getattr(obj, name)})
+    assert repr(getattr(type(obj)(**taken), name)) == repr(getattr(obj, name))

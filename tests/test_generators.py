@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -437,6 +438,18 @@ class TestSampleContract:
         out = sample(gen, 7, seed=0)
         assert out.size == 7
         assert out.proportions() == {"real": 1.0}
+
+    def test_a_component_that_draws_no_point_is_skipped(self):
+        rng = np.random.default_rng(8)
+        blobs = PointSet(np.concatenate([rng.standard_normal((40, 2)) - 10.0, rng.standard_normal((40, 2)) + 10.0]))
+        gen = fit(GeneratorSpec(kind="gmm", components=2, seed=1), blobs)
+        gen = dataclasses.replace(gen, weights=np.array([1.0, 0.0]))
+        out = sample(gen, 9, seed=0)
+        assert out.size == 9 and out.dim == 2
+        assert out.proportions() == {"real": 1.0}
+        # Every row is drawn from component 0, none from the empty one.
+        near = np.square(out.data[:, None, :] - gen.means[None]).sum(axis=2).argmin(axis=1)
+        assert np.isfinite(out.data).all() and not near.any()
 
     def test_zero_samples_rejected(self):
         gen = fit(GeneratorSpec(kind="gaussian"), PointSet([[-1.0], [1.0]]))

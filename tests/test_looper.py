@@ -358,10 +358,9 @@ class TestCompare:
         assert summary.dominance["entropy"] == "a"
 
 
-def _record_with(iteration, entropy, gs):
-    report = EntropyReport(
-        estimate=entropy, gamma=1, duplicate_count=0, log_distance_sum=0.0, size=10, dim=1
-    )
+def _record_with(iteration, log_distance_sum, gs):
+    """A record whose entropy estimate is a constant plus log_distance_sum / 10."""
+    report = EntropyReport(gamma=1, duplicate_count=0, log_distance_sum=log_distance_sum, size=10, dim=1)
     return IterationRecord(
         iteration=iteration,
         entropy=report,
@@ -370,7 +369,6 @@ def _record_with(iteration, entropy, gs):
         trace_cov=1.0,
         frechet_real=0.0,
         source_proportions={"real": 1.0},
-        duplicate_count=0,
     )
 
 
@@ -745,7 +743,7 @@ class TestToDoc:
             for key in path:
                 node = node[key]
             node["unexpected"] = 1
-            with pytest.raises(FormatError, match="unexpected"):
+            with pytest.raises(FormatError, match="not the one its trace writes"):
                 trace_from_json(json.dumps(doc))
 
 
@@ -756,9 +754,9 @@ def _canonical_doc(config, real):
 
 
 def _rebuild_estimate(entropy: dict) -> None:
-    """Set an edited entropy document's estimate to its reconstruction, so
-    that only the edit itself can be refused."""
-    entropy["estimate"] = EntropyReport(**entropy).reconstruct()
+    """Set an edited entropy document's estimate to the one its other fields
+    build, so that only the edit itself can be refused."""
+    entropy["estimate"] = EntropyReport(**{k: v for k, v in entropy.items() if k != "estimate"}).estimate
 
 
 _READ_REAL = blob_data(29, 80)
@@ -773,6 +771,16 @@ _READ_DOC = _canonical_doc(
     _READ_REAL,
 )
 
+
+def _bump_upper_covariance(doc):
+    doc["real_reference"]["covariance"][0][1] += 1
+
+
+def _set_off_diagonal_covariance_100(doc):
+    cov = doc["real_reference"]["covariance"]
+    cov[0][1] = cov[1][0] = 100.0
+
+
 # Single edits of _READ_DOC, each a trace run_loop could not have written.
 _REFUSED_EDITS = {
     # The round trip refuses these: the trace does not write the edited document.
@@ -783,13 +791,19 @@ _REFUSED_EDITS = {
     "pool-cap-missing": lambda doc: doc["config"].pop("pool_cap"),
     "gmm-sigma-added": lambda doc: doc["config"]["generator"].update(sigma=0.5),
     "covariance-nan-string": lambda doc: doc["real_reference"]["covariance"][0].__setitem__(1, "nan"),
+    "trace-cov-plus-one": lambda doc: doc["real_reference"].update(trace_cov=doc["real_reference"]["trace_cov"] + 1),
+    # A derived value of equal value but another JSON type: false for 0, 0.0 for 0.
+    "duplicate-count-false": lambda doc: doc["records"][0].update(duplicate_count=False),
+    "duplicate-count-float": lambda doc: doc["records"][0].update(duplicate_count=0.0),
     # A round trip cannot see these; the record checks refuse them.
     "mean-scalar": lambda doc: doc["real_reference"].update(mean=3.0),
     "mean-entry-true": lambda doc: doc["real_reference"]["mean"].__setitem__(0, True),
-    "trace-cov-plus-one": lambda doc: doc["real_reference"].update(trace_cov=doc["real_reference"]["trace_cov"] + 1),
+    "covariance-asymmetric": _bump_upper_covariance,
+    "covariance-indefinite": _set_off_diagonal_covariance_100,
     "proportion-unknown-label": lambda doc: doc["records"][0].update(source_proportions={"a": 1.0}),
     "proportion-above-one": lambda doc: doc["records"][0].update(source_proportions={"syn1": 2.0}),
     "proportion-later-label": lambda doc: doc["records"][0].update(source_proportions={"syn2": 1.0}),
+    "proportions-sum-below-one": lambda doc: doc["records"][0].update(source_proportions={"real": 0.5, "syn1": 0.25}),
     "train-size-huge": lambda doc: doc["config"].update(train_size=10**12),
     "train-size-beyond-float": lambda doc: doc["config"].update(train_size=10**400),
     "multiplier-huge": lambda doc: doc["config"].update(generation_multiplier=10**12),
@@ -892,6 +906,15 @@ class TestTraceWritesBackToItself:
             trace_from_json(json.dumps(doc))
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(1, 10**7), min_size=1, max_size=60))
+def test_proportions_of_any_partition_sum_to_one_within_the_reader_bound(counts):
+    # The reader holds source_proportions to |fsum - 1| <= 2**-52. Each is a
+    # correctly rounded quotient, so the exact sum is within 2**-53 of 1.
+    total = sum(counts)
+    assert abs(math.fsum(c / total for c in counts) - 1.0) <= 2**-53
+
+
 # Canonical traces of the three paradigms for the edit fuzz below; one
 # projects 3 -> 2 and selects by threshold decay.
 _FUZZ_REAL = blob_data(31, 40, d=3)
@@ -963,6 +986,7 @@ def assert_run_loop_could_write(trace):
     d = config.metric.feature_map.output_dim(rr.mean.size)
     assert rr.mean.shape == (d,) and rr.covariance.shape == (d, d) and not rr.mean.flags.writeable
     assert rr.trace_cov == float(np.trace(rr.covariance))
+    assert np.array_equal(rr.covariance, rr.covariance.T) and np.linalg.eigvalsh(rr.covariance).min() >= -1e-9
     assert [r.iteration for r in records] == list(range(1, config.iterations + 1))
     g = math.ceil(config.generation_multiplier * config.train_size)
     first = records[0].entropy.size
@@ -975,7 +999,10 @@ def assert_run_loop_could_write(trace):
             assert e.size == (g if config.paradigm == "replace" and config.selection is None else config.train_size)
         assert set(r.source_proportions) <= {"real", *(f"syn{i}" for i in range(1, r.iteration + 1))}
         assert all(0 <= p <= 1 for p in r.source_proportions.values())
-        assert repr(e.estimate) == repr(e.reconstruct())
+        assert abs(math.fsum(r.source_proportions.values()) - 1.0) <= 2**-52
+        rebuilt = EntropyReport(gamma=e.gamma, duplicate_count=e.duplicate_count,
+                                log_distance_sum=e.log_distance_sum, size=e.size, dim=e.dim)
+        assert repr(e.estimate) == repr(rebuilt.estimate)
 
 
 @settings(max_examples=300, deadline=None)

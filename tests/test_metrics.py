@@ -6,10 +6,12 @@ import pytest
 import scipy.linalg
 
 from collapselab import (
+    ConfigError,
     DegenerateInputError,
     DimensionError,
     DomainError,
     EmptyDatasetError,
+    EntropyReport,
     EPS_FLOOR,
     EUCLIDEAN,
     FeatureMap,
@@ -51,7 +53,17 @@ class TestKlEntropy:
         for _ in range(20):
             ps = PointSet(rng.standard_normal((int(rng.integers(5, 60)), int(rng.integers(1, 5)))))
             rep = kl_entropy(ps, gamma=int(rng.integers(1, 4)))
-            assert rep.reconstruct() == rep.estimate
+            rebuilt = EntropyReport(gamma=rep.gamma, duplicate_count=rep.duplicate_count,
+                                    log_distance_sum=rep.log_distance_sum, size=rep.size, dim=rep.dim)
+            assert rebuilt.estimate.hex() == rep.estimate.hex()
+
+    @pytest.mark.parametrize("name", ["gamma", "size", "dim"])
+    def test_report_refuses_a_count_beyond_the_float_range(self, name):
+        # The constructor computes the estimate in floats, so it refuses such
+        # a count with ConfigError, not a bare OverflowError.
+        fields = dict(gamma=1, duplicate_count=0, log_distance_sum=0.0, size=2, dim=1)
+        with pytest.raises(ConfigError, match="float range"):
+            EntropyReport(**{**fields, name: 10**400})
 
     def test_duplicates_clamped_and_counted(self):
         rep = kl_entropy(PointSet([[0.0], [0.0], [1.0]]), gamma=1)
@@ -302,7 +314,7 @@ class TestFrechetGaussian:
 
     def test_non_psd_covariance_rejected(self):
         good = moment_summary(PointSet([[-1.0], [1.0]]))
-        bad = MomentSummary(mean=np.zeros(1), covariance=np.array([[-1.0]]), trace_cov=-1.0)
+        bad = MomentSummary(mean=np.zeros(1), covariance=np.array([[-1.0]]))
         with pytest.raises(NumericalError):
             frechet_gaussian_distance(good, bad)
         with pytest.raises(NumericalError):
