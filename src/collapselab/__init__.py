@@ -39,7 +39,7 @@ from .metrics import (
     moment_summary,
     pearson,
 )
-from .neighbors import NeighborResult, kth_nn_within, nn_cross
+from .neighbors import kth_nn_within, nn_cross
 from .selection import SelectionPolicy, SelectionResult, run_policy
 from .specfun import digamma, log_gamma, log_unit_ball_volume
 from .tensorset import (

@@ -109,6 +109,8 @@ class LoopConfig:
             raise ConfigError(f"pool_cap must be >= 1, got {self.pool_cap}")
         if self.paradigm == "accumulate" and self.selection is not None:
             raise ConfigError("accumulate trains on the full pool; a selection policy is contradictory")
+        if self.selection is not None and to_doc(self.selection.metric) != to_doc(self.metric):
+            raise ConfigError("the selection policy must use the loop's metric")
         default = 2.0 if (self.paradigm == "replace" and self.selection is not None) else 1.0
         multiplier = default if self.generation_multiplier is None else self.generation_multiplier
         object.__setattr__(self, "generation_multiplier", float(multiplier))
@@ -192,7 +194,7 @@ def run_loop(config: LoopConfig, real_data: PointSet, progress=None) -> LoopTrac
             # MNND its first; a set too small for it meets kl_entropy's check.
             first = kth = None
             if nxt.size > config.gamma:
-                first, kth = (r.distances for r in metrics.kth_nn_within(nxt, (1, config.gamma), squared))
+                first, kth = metrics.kth_nn_within(nxt, (1, config.gamma), squared)
             entropy = kl_entropy(nxt, config.gamma, config.metric, kth)
             mnnd_value = mnnd(nxt, config.metric, first)
             moments = moment_summary(apply_feature_map(nxt, fmap))

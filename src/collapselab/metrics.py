@@ -70,7 +70,7 @@ def kl_entropy(ps: PointSet, gamma: int = 1, metric: DistanceMetric = DistanceMe
     if ps.size <= gamma:
         raise InsufficientPointsError(f"entropy with gamma={gamma} needs at least {gamma + 1} points, got {ps.size}")
     if squared is None:
-        squared = kth_nn_within(ps, gamma, replace(metric, kind="sqeuclidean")).distances
+        squared = kth_nn_within(ps, gamma, replace(metric, kind="sqeuclidean"))
     # The estimator is defined on euclidean radii, whatever the metric's units.
     eps = EUCLIDEAN.from_squared(squared)
     clamped = eps < EPS_FLOOR
@@ -93,8 +93,7 @@ def generalization_score(generated: PointSet, training: PointSet, metric: Distan
     memorization. Self-matches are not excluded by design. nn_cross
     refuses an empty set and mismatched dimensions.
     """
-    res = nn_cross(generated, training, metric)
-    return float(res.distances.mean())
+    return float(nn_cross(generated, training, metric).mean())
 
 
 def mnnd(ps: PointSet, metric: DistanceMetric = DistanceMetric(), squared=None) -> float:
@@ -103,7 +102,7 @@ def mnnd(ps: PointSet, metric: DistanceMetric = DistanceMetric(), squared=None) 
     if ps.size < 2:
         raise InsufficientPointsError(f"mean neighbor distance needs at least 2 points, got {ps.size}")
     if squared is None:
-        squared = kth_nn_within(ps, 1, replace(metric, kind="sqeuclidean")).distances
+        squared = kth_nn_within(ps, 1, replace(metric, kind="sqeuclidean"))
     return float(metric.from_squared(squared).mean())
 
 

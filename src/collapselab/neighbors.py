@@ -14,9 +14,7 @@ time. Each square is rounded once, and a sum of at most two non-negative
 terms rounds once in any order, so these are the bits of the einsum
 reduction. At d >= 3 the einsum stays: its summation order varies with
 the CPU (which is why bench/pinned.json records the CPU model), and a
-fixed left-to-right sum would change the bits. Each group's candidate
-columns are sorted by ascending row index, so the tie-break toward the
-lower index works as it does over all columns. A row's answer is
+fixed left-to-right sum would change the bits. A row's answer is
 accepted only when its k-th squared distance is strictly below the
 squared distance from the query to the edge of the searched region,
 shrunk by a rounding slack: 32 eps times the largest coordinate
@@ -28,6 +26,8 @@ Rows that fail the check, or whose region holds fewer than k candidates,
 are searched over all points. A search for several ranks takes all from
 the same candidates, with the count, the check and the screen below set by
 the largest rank; whatever that proves exact holds for the smaller ones.
+The queries return distances only: the k-th smallest value of a row is
+the same bits whichever of its tied columns holds it.
 
 When m < 4 (at d = 8, for n below about 400k) the grid is one cell: every
 query searches every point, through the screen below.
@@ -44,12 +44,12 @@ thread count (Higham, Accuracy and Stability of Numerical Algorithms,
 literal kernel measures the k columns of lowest bound; the largest of
 those values is at least the k-th distance, so a column whose bound
 exceeds it can neither be among the k nearest nor tie the k-th. Only the
-other columns, in ascending index order, go through `sq_dists` and
-`_select`, so every value still comes from the literal kernel. A point
-with |x|^2 above max/8 gets NaN bounds, so no sum in the GEMM overflows,
-and a NaN bound keeps its column. Where the expansion cancels (points far
-from the origin for their spread, or a collapsed set) a row keeps most
-columns, and its block measures all of them: slower, never wrong.
+other columns go through `sq_dists` and `_select`, so every value still
+comes from the literal kernel. A point with |x|^2 above max/8 gets NaN
+bounds, so no sum in the GEMM overflows, and a NaN bound keeps its column.
+Where the expansion cancels (points far from the origin for their spread,
+or a collapsed set) a row keeps most columns, and its block measures all
+of them: slower, never wrong.
 
 Blocks. Each group is split into blocks of query rows whose diff tensor
 stays within _BLOCK_BUDGET elements, so a dense or collapsed cell never
@@ -66,81 +66,78 @@ column has none and takes the search above unchanged. `_split` ranks each
 column with np.unique, where values that compare equal, zeros of either
 sign among them, share a rank. It folds the ranks into one integer key per
 row, key * m + rank for a column of m values, and ranks the keys again
-whenever key * n + row could pass the int64 range. A fold is one-to-one on
-(key, rank), since rank < m, and a re-rank keeps equality, so two rows
-share a key exactly when all their coordinates compare equal. One argsort
-of key * n + row, whose values are all distinct, lists each point's rows
-together and ascending. Points are ordered by their first row, so the
-split depends only on which rows compare equal: it is the one a stable
-lexsort of the coordinates gives, and the search sees the same points in
-the same order. The tie-break toward the lower index then picks, among
-tied points, the one holding the lowest tied row. `nn_cross` returns that
-point's first row to every copy of the query. `kth_nn_within` with
-largest rank K searches the points for ranks 1..K, then builds for each
-point g a list L_g of (squared distance, row) pairs: g's first K + 1 rows
-at distance 0, and the first K rows of each of g's K nearest points.
-Sorted, L_g starts with the first entries of the order A of all rows by
-(squared distance from g, row). Every point ranked ahead of a point h has
-its first row ahead of each row s of h in A, and so does every lower row
-of h. So the j-th entry of A is among its point's first j rows, and its
-point is g or one of g's j nearest others: any of A's first K entries is
-in L_g, and the (K + 1)-th is too once a row of g is ahead of it. Row r of
-g, skipping itself, then has as its k-th neighbor L_g[k] if
-L_g[k] < (0, r), else L_g[k + 1] (1-based), which is read only when r is
-among the first k entries. The rule compares only the bits the kernel
-returns, so it holds for ties, for zeros of either sign, whose distances
-have the same bits, and for distinct rows whose squared distance
-underflows to 0.
+whenever the next fold could pass the int64 range. A fold is one-to-one on
+(key, rank), since rank < m, and a re-rank keeps order and equality, so
+two rows share a key exactly when all their coordinates compare equal, and
+keys order the points as their coordinates do. One np.unique of the keys
+gives each point's first row, its size s_g (its number of rows) and each
+row's point.
+
+Multiplicity. `kth_nn_within` with largest rank K searches the points for
+ranks 1..K', K' = min(K, points - 1), each rank at a different point. A row
+of point g sees its s_g - 1 copies at distance 0 and, for each other point
+h, s_h rows at g's distance to h. So its k-th neighbor is 0 when k < s_g.
+Otherwise, with v_j the distance to the j-th point g's search ranks and
+C_j the sum of the sizes of its first j points, it is v_j at the first j
+where C_j reaches k - s_g + 1. Listing each point's rows in the order of
+the search gives the row distances in ascending order, and any order of
+tied points does: every point nearer than v_j ranks ahead of the j-th, and
+any ascending list has the same entry at each place. Ranks up to K' always
+reach the count: C_K >= K >= k, and C over all other points is
+n - s_g >= k - s_g + 1. The rule compares only the bits the kernel
+returns, so it holds for zeros of either sign, whose distances have the
+same bits, and for distinct points whose squared distance underflows to 0.
+The first j is counted as the number of j with C_j below the target,
+capped at K' - 1: where squared distances overflow to inf, a ranked column
+at inf may be g itself or screen padding, but every column of finite value
+is a true other point, so the count is exact when the answer is finite
+and lands on an inf when it is not.
 
 Exact matches. `nn_cross` splits the references stacked over the queries
-once. The points that hold a reference row come first, and each one's
-first row is its lowest reference row. A query in such a point measures 0
-to that row, and only copies can measure 0 when every non-zero |coordinate|
-of the stack is at least 1e-145 (features are finite: PointSet refuses
-anything else, and the feature maps refuse overflow). Such a coordinate
-lies at or above 2^-482, so it is a multiple of 2^-534, its unit in the
-last place; two distinct values then differ by at least 2^-534, and by
-monotone rounding so does their computed difference. Its square is at
-least 2^-1068, a non-zero subnormal, and a sum of non-negative squares is
-at least each of them. So such a query gets (0, that first row) without a
-search, and only the points that hold no reference row are searched.
-Below the bound, distinct rows may measure 0, and every point that holds
-a query is searched.
+once. A point holds a reference row exactly when its first row is one. A
+query in such a point measures 0 to that row, and only copies can measure
+0 when every non-zero |coordinate| of the stack is at least 1e-145
+(features are finite: PointSet refuses anything else, and the feature maps
+refuse overflow). Such a coordinate lies at or above 2^-482, so it is a
+multiple of 2^-534, its unit in the last place; two distinct values then
+differ by at least 2^-534, and by monotone rounding so does their computed
+difference. Its square is at least 2^-1068, a non-zero subnormal, and a sum
+of non-negative squares is at least each of them. So such a query gets 0
+without a search, and only the points that hold no reference row are
+searched. Below the bound, distinct rows may measure 0, and every point
+that holds a query is searched.
 
 Reuse. `_search(u, u, ranks, within=True)` is a pure function of the bits
 of u and of the ranks: blocks, screens and BLAS threads change no bit.
-`_within` keeps its last search of a set's distinct points. When the next
-set has the same distinct points, compared as integer bit patterns so that
-zeros of either sign never alias, at the same ranks, it reads those
-answers and only rebuilds L_g and spreads them. A loop whose generations
-copy points it has already measured searches them once. `_distinct` keeps
-its last split with a copy of the matrix it split, so no caller's later
-write reaches it, and one rule extends it (`_grow`): a matrix whose leading
-rows have the held bits, compared the same way, and whose other rows all
-equal held points reads or grows the held split; any other is split in full.
-Each appended row is keyed by the bits of its coordinates plus 0.0, which
-gives zeros of either sign one key; equal finite coordinates have equal
-bits once zeros are alike, so a row's key is that of its point. The key
-only proposes a point, and the row joins it only if their coordinates
-compare equal, the very rule of `_split`; a row that matches no held point
-(a new point, or a key collision) sends the matrix to a full split.
-Appended rows come after every held row and join existing points, so each
-point keeps its first row, its label and its key, and the held points'
-keys ride with the split. The grown order is placed, not sorted: each held
-row goes to its point's new start plus its rank among the point's held
-rows, and each appended row after its point's held rows, in row order (one
-stable argsort of the appended labels). That lists each point's rows
-together and ascending, as an argsort of point * n + row does. Under
-accumulate, `nn_cross` splits the training set stacked over the
-generation, the pool `kth_nn_within` splits next has those bits, and the
-next stack is that pool over the next generation: a memorizing loop builds
-its first split in full, grows each later one, and splits each pool once.
+`_within` keeps its last search of a set's distinct points, with the
+points each rank found. When the next set has the same distinct points,
+compared as integer bit patterns so that zeros of either sign never alias,
+at the same ranks, it reads that search and applies the multiplicity rule
+with the new set's sizes. A loop whose generations copy points it has
+already measured searches them once. `_distinct` keeps its last split with
+a copy of the matrix it split, so no caller's later write reaches it, and
+one rule extends it (`_grow`): a matrix whose leading rows have the held
+bits, compared the same way, and whose other rows all equal held points
+reads or grows the held split; any other is split in full. Each appended
+row is keyed by the bits of its coordinates plus 0.0, which gives zeros of
+either sign one key; equal finite coordinates have equal bits once zeros
+are alike, so a row's key is that of its point. The key only proposes a
+point, and the row joins it only if their coordinates compare equal, the
+very rule of `_split`; a row that matches no held point (a new point, or a
+key collision) sends the matrix to a full split. Appended rows come after
+every held row and join existing points, and each column keeps its values
+up to the sign of a zero, so every point keeps its first row, its label
+and its key, and only the sizes grow: the grown record is the one `_split`
+builds. Under accumulate, `nn_cross` splits the training set stacked over
+the generation, the pool `kth_nn_within` splits next has those bits, and
+the next stack is that pool over the next generation: a memorizing loop
+builds its first split in full, grows each later one, and splits each
+pool once.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -166,8 +163,8 @@ _MATCH_FLOOR = 1e-145
 class _Memo(NamedTuple):
     """What the last calls left for reuse, each slot None before its first:
     `_within`'s search of a set's distinct points as (ranks, points, squared
-    distances, indices); and `_distinct`'s split record as (a copy of the
-    matrix it split, its `order`, `starts`, `sizes` and `point`, all five
+    distances, the point each found); and `_distinct`'s split record as (a
+    copy of the matrix it split, its `heads`, `sizes` and `point`, all four
     read-only, and the held points' sorted `_row_keys` with their labels,
     or None until a growth needs them)."""
 
@@ -176,14 +173,6 @@ class _Memo(NamedTuple):
 
 
 _memo = _Memo()
-
-
-@dataclass(frozen=True, eq=False)
-class NeighborResult:
-    """Per-query neighbor distance and the neighbor's row index."""
-
-    distances: np.ndarray
-    indices: np.ndarray
 
 
 def sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -230,29 +219,26 @@ def _blocks(rows: np.ndarray, per_row: int) -> list[np.ndarray]:
 
 
 def _select(d2: np.ndarray, ranks: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """For each rank k, the k-th smallest value of each row and its column,
-    ties toward the lower column; both of shape (len(ranks), rows)."""
-    vals = np.empty((len(ranks), d2.shape[0]))
-    cols = np.empty((len(ranks), d2.shape[0]), dtype=np.int64)
-    for j, k in enumerate(ranks):
-        if k == 1:
-            vals[j], cols[j] = d2.min(axis=1), d2.argmin(axis=1)
-            continue
-        vals[j] = np.partition(d2, k - 1, axis=1)[:, k - 1]
-        below = np.count_nonzero(d2 < vals[j, :, None], axis=1)
-        # The answer is the (k - below)-th column holding the k-th value.
-        seen = np.cumsum(d2 == vals[j, :, None], axis=1, dtype=np.int32)
-        cols[j] = np.argmax(seen >= (k - below)[:, None], axis=1)
-    return vals, cols
+    """For each rank k, the k-th smallest value of each row and a column
+    holding it, a different column for each rank; both of shape
+    (len(ranks), rows)."""
+    top = ranks[-1]
+    if top == 1:
+        cols = d2.argmin(axis=1)[None]
+    else:
+        part = np.argpartition(d2, top - 1, axis=1)[:, :top]
+        by_value = np.argsort(np.take_along_axis(d2, part, axis=1), axis=1)
+        cols = np.take_along_axis(part, by_value[:, np.array(ranks) - 1], axis=1).T
+    return np.take_along_axis(d2, cols.T, axis=1).T, cols
 
 
 def _screen(q, r, right, ranks: tuple[int, ...], own) -> tuple[np.ndarray, np.ndarray]:
     """`_select` of each query row over all of r: for each rank k its k-th
-    smallest squared distance and that column. `own`, each row's own column
+    smallest squared distance and a column of r holding it. `own`, each row's own column
     within one set, is left out. The screen is set by the largest rank, and
     keeps every column that a smaller rank could need.
 
-    Kept columns are gathered per row, ascending and padded with -1. A
+    Kept columns are gathered per row, padded with -1. A
     block where some row keeps more than half the columns measures every
     column straight from r: the gathered copy would cost more time and
     memory than the full search.
@@ -358,7 +344,8 @@ def _grid(q: np.ndarray, r: np.ndarray, within: bool):
 
 def _search(q: np.ndarray, r: np.ndarray, ranks: tuple[int, ...], within: bool) -> tuple[np.ndarray, np.ndarray]:
     """k-th nearest reference row of every query for each k of the ascending
-    ranks, as squared distances and indices of shape (len(ranks), len(q)).
+    ranks, as squared distances and a reference row at each, a different one
+    for each rank, both of shape (len(ranks), len(q)).
 
     With `within`, q is r and each query skips its own row.
     """
@@ -394,13 +381,12 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 def _split(x: np.ndarray) -> tuple[np.ndarray, ...]:
-    """x's distinct points, as (the rows ordered by point and ascending
-    within one, each point's start and size in that order, and each row's
-    point), the points in order of first occurrence.
+    """x's distinct points, as (each point's first row, its size, and each
+    row's point), the points in the order of their coordinates.
 
     Each column's dense rank is folded into one integer key per row. The
     key is ranked again, to below n, whenever the bound on it passes
-    int64 max // n, so key * n + row and the next fold fit in an int64.
+    int64 max // n, so the next fold fits in an int64.
     """
     n = x.shape[0]
     key, bound = np.zeros(n, dtype=np.int64), 1
@@ -411,16 +397,8 @@ def _split(x: np.ndarray) -> tuple[np.ndarray, ...]:
         if bound > np.iinfo(np.int64).max // n:
             values, key = np.unique(key, return_inverse=True)
             bound = values.size
-    order = np.argsort(key * n + np.arange(n))
-    key = key[order]
-    starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-    sizes = np.diff(starts, append=n)
-    by_first = np.argsort(order[starts])
-    label = np.empty(starts.size, dtype=np.int64)
-    label[by_first] = np.arange(starts.size)
-    point = np.empty(n, dtype=np.int64)
-    point[order] = np.repeat(label, sizes)
-    return order, starts[by_first], sizes[by_first], point
+    _, heads, point, sizes = np.unique(key, return_index=True, return_inverse=True, return_counts=True)
+    return heads, sizes, point
 
 
 def _row_keys(x: np.ndarray) -> np.ndarray:
@@ -440,15 +418,13 @@ def _grow(record: tuple, x: np.ndarray) -> tuple | None:
     """x's split record from a held one: `record` itself when x has the held
     bits; grown, with x as its matrix and the held keys (computed if absent),
     when x's leading rows have them and every row appended equals a held
-    point; else None. A grown order lists the points' runs by label, not by
-    key; each run, and so `_distinct`'s output, is that of `_split(x)`."""
-    held, order, starts, sizes, point, keys = record
-    m, n = held.shape[0], x.shape[0]
+    point; else None. A grown record is the one `_split(x)` builds."""
+    held, heads, sizes, point, keys = record
+    m = held.shape[0]
     if not _same_bits(held, x[:m]):
         return None
-    if n == m:
+    if x.shape[0] == m:
         return record
-    heads = order[starts]
     if keys is None:
         head_keys = _row_keys(held[heads])
         by_key = np.argsort(head_keys)
@@ -458,29 +434,20 @@ def _grow(record: tuple, x: np.ndarray) -> tuple | None:
     near = by_key[np.minimum(np.searchsorted(sorted_keys, _row_keys(x[m:])), by_key.size - 1)]
     if not (held[heads[near]] == x[m:]).all():
         return None
-    grown = sizes + np.bincount(near, minlength=sizes.size)
-    new_starts = np.cumsum(grown) - grown
-    # Each held row keeps its rank within its point; the appended rows of a
-    # point follow its held rows, in row order.
-    out = np.empty(n, dtype=np.int64)
-    out[np.arange(m) + (new_starts - starts)[point[order]]] = order
-    by_point = np.argsort(near, kind="stable")
-    out[np.cumsum(sizes)[near[by_point]] + np.arange(n - m)] = by_point + m
-    return x, out, new_starts, grown, np.concatenate([point, near]), keys
+    return x, heads, sizes + np.bincount(near, minlength=sizes.size), np.concatenate([point, near]), keys
 
 
-def _distinct(x: np.ndarray, keep: int = 1) -> tuple[np.ndarray, np.ndarray] | None:
-    """The lowest `keep` rows of each distinct point of x, ascending and
-    padded with len(x), the points in order of first occurrence; and each
-    row's point, read-only. None when no row repeats.
+def _distinct(x: np.ndarray) -> tuple[np.ndarray, ...] | None:
+    """x's distinct points as (each point's first row, its number of rows,
+    each row's point), all read-only, the points in the order of their
+    coordinates; None when no row repeats.
 
     Rows are one point when their coordinates compare equal, so rows that
     differ only in the sign of a zero are one point: every distance to
     them has the same bits. The split record is kept, with a copy of x, for
-    the next call to read or grow (`_grow`), at any `keep`.
+    the next call to read or grow (`_grow`).
     """
     global _memo
-    n = x.shape[0]
     record = _memo.split and _grow(_memo.split, x)
     if record is None:
         col = np.sort(x[:, 0])
@@ -489,64 +456,51 @@ def _distinct(x: np.ndarray, keep: int = 1) -> tuple[np.ndarray, np.ndarray] | N
         record = (x, *_split(x), None)
     if record is not _memo.split:
         record = (x.copy(), *record[1:])
-        for a in record[:5]:
+        for a in record[:4]:
             a.flags.writeable = False
         _memo = _memo._replace(split=record)
-    _, order, starts, sizes, point, _ = record
-    if starts.size == n:
-        return None
-    t = np.arange(keep)
-    rows = np.where(t < sizes[:, None], order[np.minimum(starts[:, None] + t, n - 1)], n)
-    return rows, point
+    return None if record[1].size == x.shape[0] else record[1:4]
 
 
-def _within(x: np.ndarray, ranks: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """`_search(x, x, ranks, within=True)`, with each distinct point searched
-    once and its answers spread to its copies by the rule of the module
-    docstring."""
+def _within(x: np.ndarray, ranks: tuple[int, ...]) -> np.ndarray:
+    """The squared distances of `_search(x, x, ranks, within=True)`, with each
+    distinct point searched once and its rows answered by the multiplicity
+    rule of the module docstring."""
     global _memo
-    n, top = x.shape[0], ranks[-1]
-    found = _distinct(x, top + 1)
+    found = _distinct(x)
     if found is None:
-        return _search(x, x, ranks, within=True)
-    copies, point = found
-    u = x[copies[:, 0]]
-    # Each point's nearest `top` other points, or all of them if fewer.
-    near = tuple(range(1, min(top, u.shape[0] - 1) + 1))
+        return _search(x, x, ranks, within=True)[0]
+    heads, sizes, point = found
+    u = x[heads]
+    if u.shape[0] == 1:
+        return np.zeros((len(ranks), x.shape[0]))
+    # Each point's nearest K other points, or all of them if fewer.
+    near = tuple(range(1, min(ranks[-1], u.shape[0] - 1) + 1))
     memo = _memo.search
-    if not near:
-        v, i = np.empty((0, u.shape[0])), np.empty((0, u.shape[0]), dtype=np.int64)
-    elif memo and memo[0] == near and _same_bits(memo[1], u):
-        v, i = memo[2:]
+    if memo and memo[0] == near and _same_bits(memo[1], u):
+        v, cols = memo[2:]
     else:
-        v, i = _search(u, u, near, within=True)
-        for a in (u, v, i):
+        v, cols = _search(u, u, near, within=True)
+        for a in (u, v, cols):
             a.flags.writeable = False
-        _memo = _memo._replace(search=(near, u, v, i))
-    # L_g: the point's own rows at distance 0, then each neighbor's first `top`.
-    rows = np.hstack([copies, copies[i.T, :top].reshape(u.shape[0], -1)])
-    d2 = np.hstack([np.zeros(copies.shape), np.repeat(v.T, top, axis=1)])
-    d2[rows == n] = np.inf
-    first = np.lexsort((rows, d2))[:, : top + 1]
-    # (top + 1, n): the first top + 1 entries of every row's point, by one flat index.
-    flat = np.take(first.T + np.arange(0, rows.size, rows.shape[1]), point, axis=1)
-    d2, rows = np.take(d2, flat), np.take(rows, flat)
-    # Row r's k-th neighbor is L_g[k] if it sorts before (0, r), else L_g[k + 1].
-    k = np.array(ranks)
-    ahead = (d2[k - 1] == 0.0) & (rows[k - 1] < np.arange(n))
-    return np.where(ahead, d2[k - 1], d2[k]), np.where(ahead, rows[k - 1], rows[k])
+        _memo = _memo._replace(search=(near, u, v, cols))
+    # Rank k of a row of point g: 0 among its copies, else v at the first
+    # rank where its neighbors' sizes reach k - sizes[g] + 1.
+    need = np.array(ranks)[:, None] - sizes + 1
+    j = np.minimum((np.cumsum(sizes[cols], axis=0) < need[:, None]).sum(axis=1), len(near) - 1)
+    return np.where(need > 0, np.take_along_axis(v, j, axis=0), 0.0)[:, point]
 
 
 def kth_nn_within(
     ps: PointSet, k: int | tuple[int, ...], metric: DistanceMetric = DistanceMetric()
-) -> NeighborResult | tuple[NeighborResult, ...]:
-    """k-th nearest neighbor of every point within the same set, self excluded.
+) -> np.ndarray | tuple[np.ndarray, ...]:
+    """Distance from every point to its k-th nearest neighbor within the same
+    set, self excluded.
 
-    Ties are broken toward the lower row index. Distances are reported in
-    the metric's units (euclidean or squared euclidean) in feature space.
-    k may also be a sorted tuple of ranks, such as (1, gamma): one search
-    then gives a NeighborResult per rank, in the order of k, each the same
-    bits as its own single-rank call.
+    Distances are reported in the metric's units (euclidean or squared
+    euclidean) in feature space. k may also be a sorted tuple of ranks, such
+    as (1, gamma): one search then gives an array per rank, in the order of
+    k, each the same bits as its own single-rank call.
     """
     ranks = k if isinstance(k, tuple) else (k,)
     valid = all(is_number(j, int) and j >= 1 for j in ranks)
@@ -558,13 +512,13 @@ def kth_nn_within(
         raise InsufficientPointsError(f"need at least {top + 1} points for the {top}-th neighbor, got {n}")
     x = np.ascontiguousarray(metric.feature_map.apply(ps.data))
     distinct = tuple(sorted(set(ranks)))
-    out_v, out_i = _within(x, distinct)
-    found = {j: NeighborResult(metric.from_squared(v), i) for j, v, i in zip(distinct, out_v, out_i)}
+    found = dict(zip(distinct, metric.from_squared(_within(x, distinct))))
     return tuple(found[j] for j in ranks) if isinstance(k, tuple) else found[k]
 
 
-def nn_cross(queries: PointSet, refs: PointSet, metric: DistanceMetric = DistanceMetric()) -> NeighborResult:
-    """Nearest reference point for every query; a query may match itself.
+def nn_cross(queries: PointSet, refs: PointSet, metric: DistanceMetric = DistanceMetric()) -> np.ndarray:
+    """Distance from every query to its nearest reference point; a query may
+    match itself.
 
     Identical rows in queries and refs produce a distance of exactly zero,
     and a query that copies a reference row is answered without a search.
@@ -580,21 +534,19 @@ def nn_cross(queries: PointSet, refs: PointSet, metric: DistanceMetric = Distanc
     x = np.vstack([r, q])
     found = _distinct(x)
     if found is None:
-        v, i = _search(q, r, (1,), within=False)
-        return NeighborResult(metric.from_squared(v[0]), i[0])
-    heads, point = found[0][:, 0], found[1][r.shape[0] :]
-    # Points 0..shared-1 hold a reference row, their first row: a query in
-    # one measures 0 to it, and above the floor nothing else measures 0.
-    shared = int(np.searchsorted(heads, r.shape[0]))
-    v, i = np.zeros(heads.size), heads.copy()
+        return metric.from_squared(_search(q, r, (1,), within=False)[0][0])
+    heads, _, point = found
+    point = point[r.shape[0] :]
+    # A point whose first row is a reference row holds one: a query in it
+    # measures 0 to it, and above the floor nothing else measures 0.
+    shared = heads < r.shape[0]
+    v = np.zeros(heads.size)
     ask = np.zeros(heads.size, dtype=bool)
     ask[point] = True
     mag = np.abs(x)
     if not ((mag > 0.0) & (mag < _MATCH_FLOOR)).any():
-        ask[:shared] = False
+        ask &= ~shared
     ask = np.flatnonzero(ask)
     if ask.size:
-        found_v, found_i = _search(x[heads[ask]], r[heads[:shared]], (1,), within=False)
-        # The first row of the nearest distinct reference is the lowest of its tied rows.
-        v[ask], i[ask] = found_v[0], heads[found_i[0]]
-    return NeighborResult(metric.from_squared(v[point]), i[point])
+        v[ask] = _search(x[heads[ask]], r[heads[shared]], (1,), within=False)[0][0]
+    return metric.from_squared(v[point])

@@ -24,7 +24,6 @@ from collapselab import (
     InsufficientPointsError,
     IterationRecord,
     LoopConfig,
-    NeighborResult,
     NumericalError,
     PointSet,
     SelectionPolicy,
@@ -96,6 +95,27 @@ class TestLoopConfig:
     def test_accumulate_forbids_selection(self):
         with pytest.raises(ConfigError):
             bootstrap_config(paradigm="accumulate", selection=SelectionPolicy(kind="random"))
+
+    @pytest.mark.parametrize(
+        "loop_metric, policy_metric",
+        [
+            (EUCLIDEAN, DistanceMetric(kind="sqeuclidean")),
+            (DistanceMetric(feature_map=FeatureMap(kind="randproj", target_dim=2, seed=1)), EUCLIDEAN),
+            (
+                DistanceMetric(feature_map=FeatureMap(kind="randproj", target_dim=2, seed=1)),
+                DistanceMetric(feature_map=FeatureMap(kind="randproj", target_dim=2, seed=2)),
+            ),
+        ],
+    )
+    def test_selection_must_use_the_loop_metric(self, loop_metric, policy_metric):
+        # A policy measuring in another space would select by distances that
+        # no metric of the loop reports.
+        with pytest.raises(ConfigError, match="loop's metric") as refused:
+            bootstrap_config(metric=loop_metric, selection=SelectionPolicy(kind="greedy", metric=policy_metric))
+        assert refused.value.exit_code == 4
+        # An equal metric held in another object is the loop's.
+        same = DistanceMetric(kind=loop_metric.kind, feature_map=loop_metric.feature_map)
+        assert bootstrap_config(metric=loop_metric, selection=SelectionPolicy(kind="greedy", metric=same)).selection
 
     def test_effective_multiplier_defaults(self):
         assert bootstrap_config().generation_multiplier == 1.0
@@ -309,7 +329,7 @@ class TestDeterminism:
         b = trace_to_json(run_loop(cfg, real), canonical=True)
         assert a == b
 
-    def test_worker_count_invariant(self, monkeypatch):
+    def test_block_budget_invariant(self, monkeypatch):
         real = blob_data(15, 100)
         cfg = bootstrap_config(iterations=3, train_size=100, generator=GeneratorSpec(kind="gaussian"))
         base = trace_to_json(run_loop(cfg, real), canonical=True)
@@ -781,6 +801,12 @@ def _set_off_diagonal_covariance_100(doc):
     cov[0][1] = cov[1][0] = 100.0
 
 
+def _set_record_gamma_with_its_estimate(doc):
+    entropy = doc["records"][0]["entropy"]
+    entropy["gamma"] = 2
+    _rebuild_estimate(entropy)
+
+
 # Single edits of _READ_DOC, each a trace run_loop could not have written.
 _REFUSED_EDITS = {
     # The round trip refuses these: the trace does not write the edited document.
@@ -800,6 +826,8 @@ _REFUSED_EDITS = {
     "mean-entry-true": lambda doc: doc["real_reference"]["mean"].__setitem__(0, True),
     "covariance-asymmetric": _bump_upper_covariance,
     "covariance-indefinite": _set_off_diagonal_covariance_100,
+    "record-gamma-with-its-estimate": _set_record_gamma_with_its_estimate,
+    "selection-metric-other": lambda doc: doc["config"]["selection"]["metric"].update(kind="sqeuclidean"),
     "proportion-unknown-label": lambda doc: doc["records"][0].update(source_proportions={"a": 1.0}),
     "proportion-above-one": lambda doc: doc["records"][0].update(source_proportions={"syn1": 2.0}),
     "proportion-later-label": lambda doc: doc["records"][0].update(source_proportions={"syn2": 1.0}),
@@ -918,12 +946,13 @@ def test_proportions_of_any_partition_sum_to_one_within_the_reader_bound(counts)
 # Canonical traces of the three paradigms for the edit fuzz below; one
 # projects 3 -> 2 and selects by threshold decay.
 _FUZZ_REAL = blob_data(31, 40, d=3)
+_FUZZ_RANDPROJ = DistanceMetric(feature_map=FeatureMap(kind="randproj", target_dim=2, seed=5))
 _FUZZ_TEXTS = {
     "replace-randproj-threshold": trace_to_json(run_loop(bootstrap_config(
         train_size=20,
         generator=GeneratorSpec(kind="gmm", components=2),
-        metric=DistanceMetric(feature_map=FeatureMap(kind="randproj", target_dim=2, seed=5)),
-        selection=SelectionPolicy(kind="threshold_decay", tau0=0.5, alpha=0.5, initial_index=2),
+        metric=_FUZZ_RANDPROJ,
+        selection=SelectionPolicy(kind="threshold_decay", metric=_FUZZ_RANDPROJ, tau0=0.5, alpha=0.5, initial_index=2),
     ), _FUZZ_REAL), canonical=True),
     "accumulate-bootstrap0": trace_to_json(run_loop(bootstrap_config(
         paradigm="accumulate", train_size=20, gamma=2,
@@ -1070,15 +1099,14 @@ class TestSharedNeighborSearch:
 def all_pairs_kth(ps, k, metric=EUCLIDEAN):
     """kth_nn_within by brute force over all pairs of rows."""
     x = metric.feature_map.apply(ps.data)
-    found = [brute_sq(x, x, j, True) for j in (k if isinstance(k, tuple) else (k,))]
-    found = [NeighborResult(metric.from_squared(d2), i) for d2, i in found]
+    found = [metric.from_squared(brute_sq(x, x, j, True)) for j in (k if isinstance(k, tuple) else (k,))]
     return tuple(found) if isinstance(k, tuple) else found[0]
 
 
 def all_pairs_cross(queries, refs, metric=EUCLIDEAN):
     """nn_cross by brute force over all pairs of rows."""
-    d2, i = brute_sq(metric.feature_map.apply(queries.data), metric.feature_map.apply(refs.data), 1, False)
-    return NeighborResult(metric.from_squared(d2), i)
+    d2 = brute_sq(metric.feature_map.apply(queries.data), metric.feature_map.apply(refs.data), 1, False)
+    return metric.from_squared(d2)
 
 
 class TestAllPairsReferee:

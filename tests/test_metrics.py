@@ -75,7 +75,7 @@ class TestKlEntropy:
         rng = np.random.default_rng(3)
         ps = PointSet(rng.standard_normal((50, 2)))
         rep = kl_entropy(ps, gamma=2)
-        eps = kth_nn_within(ps, k=2).distances
+        eps = kth_nn_within(ps, k=2)
         manual = (
             digamma(50.0)
             - digamma(2.0)
