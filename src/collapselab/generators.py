@@ -183,13 +183,19 @@ def _fit_gmm(spec: GeneratorSpec, data: np.ndarray) -> FittedGenerator:
     # Every stack below is filled by numpy loops that run along the n data
     # rows, never along the short d or k axes, and every value is the result
     # of the same rounded operations, in the same order, as in the loop over
-    # one component at a time (tests/test_generators.py, reference_gmm). Two
-    # layouts carry bits and must stay:
+    # one component at a time (tests/test_generators.py, reference_gmm). The
+    # sums over components and rows carry bits through their layouts:
     #   - the covariance matmul reads both operands from (k, n, d) arrays; a
     #     C-ordered (k, d, n) left operand sends BLAS down another path, which
     #     rounds differently;
-    #   - the row sum of exp(log_comp - top) runs over an (n, k) array: from
-    #     8 terms up numpy sums pairwise, so an axis-0 sum of (k, n) differs.
+    #   - the oracle sums exp(log_comp - top) along each row of an (n, k)
+    #     array. numpy sums fewer than 8 terms left to right and from 8 up
+    #     pairwise, so below 8 components the (k, n) stack summed over axis
+    #     0 gives the same bits at a fraction of the cost; from 8 up the
+    #     stack is a (k, n) view of an (n, k) array, which numpy sums along
+    #     its rows in memory order;
+    #   - mass sums each column of the (n, k) resp in row order, pairwise
+    #     at k = 1, as the oracle does.
     # At d = 2 and n >= 2 the E-step solves with _solve_2d once the
     # one-time probe has passed; at n = 1 LAPACK takes a one-column path
     # that rounds otherwise. _solve_2d reads a -0.0 in centered (a -0.0
@@ -199,7 +205,7 @@ def _fit_gmm(spec: GeneratorSpec, data: np.ndarray) -> FittedGenerator:
     columns = np.ascontiguousarray(data.T)
     centered = np.empty((k, n, d))
     weighted = np.empty((k, n, d))
-    shifted = np.empty((n, k))
+    shifted = np.empty((k, n)) if k < 8 else np.empty((n, k)).T
     resp = np.empty((n, k))
     solve = _solve_2d if d == 2 and n > 1 and _solve_2d_matches_solve() else np.linalg.solve
 
@@ -214,7 +220,7 @@ def _fit_gmm(spec: GeneratorSpec, data: np.ndarray) -> FittedGenerator:
     converged = False
     for _ in range(spec.max_iters):
         sign, logdet = np.linalg.slogdet(covs)
-        if not np.all(sign > 0):
+        if not (sign > 0).all():
             raise NumericalError("component covariance lost positive definiteness")
         terms = solve(covs, centered.transpose(0, 2, 1))
         terms *= centered.transpose(0, 2, 1)
@@ -227,9 +233,10 @@ def _fit_gmm(spec: GeneratorSpec, data: np.ndarray) -> FittedGenerator:
         log_comp *= -0.5
         log_comp += np.log(weights)[:, None]
         top = log_comp.max(axis=0)
-        np.subtract(log_comp, top, out=shifted.T)
-        log_norm = top + np.log(np.exp(shifted, out=shifted).sum(axis=1))
-        ll = float(log_norm.mean())
+        np.subtract(log_comp, top, out=shifted)
+        log_norm = top + np.log(np.exp(shifted, out=shifted).sum(axis=0))
+        # The sum and the division of log_norm.mean(), without its wrapper.
+        ll = float(np.add.reduce(log_norm)) / n
         np.subtract(log_comp, log_norm, out=resp.T)
         np.exp(resp, out=resp)
 
@@ -241,9 +248,10 @@ def _fit_gmm(spec: GeneratorSpec, data: np.ndarray) -> FittedGenerator:
             np.multiply(resp.T, centered[:, :, j], out=weighted[:, :, j])
         covs = weighted.transpose(0, 2, 1) @ centered / mass[:, None, None]
         covs = (covs + covs.transpose(0, 2, 1)) / 2.0
-        if not np.all(np.isfinite(covs)):
+        if not np.isfinite(covs).all():
             raise NumericalError("component covariance is not finite")
-        low = np.linalg.eigvalsh(covs).min(axis=1) < _COV_FLOOR
+        # eigvalsh returns each stack's eigenvalues in ascending order.
+        low = np.linalg.eigvalsh(covs)[:, 0] < _COV_FLOOR
         if low.any():
             covs[low] += _COV_FLOOR * np.eye(d)
             floored = True

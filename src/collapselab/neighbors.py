@@ -223,13 +223,14 @@ def _select(d2: np.ndarray, ranks: tuple[int, ...]) -> tuple[np.ndarray, np.ndar
     holding it, a different column for each rank; both of shape
     (len(ranks), rows)."""
     top = ranks[-1]
+    rows = np.arange(d2.shape[0])
     if top == 1:
         cols = d2.argmin(axis=1)[None]
     else:
         part = np.argpartition(d2, top - 1, axis=1)[:, :top]
-        by_value = np.argsort(np.take_along_axis(d2, part, axis=1), axis=1)
-        cols = np.take_along_axis(part, by_value[:, np.array(ranks) - 1], axis=1).T
-    return np.take_along_axis(d2, cols.T, axis=1).T, cols
+        by_value = np.argsort(d2[rows[:, None], part], axis=1)
+        cols = part[rows, by_value[:, np.array(ranks) - 1].T]
+    return d2[rows, cols], cols
 
 
 def _screen(q, r, right, ranks: tuple[int, ...], own) -> tuple[np.ndarray, np.ndarray]:
@@ -270,7 +271,8 @@ def _screen(q, r, right, ranks: tuple[int, ...], own) -> tuple[np.ndarray, np.nd
         cand[keep_r, np.arange(keep_r.size) - np.repeat(np.cumsum(counts) - counts, counts)] = keep_c
     del keep_r, keep_c
     vals, cols = _select(measure(cand), ranks)
-    return vals, np.take_along_axis(cand, cols.T, axis=1).T
+    # cand has a row per query, or one row that serves them all; rows[:1] is [0] and broadcasts.
+    return vals, cand[rows[: cand.shape[0]], cols]
 
 
 def _grid(q: np.ndarray, r: np.ndarray, within: bool):

@@ -243,6 +243,13 @@ class TestGmm:
         with pytest.raises(InsufficientPointsError):
             fit(GeneratorSpec(kind="gmm", components=5), PointSet(np.zeros((4, 1))))
 
+    def test_a_component_left_without_mass_is_numerical_error(self):
+        # At the fifth E-step every responsibility of one component
+        # underflows to 0, so its mass is 0 and its mean is 0/0.
+        data = np.random.default_rng(22).standard_normal((5, 3)) * 1e12
+        with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match="component covariance is not finite"):
+            fit(GeneratorSpec(kind="gmm", components=2), PointSet(data))
+
     @pytest.mark.parametrize("k", [1, 2])
     @pytest.mark.parametrize("d", [2, 3])
     def test_overflowing_data_is_numerical_error(self, d, k):
@@ -272,7 +279,9 @@ def em_layouts(d, k):
 
 
 class TestBatchedEmMatchesComponentLoop:
-    @pytest.mark.parametrize("k", [1, 2, 3, 5, 9])
+    # k = 7 and k = 8 sit on either side of the fit's layout switch for the
+    # sum over components (below 8 terms numpy sums left to right).
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 7, 8, 9])
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 6, 8, 12])
     def test_bit_identical(self, d, k):
         for name, data in em_layouts(d, k):
@@ -288,8 +297,7 @@ class TestBatchedEmMatchesComponentLoop:
             if name in ("collapsed", "tiny"):
                 assert diagnostics.floored
 
-    @pytest.mark.parametrize("k", [4, 9])
-    @pytest.mark.parametrize("d", [2, 3, 8])
+    @pytest.mark.parametrize("d, k", [(d, k) for d in (2, 3, 8) for k in (4, 9)] + [(2, 7), (2, 8)])
     def test_bit_identical_at_benchmark_scale(self, d, k):
         # At n = 1000 every sum over the rows runs past numpy's 128-element
         # pairwise blocks, so a layout change in any of them moves bits.

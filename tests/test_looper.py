@@ -136,6 +136,8 @@ class TestLoopConfig:
             bootstrap_config(train_size=0)
         with pytest.raises(ConfigError):
             bootstrap_config(gamma=0)
+        with pytest.raises(ConfigError, match="pool_cap must be >= 1"):
+            bootstrap_config(pool_cap=0)
 
     def test_int_multiplier_beyond_float_range_is_config_error(self):
         with pytest.raises(ConfigError, match="^generation_multiplier must be float"):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -559,6 +560,55 @@ class TestGridMatchesBruteForce:
             finally:
                 tracemalloc.stop()
             assert peak <= neighbors._BLOCK_BUDGET * 8, f"k={k}: peak {peak / 2**20:.1f} MiB"
+
+
+class TestRankPick:
+    """`_select` against a per-row sort, and `_screen` against brute force."""
+
+    @pytest.mark.parametrize("ranks", [(1,), (1, 4), (2, 3, 5)])
+    @pytest.mark.parametrize("shape", [(1, 5), (300, 12)])
+    def test_select_matches_a_row_sort(self, shape, ranks):
+        # Values 0-3 tie often, and about a fifth are +inf, as a skipped own
+        # column or a padded candidate reads.
+        rng = np.random.default_rng([*shape, *ranks])
+        d2 = rng.integers(0, 4, shape).astype(np.float64)
+        d2[rng.random(shape) < 0.2] = np.inf
+        vals, cols = neighbors._select(d2, ranks)
+        want = np.sort(d2, axis=1)[:, np.array(ranks) - 1].T
+        assert vals.shape == cols.shape == (len(ranks), shape[0])
+        assert np.array_equal(vals, want)
+        assert np.array_equal(d2[np.arange(shape[0]), cols], want)
+        for a, b in itertools.combinations(cols, 2):
+            assert (a != b).all()
+
+    @pytest.mark.parametrize("within", [True, False])
+    @pytest.mark.parametrize("rows", [1, 40])
+    @pytest.mark.parametrize("shift, full_row", [(0.0, False), (1e12, True)])
+    def test_screen_matches_brute_force(self, monkeypatch, shift, full_row, rows, within):
+        # Shifted by 1e12 the norm expansion cancels, every row keeps more
+        # than half the columns, and the block measures one (1, n) row of
+        # candidates for all its queries; unshifted, each row gathers its own.
+        measured = []
+
+        def spy(a, b):
+            measured.append(b.shape)
+            return sq_dists(a, b)
+
+        rng = np.random.default_rng(61)
+        r = rng.standard_normal((600, 8)) + shift
+        own = np.arange(rows) * 7 if within else None
+        q = r[own] if within else rng.standard_normal((rows, 8)) + shift
+        monkeypatch.setattr(neighbors, "sq_dists", spy)
+        vals, cols = neighbors._screen(q, r, neighbors._lift(r)[1], (1, 4), own)
+        monkeypatch.undo()
+        assert (measured[-1] == (1, 600, 8)) == full_row
+        for got, k in zip(vals, (1, 4)):
+            want = brute_sq(r, r, k, within=True)[own] if within else brute_sq(q, r, k, within=False)
+            assert np.array_equal(got, want)
+        assert np.array_equal(sq_dists(q, r)[np.arange(rows), cols], vals)
+        assert (cols[0] != cols[1]).all()
+        if within:
+            assert (cols != own).all()
 
 
 def reference_distinct(x):

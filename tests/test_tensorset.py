@@ -263,6 +263,10 @@ class TestFeatureMap:
         with pytest.raises(ConfigError):
             FeatureMap(kind="randproj", target_dim=target_dim, seed=seed)
 
+    def test_random_projection_needs_a_positive_target_dim(self):
+        with pytest.raises(ConfigError, match="target_dim must be >= 1"):
+            FeatureMap(kind="randproj", target_dim=0, seed=1)
+
     @pytest.mark.parametrize("kind", ["whiten", "Identity", ""])
     def test_unknown_kind_rejected(self, kind):
         with pytest.raises(ConfigError, match="unknown feature map kind"):
