@@ -6,12 +6,13 @@ Three fit/sample families, all deterministic given their seeds:
                a one-component mixture.
   gmm       -- full-covariance Gaussian mixture fit by EM with a seeded
                k-means++-style initialization; collapsing component
-               covariances are floored at 1e-9 I and flagged. At d = 2 the
-               E-step solves with two batched matmuls that give the bits of
-               np.linalg.solve (_solve_2d), once a one-time probe has seen
-               them agree on this BLAS; otherwise, and at d != 2 or n = 1,
-               it calls solve. A mixture samples each component through the
-               symmetric eigendecomposition of its covariance.
+               covariances are floored at 1e-9 I, flagged, and refused if
+               still not positive definite. At d = 2 the E-step solves with
+               two batched matmuls that give the bits of np.linalg.solve
+               (_solve_2d), once a one-time probe has seen them agree on
+               this BLAS; otherwise, and at d != 2 or n = 1, it calls solve.
+               A mixture samples each component through the symmetric
+               eigendecomposition of its covariance.
   bootstrap -- resample training rows with replacement and add isotropic
                Gaussian jitter sigma; sigma=0 is a pure memorizer whose
                samples are bit-exact training rows.
@@ -254,6 +255,9 @@ def _fit_gmm(spec: GeneratorSpec, data: np.ndarray) -> FittedGenerator:
         low = np.linalg.eigvalsh(covs)[:, 0] < _COV_FLOOR
         if low.any():
             covs[low] += _COV_FLOOR * np.eye(d)
+            # Beside a large eigenvalue the floor is lost in rounding.
+            if not (np.linalg.eigvalsh(covs[low])[:, 0] > 0).all():
+                raise NumericalError("component covariance lost positive definiteness")
             floored = True
 
         history.append(ll)

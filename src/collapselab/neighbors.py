@@ -23,11 +23,11 @@ subtraction, and a factor 1 - 4 (d + 2) eps covers the summed squares.
 Every point outside the region then measures strictly more than the
 answer, so the answer is the one the search over all points would give.
 Rows that fail the check, or whose region holds fewer than k candidates,
-are searched over all points. A search for several ranks takes all from
-the same candidates, with the count, the check and the screen below set by
-the largest rank; whatever that proves exact holds for the smaller ones.
-The queries return distances only: the k-th smallest value of a row is
-the same bits whichever of its tied columns holds it.
+are searched over all points. A search returns ranks 1..k of each row, all
+from the same candidates, with the count, the check and the screen below
+set by rank k; what that proves exact holds for the smaller ranks. The
+queries return distances only: the k-th smallest value of a row is the
+same bits whichever of its tied columns holds it.
 
 When m < 4 (at d = 8, for n below about 400k) the grid is one cell: every
 query searches every point, through the screen below.
@@ -61,37 +61,37 @@ set of output rows, so the results do not depend on the block size.
 
 Distinct points. Both queries search each distinct row of a set once (a
 memorizing generator fills its pool with copies). Rows whose coordinates
-compare equal are one point; a set with no repeated value in its first
-column has none and takes the search above unchanged. `_split` ranks each
-column with np.unique, where values that compare equal, zeros of either
-sign among them, share a rank. It folds the ranks into one integer key per
-row, key * m + rank for a column of m values, and ranks the keys again
-whenever the next fold could pass the int64 range. A fold is one-to-one on
-(key, rank), since rank < m, and a re-rank keeps order and equality, so
-two rows share a key exactly when all their coordinates compare equal, and
-keys order the points as their coordinates do. One np.unique of the keys
-gives each point's first row, its size s_g (its number of rows) and each
-row's point.
+compare equal are one point; a set without copies is its own split, each
+row a point of size 1, in row order. A set with a repeated first coordinate
+is ranked: `_split` ranks each column with np.unique, where values that
+compare equal, zeros of either sign among them, share a rank. It folds the
+ranks into one integer key per row, key * m + rank for a column of m
+values, and ranks the keys again whenever the next fold could pass the
+int64 range. A fold is one-to-one on (key, rank), since rank < m, and a
+re-rank keeps order and equality, so two rows share a key exactly when all
+their coordinates compare equal, and keys order the points as their
+coordinates do. One np.unique of the keys gives each point's first row, its
+size s_g (its number of rows) and each row's point, unless every size is 1.
 
-Multiplicity. `kth_nn_within` with largest rank K searches the points for
-ranks 1..K', K' = min(K, points - 1), each rank at a different point. A row
-of point g sees its s_g - 1 copies at distance 0 and, for each other point
-h, s_h rows at g's distance to h. So its k-th neighbor is 0 when k < s_g.
-Otherwise, with v_j the distance to the j-th point g's search ranks and
-C_j the sum of the sizes of its first j points, it is v_j at the first j
-where C_j reaches k - s_g + 1. Listing each point's rows in the order of
-the search gives the row distances in ascending order, and any order of
-tied points does: every point nearer than v_j ranks ahead of the j-th, and
-any ascending list has the same entry at each place. Ranks up to K' always
-reach the count: C_K >= K >= k, and C over all other points is
-n - s_g >= k - s_g + 1. The rule compares only the bits the kernel
-returns, so it holds for zeros of either sign, whose distances have the
-same bits, and for distinct points whose squared distance underflows to 0.
-The first j is counted as the number of j with C_j below the target,
-capped at K' - 1: where squared distances overflow to inf, a ranked column
-at inf may be g itself or screen padding, but every column of finite value
-is a true other point, so the count is exact when the answer is finite
-and lands on an inf when it is not.
+Multiplicity. `_within` answers ranks 1..K of every row from a search of
+the points for ranks 1..K', K' = min(K, points - 1), each at a different
+point. A row of point g sees its s_g - 1 copies at distance 0 and, for each
+other point h, s_h rows at g's distance to h. So its k-th neighbor is 0 if
+k < s_g. Otherwise, with v_j the distance to the j-th point g's search
+ranks and C_j the sum of the sizes of its first j points, it is v_j at the
+first j where C_j reaches k - s_g + 1; with every size 1 that is v_k.
+Listing each point's rows in the order of the search gives the row
+distances in ascending order, and any order of tied points does: every
+point nearer than v_j ranks ahead of the j-th, and any ascending list has
+the same entry at each place. Ranks up to K' always reach the count:
+C_K >= K >= k, and C over all other points is n - s_g >= k - s_g + 1. The
+rule compares only the bits the kernel returns, so it holds for zeros of
+either sign, whose distances have the same bits, and for distinct points
+whose squared distance underflows to 0. The first j is counted as the
+number of j with C_j below the target, capped at K' - 1: where squared
+distances overflow to inf, a ranked column at inf may be g itself or screen
+padding, but every column of finite value is a true other point, so the
+count is exact for a finite answer and lands on an inf otherwise.
 
 Exact matches. `nn_cross` splits the references stacked over the queries
 once. A point holds a reference row exactly when its first row is one. A
@@ -105,34 +105,33 @@ difference. Its square is at least 2^-1068, a non-zero subnormal, and a sum
 of non-negative squares is at least each of them. So such a query gets 0
 without a search, and only the points that hold no reference row are
 searched. Below the bound, distinct rows may measure 0, and every point
-that holds a query is searched.
+that holds a query is searched; without copies, that is every query row.
 
-Reuse. `_search(u, u, ranks, within=True)` is a pure function of the bits
-of u and of the ranks: blocks, screens and BLAS threads change no bit.
-`_within` keeps its last search of a set's distinct points, with the
-points each rank found. When the next set has the same distinct points,
-compared as integer bit patterns so that zeros of either sign never alias,
-at the same ranks, it reads that search and applies the multiplicity rule
-with the new set's sizes. A loop whose generations copy points it has
-already measured searches them once. `_distinct` keeps its last split with
-a copy of the matrix it split, so no caller's later write reaches it, and
-one rule extends it (`_grow`): a matrix whose leading rows have the held
-bits, compared the same way, and whose other rows all equal held points
-reads or grows the held split; any other is split in full. Each appended
-row is keyed by the bits of its coordinates plus 0.0, which gives zeros of
-either sign one key; equal finite coordinates have equal bits once zeros
-are alike, so a row's key is that of its point. The key only proposes a
-point, and the row joins it only if their coordinates compare equal, the
+Reuse. `_search(u, u, k, within=True)` is a pure function of the bits of u
+and of k: blocks, screens and BLAS threads change no bit. `_within` keeps
+its last search of a set's distinct points, with the points each rank
+found. When the next set has the same distinct points, compared as integer
+bit patterns so that zeros of either sign never alias, at the same K', it
+reads that search and applies the multiplicity rule with the new set's
+sizes, whether or not the set has copies. `_distinct` keeps its last split
+with a copy of the matrix it split, so no caller's later write reaches it,
+and one rule extends it (`_grow`): a matrix whose leading rows have the
+held bits, compared the same way, and whose other rows all equal held
+points reads or grows the held split; any other is split in full. Each
+appended row is keyed by the bits of its coordinates plus 0.0, which gives
+zeros of either sign one key; equal finite coordinates have equal bits once
+zeros are alike, so a row's key is that of its point. The key only proposes
+a point, and the row joins it only if their coordinates compare equal, the
 very rule of `_split`; a row that matches no held point (a new point, or a
 key collision) sends the matrix to a full split. Appended rows come after
 every held row and join existing points, and each column keeps its values
-up to the sign of a zero, so every point keeps its first row, its label
-and its key, and only the sizes grow: the grown record is the one `_split`
-builds. Under accumulate, `nn_cross` splits the training set stacked over
-the generation, the pool `kth_nn_within` splits next has those bits, and
-the next stack is that pool over the next generation: a memorizing loop
-builds its first split in full, grows each later one, and splits each
-pool once.
+up to the sign of a zero, so every point keeps its first row, its label and
+its key, and only the sizes grow: the grown record holds a fresh split's
+points, in the held order. Under accumulate, `nn_cross` splits the training
+set stacked over the generation, the pool `kth_nn_within` splits next has
+those bits, and the next stack is that pool over the next generation: a
+memorizing loop builds its first split in full, grows each later one, and
+splits each pool once.
 """
 
 from __future__ import annotations
@@ -162,11 +161,11 @@ _MATCH_FLOOR = 1e-145
 
 class _Memo(NamedTuple):
     """What the last calls left for reuse, each slot None before its first:
-    `_within`'s search of a set's distinct points as (ranks, points, squared
-    distances, the point each found); and `_distinct`'s split record as (a
-    copy of the matrix it split, its `heads`, `sizes` and `point`, all four
-    read-only, and the held points' sorted `_row_keys` with their labels,
-    or None until a growth needs them)."""
+    `_within`'s search of a set's distinct points as (K', the points, the
+    squared distances and points found at ranks 1..K'); and `_distinct`'s
+    last split record as (a copy of the matrix it split, its `heads`,
+    `sizes` and `point`, all four read-only, and the held points' sorted
+    `_row_keys` with their labels, or None until a growth needs them)."""
 
     search: tuple | None = None
     split: tuple | None = None
@@ -218,26 +217,24 @@ def _blocks(rows: np.ndarray, per_row: int) -> list[np.ndarray]:
     return [rows[s : s + step] for s in range(0, rows.size, step)]
 
 
-def _select(d2: np.ndarray, ranks: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """For each rank k, the k-th smallest value of each row and a column
-    holding it, a different column for each rank; both of shape
-    (len(ranks), rows)."""
-    top = ranks[-1]
+def _select(d2: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k smallest values of each row in ascending order, and a column
+    holding each, a different column for each rank; both of shape (k, rows)."""
     rows = np.arange(d2.shape[0])
-    if top == 1:
+    if k == 1:
         cols = d2.argmin(axis=1)[None]
     else:
-        part = np.argpartition(d2, top - 1, axis=1)[:, :top]
+        part = np.argpartition(d2, k - 1, axis=1)[:, :k]
         by_value = np.argsort(d2[rows[:, None], part], axis=1)
-        cols = part[rows, by_value[:, np.array(ranks) - 1].T]
+        cols = part[rows, by_value.T]
     return d2[rows, cols], cols
 
 
-def _screen(q, r, right, ranks: tuple[int, ...], own) -> tuple[np.ndarray, np.ndarray]:
-    """`_select` of each query row over all of r: for each rank k its k-th
-    smallest squared distance and a column of r holding it. `own`, each row's own column
-    within one set, is left out. The screen is set by the largest rank, and
-    keeps every column that a smaller rank could need.
+def _screen(q, r, right, k: int, own) -> tuple[np.ndarray, np.ndarray]:
+    """`_select` of each query row over all of r: its k smallest squared
+    distances and a column of r holding each. `own`, each row's own column
+    within one set, is left out. The screen is set by rank k, and keeps
+    every column that a smaller rank could need.
 
     Kept columns are gathered per row, padded with -1. A
     block where some row keeps more than half the columns measures every
@@ -257,7 +254,6 @@ def _screen(q, r, right, ranks: tuple[int, ...], own) -> tuple[np.ndarray, np.nd
         d2[(cand < 0) | (cand == own[:, None])] = np.inf
         return d2
 
-    k = ranks[-1]
     near = lo.argmin(axis=1)[:, None] if k == 1 else np.argpartition(lo, k - 1, axis=1)[:, :k]
     # "Not above" keeps a column whose bound is NaN.
     keep_r, keep_c = np.divmod(np.flatnonzero(~(lo > measure(near).max(axis=1)[:, None])), lo.shape[1])
@@ -270,7 +266,7 @@ def _screen(q, r, right, ranks: tuple[int, ...], own) -> tuple[np.ndarray, np.nd
         cand = np.full((rows.size, counts.max()), -1, dtype=np.int64)
         cand[keep_r, np.arange(keep_r.size) - np.repeat(np.cumsum(counts) - counts, counts)] = keep_c
     del keep_r, keep_c
-    vals, cols = _select(measure(cand), ranks)
+    vals, cols = _select(measure(cand), k)
     # cand has a row per query, or one row that serves them all; rows[:1] is [0] and broadcasts.
     return vals, cand[rows[: cand.shape[0]], cols]
 
@@ -344,20 +340,20 @@ def _grid(q: np.ndarray, r: np.ndarray, within: bool):
     return order, groups, bound
 
 
-def _search(q: np.ndarray, r: np.ndarray, ranks: tuple[int, ...], within: bool) -> tuple[np.ndarray, np.ndarray]:
-    """k-th nearest reference row of every query for each k of the ascending
-    ranks, as squared distances and a reference row at each, a different one
-    for each rank, both of shape (len(ranks), len(q)).
+def _search(q: np.ndarray, r: np.ndarray, k: int, within: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The k nearest reference rows of every query, as squared distances in
+    ascending order and a reference row at each, a different one for each
+    rank, both of shape (k, len(q)).
 
     With `within`, q is r and each query skips its own row.
     """
     n_q, dim = q.shape
-    out_v = np.empty((len(ranks), n_q), dtype=np.float64)
-    out_i = np.empty((len(ranks), n_q), dtype=np.int64)
+    out_v = np.empty((k, n_q), dtype=np.float64)
+    out_i = np.empty((k, n_q), dtype=np.int64)
     accepted = np.zeros(n_q, dtype=bool)
     order, groups, bound = _grid(q, r, within)
     for rows, runs, n_cand in groups:
-        if n_cand < ranks[-1] + within:
+        if n_cand < k + within:
             continue
         cand = np.sort(np.concatenate([order[run] for run in runs]))
         r_cand = r[cand]
@@ -365,7 +361,7 @@ def _search(q: np.ndarray, r: np.ndarray, ranks: tuple[int, ...], within: bool) 
             d2 = sq_dists(q[blk], r_cand)
             if within:
                 d2[np.arange(blk.size), np.searchsorted(cand, blk)] = np.inf
-            vals, cols = _select(d2, ranks)
+            vals, cols = _select(d2, k)
             out_v[:, blk], out_i[:, blk] = vals, cand[cols]
             accepted[blk] = vals[-1] < bound[blk]
     # The rest search every point, which is exact even at an inf distance.
@@ -373,7 +369,7 @@ def _search(q: np.ndarray, r: np.ndarray, ranks: tuple[int, ...], within: bool) 
     if rest.size:
         right = _lift(r)[1]
         for blk in _blocks(rest, r.shape[0] * (dim + 8)):
-            out_v[:, blk], out_i[:, blk] = _screen(q[blk], r, right, ranks, blk if within else None)
+            out_v[:, blk], out_i[:, blk] = _screen(q[blk], r, right, k, blk if within else None)
     return out_v, out_i
 
 
@@ -420,7 +416,8 @@ def _grow(record: tuple, x: np.ndarray) -> tuple | None:
     """x's split record from a held one: `record` itself when x has the held
     bits; grown, with x as its matrix and the held keys (computed if absent),
     when x's leading rows have them and every row appended equals a held
-    point; else None. A grown record is the one `_split(x)` builds."""
+    point; else None. A grown record has the points, first rows and sizes
+    of a fresh split of x, in the held order."""
     held, heads, sizes, point, keys = record
     m = held.shape[0]
     if not _same_bits(held, x[:m]):
@@ -428,6 +425,9 @@ def _grow(record: tuple, x: np.ndarray) -> tuple | None:
     if x.shape[0] == m:
         return record
     if keys is None:
+        # One appended row against every held row: cheaper than keying them.
+        if not (held == x[m]).all(axis=1).any():
+            return None
         head_keys = _row_keys(held[heads])
         by_key = np.argsort(head_keys)
         keys = (head_keys[by_key], by_key)
@@ -439,10 +439,10 @@ def _grow(record: tuple, x: np.ndarray) -> tuple | None:
     return x, heads, sizes + np.bincount(near, minlength=sizes.size), np.concatenate([point, near]), keys
 
 
-def _distinct(x: np.ndarray) -> tuple[np.ndarray, ...] | None:
+def _distinct(x: np.ndarray) -> tuple[np.ndarray, ...]:
     """x's distinct points as (each point's first row, its number of rows,
-    each row's point), all read-only, the points in the order of their
-    coordinates; None when no row repeats.
+    each row's point), all read-only: in the order of their coordinates, or,
+    when no row repeats, each row its own point in row order.
 
     Rows are one point when their coordinates compare equal, so rows that
     differ only in the sign of a zero are one point: every distance to
@@ -453,31 +453,30 @@ def _distinct(x: np.ndarray) -> tuple[np.ndarray, ...] | None:
     record = _memo.split and _grow(_memo.split, x)
     if record is None:
         col = np.sort(x[:, 0])
-        if not (col[1:] == col[:-1]).any():
-            return None
-        record = (x, *_split(x), None)
+        # A row can repeat only where a first coordinate does.
+        record = (x, *_split(x), None) if (col[1:] == col[:-1]).any() else None
+        if record is None or record[1].size == x.shape[0]:
+            rows = np.arange(x.shape[0])
+            record = (x, rows, np.ones_like(rows), rows, None)
     if record is not _memo.split:
         record = (x.copy(), *record[1:])
         for a in record[:4]:
             a.flags.writeable = False
         _memo = _memo._replace(split=record)
-    return None if record[1].size == x.shape[0] else record[1:4]
+    return record[1:4]
 
 
-def _within(x: np.ndarray, ranks: tuple[int, ...]) -> np.ndarray:
-    """The squared distances of `_search(x, x, ranks, within=True)`, with each
-    distinct point searched once and its rows answered by the multiplicity
-    rule of the module docstring."""
+def _within(x: np.ndarray, k: int) -> np.ndarray:
+    """The squared distances of `_search(x, x, k, within=True)`, ranks 1..k
+    of every row, with each distinct point searched once and its rows
+    answered by the multiplicity rule of the module docstring."""
     global _memo
-    found = _distinct(x)
-    if found is None:
-        return _search(x, x, ranks, within=True)[0]
-    heads, sizes, point = found
+    heads, sizes, point = _distinct(x)
     u = x[heads]
     if u.shape[0] == 1:
-        return np.zeros((len(ranks), x.shape[0]))
-    # Each point's nearest K other points, or all of them if fewer.
-    near = tuple(range(1, min(ranks[-1], u.shape[0] - 1) + 1))
+        return np.zeros((k, x.shape[0]))
+    # Each point's nearest k other points, or all of them if fewer.
+    near = min(k, u.shape[0] - 1)
     memo = _memo.search
     if memo and memo[0] == near and _same_bits(memo[1], u):
         v, cols = memo[2:]
@@ -486,10 +485,10 @@ def _within(x: np.ndarray, ranks: tuple[int, ...]) -> np.ndarray:
         for a in (u, v, cols):
             a.flags.writeable = False
         _memo = _memo._replace(search=(near, u, v, cols))
-    # Rank k of a row of point g: 0 among its copies, else v at the first
-    # rank where its neighbors' sizes reach k - sizes[g] + 1.
-    need = np.array(ranks)[:, None] - sizes + 1
-    j = np.minimum((np.cumsum(sizes[cols], axis=0) < need[:, None]).sum(axis=1), len(near) - 1)
+    # Rank i of a row of point g: 0 among its copies, else v at the first
+    # rank where its neighbors' sizes reach i - sizes[g] + 1.
+    need = np.arange(1, k + 1)[:, None] - sizes + 1
+    j = np.minimum((np.cumsum(sizes[cols], axis=0) < need[:, None]).sum(axis=1), near - 1)
     return np.where(need > 0, np.take_along_axis(v, j, axis=0), 0.0)[:, point]
 
 
@@ -513,9 +512,8 @@ def kth_nn_within(
     if n <= top:
         raise InsufficientPointsError(f"need at least {top + 1} points for the {top}-th neighbor, got {n}")
     x = np.ascontiguousarray(metric.feature_map.apply(ps.data))
-    distinct = tuple(sorted(set(ranks)))
-    found = dict(zip(distinct, metric.from_squared(_within(x, distinct))))
-    return tuple(found[j] for j in ranks) if isinstance(k, tuple) else found[k]
+    found = list(metric.from_squared(_within(x, top)))
+    return tuple(found[j - 1] for j in ranks) if isinstance(k, tuple) else found[k - 1]
 
 
 def nn_cross(queries: PointSet, refs: PointSet, metric: DistanceMetric = DistanceMetric()) -> np.ndarray:
@@ -534,10 +532,7 @@ def nn_cross(queries: PointSet, refs: PointSet, metric: DistanceMetric = Distanc
     q = np.ascontiguousarray(metric.feature_map.apply(queries.data))
     r = np.ascontiguousarray(metric.feature_map.apply(refs.data))
     x = np.vstack([r, q])
-    found = _distinct(x)
-    if found is None:
-        return metric.from_squared(_search(q, r, (1,), within=False)[0][0])
-    heads, _, point = found
+    heads, _, point = _distinct(x)
     point = point[r.shape[0] :]
     # A point whose first row is a reference row holds one: a query in it
     # measures 0 to it, and above the floor nothing else measures 0.
@@ -550,5 +545,5 @@ def nn_cross(queries: PointSet, refs: PointSet, metric: DistanceMetric = Distanc
         ask &= ~shared
     ask = np.flatnonzero(ask)
     if ask.size:
-        v[ask] = _search(x[heads[ask]], r[heads[shared]], (1,), within=False)[0][0]
+        v[ask] = _search(x[heads[ask]], r[heads[shared]], 1, within=False)[0][0]
     return metric.from_squared(v[point])

@@ -243,12 +243,15 @@ class TestGmm:
         with pytest.raises(InsufficientPointsError):
             fit(GeneratorSpec(kind="gmm", components=5), PointSet(np.zeros((4, 1))))
 
-    def test_a_component_left_without_mass_is_numerical_error(self):
-        # At the fifth E-step every responsibility of one component
-        # underflows to 0, so its mass is 0 and its mean is 0/0.
-        data = np.random.default_rng(22).standard_normal((5, 3)) * 1e12
-        with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match="component covariance is not finite"):
-            fit(GeneratorSpec(kind="gmm", components=2), PointSet(data))
+    def test_a_floor_lost_in_rounding_is_numerical_error(self):
+        # Three iterations fit with no floor. The fourth M-step leaves one
+        # component with an eigenvalue near -1.8e7 beside one near 1.9e24, so
+        # the 1e-9 floor is lost in rounding and the fit stops there, before
+        # an E-step on that matrix leaves the component without mass.
+        data = PointSet(np.random.default_rng(22).standard_normal((5, 3)) * 1e12)
+        assert not fit(GeneratorSpec(kind="gmm", components=2, max_iters=3), data).diagnostics.floored
+        with pytest.raises(NumericalError, match="component covariance lost positive definiteness"):
+            fit(GeneratorSpec(kind="gmm", components=2, max_iters=4), data)
 
     @pytest.mark.parametrize("k", [1, 2])
     @pytest.mark.parametrize("d", [2, 3])

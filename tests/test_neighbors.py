@@ -565,17 +565,17 @@ class TestGridMatchesBruteForce:
 class TestRankPick:
     """`_select` against a per-row sort, and `_screen` against brute force."""
 
-    @pytest.mark.parametrize("ranks", [(1,), (1, 4), (2, 3, 5)])
+    @pytest.mark.parametrize("k", [1, 4, 5])
     @pytest.mark.parametrize("shape", [(1, 5), (300, 12)])
-    def test_select_matches_a_row_sort(self, shape, ranks):
+    def test_select_matches_a_row_sort(self, shape, k):
         # Values 0-3 tie often, and about a fifth are +inf, as a skipped own
-        # column or a padded candidate reads.
-        rng = np.random.default_rng([*shape, *ranks])
+        # column or a padded candidate reads. Every rank 1..k is checked.
+        rng = np.random.default_rng([*shape, k])
         d2 = rng.integers(0, 4, shape).astype(np.float64)
         d2[rng.random(shape) < 0.2] = np.inf
-        vals, cols = neighbors._select(d2, ranks)
-        want = np.sort(d2, axis=1)[:, np.array(ranks) - 1].T
-        assert vals.shape == cols.shape == (len(ranks), shape[0])
+        vals, cols = neighbors._select(d2, k)
+        want = np.sort(d2, axis=1)[:, :k].T
+        assert vals.shape == cols.shape == (k, shape[0])
         assert np.array_equal(vals, want)
         assert np.array_equal(d2[np.arange(shape[0]), cols], want)
         for a, b in itertools.combinations(cols, 2):
@@ -599,14 +599,16 @@ class TestRankPick:
         own = np.arange(rows) * 7 if within else None
         q = r[own] if within else rng.standard_normal((rows, 8)) + shift
         monkeypatch.setattr(neighbors, "sq_dists", spy)
-        vals, cols = neighbors._screen(q, r, neighbors._lift(r)[1], (1, 4), own)
+        vals, cols = neighbors._screen(q, r, neighbors._lift(r)[1], 4, own)
         monkeypatch.undo()
         assert (measured[-1] == (1, 600, 8)) == full_row
-        for got, k in zip(vals, (1, 4)):
+        assert vals.shape == cols.shape == (4, rows)
+        for k, got in enumerate(vals, 1):
             want = brute_sq(r, r, k, within=True)[own] if within else brute_sq(q, r, k, within=False)
             assert np.array_equal(got, want)
         assert np.array_equal(sq_dists(q, r)[np.arange(rows), cols], vals)
-        assert (cols[0] != cols[1]).all()
+        for a, b in itertools.combinations(cols, 2):
+            assert (a != b).all()
         if within:
             assert (cols != own).all()
 
@@ -615,13 +617,14 @@ def reference_distinct(x):
     """`neighbors._distinct` as one stable lexsort of the coordinates, the
     split before the rank keys: the oracle the rank split must equal. Each
     point's first row, its size and each row's point, the points in the
-    order of their coordinates."""
+    order of their coordinates; without copies, each row in row order."""
     n = x.shape[0]
     order = np.lexsort(x.T[::-1])
     s = x[order]
     same = (s[1:] == s[:-1]).all(axis=1)
     if not same.any():
-        return None
+        rows = np.arange(n)
+        return rows, np.ones(n, dtype=np.int64), rows
     starts = np.flatnonzero(np.concatenate(([True], ~same)))
     sizes = np.diff(starts, append=n)
     point = np.empty(n, dtype=np.int64)
@@ -657,16 +660,15 @@ class TestSplit:
     @settings(max_examples=300, deadline=None)
     @given(split_cases())
     def test_rank_split_matches_lexsort(self, x):
-        # Built, then read back from the memo: both are the lexsort's split.
+        # Built, then read back from the memo: both are the lexsort's split,
+        # or the row-order split of a set without copies, and read-only.
         want = reference_distinct(x)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(neighbors, "_memo", neighbors._Memo())
             for _ in range(2):
                 got = neighbors._distinct(x)
-                if want is None:
-                    assert got is None
-                else:
-                    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+                assert not any(g.flags.writeable for g in got)
+                assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
 
     def test_keys_past_the_int64_range_are_ranked_again(self, monkeypatch):
         # Eight columns of 256 values fill 64 bits: folded on without a new
@@ -841,6 +843,44 @@ class TestDistinctPoints:
         kth_nn_within(PointSet(data), (1, 3))
         nn_cross(PointSet(queries), PointSet(data))
         assert calls == [(3500, 3500), (700, 3500)]
+
+    @pytest.mark.parametrize("layout", ["normal", "lattice"])
+    def test_a_duplicate_free_set_is_searched_once(self, monkeypatch, layout):
+        # A set without copies is its own split, so a second query of it,
+        # after an nn_cross has split another matrix, reads the held search.
+        rng = np.random.default_rng(83)
+        if layout == "lattice":
+            data = np.array([[a, b] for a in range(30) for b in range(40)], dtype=np.float64)
+        else:
+            data = rng.standard_normal((1200, 2))
+        calls = self.searched(monkeypatch)
+        first = kth_nn_within(PointSet(data), (1, 3))
+        nn_cross(PointSet(data[:100] + 0.25), PointSet(data))
+        again = kth_nn_within(PointSet(data.copy()), 3)
+        assert calls == [(1200, 1200), (100, 1200)]
+        assert same_bits(again, first[1])
+
+    @pytest.mark.parametrize("copies", [False, True])
+    @pytest.mark.parametrize("d", [2, 8])
+    def test_ranks_that_skip_or_repeat_match_single_rank_calls(self, monkeypatch, d, copies):
+        # 600 rows, which repeat about 260 points with copies: at d = 2 the
+        # points search a grid of at least 6 cells per axis; at d = 8 the
+        # grid is one cell and every point is screened.
+        rng = np.random.default_rng([d, copies])
+        data = rng.standard_normal((600, d))
+        if copies:
+            data = data[rng.integers(0, 300, 600)]
+        ps = PointSet(data)
+        points = np.unique(data, axis=0)
+        assert (neighbors._grid(points, points, True)[0] is None) == (d == 8)
+        for ranks in ((2, 5), (1, 1, 3), (3,)):
+            monkeypatch.setattr(neighbors, "_memo", neighbors._Memo())
+            got = kth_nn_within(ps, ranks)
+            assert len(got) == len(ranks)
+            for rank, res in zip(ranks, got):
+                monkeypatch.setattr(neighbors, "_memo", neighbors._Memo())
+                assert same_bits(res, kth_nn_within(ps, rank))
+                assert same_bits(res, brute_kth(data, data, rank, within=True))
 
     def test_exact_matches_are_refused_where_distinct_rows_can_measure_zero(self, monkeypatch):
         # Coordinates near 1e-160, 1e-163 apart: (1e-163)**2 underflows to 0,
