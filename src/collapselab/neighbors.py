@@ -73,25 +73,25 @@ their coordinates compare equal, and keys order the points as their
 coordinates do. One np.unique of the keys gives each point's first row, its
 size s_g (its number of rows) and each row's point, unless every size is 1.
 
-Multiplicity. `_within` answers ranks 1..K of every row from a search of
-the points for ranks 1..K', K' = min(K, points - 1), each at a different
-point. A row of point g sees its s_g - 1 copies at distance 0 and, for each
-other point h, s_h rows at g's distance to h. So its k-th neighbor is 0 if
-k < s_g. Otherwise, with v_j the distance to the j-th point g's search
-ranks and C_j the sum of the sizes of its first j points, it is v_j at the
-first j where C_j reaches k - s_g + 1; with every size 1 that is v_k.
-Listing each point's rows in the order of the search gives the row
-distances in ascending order, and any order of tied points does: every
-point nearer than v_j ranks ahead of the j-th, and any ascending list has
-the same entry at each place. Ranks up to K' always reach the count:
-C_K >= K >= k, and C over all other points is n - s_g >= k - s_g + 1. The
-rule compares only the bits the kernel returns, so it holds for zeros of
-either sign, whose distances have the same bits, and for distinct points
-whose squared distance underflows to 0. The first j is counted as the
-number of j with C_j below the target, capped at K' - 1: where squared
-distances overflow to inf, a ranked column at inf may be g itself or screen
-padding, but every column of finite value is a true other point, so the
-count is exact for a finite answer and lands on an inf otherwise.
+Multiplicity. `_within` answers ranks 1..K of each point's rows from a
+search of the points for ranks 1..K', K' = min(K, points - 1), each at a
+different point. A row of point g sees its s_g - 1 copies at distance 0 and,
+for each other point h, s_h rows at g's distance to h. So its k-th neighbor
+is 0 if k < s_g. Otherwise, with v_j the distance to the j-th point g's
+search ranks and C_j the sum of the sizes of its first j points, it is v_j
+at the first j where C_j reaches k - s_g + 1; with every size 1 that is v_k.
+Listing each point's rows in the order of the search gives the row distances
+in ascending order, and any order of tied points does: every point nearer
+than v_j ranks ahead of the j-th, and any ascending list has the same entry
+at each place. Ranks up to K' always reach the count: C_K >= K >= k, and C
+over all other points is n - s_g >= k - s_g + 1. The rule compares only the
+bits the kernel returns, so it holds for zeros of either sign, whose
+distances have the same bits, and for distinct points whose squared distance
+underflows to 0. The first j is counted as the number of j with C_j below
+the target, capped at K' - 1: where squared distances overflow to inf, a
+ranked column at inf may be g itself or screen padding, but every column of
+finite value is a true other point, so the count is exact for a finite
+answer and lands on an inf otherwise.
 
 Exact matches. `nn_cross` splits the references stacked over the queries
 once. A point holds a reference row exactly when its first row is one. A
@@ -466,15 +466,14 @@ def _distinct(x: np.ndarray) -> tuple[np.ndarray, ...]:
     return record[1:4]
 
 
-def _within(x: np.ndarray, k: int) -> np.ndarray:
-    """The squared distances of `_search(x, x, k, within=True)`, ranks 1..k
-    of every row, with each distinct point searched once and its rows
-    answered by the multiplicity rule of the module docstring."""
+def _within(x: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ranks 1..k of `_search(x, x, k, within=True)` for each distinct point's
+    rows, by the multiplicity rule, shape (k, points), and each row's point."""
     global _memo
     heads, sizes, point = _distinct(x)
     u = x[heads]
     if u.shape[0] == 1:
-        return np.zeros((k, x.shape[0]))
+        return np.zeros((k, 1)), point
     # Each point's nearest k other points, or all of them if fewer.
     near = min(k, u.shape[0] - 1)
     memo = _memo.search
@@ -486,10 +485,16 @@ def _within(x: np.ndarray, k: int) -> np.ndarray:
             a.flags.writeable = False
         _memo = _memo._replace(search=(near, u, v, cols))
     # Rank i of a row of point g: 0 among its copies, else v at the first
-    # rank where its neighbors' sizes reach i - sizes[g] + 1.
-    need = np.arange(1, k + 1)[:, None] - sizes + 1
-    j = np.minimum((np.cumsum(sizes[cols], axis=0) < need[:, None]).sum(axis=1), near - 1)
-    return np.where(need > 0, np.take_along_axis(v, j, axis=0), 0.0)[:, point]
+    # rank where reach = C + sizes[g] - 1 reaches i, that is the count of g's
+    # reach values below i, read from their histogram capped at k.
+    reach = np.minimum(np.cumsum(sizes[cols], axis=0) + (sizes - 1), k) + np.arange(u.shape[0]) * (k + 1)
+    j = np.bincount(reach.ravel(), minlength=u.shape[0] * (k + 1)).reshape(-1, k + 1)
+    # Freed, and j summed in place, so the rule holds at most two (k, points) arrays.
+    del reach
+    np.minimum(np.cumsum(j, axis=1, out=j), near - 1, out=j)
+    found = np.take_along_axis(v, j[:, :k].T, axis=0)
+    found[np.arange(1, k + 1)[:, None] < sizes] = 0.0
+    return found, point
 
 
 def kth_nn_within(
@@ -504,16 +509,15 @@ def kth_nn_within(
     k, each the same bits as its own single-rank call.
     """
     ranks = k if isinstance(k, tuple) else (k,)
-    valid = all(is_number(j, int) and j >= 1 for j in ranks)
-    if not (ranks and valid and list(ranks) == sorted(ranks)):
+    if not (ranks and all(is_number(j, int) and j >= 1 for j in ranks) and list(ranks) == sorted(ranks)):
         raise ConfigError(f"k must be a positive integer or a sorted tuple of them, got {k!r}")
     top = ranks[-1]
-    n = ps.size
-    if n <= top:
-        raise InsufficientPointsError(f"need at least {top + 1} points for the {top}-th neighbor, got {n}")
+    if ps.size <= top:
+        raise InsufficientPointsError(f"need at least {top + 1} points for the {top}-th neighbor, got {ps.size}")
     x = np.ascontiguousarray(metric.feature_map.apply(ps.data))
-    found = list(metric.from_squared(_within(x, top)))
-    return tuple(found[j - 1] for j in ranks) if isinstance(k, tuple) else found[k - 1]
+    d2, point = _within(x, top)
+    found = {j: metric.from_squared(d2[j - 1][point]) for j in set(ranks)}
+    return tuple(found[j] for j in ranks) if isinstance(k, tuple) else found[k]
 
 
 def nn_cross(queries: PointSet, refs: PointSet, metric: DistanceMetric = DistanceMetric()) -> np.ndarray:
@@ -540,8 +544,7 @@ def nn_cross(queries: PointSet, refs: PointSet, metric: DistanceMetric = Distanc
     v = np.zeros(heads.size)
     ask = np.zeros(heads.size, dtype=bool)
     ask[point] = True
-    mag = np.abs(x)
-    if not ((mag > 0.0) & (mag < _MATCH_FLOOR)).any():
+    if not ((x != 0.0) & (np.abs(x) < _MATCH_FLOOR)).any():
         ask &= ~shared
     ask = np.flatnonzero(ask)
     if ask.size:

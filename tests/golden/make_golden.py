@@ -1,19 +1,18 @@
 """Write the golden canonical traces in this directory.
 
-    PYTHONPATH=src python3 tests/golden/make_golden.py [--check]
+    PYTHONPATH=src python3 tests/golden/make_golden.py
 
 Each case is a small loop over blob points; its canonical trace is written
 as `<case>.json`, and `taken_under.json` records the numpy, BLAS and CPU
 the traces were taken under. tests/test_golden.py runs the same cases and
 compares the bytes where the machine matches. Re-run this script only in a
-change that means to move trace bytes, and name each moved file and why.
-With --check it writes nothing, names each file a run would change, and
-exits 1 if there is any.
+change that means to move trace bytes, and name each moved file and why:
+`pytest -v tests/test_golden.py` names each case whose bytes a change
+moved, and writes nothing.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import platform
 import sys
@@ -104,28 +103,11 @@ def machine() -> dict:
     return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}", "cpu": cpu}
 
 
-def golden_files() -> dict[str, bytes]:
-    """Every file this script writes, by name, with the bytes a run gives."""
-    files = {f"{case}.json": canonical_trace(case) for case in CASES}
-    files["taken_under.json"] = (json.dumps(machine(), indent=2) + "\n").encode()
-    return files
-
-
 def main() -> int:
-    parser = argparse.ArgumentParser(description="Write the golden canonical traces.")
-    parser.add_argument(
-        "--check", action="store_true", help="write nothing; name each file a run would change and exit 1 if any"
-    )
-    args = parser.parse_args()
-    files = golden_files()
-    if not args.check:
-        for name, data in files.items():
-            (HERE / name).write_bytes(data)
-        return 0
-    moved = [name for name, data in files.items() if not (HERE / name).is_file() or (HERE / name).read_bytes() != data]
-    for name in moved:
-        print(f"would change: {name}")
-    return 1 if moved else 0
+    for case in CASES:
+        (HERE / f"{case}.json").write_bytes(canonical_trace(case))
+    (HERE / "taken_under.json").write_text(json.dumps(machine(), indent=2) + "\n")
+    return 0
 
 
 if __name__ == "__main__":

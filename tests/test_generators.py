@@ -253,6 +253,18 @@ class TestGmm:
         with pytest.raises(NumericalError, match="component covariance lost positive definiteness"):
             fit(GeneratorSpec(kind="gmm", components=2, max_iters=4), data)
 
+    def test_a_component_left_without_mass_is_numerical_error(self):
+        # Six rows within 1e-14 of 1e100. After three iterations component 1
+        # has condition number near 2e18, and the fourth E-step gives rows
+        # log densities up to 8e46 under it, so every responsibility of
+        # components 0 and 3 underflows to 0: their mass is 0 and their
+        # means are 0/0.
+        data = PointSet(1e100 * (1.0 + 1e-14 * np.random.default_rng(25).standard_normal((6, 3))))
+        with np.errstate(invalid="ignore"):
+            assert fit(GeneratorSpec(kind="gmm", components=4, max_iters=3), data).diagnostics.floored
+            with pytest.raises(NumericalError, match="component covariance is not finite"):
+                fit(GeneratorSpec(kind="gmm", components=4, max_iters=4), data)
+
     @pytest.mark.parametrize("k", [1, 2])
     @pytest.mark.parametrize("d", [2, 3])
     def test_overflowing_data_is_numerical_error(self, d, k):

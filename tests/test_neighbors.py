@@ -882,6 +882,21 @@ class TestDistinctPoints:
                 assert same_bits(res, kth_nn_within(ps, rank))
                 assert same_bits(res, brute_kth(data, data, rank, within=True))
 
+    @pytest.mark.parametrize("copies", [False, True])
+    def test_ranks_in_the_tens_match_brute_force_and_hold_only_themselves(self, monkeypatch, copies):
+        # Copies of up to 6 rows put a point's copies at ranks 1..5 and its
+        # other points' rows at the ranks after them.
+        rng = np.random.default_rng([31, copies])
+        data = rng.standard_normal((400, 2))
+        if copies:
+            data = data[rng.integers(0, 120, 400)]
+        monkeypatch.setattr(neighbors, "_memo", neighbors._Memo())
+        got = kth_nn_within(PointSet(data), (1, 17, 30), DistanceMetric(kind="sqeuclidean"))
+        for rank, res in zip((1, 17, 30), got):
+            assert same_bits(res, brute_sq(data, data, rank, within=True))
+            # No answer is a view that keeps ranks 1..30 alive.
+            assert res.base is None
+
     def test_exact_matches_are_refused_where_distinct_rows_can_measure_zero(self, monkeypatch):
         # Coordinates near 1e-160, 1e-163 apart: (1e-163)**2 underflows to 0,
         # so distinct rows measure 0 and a 0 does not mark a copy. Every
