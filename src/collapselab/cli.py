@@ -103,23 +103,19 @@ def _metric_for(args) -> DistanceMetric:
 
 
 def cmd_entropy(args) -> int:
-    ps = load_pointset(args.input, args.format)
-    _emit(kl_entropy(ps, args.gamma, _metric_for(args)))
+    _emit(kl_entropy(load_pointset(args.input, args.format), args.gamma, _metric_for(args)))
     return 0
 
 
 def cmd_gs(args) -> int:
     generated = load_pointset(args.input, args.format)
     training = load_pointset(args.training, args.format)
-    value = generalization_score(generated, training, _metric_for(args))
-    _emit({"gs": value})
+    _emit({"gs": generalization_score(generated, training, _metric_for(args))})
     return 0
 
 
 def cmd_mnnd(args) -> int:
-    ps = load_pointset(args.input, args.format)
-    value = mnnd(ps, _metric_for(args))
-    _emit({"mnnd": value})
+    _emit({"mnnd": mnnd(load_pointset(args.input, args.format), _metric_for(args))})
     return 0
 
 
@@ -127,8 +123,7 @@ def cmd_frechet(args) -> int:
     fmap = parse_spec("feature", args.feature)
     a = moment_summary(apply_feature_map(load_pointset(args.input, args.format), fmap))
     b = moment_summary(apply_feature_map(load_pointset(args.other, args.format), fmap))
-    value = frechet_gaussian_distance(a, b)
-    _emit({"frechet": value})
+    _emit({"frechet": frechet_gaussian_distance(a, b)})
     return 0
 
 

@@ -186,8 +186,15 @@ def _threshold_decay(nearest: _MinDistances, n: int, policy: SelectionPolicy) ->
     than tau from the members at the block's start, so it is admitted, in
     index order, when it is farther than tau from each hit admitted before
     it in the block; from_squared is monotone, so comparing the block's own
-    literal-kernel distances decides this exactly. One `add` then updates
-    the pool, and the later hits are filtered again.
+    literal-kernel distances decides this exactly. Python-int bitmasks hold
+    that comparison, one per column. One `add` then updates the pool, and
+    the later hits are filtered again.
+
+    The pass after a pass with hits is barren and is counted unscanned: a
+    hit left out of a block is within tau of a pick admitted before it, and
+    `add` lowers its minimum to at most that pair's bits (a pair measures
+    the same bits in any block); a hit filtered out after a block, and any
+    row that was not a hit, is already at or below tau, and minima only fall.
     """
     dist = policy.metric.from_squared
     tau = float(policy.tau0)
@@ -205,18 +212,23 @@ def _threshold_decay(nearest: _MinDistances, n: int, policy: SelectionPolicy) ->
             while hits.size and len(nearest.chosen) < n:
                 block, hits = hits[:_BLOCK], hits[_BLOCK:]
                 x = nearest.x[block]
-                far = dist(sq_dists(x, x)) > tau
-                free = np.ones(block.size, dtype=bool)
+                # Bit i of column j's mask: block rows i and j are farther apart than tau.
+                far = np.packbits(dist(sq_dists(x, x)) > tau, axis=0, bitorder="little").T.tobytes()
+                width = -(-block.size // 8)
+                free = (1 << block.size) - 1
                 picks: list[int] = []
-                for j in range(block.size):
-                    if free[j]:
-                        picks.append(int(block[j]))
+                for j, row in enumerate(block.tolist()):
+                    if free >> j & 1:
+                        picks.append(row)
                         if len(nearest.chosen) + len(picks) == n:
                             break
-                        free &= far[:, j]
+                        free &= int.from_bytes(far[j * width : (j + 1) * width], "little")
                 nearest.add(picks)
                 hits = hits[dist(nearest.d2[hits]) > tau]
-            continue
+            if len(nearest.chosen) == n:
+                break
+            passes += 1
+            remaining = np.flatnonzero(nearest.d2 >= 0.0)
         top = float(dist(nearest.d2[remaining]).max())
         if top <= 0.0:
             # Only exact duplicates of members remain.

@@ -12,6 +12,7 @@ binary container ("rawbin") that preserves floats bit-exactly.
 
 from __future__ import annotations
 
+import io
 import math
 import re
 import struct
@@ -26,7 +27,7 @@ RAWBIN_MAGIC = b"CLPS"
 RAWBIN_VERSION = 1
 
 _TAG_RE = re.compile(r"^(real|syn[1-9][0-9]*)$")
-# Width of the CSV reader's tag field; a tag this long or longer takes the per-cell parser.
+# Width of the CSV reader's tag field, one uint64; a tag this long or longer takes the per-cell parser.
 _TAG_WIDTH = 8
 
 
@@ -46,11 +47,8 @@ def _parse_tag(text: str) -> int:
 def source_proportions(codes: np.ndarray) -> dict[str, float]:
     """Fraction of points per origin class, keyed 'real', 'syn1', ... ascending."""
     codes = np.asarray(codes)
-    if codes.size == 0:
-        return {}
     values, counts = np.unique(codes, return_counts=True)
-    total = codes.size
-    return {source_label(int(v)): int(c) / total for v, c in zip(values, counts)}
+    return {source_label(int(v)): int(c) / codes.size for v, c in zip(values, counts)}
 
 
 class PointSet:
@@ -210,91 +208,82 @@ def _parse_float(token: str) -> float | None:
         return None
 
 
+# numpy's pass reads a CSV by its path and ends lines only at \n, \r and
+# \r\n, where str.splitlines also ends them at the code points below; its
+# fixed-width tags drop trailing NULs, and it opens a path with one of
+# _COMPRESSED's suffixes as a compressed file. Such files go per cell.
+_ASCII_STOPS = (b"\x00", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
+_UTF8_STOPS = tuple(c.encode() for c in "\x85\u2028\u2029")
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
+
+
 def _load_csv(path: Path) -> PointSet:
-    text = path.read_text()
-    # numpy's fixed-width tag strings drop trailing NULs; such files go per cell.
-    vectorize = "\x00" not in text
-    lines = text.splitlines()
-    del text
-    head = next((k for k, ln in enumerate(lines) if ln.strip()), None)
+    raw = path.read_bytes()
+    stops = _ASCII_STOPS if raw.isascii() else _ASCII_STOPS + _UTF8_STOPS
+    vectorize = path.suffix not in _COMPRESSED and not any(b in raw for b in stops)
+    # Universal newlines split such a file where str.splitlines does.
+    lines = io.TextIOWrapper(io.BytesIO(raw)) if vectorize else iter(path.read_text().splitlines())
+    head, line = next(((k, ln) for k, ln in enumerate(lines) if ln.strip()), (None, None))
     if head is None:
         raise EmptyDatasetError(f"{path}: empty file")
-    first = [f.strip() for f in lines[head].split(",")]
+    first = [f.strip() for f in line.split(",")]
     # A source column without a header still leaves the first field numeric,
     # so a non-numeric first field can only be a header.
     has_header = _parse_float(first[0]) is None
     expected = len(first)
-    # Only the data rows stay, without the empty lines numpy's max_rows warns about.
-    del lines[: head + has_header]
-    if "" in lines:
-        lines[:] = filter(None, lines)
     if has_header:
         has_source = first[-1].lower() == "source"
         if not any(ln.strip() for ln in lines):
             raise EmptyDatasetError(f"{path}: header but no data rows")
     else:
         has_source = _parse_float(first[-1]) is None
+    del raw, lines
 
     n_cols = expected - (1 if has_source else 0)
     if n_cols < 1:
         raise FormatError(f"{path}: no numeric columns")
 
-    parsed = _parse_table(lines, n_cols, has_source) if vectorize else None
-    if parsed is None:
-        return _parse_cells(path, has_header, expected, has_source)
-    return PointSet(*parsed)
+    parsed = vectorize and _parse_table(path, head + has_header, n_cols, has_source)
+    return PointSet(*parsed) if parsed else _parse_cells(path, has_header, expected, has_source)
 
 
-def _parse_table(lines: list[str], n_cols: int, has_source: bool):
-    """Parse non-empty data rows in one numpy pass: (values, codes), or None if refused.
+def _parse_table(path: Path, skiprows: int, n_cols: int, has_source: bool):
+    """Parse the rows after the first skiprows lines in one numpy pass:
+    (values, codes), or None if refused.
 
-    numpy accepts a subset of what the per-cell parser accepts and reads it
-    to the same bits; it refuses whitespace-only lines, ragged rows,
-    underscores in numbers and non-ASCII digits. Tags are told apart as
-    integers, not sorted as strings, and parsed once per distinct value. A
-    tag of _TAG_WIDTH characters may have been cut short; such files, and
-    files with an invalid or non-ASCII tag, go to the per-cell parser,
-    which names the first bad row. `lines` is emptied once numpy has read
-    it, so a large file's line strings are freed before the tags are read.
+    numpy skips empty lines, accepts a subset of what the per-cell parser
+    accepts and reads it to the same bits; it refuses whitespace-only
+    lines, ragged rows, underscores in numbers and non-ASCII digits. A tag
+    is read as _TAG_WIDTH bytes, one per code point up to U+00FF, and told
+    apart as one integer; each distinct tag is parsed once. Files with a
+    tag that may have been cut short, or an invalid or non-ASCII one, go to
+    the per-cell parser, which names the first bad row.
     """
-    dtype = [("x", np.float64, (n_cols,))] + ([("tag", f"U{_TAG_WIDTH}")] if has_source else [])
+    dtype = [("x", np.float64, (n_cols,))] + ([("tag", f"S{_TAG_WIDTH}")] if has_source else [])
     try:
-        # max_rows sizes the result once instead of growing it block by block.
-        table = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1, max_rows=len(lines))
+        table = np.loadtxt(path, dtype=dtype, delimiter=",", comments=None, ndmin=1, skiprows=skiprows)
     except ValueError:
         return None
-    finally:
-        lines.clear()
     if not has_source:
         return table["x"], None
-    # The tags' code points, one row per line, read in place.
-    points = np.ndarray((table.size, _TAG_WIDTH), np.uint32, table, table.dtype.fields["tag"][1], (table.itemsize, 4))
-    if (points >= 128).any():
+    # Each tag's bytes as one integer, read in place; a set high bit is a non-ASCII code point.
+    packed = np.ndarray(table.size, np.uint64, table, table.dtype.fields["tag"][1], (table.itemsize,))
+    if (packed & np.uint64(0x8080808080808080)).any():
         return None
-    # Seven bits per ASCII code point make one integer per tag, equal only for equal tags.
-    packed = np.zeros(table.size, dtype=np.uint64)
-    for column in points.T:
-        packed <<= 7
-        packed |= column
     keys, inverse = np.unique(packed, return_inverse=True)
-    # One row holding each tag.
-    holder = np.empty(keys.size, dtype=np.int64)
-    holder[inverse] = np.arange(table.size)
-    tags = table["tag"][holder]
-    codes = np.empty(tags.size, dtype=np.int64)
-    for j, tag in enumerate(tags):
-        if len(tag) >= _TAG_WIDTH:
-            return None
-        try:
-            codes[j] = _parse_tag(tag)
-        except FormatError:
-            return None
-    return table["x"], codes[inverse]
+    # The distinct tags are their keys' bytes; a full-width one may have been cut short.
+    tags = [tag.decode() for tag in keys.view(f"S{_TAG_WIDTH}")]
+    if any(len(tag) >= _TAG_WIDTH for tag in tags):
+        return None
+    try:
+        return table["x"], np.array([_parse_tag(tag) for tag in tags], dtype=np.int64)[inverse]
+    except FormatError:
+        return None
 
 
 def _parse_cells(path: Path, has_header: bool, expected: int, has_source: bool) -> PointSet:
-    """Per-cell parser for the files numpy refuses; it reads the file again
-    and names the first bad row and field."""
+    """Per-cell parser for the files numpy refuses or would misread; it reads
+    the file again and names the first bad row and field."""
     lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
     data_lines = lines[1:] if has_header else lines
     n_cols = expected - (1 if has_source else 0)
@@ -316,10 +305,8 @@ def _parse_cells(path: Path, has_header: bool, expected: int, has_source: bool) 
 
 
 def _save_csv(ps: PointSet, path: Path) -> None:
-    cols = [f"x{j}" for j in range(ps.dim)] + ["source"]
-    out = [",".join(cols)]
-    for row, code in zip(ps.data, ps.sources):
-        out.append(",".join([repr(float(v)) for v in row] + [source_label(int(code))]))
+    out = [",".join([f"x{j}" for j in range(ps.dim)] + ["source"])]
+    out += [",".join([*map(repr, row), source_label(code)]) for row, code in zip(ps.data.tolist(), ps.sources.tolist())]
     path.write_text("\n".join(out) + "\n")
 
 

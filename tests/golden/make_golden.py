@@ -2,29 +2,45 @@
 
     PYTHONPATH=src python3 tests/golden/make_golden.py
 
-Each case is a small loop over blob points; its canonical trace is written
-as `<case>.json`, and `taken_under.json` records the numpy, BLAS and CPU
-the traces were taken under. tests/test_golden.py runs the same cases and
-compares the bytes where the machine matches. Re-run this script only in a
-change that means to move trace bytes, and name each moved file and why:
-`pytest -v tests/test_golden.py` names each case whose bytes a change
-moved, and writes nothing.
+Each case is a small loop over blob points, run by `run_loop` or, for a
+case given as `collapselab loop` flags, by the CLI on those points written
+as CSV. Its canonical trace is written as `<case>.json`, and
+`taken_under.json` records the numpy, BLAS and CPU the traces were taken
+under. tests/test_golden.py runs the same cases and compares the bytes
+where the machine matches. Re-run this script only in a change that means
+to move trace bytes, and name each moved file and why: `pytest -v
+tests/test_golden.py` names each case whose bytes a change moved, and
+writes nothing.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import platform
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 
-from collapselab import GeneratorSpec, LoopConfig, PointSet, SelectionPolicy, run_loop, trace_to_json
+from collapselab import (
+    DistanceMetric,
+    FeatureMap,
+    GeneratorSpec,
+    LoopConfig,
+    PointSet,
+    SelectionPolicy,
+    cli,
+    run_loop,
+    trace_to_json,
+)
 
 HERE = Path(__file__).resolve().parent
 
-# Each case is (the loop, the dimension of its real points).
+# Each case is (the loop, the dimension of its real points); a loop given as
+# a list is the flags of `collapselab loop`.
 # - gmm:4 with gamma 4 runs EM's component-major log-sum-exp (k < 8); gmm:9
 #   runs the row-major one (k >= 8). tol=1e-300 stops a fit only at its
 #   iteration cap or an exact fixed point, so each trace holds the bits of
@@ -36,6 +52,10 @@ HERE = Path(__file__).resolve().parent
 #   kernel, the one-cell screen and the selection tracker.
 # - replace with threshold selection at d = 2 searches duplicate-free sets
 #   on a grid of at least 4 cells per axis.
+# - The gaussian generator, the random policy and a randproj feature map
+#   each run once.
+# - `collapselab loop` with threshold selection reads its real points from
+#   a CSV with a header, a source column, a blank line and CRLF line ends.
 CASES = {
     "replace-gmm4-gamma4": (
         LoopConfig(
@@ -74,6 +94,33 @@ CASES = {
         ),
         2,
     ),
+    "replace-gaussian-d3": (
+        LoopConfig(paradigm="replace", iterations=4, train_size=250, generator=GeneratorSpec(kind="gaussian")),
+        3,
+    ),
+    "subsample-random": (
+        LoopConfig(
+            paradigm="accumulate_subsample", iterations=3, train_size=150,
+            generator=GeneratorSpec(kind="bootstrap", sigma=0.05),
+            selection=SelectionPolicy(kind="random", seed=5),
+        ),
+        2,
+    ),
+    "replace-randproj-gamma2": (
+        LoopConfig(
+            paradigm="replace", iterations=3, train_size=250, gamma=2,
+            generator=GeneratorSpec(kind="bootstrap", sigma=0.05),
+            metric=DistanceMetric(feature_map=FeatureMap(kind="randproj", target_dim=2, seed=3)),
+        ),
+        4,
+    ),
+    "cli-loop-threshold-csv": (
+        [
+            "--paradigm", "replace", "--generator", "bootstrap:0.05", "--selection", "threshold:5.0:0.9",
+            "--train-size", "250", "--iterations", "3", "--seed", "11",
+        ],
+        2,
+    ),
 }
 
 
@@ -84,8 +131,26 @@ def real_points(dim: int) -> PointSet:
     return PointSet(centres[rng.integers(0, 4, 300)] + rng.standard_normal((300, dim)))
 
 
+def cli_trace(flags: list[str], real: PointSet) -> bytes:
+    """The canonical trace `collapselab loop` writes for real points read from CSV."""
+    rows = [",".join(map(repr, row)) + ",real" for row in real.data.tolist()]
+    text = "\r\n".join([",".join(f"x{j}" for j in range(real.dim)) + ",source", *rows[:100], "", *rows[100:]])
+    with tempfile.TemporaryDirectory() as tmp:
+        csv_path, prefix = Path(tmp) / "real.csv", Path(tmp) / "loop"
+        csv_path.write_bytes(f"{text}\r\n".encode())
+        argv = ["loop", "--real", str(csv_path), *flags, "--canonical", "--out", str(prefix)]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        if code != 0:
+            raise RuntimeError(f"collapselab loop exited with {code}: {err.getvalue().strip()}")
+        return prefix.with_suffix(".json").read_bytes()
+
+
 def canonical_trace(case: str) -> bytes:
     config, dim = CASES[case]
+    if isinstance(config, list):
+        return cli_trace(config, real_points(dim))
     return trace_to_json(run_loop(config, real_points(dim)), canonical=True).encode()
 
 

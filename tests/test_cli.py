@@ -188,6 +188,15 @@ class TestScalarCommands:
         assert proc.stdout == ""
         assert proc.stderr.splitlines() == ["error: Frechet cross term is not finite"]
 
+    def test_collapsed_sets_far_from_unit_scale_exit_zero(self, tmp_path, capsys):
+        # 500 points on a random 3-D line at 1e6: a roundoff negative in the
+        # cross term of F(A, A) used to exit 5.
+        rng = np.random.default_rng(3)
+        p = tmp_path / "line.csv"
+        save_pointset(PointSet(np.outer(rng.standard_normal(500), rng.standard_normal(3)) * 1e6), p)
+        assert main(["frechet", "--input", str(p), "--other", str(p)]) == 0
+        assert json.loads(capsys.readouterr().out)["frechet"] >= 0.0
+
     def test_non_finite_result_exits_five_with_no_document(self, tmp_path, capsys):
         # Squared distances between points near 1e200 overflow, so the mean
         # neighbor distance is inf; JSON has no token for it.

@@ -312,6 +312,39 @@ class TestFrechetGaussian:
         with pytest.raises(NumericalError, match="did not converge"):
             frechet_gaussian_distance(a, a)
 
+    @staticmethod
+    def orthogonal_lines(d, scale):
+        """Moments of 500 points on a random line through the origin, and of
+        500 on a line orthogonal to it: two rank-1 covariances."""
+        rng = np.random.default_rng(d)
+        u, v = np.linalg.qr(rng.standard_normal((d, d)))[0].T[:2]
+        return [moment_summary(PointSet(np.outer(rng.standard_normal(500), w) * scale)) for w in (u, v)]
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("scale", [1.0, 1e3, 1e6, 1e8])
+    def test_collapsed_sets_at_any_scale_are_measured(self, d, scale):
+        # With an absolute -1e-9 tolerance, F(A, A) raised at 1e3 (d = 3,
+        # cross term) and at 1e6 (d = 2 and 3). F(A, A) is 0, and F(A, B)
+        # for A orthogonal to B is the mean term plus both traces. Over 60
+        # seeds F(A, A) reached 2.2e-15 of the trace. F(A, B) reached
+        # 3.6e-8 relative: the cross term's roundoff, about eps times
+        # lambda_a lambda_b, enters through a square root.
+        a, b = self.orthogonal_lines(d, scale)
+        assert 0.0 <= frechet_gaussian_distance(a, a) <= 1e-13 * a.trace_cov
+        expect = float(np.square(a.mean - b.mean).sum()) + a.trace_cov + b.trace_cov
+        assert frechet_gaussian_distance(a, b) == pytest.approx(expect, rel=1e-6)
+        assert frechet_gaussian_distance(b, a) == pytest.approx(expect, rel=1e-6)
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    def test_indefinite_covariance_is_refused_at_any_scale(self, scale):
+        # A negative eigenvalue 1e-6 of the largest one: the absolute
+        # tolerance let it pass at 1e-6.
+        good = moment_summary(PointSet(np.random.default_rng(5).standard_normal((40, 2)) * scale))
+        bad = MomentSummary(mean=np.zeros(2), covariance=np.diag([1.0, -1e-6]) * scale**2)
+        for pair in ((good, bad), (bad, good)):
+            with pytest.raises(NumericalError, match="not positive semidefinite"):
+                frechet_gaussian_distance(*pair)
+
     def test_non_psd_covariance_rejected(self):
         good = moment_summary(PointSet([[-1.0], [1.0]]))
         bad = MomentSummary(mean=np.zeros(1), covariance=np.array([[-1.0]]))

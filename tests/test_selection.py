@@ -343,6 +343,19 @@ class TestThresholdDecayMatchesPassByPassScan:
             expect = decay_outcome(reference_threshold_decay, pool, 400, policy)
             assert decay_outcome(run_policy, pool, 400, policy) == expect
 
+    def test_threshold_decay_on_the_cli_workload_shape_matches(self):
+        # The shape `collapselab loop --selection threshold:5.0:0.9` runs:
+        # 1,000 of 2,000 d = 2 blob points, about 75 passes, most of them
+        # after a pass with hits, and blocks of hits that admit some of
+        # their rows.
+        rng = np.random.default_rng(29)
+        centers = rng.uniform(-4, 4, (4, 2))
+        pool = PointSet(centers[rng.integers(0, 4, 2000)] + rng.standard_normal((2000, 2)))
+        policy = SelectionPolicy(kind="threshold_decay", tau0=5.0, alpha=0.9, seed=3)
+        expect = decay_outcome(reference_threshold_decay, pool, 1000, policy)
+        assert expect[1] > 50
+        assert decay_outcome(run_policy, pool, 1000, policy) == expect
+
     def test_outcome_does_not_depend_on_block_sizes(self, monkeypatch):
         # A 7 x 7 lattice in 200 rows: ties at every cut, duplicate tails, and
         # the n limit inside a block, under blocks of 1, 2 and 5 picks and a
