@@ -184,17 +184,23 @@ def run_loop(config: LoopConfig, real_data: PointSet, progress=None) -> LoopTrac
             pool = generation if config.paradigm == "replace" else PointSet.concat([pool, generation])
 
             # LoopConfig refuses a policy under accumulate.
+            minima: list = []
             if config.selection is None and config.paradigm != "accumulate_subsample":
                 nxt = pool
             else:
                 policy = config.selection or SelectionPolicy(kind="random")
-                nxt = pool.rows(run_policy(pool, n, dataclasses.replace(policy, seed=select_seed)).indices)
+                nxt = pool.rows(run_policy(pool, n, dataclasses.replace(policy, seed=select_seed), minima).indices)
 
             # One search of D_{n+1} gives entropy its gamma-th neighbors and
             # MNND its first; a set too small for it meets kl_entropy's check.
+            # At gamma 1 under the identity map, the minima a distance policy
+            # hands over are that search's answers, bit for bit.
             first = kth = None
             if nxt.size > config.gamma:
-                first, kth = metrics.kth_nn_within(nxt, (1, config.gamma), squared)
+                if minima and config.gamma == 1 and fmap.kind == "identity":
+                    first = kth = minima[0]
+                else:
+                    first, kth = metrics.kth_nn_within(nxt, (1, config.gamma), squared)
             entropy = kl_entropy(nxt, config.gamma, config.metric, kth)
             mnnd_value = mnnd(nxt, config.metric, first)
             moments = moment_summary(apply_feature_map(nxt, fmap))

@@ -98,17 +98,31 @@ _BOUND_BUDGET = 1 << 16
 
 
 class _MinDistances:
-    """The members chosen so far, and the squared distance from every pool
-    row to its nearest member.
+    """The members chosen so far, and in `d2` the squared distance from every
+    pool row to its nearest member; a member's own row holds its distance to
+    its nearest other member (inf while it is alone), and `member` marks it.
 
-    Members park at -1, so duplicates of a member (distance 0) stay
-    selectable. Adding a block of members bounds every (member, row) pair
-    from below with one GEMM per chunk of rows (`neighbors._lift`) and
-    measures with `sq_dists` only the pairs whose bound is not above the
-    row's minimum: `np.minimum` would leave every other row as it is. A
+    Pick decisions read members as parked at -1, so duplicates of a member
+    (distance 0) stay selectable. Adding a block of members bounds every
+    (member, row) pair from below with one GEMM per chunk of rows
+    (`neighbors._lift`) and measures with `sq_dists` only the pairs whose
+    bound is not above the row's minimum: `np.minimum` would leave every
+    other row as it is. A member's row goes through the same update, so
+    later members lower it, and so do the other members of its own block;
+    its pair with itself is left out. No members-by-members matrix is
+    built, so threshold decay's tail fill, which may add up to n members at
+    once, stays within the budget.
+
+    Exactness. Every value is the minimum of literal-kernel pair values. A
     pair measures the same bits in any block (the `neighbors` invariant),
-    and a minimum is exact in any order, so the values have the bits of
-    adding the members one at a time with full updates.
+    and (a - b)**2 is (b - a)**2, so a pair has one value whichever of its
+    rows is the query. A pair the bound drops measures more than the row's
+    minimum at that time, and minima only fall, so it is never the
+    minimum; a minimum is exact in any order. So every value has the bits
+    of adding the members one at a time with full updates, and a member's
+    are the bits of `kth_nn_within` at rank 1 over the members' rows: a copy
+    measures 0 in both, and a row whose every pair overflows gets inf in
+    both.
     """
 
     def __init__(self, x: np.ndarray) -> None:
@@ -116,6 +130,7 @@ class _MinDistances:
         left, self.right = _lift(x)
         self.left = np.asfortranarray(left)  # column-major, the GEMM runs faster
         self.d2 = np.full(x.shape[0], np.inf)
+        self.member = np.zeros(x.shape[0], dtype=bool)
         self.chosen: list[int] = []
 
     def add(self, members: list[int]) -> None:
@@ -128,8 +143,11 @@ class _MinDistances:
             with np.errstate(over="ignore", invalid="ignore"):
                 # "Not above" keeps a pair whose bound is NaN.
                 mem, rows = np.divmod(np.flatnonzero(~(right @ self.left[s : s + step].T > d2)), d2.size)
-            np.minimum.at(d2, rows, sq_dists(self.x[s + rows], xm[mem][:, None, :])[:, 0])
-        self.d2[m] = -1.0
+            pairs = sq_dists(self.x[s + rows], xm[mem][:, None, :])[:, 0]
+            # A member's pair with itself is always kept; it is left out here.
+            pairs[m[mem] - s == rows] = np.inf
+            np.minimum.at(d2, rows, pairs)
+        self.member[m] = True
 
 
 def _greedy(nearest: _MinDistances, n: int) -> None:
@@ -148,7 +166,7 @@ def _greedy(nearest: _MinDistances, n: int) -> None:
     distances order the argmax as true distances do.
     """
     while len(nearest.chosen) < n:
-        d2 = nearest.d2
+        d2 = np.where(nearest.member, -1.0, nearest.d2)
         k = min(_BLOCK, d2.size - len(nearest.chosen))
         cut = np.partition(d2, -k)[-k]
         above, ties = np.flatnonzero(d2 > cut), np.flatnonzero(d2 == cut)
@@ -202,11 +220,10 @@ def _threshold_decay(nearest: _MinDistances, n: int, policy: SelectionPolicy) ->
     passes = 0
     while len(nearest.chosen) < n:
         passes += 1
-        # Members (parked below 0) never reach from_squared, and the minima
-        # only fall within a pass, so this pass admits, in index order,
-        # those candidates above tau at its start that are still above tau
-        # when the scan reaches them.
-        remaining = np.flatnonzero(nearest.d2 >= 0.0)
+        # The minima only fall within a pass, so this pass admits, in index
+        # order, those candidates above tau at its start that are still
+        # above tau when the scan reaches them.
+        remaining = np.flatnonzero(~nearest.member)
         hits = remaining[dist(nearest.d2[remaining]) > tau]
         if hits.size:
             while hits.size and len(nearest.chosen) < n:
@@ -228,7 +245,7 @@ def _threshold_decay(nearest: _MinDistances, n: int, policy: SelectionPolicy) ->
             if len(nearest.chosen) == n:
                 break
             passes += 1
-            remaining = np.flatnonzero(nearest.d2 >= 0.0)
+            remaining = np.flatnonzero(~nearest.member)
         top = float(dist(nearest.d2[remaining]).max())
         if top <= 0.0:
             # Only exact duplicates of members remain.
@@ -244,16 +261,24 @@ def _threshold_decay(nearest: _MinDistances, n: int, policy: SelectionPolicy) ->
     return tau, passes
 
 
-def run_policy(pool: PointSet, n: int, policy: SelectionPolicy) -> SelectionResult:
-    """The n pool rows that the policy selects, in the order it picks them."""
+def run_policy(pool: PointSet, n: int, policy: SelectionPolicy, minima: list | None = None) -> SelectionResult:
+    """The n pool rows that the policy selects, in the order it picks them.
+
+    A distance policy appends to `minima`, if given, each pick's squared
+    feature-space distance to its nearest other pick, in pick order: under
+    the identity map, the bits of kth_nn_within(pool.rows(indices), 1,
+    sqeuclidean) (`_MinDistances`)."""
     _check_request(pool, n)
     if policy.kind == "random":
         # Uniform sample without replacement, deterministic in the seed.
         return _result(pool, np.random.default_rng(policy.seed).permutation(pool.size)[:n])
     nearest = _MinDistances(np.ascontiguousarray(policy.metric.feature_map.apply(pool.data)))
     nearest.add([_initial_index(pool.size, policy)])
+    extra = {}
     if policy.kind == "greedy":
         _greedy(nearest, n)
-        return _result(pool, nearest.chosen)
-    tau, passes = _threshold_decay(nearest, n, policy)
-    return _result(pool, nearest.chosen, final_threshold=tau, passes=passes)
+    else:
+        extra["final_threshold"], extra["passes"] = _threshold_decay(nearest, n, policy)
+    if minima is not None:
+        minima.append(nearest.d2[nearest.chosen])
+    return _result(pool, nearest.chosen, **extra)

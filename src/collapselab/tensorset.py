@@ -221,8 +221,11 @@ def _load_csv(path: Path) -> PointSet:
     raw = path.read_bytes()
     stops = _ASCII_STOPS if raw.isascii() else _ASCII_STOPS + _UTF8_STOPS
     vectorize = path.suffix not in _COMPRESSED and not any(b in raw for b in stops)
-    # Universal newlines split such a file where str.splitlines does.
-    lines = io.TextIOWrapper(io.BytesIO(raw)) if vectorize else iter(path.read_text().splitlines())
+    # Decoded once, as read_text would. Universal newlines split a file
+    # numpy may read where str.splitlines does; any other is split by it.
+    text = io.TextIOWrapper(io.BytesIO(raw))
+    cells = None if vectorize else text.read().splitlines()
+    lines = text if vectorize else iter(cells)
     head, line = next(((k, ln) for k, ln in enumerate(lines) if ln.strip()), (None, None))
     if head is None:
         raise EmptyDatasetError(f"{path}: empty file")
@@ -237,14 +240,14 @@ def _load_csv(path: Path) -> PointSet:
             raise EmptyDatasetError(f"{path}: header but no data rows")
     else:
         has_source = _parse_float(first[-1]) is None
-    del raw, lines
+    del raw, text, lines
 
     n_cols = expected - (1 if has_source else 0)
     if n_cols < 1:
         raise FormatError(f"{path}: no numeric columns")
 
     parsed = vectorize and _parse_table(path, head + has_header, n_cols, has_source)
-    return PointSet(*parsed) if parsed else _parse_cells(path, has_header, expected, has_source)
+    return PointSet(*parsed) if parsed else _parse_cells(path, has_header, expected, has_source, cells)
 
 
 def _parse_table(path: Path, skiprows: int, n_cols: int, has_source: bool):
@@ -281,10 +284,11 @@ def _parse_table(path: Path, skiprows: int, n_cols: int, has_source: bool):
         return None
 
 
-def _parse_cells(path: Path, has_header: bool, expected: int, has_source: bool) -> PointSet:
-    """Per-cell parser for the files numpy refuses or would misread; it reads
-    the file again and names the first bad row and field."""
-    lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
+def _parse_cells(path: Path, has_header: bool, expected: int, has_source: bool, lines=None) -> PointSet:
+    """Per-cell parser for the files numpy refuses or would misread, from the
+    file's lines (read again if not given); it names the first bad row and
+    field."""
+    lines = [ln for ln in (path.read_text().splitlines() if lines is None else lines) if ln.strip()]
     data_lines = lines[1:] if has_header else lines
     n_cols = expected - (1 if has_source else 0)
     values = np.empty((len(data_lines), n_cols), dtype=np.float64)

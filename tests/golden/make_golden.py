@@ -1,12 +1,14 @@
 """Write the golden canonical traces in this directory.
 
-    PYTHONPATH=src python3 tests/golden/make_golden.py
+    PYTHONPATH=src python3 tests/golden/make_golden.py [CASE...]
 
 Each case is a small loop over blob points, run by `run_loop` or, for a
 case given as `collapselab loop` flags, by the CLI on those points written
-as CSV. Its canonical trace is written as `<case>.json`, and
-`taken_under.json` records the numpy, BLAS and CPU the traces were taken
-under. tests/test_golden.py runs the same cases and compares the bytes
+as CSV. Its canonical trace is written as `<case>.json`. With no
+arguments every case is written, and `taken_under.json` records the numpy,
+BLAS and CPU the traces were taken under. Named cases are written alone,
+so adding a case rewrites no other trace; that is refused on a machine
+other than the one `taken_under.json` names. tests/test_golden.py runs the same cases and compares the bytes
 where the machine matches. Re-run this script only in a change that means
 to move trace bytes, and name each moved file and why: `pytest -v
 tests/test_golden.py` names each case whose bytes a change moved, and
@@ -54,6 +56,8 @@ HERE = Path(__file__).resolve().parent
 #   on a grid of at least 4 cells per axis.
 # - The gaussian generator, the random policy and a randproj feature map
 #   each run once.
+# - Greedy under sqeuclidean and threshold decay under randproj, both at
+#   gamma 1, measure the selected set as a distance policy leaves it.
 # - `collapselab loop` with threshold selection reads its real points from
 #   a CSV with a header, a source column, a blank line and CRLF line ends.
 CASES = {
@@ -114,6 +118,27 @@ CASES = {
         ),
         4,
     ),
+    "replace-greedy-sqeuclidean-d3": (
+        LoopConfig(
+            paradigm="replace", iterations=3, train_size=250,
+            generator=GeneratorSpec(kind="bootstrap", sigma=0.05),
+            metric=DistanceMetric(kind="sqeuclidean"),
+            selection=SelectionPolicy(kind="greedy", metric=DistanceMetric(kind="sqeuclidean")),
+        ),
+        3,
+    ),
+    "subsample-threshold-randproj": (
+        LoopConfig(
+            paradigm="accumulate_subsample", iterations=3, train_size=150,
+            generator=GeneratorSpec(kind="bootstrap", sigma=0.05),
+            metric=DistanceMetric(feature_map=FeatureMap(kind="randproj", target_dim=2, seed=3)),
+            selection=SelectionPolicy(
+                kind="threshold_decay", tau0=5.0, alpha=0.9,
+                metric=DistanceMetric(feature_map=FeatureMap(kind="randproj", target_dim=2, seed=3)),
+            ),
+        ),
+        4,
+    ),
     "cli-loop-threshold-csv": (
         [
             "--paradigm", "replace", "--generator", "bootstrap:0.05", "--selection", "threshold:5.0:0.9",
@@ -168,12 +193,20 @@ def machine() -> dict:
     return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}", "cpu": cpu}
 
 
-def main() -> int:
-    for case in CASES:
+def main(names: list[str]) -> int:
+    unknown = [name for name in names if name not in CASES]
+    if unknown:
+        print(f"unknown case(s): {', '.join(unknown)}; the cases are {', '.join(CASES)}", file=sys.stderr)
+        return 2
+    if names and json.loads((HERE / "taken_under.json").read_text()) != machine():
+        print("named cases are written only on the machine taken_under.json names", file=sys.stderr)
+        return 2
+    for case in names or CASES:
         (HERE / f"{case}.json").write_bytes(canonical_trace(case))
-    (HERE / "taken_under.json").write_text(json.dumps(machine(), indent=2) + "\n")
+    if not names:
+        (HERE / "taken_under.json").write_text(json.dumps(machine(), indent=2) + "\n")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -14,10 +14,11 @@ from collapselab import (
     PointSet,
     SelectionPolicy,
     kl_entropy,
+    kth_nn_within,
     run_policy,
 )
 from collapselab.neighbors import sq_dists
-from collapselab import selection
+from collapselab import neighbors, selection
 from collapselab.selection import _BLOCK, _check_request, _initial_index
 from collapselab.tensorset import source_label
 
@@ -412,6 +413,104 @@ class TestThresholdDecayMatchesPassByPassScan:
             policy = SelectionPolicy(kind="threshold_decay", tau0=5.0, alpha=alpha, seed=3)
             expect = decay_outcome(reference_threshold_decay, pool, 150, policy)
             assert decay_outcome(run_policy, pool, 150, policy) == expect
+
+
+SQUARED = DistanceMetric(kind="sqeuclidean")
+
+
+def handed_minima(pool, n, policy):
+    """The members' minima run_policy hands over, and the within-set search
+    of the set it selects, as uint64 views."""
+    minima = []
+    res = run_policy(pool, n, policy, minima)
+    (found,) = minima
+    return found.view(np.uint64), kth_nn_within(pool.rows(res.indices), 1, SQUARED).view(np.uint64)
+
+
+@st.composite
+def handoff_cases(draw):
+    """Integer lattices in d = 1..8 with copies and a leading block of
+    copies, or collapsed onto a line, scaled and offset up to 1e6 (where the
+    bound keeps every pair), for greedy and threshold decay; a vanilla or
+    fast schedule on a pool with copies reaches the duplicate tail fill."""
+    d = draw(st.integers(1, 8))
+    size = draw(st.integers(2, 3 * _BLOCK))
+    coords = draw(st.lists(st.lists(st.integers(-3, 3), min_size=d, max_size=d), min_size=size, max_size=size))
+    data = np.array(coords, dtype=np.float64)
+    if draw(st.booleans()):
+        direction = np.array(draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d)), dtype=np.float64)
+        data = data[:, :1] * direction
+    data[: draw(st.integers(0, size))] = data[0]
+    data *= 10.0 ** draw(st.integers(-3, 3))
+    data += draw(st.sampled_from([0.0, 0.0, 1e3, -1e6, 1e6]))
+    pool = PointSet(data)
+    metric = DistanceMetric(kind=draw(st.sampled_from(["euclidean", "sqeuclidean"])))
+    n = draw(st.integers(2, size))
+    seed = draw(st.integers(0, 2**16))
+    schedule = draw(st.sampled_from(["greedy", "0.5", "0.9", "vanilla"]))
+    if schedule == "greedy":
+        return pool, n, SelectionPolicy(kind="greedy", seed=seed, metric=metric)
+    if schedule == "vanilla":
+        tau0, alpha = 0.0, 0.0
+    else:
+        diam = float(np.sqrt(sq_dists(data, data).max())) or 1.0
+        tau0, alpha = diam * draw(st.sampled_from([0.01, 0.3, 1.0])), float(schedule)
+    return pool, n, SelectionPolicy(kind="threshold_decay", tau0=tau0, alpha=alpha, seed=seed, metric=metric)
+
+
+class TestHandedMinima:
+    """run_policy hands each pick's squared distance to its nearest other
+    pick to the loop, which reads it in place of a within-set search: it
+    must have that search's bits."""
+
+    @given(case=handoff_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_minima_are_the_within_set_search(self, case):
+        found, expect = handed_minima(*case)
+        assert np.array_equal(found, expect)
+
+    def test_tail_fill_and_small_blocks_keep_the_bits(self, monkeypatch):
+        # A 5 x 5 lattice in 300 rows: threshold decay fills a long tail of
+        # copies in one add, and every block and chunk size gives the bits.
+        rng = np.random.default_rng(23)
+        pool = PointSet(rng.integers(-2, 3, (300, 2)).astype(np.float64))
+        policies = [
+            SelectionPolicy(kind="greedy", seed=2),
+            SelectionPolicy(kind="threshold_decay", tau0=3.0, alpha=0.5, seed=2),
+            SelectionPolicy(kind="threshold_decay", tau0=0.0, alpha=0.0, seed=2),
+        ]
+        cases = [(policy, n) for policy in policies for n in (2, 25, 60, 300)]
+        for policy, n in cases:
+            found, expect = handed_minima(pool, n, policy)
+            assert np.array_equal(found, expect)
+        monkeypatch.setattr(selection, "_BOUND_BUDGET", 64)
+        monkeypatch.setattr(neighbors, "_BLOCK_BUDGET", 8)
+        for block in (1, 2, 5):
+            monkeypatch.setattr(selection, "_BLOCK", block)
+            for policy, n in cases:
+                found, expect = handed_minima(pool, n, policy)
+                assert np.array_equal(found, expect)
+
+    @pytest.mark.parametrize(
+        "data", [[[6.0e153], [6.6e153], [1.35e154]], [[1.0e154], [1.0000001e154], [-1.0e154], [0.0]]]
+    )
+    def test_pools_near_overflow_keep_the_bits(self, data):
+        # Squared distances overflow to inf for some pairs, and a member whose
+        # every pair overflows gets inf from both.
+        pool = PointSet(data)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start, n in itertools.product(range(pool.size), range(2, pool.size + 1)):
+                for policy in (
+                    SelectionPolicy(kind="greedy", initial_index=start),
+                    SelectionPolicy(kind="threshold_decay", tau0=1e154, alpha=0.5, initial_index=start),
+                ):
+                    found, expect = handed_minima(pool, n, policy)
+                    assert np.array_equal(found, expect)
+
+    def test_random_selection_hands_nothing(self):
+        minima = []
+        run_policy(LINE, 3, SelectionPolicy(kind="random"), minima)
+        assert minima == []
 
 
 class TestRandom:

@@ -1,5 +1,7 @@
 import dataclasses
+import io
 import math
+import os
 import re
 import struct
 import tracemalloc
@@ -400,14 +402,18 @@ odd_tags = st.one_of(
     ),
     st.text(max_size=9),
 )
-separators = st.sampled_from(["\n", "\r\n", "\r"])
+# str.splitlines also ends a line at each of these; numpy's pass does not.
+line_stops = st.sampled_from(["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+separators = st.one_of(st.sampled_from(["\n", "\r\n", "\r"]), line_stops)
 blank_lines = st.sampled_from(["", " ", "\t", "  \t "])
 
 
 @st.composite
 def csv_texts(draw):
     """CSV files near and across the edge of what the reader accepts: half
-    of them draw ragged rows, odd numbers and odd tags."""
+    of them draw ragged rows, odd numbers and odd tags. Lines end at any
+    line boundary of str.splitlines, and a field may hold one of those that
+    numpy does not split at."""
     messy = draw(st.booleans())
     number = st.one_of(numbers, odd_numbers) if messy else numbers
     tag = st.one_of(tags, odd_tags) if messy else tags
@@ -424,6 +430,9 @@ def csv_texts(draw):
         fields = [draw(number) for _ in range(max(width, 0))]
         if has_source:
             fields.append(draw(tag))
+        if fields and draw(st.integers(0, 3)) == 0:
+            j, stop = draw(st.integers(0, len(fields) - 1)), draw(line_stops)
+            fields[j] = draw(st.sampled_from([stop + fields[j], fields[j] + stop]))
         lines.append(",".join(fields))
         if draw(st.integers(0, 4)) == 0:
             lines.append(draw(blank_lines))
@@ -510,6 +519,25 @@ class TestCsvReaderMatchesPerCellReader:
         p = tmp_path / name
         p.write_bytes(b"x0,x1,source\n1,2,real\n3,4,syn1\n")
         assert csv_outcome(load_pointset, p) == csv_outcome(reference_load_csv, p)
+
+    @pytest.mark.parametrize(
+        "name, text", [("ends.csv", "x0,x1\n1,2\x0c3,4\n"), ("plain.csv.gz", "x0,x1,source\n1,2,real\n3,4,syn1\n")]
+    )
+    def test_the_per_cell_path_opens_the_file_once(self, tmp_path, monkeypatch, name, text):
+        p = tmp_path / name
+        p.write_bytes(text.encode("utf-8"))
+        want = csv_outcome(reference_load_csv, p)
+        assert want[0] == (2, 2)
+        opened, io_open = [], io.open
+
+        def spy(file, *args, **kwargs):
+            if isinstance(file, (str, os.PathLike)) and Path(file) == p:
+                opened.append(file)
+            return io_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(io, "open", spy)
+        assert csv_outcome(load_pointset, p) == want
+        assert len(opened) == 1
 
     def test_the_reader_holds_no_text_copy_of_the_file(self, tmp_path):
         # The file is about 44 bytes a row and the parsed arrays 24. The

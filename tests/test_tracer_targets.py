@@ -5,6 +5,7 @@ keep those targets in place, so a refactor cannot silently break
 
 import dataclasses
 import inspect
+import itertools
 import types
 from pathlib import Path
 
@@ -16,7 +17,9 @@ import collapselab.looper as looper
 import collapselab.metrics as metrics
 import collapselab.neighbors as neighbors
 import collapselab.tensorset as tensorset
-from collapselab import GeneratorSpec, LoopConfig, PointSet, SelectionPolicy, run_loop, trace_to_json
+from collapselab import (
+    DistanceMetric, FeatureMap, GeneratorSpec, LoopConfig, PointSet, SelectionPolicy, run_loop, trace_to_json,
+)
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 PROGRAM = types.SimpleNamespace(cli=cli, looper=looper, metrics=metrics, tensorset=tensorset)
@@ -85,6 +88,10 @@ def test_traced_loop_searches_each_set_once():
 @pytest.mark.parametrize("gamma", [1, 3])
 @pytest.mark.parametrize("paradigm", ["replace", "accumulate", "accumulate_subsample"])
 def test_one_within_set_search_per_iteration(monkeypatch, paradigm, gamma):
+    # A loop searches D_{n+1} at most once per iteration, for ranks 1 and
+    # gamma. Greedy and threshold decay hand it their members' minima, which
+    # are that search's rank-1 answers under the identity map, so at gamma 1
+    # there it makes no search at all.
     calls = []
     search = metrics.kth_nn_within
 
@@ -93,10 +100,17 @@ def test_one_within_set_search_per_iteration(monkeypatch, paradigm, gamma):
         return search(ps, k, metric)
 
     monkeypatch.setattr(metrics, "kth_nn_within", spy)
-    selection = None if paradigm == "accumulate" else SelectionPolicy(kind="greedy")
-    cfg = dataclasses.replace(accumulate_config(gamma), paradigm=paradigm, selection=selection)
-    run_loop(cfg, real_data())
-    assert calls == [(1, gamma)] * cfg.iterations
+    kinds = [None] if paradigm == "accumulate" else [None, "greedy", "threshold_decay", "random"]
+    fmaps = [FeatureMap(), FeatureMap(kind="randproj", target_dim=2, seed=1)]
+    for kind, fmap in itertools.product(kinds, fmaps):
+        metric = DistanceMetric(feature_map=fmap)
+        decay = {"tau0": 2.0, "alpha": 0.5} if kind == "threshold_decay" else {}
+        selection = kind and SelectionPolicy(kind=kind, metric=metric, **decay)
+        cfg = dataclasses.replace(accumulate_config(gamma), paradigm=paradigm, selection=selection, metric=metric)
+        calls.clear()
+        run_loop(cfg, real_data())
+        handed = kind in ("greedy", "threshold_decay") and gamma == 1 and fmap.kind == "identity"
+        assert calls == ([] if handed else [(1, gamma)] * cfg.iterations), (kind, fmap.kind)
 
 
 @pytest.mark.parametrize("gamma", [1, 3])
