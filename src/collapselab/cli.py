@@ -33,6 +33,7 @@ from .metrics import (
 )
 from .selection import SelectionPolicy, run_policy
 from .tensorset import (
+    MAX_CSV_CODE,
     DistanceMetric,
     FeatureMap,
     apply_feature_map,
@@ -140,8 +141,8 @@ def cmd_select(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    if args.tag_iteration < 0:
-        raise ConfigError(f"--tag-iteration must be non-negative, got {args.tag_iteration}")
+    if not 0 <= args.tag_iteration <= MAX_CSV_CODE:
+        raise ConfigError(f"--tag-iteration must be in 0..{MAX_CSV_CODE}, got {args.tag_iteration}")
     training = load_pointset(args.input, args.format)
     spec = parse_spec("generator", args.generator)
     fit_seed = looper.derive_seed(args.seed, 0, looper.ROLE_FIT)

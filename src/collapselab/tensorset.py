@@ -12,7 +12,6 @@ binary container ("rawbin") that preserves floats bit-exactly.
 
 from __future__ import annotations
 
-import io
 import math
 import re
 import struct
@@ -27,8 +26,10 @@ RAWBIN_MAGIC = b"CLPS"
 RAWBIN_VERSION = 1
 
 _TAG_RE = re.compile(r"^(real|syn[1-9][0-9]*)$")
-# Width of the CSV reader's tag field, one uint64; a tag this long or longer takes the per-cell parser.
+# Width of the CSV reader's tag field, one uint64; a tag that fills it may have been cut short.
 _TAG_WIDTH = 8
+# The largest iteration code a CSV tag holds: "syn" and digits, shorter than _TAG_WIDTH.
+MAX_CSV_CODE = 10 ** (_TAG_WIDTH - 1 - len("syn")) - 1
 
 
 def source_label(code: int) -> str:
@@ -208,107 +209,57 @@ def _parse_float(token: str) -> float | None:
         return None
 
 
-# numpy's pass reads a CSV by its path and ends lines only at \n, \r and
-# \r\n, where str.splitlines also ends them at the code points below; its
-# fixed-width tags drop trailing NULs, and it opens a path with one of
-# _COMPRESSED's suffixes as a compressed file. Such files go per cell.
-_ASCII_STOPS = (b"\x00", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
-_UTF8_STOPS = tuple(c.encode() for c in "\x85\u2028\u2029")
-_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
-
-
 def _load_csv(path: Path) -> PointSet:
-    raw = path.read_bytes()
-    stops = _ASCII_STOPS if raw.isascii() else _ASCII_STOPS + _UTF8_STOPS
-    vectorize = path.suffix not in _COMPRESSED and not any(b in raw for b in stops)
-    # Decoded once, as read_text would. Universal newlines split a file
-    # numpy may read where str.splitlines does; any other is split by it.
-    text = io.TextIOWrapper(io.BytesIO(raw))
-    cells = None if vectorize else text.read().splitlines()
-    lines = text if vectorize else iter(cells)
-    head, line = next(((k, ln) for k, ln in enumerate(lines) if ln.strip()), (None, None))
-    if head is None:
-        raise EmptyDatasetError(f"{path}: empty file")
-    first = [f.strip() for f in line.split(",")]
-    # A source column without a header still leaves the first field numeric,
-    # so a non-numeric first field can only be a header.
-    has_header = _parse_float(first[0]) is None
-    expected = len(first)
-    if has_header:
-        has_source = first[-1].lower() == "source"
-        if not any(ln.strip() for ln in lines):
-            raise EmptyDatasetError(f"{path}: header but no data rows")
-    else:
-        has_source = _parse_float(first[-1]) is None
-    del raw, text, lines
-
-    n_cols = expected - (1 if has_source else 0)
+    """The CSV format is what one numpy pass by path reads after the header
+    (README "Formats"); numpy's errors keep its own text and row numbers."""
+    # numpy would open a path with one of these suffixes as a compressed file.
+    if path.suffix in (".gz", ".bz2", ".xz", ".lzma"):
+        raise FormatError(f"{path}: CSV is read as plain text, and {path.suffix} names a compressed file")
+    # Universal newlines end lines where numpy does, so numpy skips exactly the lines read here.
+    with path.open(errors="surrogateescape") as lines:
+        head, line = next(((k, ln) for k, ln in enumerate(lines) if ln.strip()), (None, None))
+        if head is None:
+            raise EmptyDatasetError(f"{path}: empty file")
+        first = [f.strip() for f in line.split(",")]
+        # A source column without a header still leaves the first field numeric,
+        # so a non-numeric first field can only be a header.
+        has_header = _parse_float(first[0]) is None
+        if has_header:
+            has_source = first[-1].lower() == "source"
+            if not any(ln.strip() for ln in lines):
+                raise EmptyDatasetError(f"{path}: header but no data rows")
+        else:
+            has_source = _parse_float(first[-1]) is None
+    n_cols = len(first) - has_source
     if n_cols < 1:
         raise FormatError(f"{path}: no numeric columns")
 
-    parsed = vectorize and _parse_table(path, head + has_header, n_cols, has_source)
-    return PointSet(*parsed) if parsed else _parse_cells(path, has_header, expected, has_source, cells)
-
-
-def _parse_table(path: Path, skiprows: int, n_cols: int, has_source: bool):
-    """Parse the rows after the first skiprows lines in one numpy pass:
-    (values, codes), or None if refused.
-
-    numpy skips empty lines, accepts a subset of what the per-cell parser
-    accepts and reads it to the same bits; it refuses whitespace-only
-    lines, ragged rows, underscores in numbers and non-ASCII digits. A tag
-    is read as _TAG_WIDTH bytes, one per code point up to U+00FF, and told
-    apart as one integer; each distinct tag is parsed once. Files with a
-    tag that may have been cut short, or an invalid or non-ASCII one, go to
-    the per-cell parser, which names the first bad row.
-    """
     dtype = [("x", np.float64, (n_cols,))] + ([("tag", f"S{_TAG_WIDTH}")] if has_source else [])
     try:
-        table = np.loadtxt(path, dtype=dtype, delimiter=",", comments=None, ndmin=1, skiprows=skiprows)
-    except ValueError:
-        return None
+        table = np.loadtxt(path, dtype=dtype, delimiter=",", comments=None, ndmin=1, skiprows=head + has_header)
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from None
     if not has_source:
-        return table["x"], None
-    # Each tag's bytes as one integer, read in place; a set high bit is a non-ASCII code point.
+        return PointSet(table["x"])
+    # Each tag's bytes as one integer, read in place; each distinct tag is parsed once.
     packed = np.ndarray(table.size, np.uint64, table, table.dtype.fields["tag"][1], (table.itemsize,))
-    if (packed & np.uint64(0x8080808080808080)).any():
-        return None
     keys, inverse = np.unique(packed, return_inverse=True)
-    # The distinct tags are their keys' bytes; a full-width one may have been cut short.
-    tags = [tag.decode() for tag in keys.view(f"S{_TAG_WIDTH}")]
-    if any(len(tag) >= _TAG_WIDTH for tag in tags):
-        return None
-    try:
-        return table["x"], np.array([_parse_tag(tag) for tag in tags], dtype=np.int64)[inverse]
-    except FormatError:
-        return None
-
-
-def _parse_cells(path: Path, has_header: bool, expected: int, has_source: bool, lines=None) -> PointSet:
-    """Per-cell parser for the files numpy refuses or would misread, from the
-    file's lines (read again if not given); it names the first bad row and
-    field."""
-    lines = [ln for ln in (path.read_text().splitlines() if lines is None else lines) if ln.strip()]
-    data_lines = lines[1:] if has_header else lines
-    n_cols = expected - (1 if has_source else 0)
-    values = np.empty((len(data_lines), n_cols), dtype=np.float64)
-    codes = np.zeros(len(data_lines), dtype=np.int64)
-    for i, ln in enumerate(data_lines):
-        fields = [f.strip() for f in ln.split(",")]
-        if len(fields) != expected:
-            raise FormatError(f"{path}: row {i + 1} has {len(fields)} fields, expected {expected}")
-        if has_source:
-            codes[i] = _parse_tag(fields[-1])
-            fields = fields[:-1]
-        for j, tok in enumerate(fields):
-            v = _parse_float(tok)
-            if v is None:
-                raise FormatError(f"{path}: row {i + 1} field {j + 1}: {tok!r} is not a number")
-            values[i, j] = v
-    return PointSet(values, codes)
+    codes = np.empty(keys.size, dtype=np.int64)
+    for j, tag in enumerate(keys.view(f"S{_TAG_WIDTH}")):
+        # numpy keeps a code point up to U+00FF as one byte and drops trailing NULs.
+        text = tag.decode("latin-1")
+        try:
+            if not text.isascii() or len(text) >= _TAG_WIDTH:
+                raise FormatError(f"source tag {text!r}: a tag is ASCII and shorter than {_TAG_WIDTH} characters")
+            codes[j] = _parse_tag(text)
+        except FormatError as exc:
+            raise FormatError(f"{path}: data row {np.flatnonzero(inverse == j)[0] + 1}: {exc}") from None
+    return PointSet(table["x"], codes[inverse])
 
 
 def _save_csv(ps: PointSet, path: Path) -> None:
+    if ps.size and int(ps.sources.max()) > MAX_CSV_CODE:
+        raise FormatError(f"{path}: CSV stores iteration codes up to {MAX_CSV_CODE}, got {int(ps.sources.max())}")
     out = [",".join([f"x{j}" for j in range(ps.dim)] + ["source"])]
     out += [",".join([*map(repr, row), source_label(code)]) for row, code in zip(ps.data.tolist(), ps.sources.tolist())]
     path.write_text("\n".join(out) + "\n")

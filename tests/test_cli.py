@@ -95,6 +95,16 @@ class TestScalarCommands:
         p.write_text("1.0,2.0\nbogus\n")
         assert main(["entropy", "--input", str(p)]) == 2
 
+    def test_tag_past_the_iteration_limit_is_a_format_error(self, tmp_path):
+        # The tag's iteration does not fit int64; it once escaped as an OverflowError traceback (exit 1).
+        p = tmp_path / "huge.csv"
+        p.write_text("1,2,syn99999999999999999999\n")
+        proc = run_cli(["entropy", "--input", str(p)], timeout=60)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert str(p) in proc.stderr and "row 1" in proc.stderr
+        assert proc.stdout == ""
+
     def test_non_finite_file_is_io_error(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("1.0\ninf\n")
@@ -455,6 +465,18 @@ class TestGen:
         assert code == 4
         assert "--tag-iteration" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("code", ["10000", "100000000000000000000"])
+    def test_tag_iteration_past_the_csv_limit_is_config_error(self, blob_csv, tmp_path, code):
+        # A CSV tag holds iteration codes up to 9999, so every file gen writes reads back.
+        out = tmp_path / "x.csv"
+        args = ["gen", "--input", str(blob_csv), "--generator", "gaussian", "--m", "5", "--out", str(out)]
+        proc = run_cli(args + ["--tag-iteration", code], timeout=60)
+        assert proc.returncode == 4
+        assert proc.stderr == f"error: --tag-iteration must be in 0..9999, got {code}\n"
+        assert not out.exists()
+        assert main(args + ["--tag-iteration", "9999"]) == 0
+        assert load_pointset(out).sources.tolist() == [9999] * 5
 
 
 class TestLoop:

@@ -1,7 +1,5 @@
 import dataclasses
-import io
 import math
-import os
 import re
 import struct
 import tracemalloc
@@ -13,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from collapselab import (
+    CollapseLabError,
     ConfigError,
     DimensionError,
     EmptyDatasetError,
@@ -155,6 +154,13 @@ class TestCsvFormat:
         p = tmp_path / "a.csv"
         p.write_text("1.0,2.0\nfoo,3.0\n")
         with pytest.raises(FormatError):
+            load_pointset(p)
+
+    @pytest.mark.parametrize("raw", [b"x0,x1\n1,2\xff\n3,4\n", b"1\xff,2\n3,4\n", b"1,2\n" * 5000 + b"3,4\xff\n"])
+    def test_undecodable_bytes_are_a_format_error_naming_the_file(self, tmp_path, raw):
+        p = tmp_path / "a.csv"
+        p.write_bytes(raw)
+        with pytest.raises(FormatError, match=re.escape(str(p))):
             load_pointset(p)
 
     def test_non_finite_rejected(self, tmp_path):
@@ -306,14 +312,22 @@ coordinate = st.floats(
 
 
 class TestRoundTripProperties:
-    @given(rows=st.lists(st.tuples(coordinate, coordinate), min_size=1, max_size=30))
+    @given(rows=st.lists(st.tuples(coordinate, coordinate, st.integers(0, 9999)), min_size=1, max_size=30))
+    @example(rows=[(0.0, -0.0, 9999), (1e-300, 5e-324, 0)])
     @settings(max_examples=60, deadline=None)
     def test_csv_round_trip_any_floats(self, rows, tmp_path_factory):
-        ps = PointSet(np.array(rows, dtype=np.float64))
+        ps = PointSet(np.array([row[:2] for row in rows], dtype=np.float64), [row[2] for row in rows])
         p = tmp_path_factory.mktemp("csv") / "rt.csv"
         save_pointset(ps, p)
         back = load_pointset(p)
-        assert np.array_equal(back.data, ps.data)
+        assert back.data.tobytes() == ps.data.tobytes()
+        assert back.sources.tolist() == ps.sources.tolist()
+
+    def test_csv_refuses_a_code_its_tags_cannot_hold(self, tmp_path):
+        p = tmp_path / "x.csv"
+        with pytest.raises(FormatError, match="up to 9999"):
+            save_pointset(PointSet([[0.0], [1.0]], [9999, 10000]), p)
+        assert not p.exists()
 
     @given(rows=st.lists(st.tuples(coordinate, coordinate), min_size=1, max_size=30))
     @settings(max_examples=60, deadline=None)
@@ -326,8 +340,12 @@ class TestRoundTripProperties:
 
 
 def reference_load_csv(path: Path) -> PointSet:
-    """The per-cell CSV reader that load_pointset's numpy pass replaced, kept
-    as its oracle."""
+    """A per-cell reader of the CSV format, kept as the oracle of
+    load_pointset's one numpy pass: lines end only at \\n, \\r and \\r\\n,
+    empty lines are skipped and a whitespace-only line after the first row
+    is a malformed row; a number is ASCII, without "_", as float() reads it;
+    a tag is ASCII, kept as its first 8 characters less trailing NULs, and
+    must be shorter than 8."""
 
     def parse_float(token):
         try:
@@ -335,27 +353,34 @@ def reference_load_csv(path: Path) -> PointSet:
         except ValueError:
             return None
 
+    def parse_number(token):
+        token = token.strip()
+        return parse_float(token) if token.isascii() and "_" not in token else None
+
     def parse_tag(text):
+        text = text[:8].rstrip("\x00")
         token = text.strip().lower()
-        if not re.match(r"^(real|syn[1-9][0-9]*)$", token):
+        if not text.isascii() or len(text) == 8 or not re.match(r"^(real|syn[1-9][0-9]*)$", token):
             raise FormatError(f"unrecognized source tag {text!r} (expected 'real' or 'synN')")
         return 0 if token == "real" else int(token[3:])
 
-    lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
-    if not lines:
+    if path.suffix in (".gz", ".bz2", ".xz", ".lzma"):
+        raise FormatError(f"{path}: a compressed file suffix")
+    lines = path.read_text().split("\n")
+    start = next((k for k, ln in enumerate(lines) if ln.strip()), None)
+    if start is None:
         raise EmptyDatasetError(f"{path}: empty file")
-    first = [f.strip() for f in lines[0].split(",")]
+    first = [f.strip() for f in lines[start].split(",")]
     has_header = parse_float(first[0]) is None
+    expected = len(first)
+    data_lines = lines[start + has_header :]
     if has_header:
-        expected = len(first)
-        has_source = first[-1].strip().lower() == "source"
-        data_lines = lines[1:]
-        if not data_lines:
+        has_source = first[-1].lower() == "source"
+        if not any(ln.strip() for ln in data_lines):
             raise EmptyDatasetError(f"{path}: header but no data rows")
     else:
-        expected = len(first)
         has_source = parse_float(first[-1]) is None
-        data_lines = lines
+    data_lines = [ln for ln in data_lines if ln]
 
     n_cols = expected - (1 if has_source else 0)
     if n_cols < 1:
@@ -364,14 +389,17 @@ def reference_load_csv(path: Path) -> PointSet:
     values = np.empty((len(data_lines), n_cols), dtype=np.float64)
     codes = np.zeros(len(data_lines), dtype=np.int64)
     for i, ln in enumerate(data_lines):
-        fields = [f.strip() for f in ln.split(",")]
+        fields = ln.split(",")
         if len(fields) != expected:
             raise FormatError(f"{path}: row {i + 1} has {len(fields)} fields, expected {expected}")
         if has_source:
-            codes[i] = parse_tag(fields[-1])
+            try:
+                codes[i] = parse_tag(fields[-1])
+            except FormatError as exc:
+                raise FormatError(f"{path}: row {i + 1}: {exc}") from None
             fields = fields[:-1]
         for j, tok in enumerate(fields):
-            v = parse_float(tok)
+            v = parse_number(tok)
             if v is None:
                 raise FormatError(f"{path}: row {i + 1} field {j + 1}: {tok!r} is not a number")
             values[i, j] = v
@@ -398,11 +426,12 @@ tags = st.sampled_from(["real", "syn1", "syn2", "syn17", "SYN3", " real ", "Real
 odd_tags = st.one_of(
     st.sampled_from(
         ["syn12345", "syn1234567", "   syn12", "syn0", "junk", "", "#real", "r\u00e9al", "syn\u0661",
-         "real\x00", "\x00real", "\xa0syn2", "real\x1f", "real#", "syn 1"]
+         "real\x00", "\x00real", "\xa0syn2", "real\x1f", "real#", "syn 1", "syn9999", "syn10000",
+         "syn1\x00\x00\x00\x00x", "syn99999999999999999999"]
     ),
     st.text(max_size=9),
 )
-# str.splitlines also ends a line at each of these; numpy's pass does not.
+# str.splitlines also ends a line at each of these; the format does not.
 line_stops = st.sampled_from(["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
 separators = st.one_of(st.sampled_from(["\n", "\r\n", "\r"]), line_stops)
 blank_lines = st.sampled_from(["", " ", "\t", "  \t "])
@@ -411,9 +440,9 @@ blank_lines = st.sampled_from(["", " ", "\t", "  \t "])
 @st.composite
 def csv_texts(draw):
     """CSV files near and across the edge of what the reader accepts: half
-    of them draw ragged rows, odd numbers and odd tags. Lines end at any
-    line boundary of str.splitlines, and a field may hold one of those that
-    numpy does not split at."""
+    of them draw ragged rows, odd numbers and odd tags. Lines are joined at
+    any line boundary of str.splitlines, and a field may hold one of those
+    that the format keeps as field content."""
     messy = draw(st.booleans())
     number = st.one_of(numbers, odd_numbers) if messy else numbers
     tag = st.one_of(tags, odd_tags) if messy else tags
@@ -442,28 +471,59 @@ def csv_texts(draw):
     return sep.join(lines) + (sep if draw(st.booleans()) else "")
 
 
+# Files that split lines otherwise than numpy, and what the format reads: (text, rows, codes), or a FormatError.
+LINE_END_CASES = [
+    ("x0,x1,source\n1,2,\x0creal\n", [[1, 2]], [0]),
+    ("x0,x1,source\n1,2,\u2028real\n", None, None),
+    ("x0,x1,source\n1,2,\x1dsyn1\n3,4,real\n", [[1, 2], [3, 4]], [1, 0]),
+    ("1\x0b,2\n3,4\n", [[1, 2], [3, 4]], [0, 0]),
+    ("1,2,\x1creal\n", [[1, 2]], [0]),
+    ("x0,x1\n1,2\x1e\n3,4\n", [[1, 2], [3, 4]], [0, 0]),
+    ("1\x85,2\n", [[1, 2]], [0]),
+    ("x\u00e9,y\n1\u2029,2\n", [[1, 2]], [0]),
+    ("x\u00e9,y\n1,2\n3\u2028,4\n", [[1, 2], [3, 4]], [0, 0]),
+    ("x0,x1\n1,2\x0c3,4\n", None, None),
+    ("1,2\u2028 3,4\n", None, None),
+    ("x0,x1,source\n1,2,real\x0b3,4,real\n", None, None),
+    ("1,2\r\n\r\n\r3,4\r", [[1, 2], [3, 4]], [0, 0]),
+    ("1,2\n \n3,4\n", None, None),
+    ("x0,x1,source\n1,2,real\x00\n", [[1, 2]], [0]),
+]
+
+
 class TestCsvReaderMatchesPerCellReader:
     @given(text=csv_texts())
     @example(text="x0,x1,source\n1,2,real\x00\n")
     @example(text="1,2,syn1234567\n3,4,real\n")
+    @example(text="1,2,syn99999999999999999999\n")
+    @example(text="1,2,syn1\x00\x00\x00\x00x\n")
     @example(text="x0,x1\n1,2\n#3,4\n")
     @example(text="1,2\n\n3,4\n\n")
+    @example(text="1,2\n \n3,4\n")
+    @example(text="\t\n \n1,2\n")
+    @example(text="x0\n \n")
     @example(text="1,2,real\n3,4,zzz\n5,6, junk \n")
     @settings(max_examples=400, deadline=None)
     def test_same_points_or_same_error(self, text, tmp_path_factory):
         p = tmp_path_factory.mktemp("csv") / "in.csv"
         p.write_bytes(text.encode("utf-8"))
-        assert csv_outcome(load_pointset, p) == csv_outcome(reference_load_csv, p)
+        got, want = csv_outcome(load_pointset, p), csv_outcome(reference_load_csv, p)
+        if isinstance(want[0], type):
+            assert got[0] is want[0]
+            if issubclass(want[0], CollapseLabError):
+                assert str(p) in got[1]
+        else:
+            assert got == want
 
     @pytest.mark.parametrize(
         "n_tags, odd",
-        [(1, None), (9, None), (2000, None), (9, "junk"), (9, "syn12345"), (9, "r\u00e9al"), (9, "\xa0syn2"), (9, "syn1\x80")],
+        [(1, None), (9, None), (2000, None), (10000, None), (9, "junk"), (9, "syn12345"), (9, "syn10000"),
+         (9, "r\u00e9al"), (9, "\xa0syn2"), (9, "syn1\x80")],
     )
-    def test_tag_codes_match_the_per_cell_parser(self, tmp_path, monkeypatch, n_tags, odd):
+    def test_tag_codes_match_the_per_cell_parser(self, tmp_path, n_tags, odd):
         # Many rows per tag, every tag present; one row may carry an invalid,
-        # full-width or non-ASCII tag, which sends the file to the per-cell
-        # parser. The rest never reach it. Packed seven bits a code point,
-        # "syn1\x80" would carry into "syn2".
+        # full-width or non-ASCII tag, and the error names its row. Packed
+        # seven bits a code point, "syn1\x80" would carry into "syn2".
         rng = np.random.default_rng(n_tags)
         names = ["real"] + [f"syn{j}" for j in range(1, n_tags)]
         tags = names + [names[t] for t in rng.integers(0, n_tags, 3000)]
@@ -471,81 +531,48 @@ class TestCsvReaderMatchesPerCellReader:
             tags[1234] = odd
         p = tmp_path / "tags.csv"
         p.write_bytes("\n".join(["x0,x1,source"] + [f"{j},{-j},{t}" for j, t in enumerate(tags)]).encode("utf-8"))
-        want = csv_outcome(lambda path: tensorset._parse_cells(path, True, 3, True), p)
+        got = csv_outcome(load_pointset, p)
         if odd is None:
-            monkeypatch.setattr(tensorset, "_parse_cells", None)
-        assert csv_outcome(load_pointset, p) == want
+            assert got == csv_outcome(reference_load_csv, p)
+            assert got[2][: len(names)] == list(range(n_tags))
+        else:
+            assert got[0] is FormatError and f"{p}: data row 1235: " in got[1]
+            assert csv_outcome(reference_load_csv, p)[0] is FormatError
 
-    def test_well_formed_files_skip_the_per_cell_parser(self, tmp_path, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("per-cell parser reached")
-
-        monkeypatch.setattr(tensorset, "_parse_cells", refuse)
-        cases = {
-            "tagged.csv": "x0,x1,source\r\n1.5,-2,real\r\n\r\n3e-8,4, SYN12 \r\n",
-            "bare.csv": "\n0.25\n-0\n7",
-            "headerless_tags.csv": "1,2,syn3\n4,5,real",
-        }
-        for name, text in cases.items():
-            p = tmp_path / name
-            p.write_bytes(text.encode("utf-8"))
-            assert load_pointset(p).size >= 2
-            assert csv_outcome(load_pointset, p) == csv_outcome(reference_load_csv, p)
-
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "x0,x1,source\n1,2,\x0creal\n",
-            "x0,x1,source\n1,2,\x1dsyn1\n3,4,real\n",
-            "1\x0b,2\n3,4\n",
-            "1,2,\x1creal\n",
-            "x0,x1\n1,2\x1e\n3,4\n",
-            "x0,x1,source\n1,2, real\n",
-            "1\x85,2\n",
-            "x\u00e9,y\n1\u2029,2\n",
-            "x\u00e9,y\n1,2\n3\u2028,4\n",
-        ],
-    )
-    def test_line_ends_numpy_does_not_split_at(self, tmp_path, text):
-        # str.splitlines ends a line at each of these, numpy's pass does not,
-        # and it would accept several of these files as different points.
+    @pytest.mark.parametrize("text, rows, codes", LINE_END_CASES, ids=[case[0] for case in LINE_END_CASES])
+    def test_line_ends_numpy_does_not_split_at(self, tmp_path, text, rows, codes):
+        # Lines end only at \n, \r and \r\n; the other line boundaries of
+        # str.splitlines are field content. As whitespace they may pad a
+        # number, and a tag if they are ASCII; elsewhere they are an error.
+        # A whitespace-only line is a row, and a tag drops its trailing NULs.
         p = tmp_path / "ends.csv"
         p.write_bytes(text.encode("utf-8"))
-        assert csv_outcome(load_pointset, p) == csv_outcome(reference_load_csv, p)
+        got = csv_outcome(load_pointset, p)
+        if rows is None:
+            assert got[0] is FormatError and str(p) in got[1]
+            assert csv_outcome(reference_load_csv, p)[0] is FormatError
+        else:
+            assert got == csv_outcome(reference_load_csv, p)
+            assert got == (np.shape(rows), np.array(rows, dtype=np.float64).tobytes(), codes)
 
     @pytest.mark.parametrize("name", ["plain.csv.gz", "plain.bz2", "plain.xz", "plain.lzma"])
-    def test_a_plain_file_with_a_compressed_suffix_reads_as_text(self, tmp_path, name):
+    def test_a_compressed_suffix_is_refused(self, tmp_path, name):
         # numpy would open these paths as compressed files.
         p = tmp_path / name
         p.write_bytes(b"x0,x1,source\n1,2,real\n3,4,syn1\n")
-        assert csv_outcome(load_pointset, p) == csv_outcome(reference_load_csv, p)
-
-    @pytest.mark.parametrize(
-        "name, text", [("ends.csv", "x0,x1\n1,2\x0c3,4\n"), ("plain.csv.gz", "x0,x1,source\n1,2,real\n3,4,syn1\n")]
-    )
-    def test_the_per_cell_path_opens_the_file_once(self, tmp_path, monkeypatch, name, text):
-        p = tmp_path / name
-        p.write_bytes(text.encode("utf-8"))
-        want = csv_outcome(reference_load_csv, p)
-        assert want[0] == (2, 2)
-        opened, io_open = [], io.open
-
-        def spy(file, *args, **kwargs):
-            if isinstance(file, (str, os.PathLike)) and Path(file) == p:
-                opened.append(file)
-            return io_open(file, *args, **kwargs)
-
-        monkeypatch.setattr(io, "open", spy)
-        assert csv_outcome(load_pointset, p) == want
-        assert len(opened) == 1
+        with pytest.raises(FormatError, match=re.escape(str(p))):
+            load_pointset(p)
+        assert load_pointset(p.rename(tmp_path / "plain.csv")).size == 2
 
     def test_the_reader_holds_no_text_copy_of_the_file(self, tmp_path):
         # The file is about 44 bytes a row and the parsed arrays 24. The
         # tracemalloc peak was 6.2 times the arrays' bytes with the reader
-        # that split the whole file's text into a list of lines, and 2.7-2.8
-        # times with the one that lets numpy read the path (numpy 2.4,
-        # CPython 3.11): the file's bytes, read once for its first lines,
-        # are 1.8 of that, and numpy's table 1.0.
+        # that split the whole file's text into a list of lines, and is
+        # 2.7-2.8 times with numpy reading the path (numpy 2.4, CPython
+        # 3.11): numpy's table is 1.0 of that, and np.unique's sort of the
+        # tag keys sets the rest. Reading the whole file's bytes first, as
+        # the reader once did, left the peak the same: they were freed
+        # before numpy's table was built.
         rng = np.random.default_rng(3)
         n = 50_000
         p = tmp_path / "big.csv"
