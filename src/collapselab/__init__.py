@@ -41,7 +41,6 @@ from .metrics import (
 )
 from .neighbors import kth_nn_within, nn_cross
 from .selection import SelectionPolicy, SelectionResult, run_policy
-from .specfun import digamma, log_gamma, log_unit_ball_volume
 from .tensorset import (
     EUCLIDEAN,
     DistanceMetric,

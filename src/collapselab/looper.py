@@ -193,11 +193,11 @@ def run_loop(config: LoopConfig, real_data: PointSet, progress=None) -> LoopTrac
 
             # One search of D_{n+1} gives entropy its gamma-th neighbors and
             # MNND its first; a set too small for it meets kl_entropy's check.
-            # At gamma 1 under the identity map, the minima a distance policy
-            # hands over are that search's answers, bit for bit.
+            # At gamma 1 the minima a distance policy hands over are that
+            # search's answers, bit for bit.
             first = kth = None
             if nxt.size > config.gamma:
-                if minima and config.gamma == 1 and fmap.kind == "identity":
+                if minima and config.gamma == 1:
                     first = kth = minima[0]
                 else:
                     first, kth = metrics.kth_nn_within(nxt, (1, config.gamma), squared)

@@ -265,9 +265,9 @@ def run_policy(pool: PointSet, n: int, policy: SelectionPolicy, minima: list | N
     """The n pool rows that the policy selects, in the order it picks them.
 
     A distance policy appends to `minima`, if given, each pick's squared
-    feature-space distance to its nearest other pick, in pick order: under
-    the identity map, the bits of kth_nn_within(pool.rows(indices), 1,
-    sqeuclidean) (`_MinDistances`)."""
+    feature-space distance to its nearest other pick, in pick order: the
+    bits of kth_nn_within(pool.rows(indices), 1, sqeuclidean), since a
+    row's features are a function of the row (`_MinDistances`)."""
     _check_request(pool, n)
     if policy.kind == "random":
         # Uniform sample without replacement, deterministic in the seed.

@@ -143,6 +143,12 @@ class FeatureMap:
                    by 1/sqrt(target_dim); the matrix is regenerated
                    deterministically from (seed, input dim). A projected
                    coordinate that overflows is a NumericalError.
+
+    A row's features are a function of the row: each projected coordinate
+    is summed over the input coordinates left to right in elementwise
+    numpy, not by a matrix product, whose bits for a row vary with the
+    batch, the BLAS kernel and its thread count. So a point has the same
+    features alone, in any set and on any BLAS.
     """
 
     kind: str = "identity"
@@ -171,7 +177,9 @@ class FeatureMap:
         rng = np.random.default_rng(self.seed)
         matrix = rng.standard_normal((data.shape[1], self.target_dim)) / math.sqrt(self.target_dim)
         with np.errstate(over="ignore", invalid="ignore"):
-            out = data @ matrix
+            out = data[:, :1] * matrix[0]
+            for j in range(1, data.shape[1]):
+                out += data[:, j : j + 1] * matrix[j]
         if not np.isfinite(out).all():
             raise NumericalError("randproj feature map overflowed: a projected coordinate is not finite")
         return out

@@ -132,6 +132,23 @@ MUTANTS = (
         NEIGHBOR_TESTS,
         gate=False,
     ),
+    Mutant(
+        "randproj-matrix-product",
+        "src/collapselab/tensorset.py",
+        "out = data[:, :1] * matrix[0]\n            for j in range(1, data.shape[1]):\n"
+        "                out += data[:, j : j + 1] * matrix[j]",
+        "out = data @ matrix",
+        ("tests/test_tensorset.py",),
+        gate=True,
+    ),
+    Mutant(
+        "handoff-identity-only",
+        "src/collapselab/looper.py",
+        "if minima and config.gamma == 1:",
+        'if minima and config.gamma == 1 and fmap.kind == "identity":',
+        ("tests/test_tracer_targets.py",),
+        gate=True,
+    ),
 )
 
 

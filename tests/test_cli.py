@@ -885,13 +885,14 @@ class TestAnalyze:
 
 class TestSubprocessDeterminism:
     @staticmethod
-    def loop_bytes_at_blas_counts(tmp_path, loop_args):
-        """The canonical trace bytes of one loop at 1, 2 and again 1 BLAS threads."""
+    def loop_bytes_at_blas_counts(tmp_path, loop_args, d=2):
+        """The canonical trace bytes of one loop on blobs in d dimensions at 1,
+        2 and again 1 BLAS threads."""
         rng = np.random.default_rng(2)
         real = tmp_path / "real.csv"
-        centers = rng.uniform(-4, 4, size=(4, 2))
+        centers = rng.uniform(-4, 4, size=(4, d))
         save_pointset(
-            PointSet(centers[rng.integers(0, 4, 150)] + rng.standard_normal((150, 2))), real
+            PointSet(centers[rng.integers(0, 4, 150)] + rng.standard_normal((150, d))), real
         )
         blobs = []
         for blas, name in (("1", "b1"), ("2", "b2"), ("1", "b1b")):
@@ -918,6 +919,17 @@ class TestSubprocessDeterminism:
             tmp_path,
             ["--paradigm", "replace", "--iterations", "3", "--train-size", "100",
              "--generator", "gmm:4", "--seed", "21"],
+        )
+        assert blobs[0] == blobs[1] == blobs[2]
+
+    def test_projected_loop_byte_identical_across_thread_counts(self, tmp_path):
+        # A row's projected features are a function of the row, at any BLAS thread count.
+        blobs = self.loop_bytes_at_blas_counts(
+            tmp_path,
+            ["--paradigm", "replace", "--iterations", "3", "--train-size", "60",
+             "--generator", "bootstrap:0.1", "--selection", "threshold:2.0:0.5",
+             "--feature", "randproj:2:3", "--seed", "21"],
+            d=4,
         )
         assert blobs[0] == blobs[1] == blobs[2]
 

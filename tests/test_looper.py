@@ -338,22 +338,26 @@ class TestDeterminism:
         monkeypatch.setattr(neighbors, "_BLOCK_BUDGET", 1 << 10)
         assert trace_to_json(run_loop(cfg, real), canonical=True) == base
 
+    @pytest.mark.parametrize("fmap", [FeatureMap(), FeatureMap(kind="randproj", target_dim=2, seed=5)])
     @pytest.mark.parametrize("kind", ["greedy", "threshold_decay"])
     @pytest.mark.parametrize(
         "paradigm, sigma, d, distinct",
         [("replace", 0.0, 2, 25), ("replace", 0.05, 3, 120), ("accumulate_subsample", 0.05, 8, 120)],
     )
-    def test_handed_minima_write_the_searched_trace(self, monkeypatch, kind, paradigm, sigma, d, distinct):
+    def test_handed_minima_write_the_searched_trace(self, monkeypatch, fmap, kind, paradigm, sigma, d, distinct):
         # At gamma 1 a distance policy's members' minima stand in for the
-        # within-set search of D_{n+1}; a loop that searches writes the same
-        # bytes. With 25 distinct real points, selections hold copies.
+        # within-set search of D_{n+1}, under either feature map; a loop that
+        # searches writes the same bytes. With 25 distinct real points,
+        # selections hold copies.
         real = blob_data(16, 120, d)
         real = PointSet(real.data[np.arange(120) % distinct])
         decay = {"tau0": 2.0, "alpha": 0.5} if kind == "threshold_decay" else {}
+        metric = DistanceMetric(feature_map=fmap)
         cfg = bootstrap_config(
             paradigm=paradigm,
             generator=GeneratorSpec(kind="bootstrap", sigma=sigma),
-            selection=SelectionPolicy(kind=kind, **decay),
+            selection=SelectionPolicy(kind=kind, metric=metric, **decay),
+            metric=metric,
         )
         handed = trace_to_json(run_loop(cfg, real), canonical=True)
         select = looper.run_policy

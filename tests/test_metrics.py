@@ -4,6 +4,8 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.special
+from hypothesis import given, strategies as st
 
 from collapselab import (
     ConfigError,
@@ -20,16 +22,15 @@ from collapselab import (
     MomentSummary,
     NumericalError,
     PointSet,
-    digamma,
     frechet_gaussian_distance,
     generalization_score,
     kl_entropy,
     kth_nn_within,
-    log_unit_ball_volume,
     mnnd,
     moment_summary,
     pearson,
 )
+from collapselab.metrics import _digamma, _log_ball_volume
 
 LN_2PIE = math.log(2.0 * math.pi * math.e)
 
@@ -77,9 +78,9 @@ class TestKlEntropy:
         rep = kl_entropy(ps, gamma=2)
         eps = kth_nn_within(ps, k=2)
         manual = (
-            digamma(50.0)
-            - digamma(2.0)
-            + log_unit_ball_volume(2)
+            _digamma(50)
+            - _digamma(2)
+            + _log_ball_volume(2)
             + (2.0 / 50.0) * float(np.sum(np.log(eps)))
         )
         assert rep.estimate == pytest.approx(manual, rel=1e-12)
@@ -146,6 +147,57 @@ class TestKlEntropy:
             kl_entropy(ps, gamma=2)
 
 
+class TestDigamma:
+    """psi at the integers EntropyReport reads it at, size and gamma;
+    the accuracy contract is 1e-10 absolute."""
+
+    def test_pinned_values(self):
+        assert _digamma(1) == pytest.approx(-0.5772156649015329, abs=1e-10)
+        assert _digamma(2) == pytest.approx(0.4227843350984671, abs=1e-10)
+
+    def test_matches_scipy_on_wide_grid(self):
+        ns = np.unique(np.concatenate([np.logspace(0, 6, 400).astype(np.int64), np.arange(1, 51)]))
+        worst = max(abs(_digamma(int(n)) - scipy.special.digamma(float(n))) for n in ns)
+        assert worst <= 1e-10
+
+    @given(st.integers(1, 10**6))
+    def test_recurrence_property(self, n):
+        step = _digamma(n + 1) - _digamma(n)
+        assert step == pytest.approx(1.0 / n, rel=1e-9, abs=1e-9)
+        assert step > 0.0
+
+
+class TestLogBallVolume:
+    """log c_d, the unit ball's log volume in R^d, at the dimensions d >= 1
+    EntropyReport reads it at."""
+
+    def test_low_dimensions(self):
+        assert _log_ball_volume(1) == pytest.approx(math.log(2.0), abs=1e-12)
+        assert _log_ball_volume(2) == pytest.approx(math.log(math.pi), abs=1e-12)
+        assert _log_ball_volume(3) == pytest.approx(math.log(4.0 * math.pi / 3.0), abs=1e-12)
+
+    def test_matches_scipy_gammaln(self):
+        # ln Gamma(d/2 + 1) to 1e-12 relative; the difference with (d/2) ln pi
+        # cancels near d = 13, so the error is held to the larger term.
+        for d in range(1, 200):
+            log_gamma = scipy.special.gammaln(0.5 * d + 1.0)
+            oracle = 0.5 * d * math.log(math.pi) - log_gamma
+            assert abs(_log_ball_volume(d) - oracle) <= 1e-12 * max(1.0, log_gamma)
+
+    @given(st.integers(1, 10**4))
+    def test_functional_equation(self, d):
+        # Gamma(x + 1) = x Gamma(x) at x = d/2 + 1: c_{d+2} = c_d pi / (d/2 + 1).
+        step = _log_ball_volume(d) + math.log(math.pi) - math.log(0.5 * d + 1.0)
+        assert _log_ball_volume(d + 2) == pytest.approx(step, rel=1e-11, abs=1e-11)
+
+    def test_volume_peaks_at_dimension_five(self):
+        vols = [_log_ball_volume(d) for d in range(1, 14)]
+        assert max(vols) == vols[4]
+        for lo, hi in zip(vols[4:], vols[5:]):
+            assert lo > hi
+        assert vols[4] > vols[12]
+
+
 class TestGeneralizationScore:
     def test_hand_values(self):
         train = PointSet([[0.0], [1.0]])
@@ -208,7 +260,7 @@ class TestJensenBound:
             rep = kl_entropy(ps, gamma=1)
             assert rep.duplicate_count == 0
             bound = math.exp(
-                (rep.estimate - (digamma(float(n)) - digamma(1.0) + log_unit_ball_volume(d))) / d
+                (rep.estimate - (_digamma(n) - _digamma(1) + _log_ball_volume(d))) / d
             )
             assert mnnd(ps) - bound >= -1e-12
 

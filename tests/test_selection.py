@@ -415,24 +415,23 @@ class TestThresholdDecayMatchesPassByPassScan:
             assert decay_outcome(run_policy, pool, 150, policy) == expect
 
 
-SQUARED = DistanceMetric(kind="sqeuclidean")
-
-
 def handed_minima(pool, n, policy):
     """The members' minima run_policy hands over, and the within-set search
-    of the set it selects, as uint64 views."""
+    of the set it selects under the policy's feature map, as uint64 views."""
     minima = []
     res = run_policy(pool, n, policy, minima)
     (found,) = minima
-    return found.view(np.uint64), kth_nn_within(pool.rows(res.indices), 1, SQUARED).view(np.uint64)
+    squared = DistanceMetric(kind="sqeuclidean", feature_map=policy.metric.feature_map)
+    return found.view(np.uint64), kth_nn_within(pool.rows(res.indices), 1, squared).view(np.uint64)
 
 
 @st.composite
 def handoff_cases(draw):
     """Integer lattices in d = 1..8 with copies and a leading block of
     copies, or collapsed onto a line, scaled and offset up to 1e6 (where the
-    bound keeps every pair), for greedy and threshold decay; a vanilla or
-    fast schedule on a pool with copies reaches the duplicate tail fill."""
+    bound keeps every pair), for greedy and threshold decay under the
+    identity map or a random projection; a vanilla or fast schedule on a
+    pool with copies reaches the duplicate tail fill."""
     d = draw(st.integers(1, 8))
     size = draw(st.integers(2, 3 * _BLOCK))
     coords = draw(st.lists(st.lists(st.integers(-3, 3), min_size=d, max_size=d), min_size=size, max_size=size))
@@ -444,7 +443,10 @@ def handoff_cases(draw):
     data *= 10.0 ** draw(st.integers(-3, 3))
     data += draw(st.sampled_from([0.0, 0.0, 1e3, -1e6, 1e6]))
     pool = PointSet(data)
-    metric = DistanceMetric(kind=draw(st.sampled_from(["euclidean", "sqeuclidean"])))
+    fmap = FeatureMap()
+    if draw(st.booleans()):
+        fmap = FeatureMap(kind="randproj", target_dim=draw(st.integers(1, 4)), seed=draw(st.integers(0, 2**16)))
+    metric = DistanceMetric(kind=draw(st.sampled_from(["euclidean", "sqeuclidean"])), feature_map=fmap)
     n = draw(st.integers(2, size))
     seed = draw(st.integers(0, 2**16))
     schedule = draw(st.sampled_from(["greedy", "0.5", "0.9", "vanilla"]))
@@ -453,7 +455,8 @@ def handoff_cases(draw):
     if schedule == "vanilla":
         tau0, alpha = 0.0, 0.0
     else:
-        diam = float(np.sqrt(sq_dists(data, data).max())) or 1.0
+        features = fmap.apply(data)
+        diam = float(np.sqrt(sq_dists(features, features).max())) or 1.0
         tau0, alpha = diam * draw(st.sampled_from([0.01, 0.3, 1.0])), float(schedule)
     return pool, n, SelectionPolicy(kind="threshold_decay", tau0=tau0, alpha=alpha, seed=seed, metric=metric)
 
@@ -469,15 +472,17 @@ class TestHandedMinima:
         found, expect = handed_minima(*case)
         assert np.array_equal(found, expect)
 
-    def test_tail_fill_and_small_blocks_keep_the_bits(self, monkeypatch):
+    @pytest.mark.parametrize("fmap", [FeatureMap(), FeatureMap(kind="randproj", target_dim=2, seed=5)])
+    def test_tail_fill_and_small_blocks_keep_the_bits(self, monkeypatch, fmap):
         # A 5 x 5 lattice in 300 rows: threshold decay fills a long tail of
         # copies in one add, and every block and chunk size gives the bits.
         rng = np.random.default_rng(23)
         pool = PointSet(rng.integers(-2, 3, (300, 2)).astype(np.float64))
+        metric = DistanceMetric(feature_map=fmap)
         policies = [
-            SelectionPolicy(kind="greedy", seed=2),
-            SelectionPolicy(kind="threshold_decay", tau0=3.0, alpha=0.5, seed=2),
-            SelectionPolicy(kind="threshold_decay", tau0=0.0, alpha=0.0, seed=2),
+            SelectionPolicy(kind="greedy", seed=2, metric=metric),
+            SelectionPolicy(kind="threshold_decay", tau0=3.0, alpha=0.5, seed=2, metric=metric),
+            SelectionPolicy(kind="threshold_decay", tau0=0.0, alpha=0.0, seed=2, metric=metric),
         ]
         cases = [(policy, n) for policy in policies for n in (2, 25, 60, 300)]
         for policy, n in cases:

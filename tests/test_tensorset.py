@@ -260,6 +260,30 @@ class TestFeatureMap:
         other = FeatureMap(kind="randproj", target_dim=3, seed=12).apply(data)
         assert not np.array_equal(a, other)
 
+    @given(
+        d=st.integers(1, 16),
+        size=st.integers(1, 500),
+        target_dim=st.integers(1, 8),
+        seeds=st.tuples(st.integers(0, 2**32), st.integers(0, 2**32)),
+        scale=st.sampled_from([1e-3, 1.0, 1e3, 1e6]),
+        offset=st.sampled_from([0.0, 1e3, -1e6]),
+        picks=st.one_of(st.integers(0, 499).map(lambda i: [i]), st.lists(st.integers(0, 499), min_size=1, max_size=64)),
+    )
+    @settings(deadline=None)
+    def test_a_rows_projection_is_a_function_of_the_row(self, d, size, target_dim, seeds, scale, offset, picks):
+        # The same bits for a row alone (a single pick), among any rows and in its whole set.
+        x = np.random.default_rng(seeds[0]).standard_normal((size, d)) * scale + offset
+        idx = np.array(picks) % size
+        fm = FeatureMap(kind="randproj", target_dim=target_dim, seed=seeds[1])
+        whole = fm.apply(x)
+        assert np.array_equal(whole[idx].view(np.uint64), fm.apply(x[idx]).view(np.uint64))
+
+    def test_random_projection_is_the_seeded_matrix_product(self):
+        data = np.random.default_rng(1).standard_normal((50, 6))
+        matrix = np.random.default_rng(4).standard_normal((6, 3)) / math.sqrt(3)
+        out = FeatureMap(kind="randproj", target_dim=3, seed=4).apply(data)
+        assert np.allclose(out, data @ matrix, rtol=1e-12, atol=1e-12)
+
     def test_random_projection_output_dim(self):
         fm = FeatureMap(kind="randproj", target_dim=2, seed=0)
         assert fm.output_dim(7) == 2

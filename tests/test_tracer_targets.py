@@ -90,8 +90,8 @@ def test_traced_loop_searches_each_set_once():
 def test_one_within_set_search_per_iteration(monkeypatch, paradigm, gamma):
     # A loop searches D_{n+1} at most once per iteration, for ranks 1 and
     # gamma. Greedy and threshold decay hand it their members' minima, which
-    # are that search's rank-1 answers under the identity map, so at gamma 1
-    # there it makes no search at all.
+    # are that search's rank-1 answers under every feature map, so at gamma
+    # 1 it makes no search at all.
     calls = []
     search = metrics.kth_nn_within
 
@@ -109,7 +109,7 @@ def test_one_within_set_search_per_iteration(monkeypatch, paradigm, gamma):
         cfg = dataclasses.replace(accumulate_config(gamma), paradigm=paradigm, selection=selection, metric=metric)
         calls.clear()
         run_loop(cfg, real_data())
-        handed = kind in ("greedy", "threshold_decay") and gamma == 1 and fmap.kind == "identity"
+        handed = kind in ("greedy", "threshold_decay") and gamma == 1
         assert calls == ([] if handed else [(1, gamma)] * cfg.iterations), (kind, fmap.kind)
 
 
