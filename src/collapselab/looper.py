@@ -53,6 +53,7 @@ from .metrics import (
     moment_summary,
     pearson,
 )
+from .neighbors import split_of
 from .selection import SelectionPolicy, run_policy
 from .tensorset import DistanceMetric, PointSet, apply_feature_map, source_label
 
@@ -169,6 +170,7 @@ def run_loop(config: LoopConfig, real_data: PointSet, progress=None) -> LoopTrac
 
     current = real_data if config.paradigm == "accumulate" else real_data.rows(np.arange(n))
     pool = real_data  # accumulating paradigms: real data, then generations 1..it
+    split = None  # accumulate: the pool's split record
     records: list[IterationRecord] = []
 
     for it in range(1, config.iterations + 1):
@@ -179,9 +181,12 @@ def run_loop(config: LoopConfig, real_data: PointSet, progress=None) -> LoopTrac
 
             gen = fit(dataclasses.replace(config.generator, seed=fit_seed), current)
             generation = sample(gen, g_size, sample_seed).with_sources(it)
-            gs_value = generalization_score(generation, current, config.metric)
-
             pool = generation if config.paradigm == "replace" else PointSet.concat([pool, generation])
+            # An accumulate pool is D_n stacked over G_n, as the score splits
+            # them, and D_{n+1}: one split, grown from the last, serves both.
+            if config.paradigm == "accumulate":
+                split = split_of(pool, config.metric, split)
+            gs_value = generalization_score(generation, current, config.metric, split)
 
             # LoopConfig refuses a policy under accumulate.
             minima: list = []
@@ -200,7 +205,7 @@ def run_loop(config: LoopConfig, real_data: PointSet, progress=None) -> LoopTrac
                 if minima and config.gamma == 1:
                     first = kth = minima[0]
                 else:
-                    first, kth = metrics.kth_nn_within(nxt, (1, config.gamma), squared)
+                    first, kth = metrics.kth_nn_within(nxt, (1, config.gamma), squared, split)
             entropy = kl_entropy(nxt, config.gamma, config.metric, kth)
             mnnd_value = mnnd(nxt, config.metric, first)
             moments = moment_summary(apply_feature_map(nxt, fmap))

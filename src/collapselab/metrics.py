@@ -126,14 +126,16 @@ def kl_entropy(ps: PointSet, gamma: int = 1, metric: DistanceMetric = DistanceMe
     )
 
 
-def generalization_score(generated: PointSet, training: PointSet, metric: DistanceMetric = DistanceMetric()) -> float:
+def generalization_score(
+    generated: PointSet, training: PointSet, metric: DistanceMetric = DistanceMetric(), split=None
+) -> float:
     """Mean distance from each generated point to its nearest training point.
 
     Zero means every generated point coincides with a training point: pure
     memorization. Self-matches are not excluded by design. nn_cross
-    refuses an empty set and mismatched dimensions.
+    refuses an empty set and mismatched dimensions, and reads `split`.
     """
-    return float(nn_cross(generated, training, metric).mean())
+    return float(nn_cross(generated, training, metric, split).mean())
 
 
 def mnnd(ps: PointSet, metric: DistanceMetric = DistanceMetric(), squared=None) -> float:

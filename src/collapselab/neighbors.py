@@ -110,34 +110,31 @@ that holds a query is searched; without copies, that is every query row.
 Reuse. `_search(u, u, k, within=True)` is a pure function of the bits of u
 and of k: blocks, screens and BLAS threads change no bit. `_within` keeps
 its last search of a set's distinct points, with the points each rank
-found. When the next set has the same distinct points, compared as integer
-bit patterns so that zeros of either sign never alias, at the same K', it
-reads that search and applies the multiplicity rule with the new set's
-sizes, whether or not the set has copies. `_distinct` keeps its last split
-with a copy of the matrix it split, so no caller's later write reaches it,
-and one rule extends it (`_grow`): a matrix whose leading rows have the
-held bits, compared the same way, and whose other rows all equal held
-points reads or grows the held split; any other is split in full. Each
-appended row is keyed by the bits of its coordinates plus 0.0, which gives
-zeros of either sign one key; equal finite coordinates have equal bits once
-zeros are alike, so a row's key is that of its point. The key only proposes
-a point, and the row joins it only if their coordinates compare equal, the
-very rule of `_split`; a row that matches no held point (a new point, or a
-key collision) sends the matrix to a full split. Appended rows come after
-every held row and join existing points, and each column keeps its values
-up to the sign of a zero, so every point keeps its first row, its label and
-its key, and only the sizes grow: the grown record holds a fresh split's
-points, in the held order. Under accumulate, `nn_cross` splits the training
-set stacked over the generation, the pool `kth_nn_within` splits next has
-those bits, and the next stack is that pool over the next generation: a
-memorizing loop builds its first split in full, grows each later one, and
-splits each pool once.
+found: the module's only state. When the next set has the same distinct
+points, compared as integer bit patterns so that zeros of either sign never
+alias, at the same K', it reads that search and applies the multiplicity
+rule with the new set's sizes. No split outlives a call unless the caller
+holds it: `split_of` grows the record of a set's leading rows (`_grow`) when
+every other row equals a held point, and splits the set in full otherwise.
+The caller vouches that those rows are the ones the record split; their
+features then have its bits, since a row's features are a function of the
+row. Each appended row is keyed by the bits of its coordinates plus 0.0:
+equal finite values have equal bits once zeros are alike, so a row's key is
+that of its point. The key only proposes a point: the row joins it only if
+their coordinates compare equal, the rule of `_split`, and a row that
+matches no held point (a new point, or a key collision) sends the set to a
+full split. Appended rows come after every held row, so every point keeps
+its first row, its label and its key, and only the sizes grow: the grown
+record holds a fresh split's points, in the held order. `run_loop` holds an
+accumulate pool's split: the pool is the training set stacked over the
+generation, the stack `nn_cross` splits, and the next set `kth_nn_within`
+splits, so a memorizing loop splits each pool once, and in full only the
+first.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import NamedTuple
 
 import numpy as np
 
@@ -159,19 +156,10 @@ _HUGE = float(np.finfo(np.float64).max) / 8
 _MATCH_FLOOR = 1e-145
 
 
-class _Memo(NamedTuple):
-    """What the last calls left for reuse, each slot None before its first:
-    `_within`'s search of a set's distinct points as (K', the points, the
-    squared distances and points found at ranks 1..K'); and `_distinct`'s
-    last split record as (a copy of the matrix it split, its `heads`,
-    `sizes` and `point`, all four read-only, and the held points' sorted
-    `_row_keys` with their labels, or None until a growth needs them)."""
-
-    search: tuple | None = None
-    split: tuple | None = None
-
-
-_memo = _Memo()
+# `_within`'s last search of a set's distinct points, as (K', the points, and
+# the squared distances and points found at ranks 1..K'), all read-only; None
+# before the first.
+_memo: tuple | None = None
 
 
 def sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -413,77 +401,75 @@ def _row_keys(x: np.ndarray) -> np.ndarray:
 
 
 def _grow(record: tuple, x: np.ndarray) -> tuple | None:
-    """x's split record from a held one: `record` itself when x has the held
-    bits; grown, with x as its matrix and the held keys (computed if absent),
-    when x's leading rows have them and every row appended equals a held
-    point; else None. A grown record has the points, first rows and sizes
-    of a fresh split of x, in the held order."""
-    held, heads, sizes, point, keys = record
-    m = held.shape[0]
-    if not _same_bits(held, x[:m]):
-        return None
-    if x.shape[0] == m:
-        return record
+    """x's split record grown from `record`, the split of x's leading rows
+    (fewer than x's), with x as its matrix and the held points' keys
+    (computed if absent), when every appended row equals a held point; else
+    None. A grown record has the points, first rows and sizes of a fresh
+    split of x, in the held order."""
+    _, heads, sizes, point, keys = record
+    m = point.size
     if keys is None:
-        # One appended row against every held row: cheaper than keying them.
-        if not (held == x[m]).all(axis=1).any():
+        # One appended row against every held point, before the points are
+        # keyed: an accumulate generation that brings new points stops here.
+        if not (x[heads] == x[m]).all(axis=1).any():
             return None
-        head_keys = _row_keys(held[heads])
+        head_keys = _row_keys(x[heads])
         by_key = np.argsort(head_keys)
         keys = (head_keys[by_key], by_key)
     sorted_keys, by_key = keys
     # A key only proposes a point; equal coordinates decide.
     near = by_key[np.minimum(np.searchsorted(sorted_keys, _row_keys(x[m:])), by_key.size - 1)]
-    if not (held[heads[near]] == x[m:]).all():
+    if not (x[heads[near]] == x[m:]).all():
         return None
     return x, heads, sizes + np.bincount(near, minlength=sizes.size), np.concatenate([point, near]), keys
 
 
-def _distinct(x: np.ndarray) -> tuple[np.ndarray, ...]:
-    """x's distinct points as (each point's first row, its number of rows,
-    each row's point), all read-only: in the order of their coordinates, or,
-    when no row repeats, each row its own point in row order.
+def _distinct(x: np.ndarray) -> tuple:
+    """x's split record: (x, each point's first row, its number of rows, each
+    row's point, None for the held points' keys), in the order of their
+    coordinates, or, when no row repeats, each row its own point in row order.
 
     Rows are one point when their coordinates compare equal, so rows that
     differ only in the sign of a zero are one point: every distance to
-    them has the same bits. The split record is kept, with a copy of x, for
-    the next call to read or grow (`_grow`).
+    them has the same bits.
     """
-    global _memo
-    record = _memo.split and _grow(_memo.split, x)
-    if record is None:
-        col = np.sort(x[:, 0])
-        # A row can repeat only where a first coordinate does.
-        record = (x, *_split(x), None) if (col[1:] == col[:-1]).any() else None
-        if record is None or record[1].size == x.shape[0]:
-            rows = np.arange(x.shape[0])
-            record = (x, rows, np.ones_like(rows), rows, None)
-    if record is not _memo.split:
-        record = (x.copy(), *record[1:])
-        for a in record[:4]:
-            a.flags.writeable = False
-        _memo = _memo._replace(split=record)
-    return record[1:4]
+    col = np.sort(x[:, 0])
+    # A row can repeat only where a first coordinate does.
+    if (col[1:] == col[:-1]).any():
+        heads, sizes, point = _split(x)
+        if heads.size < x.shape[0]:
+            return x, heads, sizes, point, None
+    rows = np.arange(x.shape[0])
+    return x, rows, np.ones_like(rows), rows, None
 
 
-def _within(x: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+def split_of(ps: PointSet, metric: DistanceMetric = DistanceMetric(), held: tuple | None = None) -> tuple:
+    """ps's split record in the metric's feature space, the `split` that
+    `kth_nn_within` and `nn_cross` read: grown from `held` when that is the
+    record of ps's leading rows and every other row of ps equals a held point,
+    else split in full. The caller vouches that `held` splits ps's leading
+    rows, fewer than ps's."""
+    x = np.ascontiguousarray(metric.feature_map.apply(ps.data))
+    return (held and _grow(held, x)) or _distinct(x)
+
+
+def _within(record: tuple, k: int) -> np.ndarray:
     """Ranks 1..k of `_search(x, x, k, within=True)` for each distinct point's
-    rows, by the multiplicity rule, shape (k, points), and each row's point."""
+    rows of a split record's matrix x, by the multiplicity rule, shape (k, points)."""
     global _memo
-    heads, sizes, point = _distinct(x)
+    x, heads, sizes = record[:3]
     u = x[heads]
     if u.shape[0] == 1:
-        return np.zeros((k, 1)), point
+        return np.zeros((k, 1))
     # Each point's nearest k other points, or all of them if fewer.
     near = min(k, u.shape[0] - 1)
-    memo = _memo.search
-    if memo and memo[0] == near and _same_bits(memo[1], u):
-        v, cols = memo[2:]
+    if _memo and _memo[0] == near and _same_bits(_memo[1], u):
+        v, cols = _memo[2:]
     else:
         v, cols = _search(u, u, near, within=True)
         for a in (u, v, cols):
             a.flags.writeable = False
-        _memo = _memo._replace(search=(near, u, v, cols))
+        _memo = (near, u, v, cols)
     # Rank i of a row of point g: 0 among its copies, else v at the first
     # rank where reach = C + sizes[g] - 1 reaches i, that is the count of g's
     # reach values below i, read from their histogram capped at k.
@@ -494,11 +480,11 @@ def _within(x: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     np.minimum(np.cumsum(j, axis=1, out=j), near - 1, out=j)
     found = np.take_along_axis(v, j[:, :k].T, axis=0)
     found[np.arange(1, k + 1)[:, None] < sizes] = 0.0
-    return found, point
+    return found
 
 
 def kth_nn_within(
-    ps: PointSet, k: int | tuple[int, ...], metric: DistanceMetric = DistanceMetric()
+    ps: PointSet, k: int | tuple[int, ...], metric: DistanceMetric = DistanceMetric(), split: tuple | None = None
 ) -> np.ndarray | tuple[np.ndarray, ...]:
     """Distance from every point to its k-th nearest neighbor within the same
     set, self excluded.
@@ -506,7 +492,8 @@ def kth_nn_within(
     Distances are reported in the metric's units (euclidean or squared
     euclidean) in feature space. k may also be a sorted tuple of ranks, such
     as (1, gamma): one search then gives an array per rank, in the order of
-    k, each the same bits as its own single-rank call.
+    k, each the same bits as its own single-rank call. `split`, if given, is
+    `split_of` of ps, read in place of its features and split, with the same answers.
     """
     ranks = k if isinstance(k, tuple) else (k,)
     if not (ranks and all(is_number(j, int) and j >= 1 for j in ranks) and list(ranks) == sorted(ranks)):
@@ -514,18 +501,22 @@ def kth_nn_within(
     top = ranks[-1]
     if ps.size <= top:
         raise InsufficientPointsError(f"need at least {top + 1} points for the {top}-th neighbor, got {ps.size}")
-    x = np.ascontiguousarray(metric.feature_map.apply(ps.data))
-    d2, point = _within(x, top)
-    found = {j: metric.from_squared(d2[j - 1][point]) for j in set(ranks)}
+    split = split or split_of(ps, metric)
+    d2 = _within(split, top)
+    found = {j: metric.from_squared(d2[j - 1][split[3]]) for j in set(ranks)}
     return tuple(found[j] for j in ranks) if isinstance(k, tuple) else found[k]
 
 
-def nn_cross(queries: PointSet, refs: PointSet, metric: DistanceMetric = DistanceMetric()) -> np.ndarray:
+def nn_cross(
+    queries: PointSet, refs: PointSet, metric: DistanceMetric = DistanceMetric(), split: tuple | None = None
+) -> np.ndarray:
     """Distance from every query to its nearest reference point; a query may
     match itself.
 
     Identical rows in queries and refs produce a distance of exactly zero,
     and a query that copies a reference row is answered without a search.
+    `split`, if given, is `split_of` of refs stacked over queries, read in
+    place of their features and their split, with the same answers.
     """
     if refs.size == 0:
         raise EmptyDatasetError("reference set is empty")
@@ -533,14 +524,13 @@ def nn_cross(queries: PointSet, refs: PointSet, metric: DistanceMetric = Distanc
         raise EmptyDatasetError("query set is empty")
     if queries.dim != refs.dim:
         raise DimensionError(f"query dimension {queries.dim} != reference dimension {refs.dim}")
-    q = np.ascontiguousarray(metric.feature_map.apply(queries.data))
-    r = np.ascontiguousarray(metric.feature_map.apply(refs.data))
-    x = np.vstack([r, q])
-    heads, _, point = _distinct(x)
-    point = point[r.shape[0] :]
+    if split is None:
+        split = _distinct(np.vstack([metric.feature_map.apply(refs.data), metric.feature_map.apply(queries.data)]))
+    x, heads, _, point, _ = split
+    point = point[refs.size :]
     # A point whose first row is a reference row holds one: a query in it
     # measures 0 to it, and above the floor nothing else measures 0.
-    shared = heads < r.shape[0]
+    shared = heads < refs.size
     v = np.zeros(heads.size)
     ask = np.zeros(heads.size, dtype=bool)
     ask[point] = True
@@ -548,5 +538,5 @@ def nn_cross(queries: PointSet, refs: PointSet, metric: DistanceMetric = Distanc
         ask &= ~shared
     ask = np.flatnonzero(ask)
     if ask.size:
-        v[ask] = _search(x[heads[ask]], r[heads[shared]], 1, within=False)[0][0]
+        v[ask] = _search(x[heads[ask]], x[heads[shared]], 1, within=False)[0][0]
     return metric.from_squared(v[point])

@@ -142,6 +142,38 @@ MUTANTS = (
         gate=True,
     ),
     Mutant(
+        "split-of-ignores-held",
+        "src/collapselab/neighbors.py",
+        "return (held and _grow(held, x)) or _distinct(x)",
+        "return _distinct(x)",
+        ("tests/test_tracer_targets.py",),
+        gate=True,
+    ),
+    Mutant(
+        "split-held-under-every-paradigm",
+        "src/collapselab/looper.py",
+        'if config.paradigm == "accumulate":\n                split = split_of(',
+        "if True:\n                split = split_of(",
+        ("tests/test_looper.py", "tests/test_golden.py"),
+        gate=True,
+    ),
+    Mutant(
+        "grow-without-coordinate-compare",
+        "src/collapselab/neighbors.py",
+        "    if not (x[heads[near]] == x[m:]).all():\n        return None\n",
+        "",
+        NEIGHBOR_TESTS,
+        gate=True,
+    ),
+    Mutant(
+        "search-cache-shape-only",
+        "src/collapselab/neighbors.py",
+        "return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))",
+        "return a.shape == b.shape",
+        ("tests/test_looper.py",),
+        gate=True,
+    ),
+    Mutant(
         "handoff-identity-only",
         "src/collapselab/looper.py",
         "if minima and config.gamma == 1:",

@@ -364,6 +364,25 @@ class TestDeterminism:
         monkeypatch.setattr(looper, "run_policy", lambda pool, n, policy, minima=None: select(pool, n, policy))
         assert trace_to_json(run_loop(cfg, real), canonical=True) == handed
 
+    @pytest.mark.parametrize("paradigm", ["replace", "accumulate", "accumulate_subsample"])
+    def test_a_run_after_an_unrelated_run_writes_the_bytes_of_a_cold_run(self, monkeypatch, paradigm):
+        # Only the search of a set's distinct points outlives a call. A run
+        # right after an unrelated one writes the bytes of the same run from
+        # an empty search cache: under either feature map, with and without
+        # a distance policy, at gamma 2 so that every iteration searches
+        # D_{n+1}. The unrelated run is the first iteration on scaled data,
+        # so its last search has the shape and ranks of the next run's first.
+        real = PointSet(blob_data(17, 120).data[np.arange(120) % 100])
+        kinds = [None] if paradigm == "accumulate" else [None, "greedy"]
+        for fmap, kind in itertools.product([FeatureMap(), FeatureMap(kind="randproj", target_dim=2, seed=5)], kinds):
+            metric = DistanceMetric(feature_map=fmap)
+            selection = kind and SelectionPolicy(kind=kind, metric=metric)
+            cfg = bootstrap_config(paradigm=paradigm, iterations=2, gamma=2, metric=metric, selection=selection)
+            run_loop(dataclasses.replace(cfg, iterations=1), PointSet(real.data * 2.0))
+            warm = trace_to_json(run_loop(cfg, real), canonical=True)
+            monkeypatch.setattr(neighbors, "_memo", None)
+            assert trace_to_json(run_loop(cfg, real), canonical=True) == warm, (fmap.kind, kind)
+
 
 class TestCompare:
     def test_self_comparison_is_zero(self):
@@ -1124,22 +1143,22 @@ class TestSharedNeighborSearch:
             run_loop(cfg, blob_data(27, 10))
 
 
-def all_pairs_kth(ps, k, metric=EUCLIDEAN):
-    """kth_nn_within by brute force over all pairs of rows."""
+def all_pairs_kth(ps, k, metric=EUCLIDEAN, split=None):
+    """kth_nn_within by brute force over all pairs of rows; a split is not read."""
     x = metric.feature_map.apply(ps.data)
     found = [metric.from_squared(brute_sq(x, x, j, True)) for j in (k if isinstance(k, tuple) else (k,))]
     return tuple(found) if isinstance(k, tuple) else found[0]
 
 
-def all_pairs_cross(queries, refs, metric=EUCLIDEAN):
-    """nn_cross by brute force over all pairs of rows."""
+def all_pairs_cross(queries, refs, metric=EUCLIDEAN, split=None):
+    """nn_cross by brute force over all pairs of rows; a split is not read."""
     d2 = brute_sq(metric.feature_map.apply(queries.data), metric.feature_map.apply(refs.data), 1, False)
     return metric.from_squared(d2)
 
 
 class TestAllPairsReferee:
     @staticmethod
-    def assert_matches_all_pairs(monkeypatch, paradigm, sigma, d, gamma):
+    def assert_matches_all_pairs(monkeypatch, paradigm, sigma, d, gamma, metric=EUCLIDEAN):
         # The trace must have the bytes of a loop whose every neighbor comes
         # from all pairs.
         cfg = LoopConfig(
@@ -1147,6 +1166,7 @@ class TestAllPairsReferee:
             iterations=3,
             train_size=150,
             generator=GeneratorSpec(kind="bootstrap", sigma=sigma),
+            metric=metric,
             gamma=gamma,
             master_seed=6,
         )
@@ -1170,3 +1190,11 @@ class TestAllPairsReferee:
         # New points at every iteration (sigma 0.05), and a replaced
         # training set of copies.
         self.assert_matches_all_pairs(monkeypatch, paradigm, sigma, 2, gamma)
+
+    @pytest.mark.parametrize("gamma", [1, 3])
+    def test_memorizing_loop_under_a_projection_matches_all_pairs_search(self, monkeypatch, gamma):
+        # The loop grows each pool's split from the last one's, so the
+        # features of the pool's leading rows must be the last pool's: a
+        # row's features are a function of the row.
+        metric = DistanceMetric(feature_map=FeatureMap(kind="randproj", target_dim=2, seed=5))
+        self.assert_matches_all_pairs(monkeypatch, "accumulate", 0.0, 4, gamma, metric)

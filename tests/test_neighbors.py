@@ -660,17 +660,13 @@ class TestSplit:
     @settings(max_examples=300, deadline=None)
     @given(split_cases())
     def test_rank_split_matches_lexsort(self, x):
-        # Built, then read back from the memo: both are the lexsort's split,
-        # or the row-order split of a set without copies, and read-only.
-        want = reference_distinct(x)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(neighbors, "_memo", neighbors._Memo())
-            for _ in range(2):
-                got = neighbors._distinct(x)
-                assert not any(g.flags.writeable for g in got)
-                assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
+        # The lexsort's split, or the row-order split of a set without
+        # copies, in a record of x itself with no keys yet.
+        got = neighbors._distinct(x)
+        assert got[0] is x and got[4] is None
+        assert all(np.array_equal(g, w) for g, w in zip(got[1:4], reference_distinct(x), strict=True))
 
-    def test_keys_past_the_int64_range_are_ranked_again(self, monkeypatch):
+    def test_keys_past_the_int64_range_are_ranked_again(self):
         # Eight columns of 256 values fill 64 bits: folded on without a new
         # rank, the first column's rank would be shifted out, and rows that
         # differ only there would be one point.
@@ -678,22 +674,19 @@ class TestSplit:
         rest = np.stack([rng.permutation(256) for _ in range(8)], axis=1).astype(np.float64)
         x = np.hstack([np.repeat([[0.0], [1.0]], 256, axis=0), np.vstack([rest, rest])])
         x = np.vstack([x, x[rng.integers(0, 512, 40)]])
-        monkeypatch.setattr(neighbors, "_memo", neighbors._Memo())
-        for got, want in zip(neighbors._distinct(x), reference_distinct(x)):
+        for got, want in zip(neighbors._distinct(x)[1:4], reference_distinct(x), strict=True):
             assert np.array_equal(got, want)
 
     @staticmethod
     def grow_from(mp, held, stack):
-        """`_distinct(stack)` with the split of `held` kept, checked against
-        the oracle; returns how many full splits it built."""
-        held = held.copy()
-        held.flags.writeable = False
-        mp.setattr(neighbors, "_memo", neighbors._Memo(split=(held, *neighbors._split(held), None)))
+        """`split_of(stack)` from the rank split of its leading rows `held`,
+        checked against the oracle; returns how many full splits it built."""
+        record = (held, *neighbors._split(held), None)
         built = []
         split = neighbors._split
         mp.setattr(neighbors, "_split", lambda x: built.append(x.shape) or split(x))
-        got, want = neighbors._distinct(stack), reference_distinct(stack)
-        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        got, want = neighbors.split_of(PointSet(stack), held=record), reference_distinct(stack)
+        assert all(np.array_equal(g, w) for g, w in zip(got[1:4], want, strict=True))
         return len(built)
 
     @settings(max_examples=200, deadline=None)
@@ -712,62 +705,55 @@ class TestSplit:
         with pytest.MonkeyPatch.context() as mp:
             assert self.grow_from(mp, x, np.vstack([x, tail])) == new
 
-    @pytest.mark.parametrize("change", ["moved", "signed"])
-    def test_leading_rows_with_other_bits_are_split_in_full(self, monkeypatch, change):
-        # One value moved by one ulp makes a new point; a zero of the other
-        # sign keeps the points but not the bits. Either way the held split
-        # is not grown.
-        rng = np.random.default_rng(131)
-        x = rng.integers(-2, 3, (60, 2)).astype(np.float64)
-        lead = x.copy()
-        if change == "moved":
-            lead[lead[:, 1] == lead[7, 1], 1] = np.nextafter(lead[7, 1], np.inf)
-        else:
-            lead[lead == 0.0] = -0.0
-        assert self.grow_from(monkeypatch, x, np.vstack([lead, x[::-1]])) == 1
-
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_successive_growths_match_all_pairs(self, data):
         # A pool grown by copies over several steps, as an accumulating loop
-        # grows it: nn_cross of each step's rows against the pool grows the
-        # split, whose point keys are kept from growth to growth; a new point
-        # forces a full split, whose keys are then made afresh. Each step
-        # copies the newest point, so keys left from the split before would
-        # miss it and force another full split.
+        # grows it, its split held from step to step by `split_of`: the point
+        # keys ride from growth to growth, and a new point forces a full
+        # split, whose keys are then made afresh. Each step copies the newest
+        # point, so keys left from the split before would miss it and force
+        # another full split. Both queries read the held split and give the
+        # bits of the calls without it and of all pairs.
         d = data.draw(st.integers(1, 3))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         scale = data.draw(st.sampled_from([1.0, 1e-310, 1e150]))
+        fmap = data.draw(st.sampled_from([FeatureMap(), FeatureMap(kind="randproj", target_dim=2, seed=3)]))
+        metric = DistanceMetric(kind="sqeuclidean", feature_map=fmap)
         if data.draw(st.booleans()):
             pool = rng.integers(-2, 3, (data.draw(st.integers(6, 40)), d)).astype(np.float64)
         else:
             pool = rng.standard_normal((data.draw(st.integers(6, 40)), d))
         pool = pool * scale
+        pool[(pool == 0.0) & (rng.random(pool.shape) < 0.5)] = -0.0
         k = data.draw(st.integers(2, 4))
-        newest, new_points, built = pool[-1], 0, []
+        newest, built, split = pool[-1], [], None
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(neighbors, "_memo", neighbors._Memo())
-            split = neighbors._split
-            mp.setattr(neighbors, "_split", lambda x: built.append(x.shape) or split(x))
+            spy = neighbors._split
+            mp.setattr(neighbors, "_split", lambda x: built.append(x.shape) or spy(x))
             for step in range(data.draw(st.integers(3, 5))):
                 tail = pool[rng.integers(0, len(pool), data.draw(st.integers(1, 40)))]
                 tail = np.insert(tail, rng.integers(0, len(tail) + 1), newest, axis=0)
                 tail = np.where((tail == 0.0) & (rng.random(tail.shape) < 0.5), -tail, tail)
-                if data.draw(st.booleans()):
+                new = data.draw(st.booleans())
+                if new:
                     newest = pool[rng.integers(0, len(pool))].copy()
                     newest[0] = np.nextafter(pool[:, 0].max(), np.inf)
                     tail = np.insert(tail, rng.integers(0, len(tail) + 1), newest, axis=0)
-                    new_points += step > 0
-                got = nn_cross(PointSet(tail), PointSet(pool), DistanceMetric(kind="sqeuclidean"))
-                want = brute_sq(tail, pool, 1, within=False)
-                assert np.array_equal(got, want)
-                pool = np.vstack([pool, tail])
-                ranks = kth_nn_within(PointSet(pool), (1, k), DistanceMetric(kind="sqeuclidean"))
-                for rank, res in zip((1, k), ranks):
-                    want = brute_sq(pool, pool, rank, within=True)
-                    assert np.array_equal(res, want)
-        # The first step has nothing to grow from; later ones split only for a new point.
-        assert len(built) == 1 + new_points
+                prev, pool = pool, np.vstack([pool, tail])
+                before = len(built)
+                split = neighbors.split_of(PointSet(pool), metric, split)
+                # The first step has nothing to grow from; later ones split only
+                # for a new point, whose projection may still copy a held point.
+                fresh = len(built) - before
+                assert fresh == (step == 0 or new) if fmap.kind == "identity" else fresh <= (step == 0 or new)
+                got = nn_cross(PointSet(tail), PointSet(prev), metric, split)
+                assert same_bits(got, nn_cross(PointSet(tail), PointSet(prev), metric))
+                assert same_bits(got, brute_sq(fmap.apply(tail), fmap.apply(prev), 1, within=False))
+                x = fmap.apply(pool)
+                alone = kth_nn_within(PointSet(pool), (1, k), metric)
+                for rank, res, want in zip((1, k), kth_nn_within(PointSet(pool), (1, k), metric, split), alone):
+                    assert same_bits(res, want) and same_bits(res, brute_sq(x, x, rank, within=True))
 
     def test_a_key_collision_falls_back_to_a_full_split(self, monkeypatch):
         # Every row gets one key, so copies of other points are proposed the
@@ -791,13 +777,12 @@ class TestDistinctPoints:
             return search(q, r, *args, **kwargs)
 
         monkeypatch.setattr(neighbors, "_search", spy)
-        monkeypatch.setattr(neighbors, "_memo", neighbors._Memo())
+        monkeypatch.setattr(neighbors, "_memo", None)
         return calls
 
     @staticmethod
     def splits(monkeypatch):
-        """The shape of every matrix `_split` builds from; `searched` empties
-        the memo first."""
+        """The shape of every matrix `_split` builds from."""
         shapes = []
         split = neighbors._split
 
@@ -874,11 +859,11 @@ class TestDistinctPoints:
         points = np.unique(data, axis=0)
         assert (neighbors._grid(points, points, True)[0] is None) == (d == 8)
         for ranks in ((2, 5), (1, 1, 3), (3,)):
-            monkeypatch.setattr(neighbors, "_memo", neighbors._Memo())
+            monkeypatch.setattr(neighbors, "_memo", None)
             got = kth_nn_within(ps, ranks)
             assert len(got) == len(ranks)
             for rank, res in zip(ranks, got):
-                monkeypatch.setattr(neighbors, "_memo", neighbors._Memo())
+                monkeypatch.setattr(neighbors, "_memo", None)
                 assert same_bits(res, kth_nn_within(ps, rank))
                 assert same_bits(res, brute_kth(data, data, rank, within=True))
 
@@ -890,7 +875,7 @@ class TestDistinctPoints:
         data = rng.standard_normal((400, 2))
         if copies:
             data = data[rng.integers(0, 120, 400)]
-        monkeypatch.setattr(neighbors, "_memo", neighbors._Memo())
+        monkeypatch.setattr(neighbors, "_memo", None)
         got = kth_nn_within(PointSet(data), (1, 17, 30), DistanceMetric(kind="sqeuclidean"))
         for rank, res in zip((1, 17, 30), got):
             assert same_bits(res, brute_sq(data, data, rank, within=True))
@@ -947,28 +932,31 @@ class TestDistinctPoints:
                 res[:] = -1.0
 
     def test_a_pool_is_split_once_for_both_queries(self, monkeypatch):
-        # As in an accumulate loop: nn_cross stacks the training set over
-        # the generation, and the next pool has the bits of that stack.
+        # As in an accumulate loop: the pool is the training set stacked over
+        # the generation, and both queries read the split `split_of` built
+        # from it. Without a split, a query splits its set again.
         rng = np.random.default_rng(103)
         current = PointSet(rng.standard_normal((300, 2))[rng.integers(0, 300, 600)])
         generation = current.rows(rng.integers(0, 600, 200))
         pool = PointSet.concat([current, generation])
         self.searched(monkeypatch)
         shapes = self.splits(monkeypatch)
-        cross = nn_cross(generation, current)
-        within = kth_nn_within(pool, (1, 3))
+        split = neighbors.split_of(pool)
+        cross = nn_cross(generation, current, EUCLIDEAN, split)
+        within = kth_nn_within(pool, (1, 3), EUCLIDEAN, split)
         assert shapes == [(800, 2)]
         kth_nn_within(pool, 2)
-        assert shapes == [(800, 2)]
+        assert shapes == [(800, 2)] * 2
         ref_d = brute_kth(generation.data, current.data, 1, within=False)
         assert np.array_equal(cross, ref_d)
         for k, res in zip((1, 3), within):
             ref_d = brute_kth(pool.data, pool.data, k, within=True)
             assert np.array_equal(res, ref_d)
 
-    def test_other_bits_are_split_again(self, monkeypatch):
-        # The same shape with 0.0 turned into -0.0, then with one coordinate
-        # moved by one ulp: each is split, and a repeat is not.
+    def test_a_set_with_copies_is_split_at_each_call_and_searched_once(self, monkeypatch):
+        # No split outlives a call; the search of the set's points does. The
+        # same shape with 0.0 turned into -0.0, then with one coordinate moved
+        # by one ulp, is searched again, and a repeat is not.
         rng = np.random.default_rng(107)
         a = rng.integers(-3, 4, (100, 2)).astype(np.float64)[rng.integers(0, 100, 400)]
         a[0] = [0.0, 2.0]
@@ -976,29 +964,14 @@ class TestDistinctPoints:
         moved[a[:, 1] == a[3, 1], 1] = np.nextafter(a[3, 1], np.inf)
         signed = a.copy()
         signed[a == 0.0] = -0.0
-        self.searched(monkeypatch)
+        calls = self.searched(monkeypatch)
         shapes = self.splits(monkeypatch)
-        sets = [PointSet(data) for data in (a, signed, moved, moved)]
-        for ps in sets:
-            for k, res in zip((1, 3), kth_nn_within(ps, (1, 3))):
-                ref_d = brute_kth(ps.data, ps.data, k, within=True)
+        for data in (a, a, signed, moved, moved):
+            for k, res in zip((1, 3), kth_nn_within(PointSet(data), (1, 3))):
+                ref_d = brute_kth(data, data, k, within=True)
                 assert same_bits(res, ref_d)
-        assert len(shapes) == 3
-        # The split holds a copy of the matrix it split, with its bits.
-        held = neighbors._memo.split[0]
-        assert same_bits(held, sets[2].data) and not np.shares_memory(held, sets[2].data)
-
-    def test_a_writable_matrix_is_copied_before_it_is_kept(self, monkeypatch):
-        # The split memo must not see a caller's later writes, and what it
-        # hands out cannot write into it.
-        rng = np.random.default_rng(109)
-        x = rng.integers(0, 5, (200, 2)).astype(np.float64)
-        self.searched(monkeypatch)
-        assert not any(a.flags.writeable for a in neighbors._distinct(x))
-        for _ in range(2):
-            for got, want in zip(neighbors._distinct(x), reference_distinct(x)):
-                assert np.array_equal(got, want)
-            x[:] = x[::-1]
+        assert shapes == [a.shape] * 5
+        assert [q for q, _ in calls] == [len(np.unique(x, axis=0)) for x in (a, signed, moved)]
 
     def test_a_set_written_in_place_is_measured_afresh(self, monkeypatch):
         # PointSet data is read-only, but a caller can make it writable. The
@@ -1010,14 +983,13 @@ class TestDistinctPoints:
         ps.data[1] = [5.0, 0.0]
         assert kth_nn_within(ps, 1).tolist() == [1.0, 2.0, 1.0, 2.0]
 
-    def test_grow_reads_grows_or_refuses_a_record(self):
-        # `_grow` alone, with no module state: the record back for the held
-        # bits, a grown record for appended copies, None otherwise.
+    def test_grow_grows_or_refuses_a_record(self):
+        # `_grow` alone, with no module state: a grown record for appended
+        # copies, a zero of the other sign among them, and None for a new point.
         memo = neighbors._memo
         x = np.array([[0.0, 1.0], [2.0, 3.0], [0.0, 1.0]])
         record = (x, *neighbors._split(x), None)
-        assert neighbors._grow(record, x.copy()) is record
-        stack = np.vstack([x, x[[1, 0]]])
+        stack = np.vstack([x, [[2.0, 3.0], [-0.0, 1.0]]])
         grown = neighbors._grow(record, stack)
         assert grown[0] is stack
         # First rows, sizes and each row's point: the record `_split` builds.
@@ -1026,9 +998,8 @@ class TestDistinctPoints:
         # The keys are computed once and ride with each later growth.
         assert grown[4] is not None
         assert neighbors._grow(grown, np.vstack([stack, x[:1]]))[4] is grown[4]
-        new = np.vstack([x, [[2.0, 4.0]]])
-        signed = np.vstack([np.where(x == 0.0, -0.0, x), x])
-        assert neighbors._grow(record, new) is None and neighbors._grow(record, signed) is None
+        assert neighbors._grow(record, np.vstack([x, [[2.0, 4.0]]])) is None
+        assert neighbors._grow(grown, np.vstack([stack, [[2.0, 4.0]]])) is None
         assert neighbors._memo is memo
 
     @pytest.mark.parametrize("mirror", [1.0, -1.0])

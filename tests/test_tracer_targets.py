@@ -95,9 +95,9 @@ def test_one_within_set_search_per_iteration(monkeypatch, paradigm, gamma):
     calls = []
     search = metrics.kth_nn_within
 
-    def spy(ps, k, metric):
+    def spy(ps, k, metric, split=None):
         calls.append(k)
-        return search(ps, k, metric)
+        return search(ps, k, metric, split)
 
     monkeypatch.setattr(metrics, "kth_nn_within", spy)
     kinds = [None] if paradigm == "accumulate" else [None, "greedy", "threshold_decay", "random"]
@@ -115,12 +115,12 @@ def test_one_within_set_search_per_iteration(monkeypatch, paradigm, gamma):
 
 @pytest.mark.parametrize("gamma", [1, 3])
 def test_memorizing_loop_splits_each_pool_once(monkeypatch, gamma):
-    # Under accumulate, the stack nn_cross splits has the bits of the pool
-    # kth_nn_within splits next, so the second reads the first's split.
-    # Each later stack is the last pool plus copies of its points, so its
-    # split grows from the last one: one full split per run. The held
-    # points are keyed once, at the first growth; later growths key only
-    # the rows they append.
+    # Under accumulate, run_loop splits each pool once and hands the split
+    # to nn_cross, whose stack is that pool, and to kth_nn_within. Each
+    # later pool is the last pool plus copies of its points, so its split
+    # grows from the last one: one full split per run. The held points are
+    # keyed once, at the first growth; later growths key only the rows they
+    # append.
     built, grown, keyed = [], [], []
     split, grow, row_keys = neighbors._split, neighbors._grow, neighbors._row_keys
 
@@ -129,16 +129,14 @@ def test_memorizing_loop_splits_each_pool_once(monkeypatch, gamma):
         return split(x)
 
     def grow_spy(record, x):
-        # The held record itself comes back for a matrix with its bits.
         found = grow(record, x)
-        if found is not None and found is not record:
+        if found is not None:
             grown.append(x.shape[0])
         return found
 
     monkeypatch.setattr(neighbors, "_split", split_spy)
     monkeypatch.setattr(neighbors, "_grow", grow_spy)
     monkeypatch.setattr(neighbors, "_row_keys", lambda x: keyed.append(x.shape[0]) or row_keys(x))
-    monkeypatch.setattr(neighbors, "_memo", neighbors._Memo())
     cfg = accumulate_config(gamma, iterations=4)
     real = real_data()
     run_loop(cfg, real)
