@@ -11,8 +11,10 @@ Three fit/sample families, all deterministic given their seeds:
                two batched matmuls that give the bits of np.linalg.solve
                (_solve_2d), once a one-time probe has seen them agree on
                this BLAS; otherwise, and at d != 2 or n = 1, it calls solve.
-               A mixture samples each component through the symmetric
-               eigendecomposition of its covariance.
+               The M-step sums each component's responsibilities in row
+               order through einsum, the bits of the per-component loop's
+               column sum. A mixture samples each component through the
+               symmetric eigendecomposition of its covariance.
   bootstrap -- resample training rows with replacement and add isotropic
                Gaussian jitter sigma; sigma=0 is a pure memorizer whose
                samples are bit-exact training rows.
@@ -195,8 +197,11 @@ def _fit_gmm(spec: GeneratorSpec, data: np.ndarray) -> FittedGenerator:
     #     0 gives the same bits at a fraction of the cost; from 8 up the
     #     stack is a (k, n) view of an (n, k) array, which numpy sums along
     #     its rows in memory order;
-    #   - mass sums each column of the (n, k) resp in row order, pairwise
-    #     at k = 1, as the oracle does.
+    #   - mass sums each column of the (n, k) resp in row order, as the
+    #     oracle's resp.sum(axis=0) does: einsum adds down the rows for
+    #     k >= 2, at a third of the reduce's cost, and at k = 1 every
+    #     responsibility is exactly 1.0 (log_comp - log_norm is 0), so any
+    #     order gives n.
     # At d = 2 and n >= 2 the E-step solves with _solve_2d once the
     # one-time probe has passed; at n = 1 LAPACK takes a one-column path
     # that rounds otherwise. _solve_2d reads a -0.0 in centered (a -0.0
@@ -241,7 +246,7 @@ def _fit_gmm(spec: GeneratorSpec, data: np.ndarray) -> FittedGenerator:
         np.subtract(log_comp, log_norm, out=resp.T)
         np.exp(resp, out=resp)
 
-        mass = resp.sum(axis=0)
+        mass = np.einsum("ij->j", resp)
         weights = mass / n
         means = (resp.T @ data) / mass[:, None]
         center(means)

@@ -91,7 +91,12 @@ underflows to 0. The first j is counted as the number of j with C_j below
 the target, capped at K' - 1: where squared distances overflow to inf, a
 ranked column at inf may be g itself or screen padding, but every column of
 finite value is a true other point, so the count is exact for a finite
-answer and lands on an inf otherwise.
+answer and lands on an inf otherwise. The rule is the only reader of the
+points a search ranks: `_search`, `_screen` and `_select` return them only
+when asked, and `_within` asks only for a set with copies. Without copies
+every size is 1, so rank k is v_k and the search's distances are the
+answer. When every point has more than K rows, every rank is 0 and no
+search runs.
 
 Exact matches. `nn_cross` splits the references stacked over the queries
 once. A point holds a reference row exactly when its first row is one. A
@@ -109,13 +114,16 @@ that holds a query is searched; without copies, that is every query row.
 
 Reuse. `_search(u, u, k, within=True)` is a pure function of the bits of u
 and of k: blocks, screens and BLAS threads change no bit. `_within` keeps
-its last search of a set's distinct points, with the points each rank
-found: the module's only state. When the next set has the same distinct
-points, compared as integer bit patterns so that zeros of either sign never
-alias, at the same K', it reads that search and applies the multiplicity
-rule with the new set's sizes. No split outlives a call unless the caller
-holds it: `split_of` grows the record of a set's leading rows (`_grow`) when
-every other row equals a held point, and splits the set in full otherwise.
+its last search of a set's distinct points, with the points each rank found
+if the set had copies: the module's only state. When the next set has the
+same distinct points, compared as integer bit patterns so that zeros of
+either sign never alias, at the same K', it reads that search and applies
+the multiplicity rule with the new set's sizes; a search held without its
+points serves only a set without copies. No split outlives a call unless the
+caller holds it: `split_of` grows the record of a set's leading rows
+(`_grow`) when every other row equals a held point, and splits the set in
+full otherwise, and whenever the record has as many rows as the set or
+another width, since it cannot then be the split of the set's leading rows.
 The caller vouches that those rows are the ones the record split; their
 features then have its bits, since a row's features are a function of the
 row. Each appended row is keyed by the bits of its coordinates plus 0.0:
@@ -156,9 +164,9 @@ _HUGE = float(np.finfo(np.float64).max) / 8
 _MATCH_FLOOR = 1e-145
 
 
-# `_within`'s last search of a set's distinct points, as (K', the points, and
-# the squared distances and points found at ranks 1..K'), all read-only; None
-# before the first.
+# `_within`'s last search of a set's distinct points, as (K', the points, the
+# squared distances at ranks 1..K', and the points found there for a set with
+# copies, else None), all read-only; None before the first.
 _memo: tuple | None = None
 
 
@@ -205,9 +213,13 @@ def _blocks(rows: np.ndarray, per_row: int) -> list[np.ndarray]:
     return [rows[s : s + step] for s in range(0, rows.size, step)]
 
 
-def _select(d2: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The k smallest values of each row in ascending order, and a column
-    holding each, a different column for each rank; both of shape (k, rows)."""
+def _select(d2: np.ndarray, k: int, columns: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
+    """The k smallest values of each row in ascending order, and with
+    `columns` a column holding each, a different column for each rank, else
+    None; both of shape (k, rows)."""
+    if not columns:
+        vals = d2.min(axis=1)[None] if k == 1 else np.sort(np.partition(d2, k - 1, axis=1)[:, :k], axis=1).T
+        return vals, None
     rows = np.arange(d2.shape[0])
     if k == 1:
         cols = d2.argmin(axis=1)[None]
@@ -218,11 +230,11 @@ def _select(d2: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     return d2[rows, cols], cols
 
 
-def _screen(q, r, right, k: int, own) -> tuple[np.ndarray, np.ndarray]:
+def _screen(q, r, right, k: int, own, columns: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
     """`_select` of each query row over all of r: its k smallest squared
-    distances and a column of r holding each. `own`, each row's own column
-    within one set, is left out. The screen is set by rank k, and keeps
-    every column that a smaller rank could need.
+    distances and, with `columns`, a column of r holding each. `own`, each
+    row's own column within one set, is left out. The screen is set by rank
+    k, and keeps every column that a smaller rank could need.
 
     Kept columns are gathered per row, padded with -1. A
     block where some row keeps more than half the columns measures every
@@ -254,9 +266,9 @@ def _screen(q, r, right, k: int, own) -> tuple[np.ndarray, np.ndarray]:
         cand = np.full((rows.size, counts.max()), -1, dtype=np.int64)
         cand[keep_r, np.arange(keep_r.size) - np.repeat(np.cumsum(counts) - counts, counts)] = keep_c
     del keep_r, keep_c
-    vals, cols = _select(measure(cand), k)
+    vals, cols = _select(measure(cand), k, columns)
     # cand has a row per query, or one row that serves them all; rows[:1] is [0] and broadcasts.
-    return vals, cand[rows[: cand.shape[0]], cols]
+    return vals, None if cols is None else cand[rows[: cand.shape[0]], cols]
 
 
 def _grid(q: np.ndarray, r: np.ndarray, within: bool):
@@ -328,16 +340,16 @@ def _grid(q: np.ndarray, r: np.ndarray, within: bool):
     return order, groups, bound
 
 
-def _search(q: np.ndarray, r: np.ndarray, k: int, within: bool) -> tuple[np.ndarray, np.ndarray]:
+def _search(q: np.ndarray, r: np.ndarray, k: int, within: bool, columns: bool = False) -> tuple:
     """The k nearest reference rows of every query, as squared distances in
-    ascending order and a reference row at each, a different one for each
-    rank, both of shape (k, len(q)).
+    ascending order and, with `columns`, a reference row at each, a different
+    one for each rank, else None; both of shape (k, len(q)).
 
     With `within`, q is r and each query skips its own row.
     """
     n_q, dim = q.shape
     out_v = np.empty((k, n_q), dtype=np.float64)
-    out_i = np.empty((k, n_q), dtype=np.int64)
+    out_i = np.empty((k, n_q), dtype=np.int64) if columns else None
     accepted = np.zeros(n_q, dtype=bool)
     order, groups, bound = _grid(q, r, within)
     for rows, runs, n_cand in groups:
@@ -349,15 +361,19 @@ def _search(q: np.ndarray, r: np.ndarray, k: int, within: bool) -> tuple[np.ndar
             d2 = sq_dists(q[blk], r_cand)
             if within:
                 d2[np.arange(blk.size), np.searchsorted(cand, blk)] = np.inf
-            vals, cols = _select(d2, k)
-            out_v[:, blk], out_i[:, blk] = vals, cand[cols]
+            vals, cols = _select(d2, k, columns)
+            out_v[:, blk] = vals
+            if columns:
+                out_i[:, blk] = cand[cols]
             accepted[blk] = vals[-1] < bound[blk]
     # The rest search every point, which is exact even at an inf distance.
     rest = np.flatnonzero(~accepted)
     if rest.size:
         right = _lift(r)[1]
         for blk in _blocks(rest, r.shape[0] * (dim + 8)):
-            out_v[:, blk], out_i[:, blk] = _screen(q[blk], r, right, k, blk if within else None)
+            out_v[:, blk], cols = _screen(q[blk], r, right, k, blk if within else None, columns)
+            if columns:
+                out_i[:, blk] = cols
     return out_v, out_i
 
 
@@ -448,9 +464,11 @@ def split_of(ps: PointSet, metric: DistanceMetric = DistanceMetric(), held: tupl
     `kth_nn_within` and `nn_cross` read: grown from `held` when that is the
     record of ps's leading rows and every other row of ps equals a held point,
     else split in full. The caller vouches that `held` splits ps's leading
-    rows, fewer than ps's."""
+    rows; a record with as many rows as ps, or of another width, cannot, and
+    is not grown."""
     x = np.ascontiguousarray(metric.feature_map.apply(ps.data))
-    return (held and _grow(held, x)) or _distinct(x)
+    grow = held and held[0].shape[0] < x.shape[0] and held[0].shape[1] == x.shape[1]
+    return (grow and _grow(held, x)) or _distinct(x)
 
 
 def _within(record: tuple, k: int) -> np.ndarray:
@@ -458,18 +476,25 @@ def _within(record: tuple, k: int) -> np.ndarray:
     rows of a split record's matrix x, by the multiplicity rule, shape (k, points)."""
     global _memo
     x, heads, sizes = record[:3]
+    # A row whose point has more than k rows has k copies at 0, and the
+    # caller's set has more than k rows, so a lone point is answered here.
+    if sizes.min() > k:
+        return np.zeros((k, heads.size))
     u = x[heads]
-    if u.shape[0] == 1:
-        return np.zeros((k, 1))
+    copies = heads.size < x.shape[0]
     # Each point's nearest k other points, or all of them if fewer.
     near = min(k, u.shape[0] - 1)
-    if _memo and _memo[0] == near and _same_bits(_memo[1], u):
+    if _memo and _memo[0] == near and _same_bits(_memo[1], u) and (_memo[3] is not None or not copies):
         v, cols = _memo[2:]
     else:
-        v, cols = _search(u, u, near, within=True)
+        v, cols = _search(u, u, near, within=True, columns=copies)
         for a in (u, v, cols):
-            a.flags.writeable = False
+            if a is not None:
+                a.flags.writeable = False
         _memo = (near, u, v, cols)
+    # Without copies every size is 1, so rank i is v_i.
+    if not copies:
+        return v
     # Rank i of a row of point g: 0 among its copies, else v at the first
     # rank where reach = C + sizes[g] - 1 reaches i, that is the count of g's
     # reach values below i, read from their histogram capped at k.

@@ -144,7 +144,7 @@ MUTANTS = (
     Mutant(
         "split-of-ignores-held",
         "src/collapselab/neighbors.py",
-        "return (held and _grow(held, x)) or _distinct(x)",
+        "return (grow and _grow(held, x)) or _distinct(x)",
         "return _distinct(x)",
         ("tests/test_tracer_targets.py",),
         gate=True,
@@ -171,6 +171,46 @@ MUTANTS = (
         "return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))",
         "return a.shape == b.shape",
         ("tests/test_looper.py",),
+        gate=True,
+    ),
+    Mutant(
+        "held-split-guard",
+        "src/collapselab/neighbors.py",
+        "grow = held and held[0].shape[0] < x.shape[0] and held[0].shape[1] == x.shape[1]",
+        "grow = held",
+        ("tests/test_neighbors.py",),
+        gate=True,
+    ),
+    Mutant(
+        "mass-pairwise",
+        "src/collapselab/generators.py",
+        'mass = np.einsum("ij->j", resp)',
+        "mass = np.ascontiguousarray(resp.T).sum(axis=1)",
+        ("tests/test_generators.py", "tests/test_golden.py"),
+        gate=True,
+    ),
+    Mutant(
+        "columns-dropped-with-copies",
+        "src/collapselab/neighbors.py",
+        "_search(u, u, near, within=True, columns=copies)",
+        "_search(u, u, near, within=True, columns=False)",
+        NEIGHBOR_TESTS,
+        gate=True,
+    ),
+    Mutant(
+        "held-search-without-columns-serves-copies",
+        "src/collapselab/neighbors.py",
+        " and (_memo[3] is not None or not copies):",
+        ":",
+        ("tests/test_neighbors.py",),
+        gate=True,
+    ),
+    Mutant(
+        "search-when-every-point-has-copies",
+        "src/collapselab/neighbors.py",
+        "    if sizes.min() > k:",
+        "    if heads.size == 1:",
+        ("tests/test_neighbors.py",),
         gate=True,
     ),
     Mutant(

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -342,6 +343,35 @@ class TestBatchedEmMatchesComponentLoop:
             reference_gmm(spec, data)
         with pytest.raises(NumericalError, match=str(expected.value)):
             fit(spec, PointSet(data))
+
+
+@st.composite
+def responsibilities(draw):
+    """An (n, k) array of values in [0, 1], laid out as the fit's resp, with
+    exact zeros, subnormals and ones among them."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.random((draw(st.integers(1, 3000)), draw(st.integers(2, 16)))) ** draw(st.sampled_from([1.0, 8.0, 600.0]))
+    for value in (0.0, 5e-324, 2.2e-308, 1.0):
+        a[rng.random(a.shape) < draw(st.sampled_from([0.0, 0.05, 0.5]))] = value
+    return a
+
+
+@settings(max_examples=200, deadline=None)
+@given(responsibilities())
+def test_mass_sums_each_column_in_row_order(resp):
+    # The fit's mass, from two columns up, is the row-by-row sum the
+    # component loop's resp.sum(axis=0) takes.
+    rows = functools.reduce(np.add, resp)
+    assert np.array_equal(np.einsum("ij->j", resp).view(np.uint64), rows.view(np.uint64))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_one_component_has_weight_exactly_one(d):
+    # Every responsibility of one component is exactly 1.0, so its mass is n
+    # whatever the summation order.
+    for name, data in [*em_layouts(d, 1), ("n1000", np.random.default_rng(d).standard_normal((1000, d)))]:
+        gen = fit(GeneratorSpec(kind="gmm", components=1, seed=d, max_iters=5), PointSet(data))
+        assert gen.weights.tolist() == [1.0], name
 
 
 @st.composite

@@ -569,12 +569,15 @@ class TestRankPick:
     @pytest.mark.parametrize("shape", [(1, 5), (300, 12)])
     def test_select_matches_a_row_sort(self, shape, k):
         # Values 0-3 tie often, and about a fifth are +inf, as a skipped own
-        # column or a padded candidate reads. Every rank 1..k is checked.
+        # column or a padded candidate reads. Every rank 1..k is checked,
+        # with the columns and without them.
         rng = np.random.default_rng([*shape, k])
         d2 = rng.integers(0, 4, shape).astype(np.float64)
         d2[rng.random(shape) < 0.2] = np.inf
-        vals, cols = neighbors._select(d2, k)
         want = np.sort(d2, axis=1)[:, :k].T
+        vals, cols = neighbors._select(d2, k)
+        assert cols is None and np.array_equal(vals, want)
+        vals, cols = neighbors._select(d2, k, columns=True)
         assert vals.shape == cols.shape == (k, shape[0])
         assert np.array_equal(vals, want)
         assert np.array_equal(d2[np.arange(shape[0]), cols], want)
@@ -599,7 +602,7 @@ class TestRankPick:
         own = np.arange(rows) * 7 if within else None
         q = r[own] if within else rng.standard_normal((rows, 8)) + shift
         monkeypatch.setattr(neighbors, "sq_dists", spy)
-        vals, cols = neighbors._screen(q, r, neighbors._lift(r)[1], 4, own)
+        vals, cols = neighbors._screen(q, r, neighbors._lift(r)[1], 4, own, columns=True)
         monkeypatch.undo()
         assert (measured[-1] == (1, 600, 8)) == full_row
         assert vals.shape == cols.shape == (4, rows)
@@ -754,6 +757,23 @@ class TestSplit:
                 alone = kth_nn_within(PointSet(pool), (1, k), metric)
                 for rank, res, want in zip((1, k), kth_nn_within(PointSet(pool), (1, k), metric, split), alone):
                     assert same_bits(res, want) and same_bits(res, brute_sq(x, x, rank, within=True))
+
+    def test_a_held_record_that_cannot_lead_the_set_is_not_grown(self):
+        # A record of every row of the set, or of its leading rows' first
+        # coordinates, cannot be the split of the set's leading rows: the set
+        # is split in full, and both give a fresh split's answers. The rows
+        # appended copy the first row of each first coordinate, so grown from
+        # the narrow record they would join its five points.
+        rng = np.random.default_rng(131)
+        x = rng.integers(-2, 3, (60, 2)).astype(np.float64)
+        narrow = neighbors.split_of(PointSet(x[:, :1]))
+        ps = PointSet(np.vstack([x, x[narrow[1]]]))
+        fresh = neighbors.split_of(ps)
+        for held in (neighbors.split_of(ps), narrow):
+            got = neighbors.split_of(ps, held=held)
+            assert all(np.array_equal(g, w) for g, w in zip(got[:4], fresh[:4], strict=True))
+            for k in (1, 3):
+                assert same_bits(kth_nn_within(ps, k, split=got), brute_kth(ps.data, ps.data, k, within=True))
 
     def test_a_key_collision_falls_back_to_a_full_split(self, monkeypatch):
         # Every row gets one key, so copies of other points are proposed the
@@ -972,6 +992,42 @@ class TestDistinctPoints:
                 assert same_bits(res, ref_d)
         assert shapes == [a.shape] * 5
         assert [q for q, _ in calls] == [len(np.unique(x, axis=0)) for x in (a, signed, moved)]
+
+    @pytest.mark.parametrize("k", [1, 4, 32])
+    def test_a_set_without_copies_is_answered_by_its_search(self, monkeypatch, k):
+        # Every size is 1, so rank i is the search's v_i: no columns are
+        # searched or held, and every rank has the bits of brute force.
+        rng = np.random.default_rng([109, k])
+        x = rng.standard_normal((300, 2))
+        self.searched(monkeypatch)
+        got = neighbors._within(neighbors._distinct(x), k)
+        assert got.shape == (k, 300) and neighbors._memo[3] is None
+        for rank in range(1, k + 1):
+            assert same_bits(got[rank - 1], brute_sq(x, x, rank, within=True))
+
+    def test_a_search_held_without_columns_serves_no_set_with_copies(self, monkeypatch):
+        # The points of a set with copies are the set without them in
+        # coordinate order, so the held search of the set without copies has
+        # their bits; the rule needs the columns, so the points are searched
+        # again, with them.
+        rng = np.random.default_rng(113)
+        x = rng.standard_normal((200, 2))
+        x = x[np.lexsort(x.T[::-1])]
+        copies = np.vstack([x, x[rng.integers(0, 200, 50)]])
+        calls = self.searched(monkeypatch)
+        for data in (x, copies):
+            for k, res in zip((1, 3), kth_nn_within(PointSet(data), (1, 3), DistanceMetric(kind="sqeuclidean"))):
+                assert same_bits(res, brute_sq(data, data, k, within=True))
+        assert calls == [(200, 200), (200, 200)]
+
+    def test_no_search_when_every_point_has_more_than_k_rows(self, monkeypatch):
+        # 40 points with 3 to 5 rows each: ranks 1 and 2 are copies at 0.
+        rng = np.random.default_rng(127)
+        data = np.repeat(rng.standard_normal((40, 2)), rng.integers(3, 6, 40), axis=0)
+        calls = self.searched(monkeypatch)
+        for k, res in zip((1, 2), kth_nn_within(PointSet(data), (1, 2), DistanceMetric(kind="sqeuclidean"))):
+            assert same_bits(res, brute_sq(data, data, k, within=True))
+        assert calls == []
 
     def test_a_set_written_in_place_is_measured_afresh(self, monkeypatch):
         # PointSet data is read-only, but a caller can make it writable. The
