@@ -100,26 +100,20 @@ search runs.
 
 Exact matches. `nn_cross` splits the references stacked over the queries
 once. A point holds a reference row exactly when its first row is one. A
-query in such a point measures 0 to that row, and only copies can measure
-0 when every non-zero |coordinate| of the stack is at least 1e-145
-(features are finite: PointSet refuses anything else, and the feature maps
-refuse overflow). Such a coordinate lies at or above 2^-482, so it is a
-multiple of 2^-534, its unit in the last place; two distinct values then
-differ by at least 2^-534, and by monotone rounding so does their computed
-difference. Its square is at least 2^-1068, a non-zero subnormal, and a sum
-of non-negative squares is at least each of them. So such a query gets 0
-without a search, and only the points that hold no reference row are
-searched. Below the bound, distinct rows may measure 0, and every point
-that holds a query is searched; without copies, that is every query row.
+query in such a point measures exactly 0 to that row, and no distance is
+below 0, so its nearest distance is 0 whichever row ties it: it gets 0
+without a search, at any scale. Only the points that hold a query and no
+reference row are searched.
 
 Reuse. `_search(u, u, k, within=True)` is a pure function of the bits of u
 and of k: blocks, screens and BLAS threads change no bit. `_within` keeps
-its last search of a set's distinct points, with the points each rank found
-if the set had copies: the module's only state. When the next set has the
-same distinct points, compared as integer bit patterns so that zeros of
+its last search of the distinct points of a set with copies, with the points
+each rank found: the module's only state. When the next set with copies has
+the same distinct points, compared as integer bit patterns so that zeros of
 either sign never alias, at the same K', it reads that search and applies
-the multiplicity rule with the new set's sizes; a search held without its
-points serves only a set without copies. No split outlives a call unless the
+the multiplicity rule with the new set's sizes. A set without copies is
+searched as it stands, and its search is neither read from nor left in the
+module, since no later call reads it. No split outlives a call unless the
 caller holds it: `split_of` grows the record of a set's leading rows
 (`_grow`) when every other row equals a held point, and splits the set in
 full otherwise, and whenever the record has as many rows as the set or
@@ -159,14 +153,11 @@ _MIN_CELLS = 4
 _EPS = float(np.finfo(np.float64).eps)
 _TINY = float(np.finfo(np.float64).tiny)
 _HUGE = float(np.finfo(np.float64).max) / 8
-# Non-zero coordinates at least this large keep every distinct pair above
-# squared distance 0 (module docstring, "Exact matches").
-_MATCH_FLOOR = 1e-145
 
 
-# `_within`'s last search of a set's distinct points, as (K', the points, the
-# squared distances at ranks 1..K', and the points found there for a set with
-# copies, else None), all read-only; None before the first.
+# `_within`'s last search of the distinct points of a set with copies, as (K',
+# the points, the squared distances at ranks 1..K', and the points found
+# there), all read-only; None before the first.
 _memo: tuple | None = None
 
 
@@ -473,28 +464,28 @@ def split_of(ps: PointSet, metric: DistanceMetric = DistanceMetric(), held: tupl
 
 def _within(record: tuple, k: int) -> np.ndarray:
     """Ranks 1..k of `_search(x, x, k, within=True)` for each distinct point's
-    rows of a split record's matrix x, by the multiplicity rule, shape (k, points)."""
+    rows of a split record's matrix x, by the multiplicity rule, shape (k,
+    points). Only a set with copies reads or fills `_memo`."""
     global _memo
     x, heads, sizes = record[:3]
     # A row whose point has more than k rows has k copies at 0, and the
     # caller's set has more than k rows, so a lone point is answered here.
     if sizes.min() > k:
         return np.zeros((k, heads.size))
+    # Without copies every size is 1, so rank i is v_i; no later call reads
+    # this search, so it is not held.
+    if heads.size == x.shape[0]:
+        return _search(x, x, k, within=True)[0]
     u = x[heads]
-    copies = heads.size < x.shape[0]
     # Each point's nearest k other points, or all of them if fewer.
     near = min(k, u.shape[0] - 1)
-    if _memo and _memo[0] == near and _same_bits(_memo[1], u) and (_memo[3] is not None or not copies):
+    if _memo and _memo[0] == near and _same_bits(_memo[1], u):
         v, cols = _memo[2:]
     else:
-        v, cols = _search(u, u, near, within=True, columns=copies)
+        v, cols = _search(u, u, near, within=True, columns=True)
         for a in (u, v, cols):
-            if a is not None:
-                a.flags.writeable = False
+            a.flags.writeable = False
         _memo = (near, u, v, cols)
-    # Without copies every size is 1, so rank i is v_i.
-    if not copies:
-        return v
     # Rank i of a row of point g: 0 among its copies, else v at the first
     # rank where reach = C + sizes[g] - 1 reaches i, that is the count of g's
     # reach values below i, read from their histogram capped at k.
@@ -554,14 +545,12 @@ def nn_cross(
     x, heads, _, point, _ = split
     point = point[refs.size :]
     # A point whose first row is a reference row holds one: a query in it
-    # measures 0 to it, and above the floor nothing else measures 0.
+    # measures 0 to it, and nothing measures less.
     shared = heads < refs.size
     v = np.zeros(heads.size)
     ask = np.zeros(heads.size, dtype=bool)
     ask[point] = True
-    if not ((x != 0.0) & (np.abs(x) < _MATCH_FLOOR)).any():
-        ask &= ~shared
-    ask = np.flatnonzero(ask)
+    ask = np.flatnonzero(ask & ~shared)
     if ask.size:
         v[ask] = _search(x[heads[ask]], x[heads[shared]], 1, within=False)[0][0]
     return metric.from_squared(v[point])

@@ -117,14 +117,6 @@ MUTANTS = (
         gate=False,
     ),
     Mutant(
-        "nn-cross-match-floor",
-        "src/collapselab/neighbors.py",
-        "if not ((x != 0.0) & (np.abs(x) < _MATCH_FLOOR)).any():",
-        "if True:",
-        NEIGHBOR_TESTS,
-        gate=False,
-    ),
-    Mutant(
         "screen-rounding-factor",
         "src/collapselab/neighbors.py",
         "sq *= 1.0 - 4 * (dim + 4) * _EPS",
@@ -192,16 +184,24 @@ MUTANTS = (
     Mutant(
         "columns-dropped-with-copies",
         "src/collapselab/neighbors.py",
-        "_search(u, u, near, within=True, columns=copies)",
+        "_search(u, u, near, within=True, columns=True)",
         "_search(u, u, near, within=True, columns=False)",
         NEIGHBOR_TESTS,
         gate=True,
     ),
     Mutant(
-        "held-search-without-columns-serves-copies",
+        "duplicate-free-search-kept",
         "src/collapselab/neighbors.py",
-        " and (_memo[3] is not None or not copies):",
-        ":",
+        "    if heads.size == x.shape[0]:\n        return _search(x, x, k, within=True)[0]\n",
+        "",
+        ("tests/test_neighbors.py",),
+        gate=True,
+    ),
+    Mutant(
+        "nn-cross-searches-copies",
+        "src/collapselab/neighbors.py",
+        "ask = np.flatnonzero(ask & ~shared)",
+        "ask = np.flatnonzero(ask)",
         ("tests/test_neighbors.py",),
         gate=True,
     ),

@@ -95,6 +95,12 @@ class TestScalarCommands:
         p.write_text("1.0,2.0\nbogus\n")
         assert main(["entropy", "--input", str(p)]) == 2
 
+    def test_a_source_column_alone_is_io_error(self, tmp_path, capsys):
+        p = tmp_path / "tags.csv"
+        p.write_text("source\nreal\nsyn1\n")
+        assert main(["entropy", "--input", str(p)]) == 2
+        assert f"{p}: no numeric columns" in capsys.readouterr().err
+
     def test_tag_past_the_iteration_limit_is_a_format_error(self, tmp_path):
         # The tag's iteration does not fit int64; it once escaped as an OverflowError traceback (exit 1).
         p = tmp_path / "huge.csv"

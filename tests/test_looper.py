@@ -424,6 +424,14 @@ class TestCompare:
         summary = compare_traces(greedy, vanilla)
         assert summary.dominance["entropy"] == "a"
 
+    def test_deltas_of_both_signs_are_mixed(self):
+        # Entropy and GS rise in one iteration and fall in the other; MNND never moves.
+        a = _trace_with([_record_with(1, 1.0, 2.0), _record_with(2, 2.0, 1.0)])
+        b = _trace_with([_record_with(1, 2.0, 1.0), _record_with(2, 1.0, 2.0)])
+        summary = compare_traces(a, b)
+        assert summary.deltas["gs"] == (1.0, -1.0)
+        assert summary.dominance == {"entropy": "mixed", "gs": "mixed", "mnnd": "tie", "frechet_real": "tie"}
+
 
 def _record_with(iteration, log_distance_sum, gs):
     """A record whose entropy estimate is a constant plus log_distance_sum / 10."""

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.special
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from collapselab import (
     ConfigError,
@@ -28,11 +29,16 @@ from collapselab import (
     kth_nn_within,
     mnnd,
     moment_summary,
+    nn_cross,
     pearson,
+    run_policy,
+    SelectionPolicy,
 )
 from collapselab.metrics import _digamma, _log_ball_volume
+from test_neighbors import same_bits
 
 LN_2PIE = math.log(2.0 * math.pi * math.e)
+EPS = float(np.finfo(np.float64).eps)
 
 
 class TestKlEntropy:
@@ -263,6 +269,82 @@ class TestJensenBound:
                 (rep.estimate - (_digamma(n) - _digamma(1) + _log_ball_volume(d))) / d
             )
             assert mnnd(ps) - bound >= -1e-12
+
+
+class TestPowerOfTwoScaleLaws:
+    """Scaling a set by s = 2^j multiplies every difference, square, sum
+    and square root by a power of two, which is exact while each value stays
+    in the normal range. The drawn coordinates lie on a 2^-30 grid inside
+    (-8, 8), so a non-zero coordinate difference lies in [2^-30, 2^4), and a
+    squared distance in [2^-60, 2^11) at d <= 8. Scaled, the smallest square
+    stays normal for j >= -481 and the largest finite for j <= 506: over that
+    range every neighbor distance, MNND and GS scales by s bit for bit, and
+    greedy and threshold selection make the same picks. Beyond it squared
+    distances leave the normal range, and the laws fail. Entropy shifts by
+    d j ln 2 times the share of rows whose neighbor is not a copy, within a
+    bound for its logarithms, while no distinct pair falls under the
+    absolute duplicate floor EPS_FLOOR."""
+
+    LOW, HIGH = -481, 506
+
+    @staticmethod
+    def draw(data):
+        d = data.draw(st.sampled_from([1, 2, 3, 8]))
+        n = data.draw(st.integers(12, 120))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        x = np.round(np.clip(rng.standard_normal((n, d)), -7.5, 7.5) * 2.0**30) / 2.0**30
+        if data.draw(st.booleans()):
+            x = x[rng.integers(0, max(2, n // 3), n)]
+        low, high = TestPowerOfTwoScaleLaws.LOW, TestPowerOfTwoScaleLaws.HIGH
+        j = data.draw(st.one_of(st.integers(low, high), st.sampled_from([low, -300, -37, 5, 200, high])))
+        return x, rng, math.ldexp(1.0, j), j
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_neighbor_distances_scale_bit_for_bit(self, data):
+        x, rng, s, _ = self.draw(data)
+        ps, sps = PointSet(x), PointSet(x * s)
+        for want, got in zip(kth_nn_within(ps, (1, 2, 5)), kth_nn_within(sps, (1, 2, 5))):
+            assert same_bits(got, want * s)
+        new = np.round(rng.standard_normal((20, x.shape[1])) * 2.0**30) / 2.0**30
+        queries = np.concatenate([x[rng.integers(0, len(x), 20)], np.clip(new, -7.5, 7.5)])
+        assert same_bits(nn_cross(PointSet(queries * s), sps), nn_cross(PointSet(queries), ps) * s)
+        assert generalization_score(PointSet(queries * s), sps) == s * generalization_score(PointSet(queries), ps)
+        assert mnnd(sps) == s * mnnd(ps)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_selections_are_the_same_picks(self, data):
+        x, rng, s, _ = self.draw(data)
+        n = data.draw(st.integers(1, len(x)))
+        greedy = SelectionPolicy(kind="greedy", seed=3)
+        want = run_policy(PointSet(x), n, greedy).indices
+        assert run_policy(PointSet(x * s), n, greedy).indices.tolist() == want.tolist()
+        tau0, alpha = data.draw(st.sampled_from([0.5, 1.0, 3.0])), data.draw(st.sampled_from([0.5, 0.9]))
+        policy = SelectionPolicy(kind="threshold_decay", seed=3, tau0=tau0, alpha=alpha)
+        base = run_policy(PointSet(x), n, policy)
+        got = run_policy(PointSet(x * s), n, dataclasses.replace(policy, tau0=tau0 * s))
+        assert got.indices.tolist() == base.indices.tolist()
+        assert got.final_threshold == s * base.final_threshold and got.passes == base.passes
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_entropy_shifts_by_d_j_ln2(self, data):
+        x, _, s, j = self.draw(data)
+        n, d = x.shape
+        gamma = data.draw(st.integers(1, 2))
+        eps = kth_nn_within(PointSet(x), gamma)
+        # Copies measure 0 at any scale; a distinct pair scaled under the
+        # absolute floor would count as a duplicate.
+        assume(not ((eps > 0) & (eps * s < EPS_FLOOR)).any())
+        base, got = kl_entropy(PointSet(x), gamma), kl_entropy(PointSet(x * s), gamma)
+        assert got.duplicate_count == base.duplicate_count
+        shift = d * j * math.log(2.0) * (n - base.duplicate_count) / n
+        # Each log is within a few ulps, numpy's pairwise sum adds about
+        # log2(n) roundings of the summed magnitudes, and the estimate a few of |H|.
+        terms = sum(np.abs(np.log(np.maximum(e, EPS_FLOOR))).sum() for e in (eps, eps * s))
+        bound = (math.log2(n) + 8) * EPS * ((d / n) * terms + abs(base.estimate) + abs(got.estimate) + abs(shift))
+        assert abs(got.estimate - base.estimate - shift) <= bound
 
 
 class TestMoments:

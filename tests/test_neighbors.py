@@ -786,14 +786,15 @@ class TestSplit:
 
 class TestDistinctPoints:
     @staticmethod
-    def searched(monkeypatch):
-        """The (query rows, reference rows) of every `_search` call, from a
-        state in which no earlier search is kept for reuse."""
+    def searched(monkeypatch, rows=False):
+        """The (query rows, reference rows) of every `_search` call, or with
+        `rows` a copy of its query rows, from a state in which no earlier
+        search is kept for reuse."""
         calls = []
         search = neighbors._search
 
         def spy(q, r, *args, **kwargs):
-            calls.append((q.shape[0], r.shape[0]))
+            calls.append(q.copy() if rows else (q.shape[0], r.shape[0]))
             return search(q, r, *args, **kwargs)
 
         monkeypatch.setattr(neighbors, "_search", spy)
@@ -850,9 +851,10 @@ class TestDistinctPoints:
         assert calls == [(3500, 3500), (700, 3500)]
 
     @pytest.mark.parametrize("layout", ["normal", "lattice"])
-    def test_a_duplicate_free_set_is_searched_once(self, monkeypatch, layout):
-        # A set without copies is its own split, so a second query of it,
-        # after an nn_cross has split another matrix, reads the held search.
+    def test_a_duplicate_free_set_is_searched_at_each_call_and_not_held(self, monkeypatch, layout):
+        # A set without copies is answered by its own search, which no later
+        # call reads: nothing is held, and a second query of the set, after
+        # an nn_cross, searches it again for the same bits.
         rng = np.random.default_rng(83)
         if layout == "lattice":
             data = np.array([[a, b] for a in range(30) for b in range(40)], dtype=np.float64)
@@ -860,9 +862,11 @@ class TestDistinctPoints:
             data = rng.standard_normal((1200, 2))
         calls = self.searched(monkeypatch)
         first = kth_nn_within(PointSet(data), (1, 3))
+        assert neighbors._memo is None
         nn_cross(PointSet(data[:100] + 0.25), PointSet(data))
         again = kth_nn_within(PointSet(data.copy()), 3)
-        assert calls == [(1200, 1200), (100, 1200)]
+        assert neighbors._memo is None
+        assert calls == [(1200, 1200), (100, 1200), (1200, 1200)]
         assert same_bits(again, first[1])
 
     @pytest.mark.parametrize("copies", [False, True])
@@ -902,17 +906,20 @@ class TestDistinctPoints:
             # No answer is a view that keeps ranks 1..30 alive.
             assert res.base is None
 
-    def test_exact_matches_are_refused_where_distinct_rows_can_measure_zero(self, monkeypatch):
+    def test_copies_are_answered_without_a_search_where_distinct_rows_measure_zero(self, monkeypatch):
         # Coordinates near 1e-160, 1e-163 apart: (1e-163)**2 underflows to 0,
-        # so distinct rows measure 0 and a 0 does not mark a copy. Every
-        # distinct query point is searched.
+        # so distinct rows measure 0. A copy of a reference row still
+        # measures 0 to it, and nothing measures less, so only the distinct
+        # query points that copy no reference row are searched.
         rng = np.random.default_rng(89)
         base = 1e-160 + 1e-163 * rng.integers(0, 4, (40, 2))
         refs = base[rng.integers(0, 40, 120)]
         queries = np.concatenate([refs[rng.integers(0, 120, 60)], 1e-160 + 1e-163 * rng.integers(4, 9, (20, 2))])
-        calls = self.searched(monkeypatch)
+        queried = self.searched(monkeypatch, rows=True)
         res = nn_cross(PointSet(queries), PointSet(refs))
-        assert calls == [(len(np.unique(queries, axis=0)), len(np.unique(refs, axis=0)))]
+        new = {tuple(q) for q in queries[60:]}
+        assert len(queried) == 1 and {tuple(q) for q in queried[0]} == new
+        assert len(queried[0]) == len(new) < len(np.unique(queries, axis=0))
         ref_d = brute_kth(queries, refs, 1, within=False)
         assert np.array_equal(res, ref_d)
         # Some query that copies no reference row measures 0.
@@ -996,20 +1003,20 @@ class TestDistinctPoints:
     @pytest.mark.parametrize("k", [1, 4, 32])
     def test_a_set_without_copies_is_answered_by_its_search(self, monkeypatch, k):
         # Every size is 1, so rank i is the search's v_i: no columns are
-        # searched or held, and every rank has the bits of brute force.
+        # searched, nothing is held, and every rank has the bits of brute force.
         rng = np.random.default_rng([109, k])
         x = rng.standard_normal((300, 2))
         self.searched(monkeypatch)
         got = neighbors._within(neighbors._distinct(x), k)
-        assert got.shape == (k, 300) and neighbors._memo[3] is None
+        assert got.shape == (k, 300) and neighbors._memo is None
         for rank in range(1, k + 1):
             assert same_bits(got[rank - 1], brute_sq(x, x, rank, within=True))
 
-    def test_a_search_held_without_columns_serves_no_set_with_copies(self, monkeypatch):
+    def test_a_set_without_copies_holds_no_search_for_a_set_with_copies(self, monkeypatch):
         # The points of a set with copies are the set without them in
-        # coordinate order, so the held search of the set without copies has
-        # their bits; the rule needs the columns, so the points are searched
-        # again, with them.
+        # coordinate order, so they have the bits of the set without copies
+        # searched just before; that search was not held, so the points are
+        # searched again, with the columns the rule reads, and held.
         rng = np.random.default_rng(113)
         x = rng.standard_normal((200, 2))
         x = x[np.lexsort(x.T[::-1])]
@@ -1019,6 +1026,7 @@ class TestDistinctPoints:
             for k, res in zip((1, 3), kth_nn_within(PointSet(data), (1, 3), DistanceMetric(kind="sqeuclidean"))):
                 assert same_bits(res, brute_sq(data, data, k, within=True))
         assert calls == [(200, 200), (200, 200)]
+        assert same_bits(neighbors._memo[1], x) and neighbors._memo[3] is not None
 
     def test_no_search_when_every_point_has_more_than_k_rows(self, monkeypatch):
         # 40 points with 3 to 5 rows each: ranks 1 and 2 are copies at 0.
@@ -1098,9 +1106,17 @@ class TestDistinctPoints:
         queries = np.concatenate([copies, flipped, new, refs[:1]])[rng.permutation(2 * len(copies) + len(new) + 1)]
         scale = data.draw(st.sampled_from([1.0, 1e-8, 1e8, 1e-150, 1e-160, 1e-170]))
         queries, refs = queries * scale, refs * scale
-        res = nn_cross(PointSet(queries), PointSet(refs))
+        with pytest.MonkeyPatch.context() as mp:
+            queried = self.searched(mp, rows=True)
+            res = nn_cross(PointSet(queries), PointSet(refs))
         ref_d = brute_kth(queries, refs, 1, within=False)
         assert same_bits(res, ref_d)
+        # Tuples compare and hash zeros of either sign alike, as the split does:
+        # no copy of a reference row is searched, and every other query point once.
+        searched = [tuple(row) for q in queried for row in q]
+        held = {tuple(row) for row in refs}
+        assert not held.intersection(searched)
+        assert len(searched) == len(set(searched)) == len({tuple(row) for row in queries} - held)
 
     def test_overflowing_features_are_numerical_errors(self):
         # A random projection of rows near the largest double overflows to

@@ -144,6 +144,12 @@ class TestCsvFormat:
         assert ps.dim == 1
         assert labels(ps) == ["real", "syn1"]
 
+    def test_a_source_column_alone_is_refused(self, tmp_path):
+        p = tmp_path / "a.csv"
+        p.write_text("source\nreal\nsyn1\n")
+        with pytest.raises(FormatError, match=re.escape(f"{p}: no numeric columns")):
+            load_pointset(p)
+
     def test_ragged_rows_rejected(self, tmp_path):
         p = tmp_path / "a.csv"
         p.write_text("1.0,2.0\n3.0\n")
