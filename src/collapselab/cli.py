@@ -104,26 +104,26 @@ def _metric_for(args) -> DistanceMetric:
 
 
 def cmd_entropy(args) -> int:
-    _emit(kl_entropy(load_pointset(args.input, args.format), args.gamma, _metric_for(args)))
+    _emit(kl_entropy(load_pointset(args.input), args.gamma, _metric_for(args)))
     return 0
 
 
 def cmd_gs(args) -> int:
-    generated = load_pointset(args.input, args.format)
-    training = load_pointset(args.training, args.format)
+    generated = load_pointset(args.input)
+    training = load_pointset(args.training)
     _emit({"gs": generalization_score(generated, training, _metric_for(args))})
     return 0
 
 
 def cmd_mnnd(args) -> int:
-    _emit({"mnnd": mnnd(load_pointset(args.input, args.format), _metric_for(args))})
+    _emit({"mnnd": mnnd(load_pointset(args.input), _metric_for(args))})
     return 0
 
 
 def cmd_frechet(args) -> int:
     fmap = parse_spec("feature", args.feature)
-    a = moment_summary(apply_feature_map(load_pointset(args.input, args.format), fmap))
-    b = moment_summary(apply_feature_map(load_pointset(args.other, args.format), fmap))
+    a = moment_summary(apply_feature_map(load_pointset(args.input), fmap))
+    b = moment_summary(apply_feature_map(load_pointset(args.other), fmap))
     _emit({"frechet": frechet_gaussian_distance(a, b)})
     return 0
 
@@ -132,10 +132,10 @@ def cmd_select(args) -> int:
     policy = parse_spec(
         "selection", args.selection, seed=args.seed, metric=_metric_for(args), initial_index=args.start_index
     )
-    pool = load_pointset(args.input, args.format)
+    pool = load_pointset(args.input)
     result = run_policy(pool, args.n, policy)
     if args.out:
-        save_pointset(pool.rows(result.indices), args.out, args.format)
+        save_pointset(pool.rows(result.indices), args.out)
     _emit(result)
     return 0
 
@@ -143,13 +143,13 @@ def cmd_select(args) -> int:
 def cmd_gen(args) -> int:
     if not 0 <= args.tag_iteration <= MAX_CSV_CODE:
         raise ConfigError(f"--tag-iteration must be in 0..{MAX_CSV_CODE}, got {args.tag_iteration}")
-    training = load_pointset(args.input, args.format)
+    training = load_pointset(args.input)
     spec = parse_spec("generator", args.generator)
     fit_seed = looper.derive_seed(args.seed, 0, looper.ROLE_FIT)
     sample_seed = looper.derive_seed(args.seed, 0, looper.ROLE_SAMPLE)
     generator = fit(dataclasses.replace(spec, seed=fit_seed), training)
     out = sample(generator, args.m, sample_seed).with_sources(args.tag_iteration)
-    save_pointset(out, args.out, args.format)
+    save_pointset(out, args.out)
     _emit({"written": str(args.out), "count": out.size, "dim": out.dim})
     return 0
 
@@ -201,7 +201,7 @@ def _build_loop_config(args) -> looper.LoopConfig:
 
 def cmd_loop(args) -> int:
     config = _build_loop_config(args)
-    real = load_pointset(args.real, args.format)
+    real = load_pointset(args.real)
     sys.stderr.write(
         f"loop: paradigm={config.paradigm} iterations={config.iterations} "
         f"train_size={config.train_size} generator={config.generator.kind} "
@@ -255,7 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, seed=True):
         p.add_argument("--input", required=True, help="input dataset path")
-        p.add_argument("--format", choices=("csv", "rawbin"), default="csv")
         p.add_argument("--feature", default="identity", help=_SPECS["feature"][2])
         if seed:
             p.add_argument("--seed", type=int, default=0)
@@ -284,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--selection", required=True, help=_SPECS["selection"][2])
     p.add_argument("--start-index", type=int, default=None, help="pin the initial pick")
-    p.add_argument("--out", default=None, help="write the selected subset here (input's format)")
+    p.add_argument("--out", default=None, help="write the selected subset here as CSV")
     p.set_defaults(func=cmd_select)
 
     p = sub.add_parser("gen", help="fit a generator and sample from it")
@@ -292,12 +291,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--generator", required=True, help=_SPECS["generator"][2])
     p.add_argument("--m", type=int, required=True, help="number of points to sample")
     p.add_argument("--tag-iteration", type=int, default=1, help="source tag for sampled rows")
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True, help="write the sampled points here as CSV")
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("loop", help="run a self-consuming training loop", description="--selection also takes none.")
     p.add_argument("--real", required=True, help="real dataset path")
-    p.add_argument("--format", choices=("csv", "rawbin"), default="csv")
     p.add_argument("--config", default=None, help="key=value file mirroring the loop config")
     for key in _CONFIG_KEYS:
         flag = "--seed" if key == "master_seed" else "--" + key.replace("_", "-")

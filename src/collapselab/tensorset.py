@@ -6,24 +6,20 @@ or synthetic data from iteration k >= 1). Distances are always taken in a
 feature space, one of two kinds: the identity map (the raw coordinates) or
 a seeded random projection.
 
-Two file formats round-trip point sets: a human-readable CSV and a small
-binary container ("rawbin") that preserves floats bit-exactly.
+Point sets are stored as CSV (README "Formats"), which round-trips every
+finite float64 bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 import re
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, DimensionError, EmptyDatasetError, FormatError, NumericalError, check_fields
-
-RAWBIN_MAGIC = b"CLPS"
-RAWBIN_VERSION = 1
 
 _TAG_RE = re.compile(r"^(real|syn[1-9][0-9]*)$")
 # Width of the CSV reader's tag field, one uint64; a tag that fills it may have been cut short.
@@ -217,9 +213,10 @@ def _parse_float(token: str) -> float | None:
         return None
 
 
-def _load_csv(path: Path) -> PointSet:
+def load_pointset(path) -> PointSet:
     """The CSV format is what one numpy pass by path reads after the header
     (README "Formats"); numpy's errors keep its own text and row numbers."""
+    path = Path(path)
     # numpy would open a path with one of these suffixes as a compressed file.
     if path.suffix in (".gz", ".bz2", ".xz", ".lzma"):
         raise FormatError(f"{path}: CSV is read as plain text, and {path.suffix} names a compressed file")
@@ -265,58 +262,11 @@ def _load_csv(path: Path) -> PointSet:
     return PointSet(table["x"], codes[inverse])
 
 
-def _save_csv(ps: PointSet, path: Path) -> None:
+def save_pointset(ps: PointSet, path) -> None:
+    path = Path(path)
     if ps.size and int(ps.sources.max()) > MAX_CSV_CODE:
         raise FormatError(f"{path}: CSV stores iteration codes up to {MAX_CSV_CODE}, got {int(ps.sources.max())}")
     out = [",".join([f"x{j}" for j in range(ps.dim)] + ["source"])]
     out += [",".join([*map(repr, row), source_label(code)]) for row, code in zip(ps.data.tolist(), ps.sources.tolist())]
     path.write_text("\n".join(out) + "\n")
 
-
-def _load_rawbin(path: Path) -> PointSet:
-    raw = path.read_bytes()
-    if len(raw) == 0:
-        raise EmptyDatasetError(f"{path}: empty file")
-    if len(raw) < 24 or raw[:4] != RAWBIN_MAGIC:
-        raise FormatError(f"{path}: not a rawbin file (bad magic)")
-    version, n, d = struct.unpack_from("<IQQ", raw, 4)
-    if version != RAWBIN_VERSION:
-        raise FormatError(f"{path}: unsupported rawbin version {version}")
-    if n == 0:
-        raise EmptyDatasetError(f"{path}: zero points")
-    if d == 0:
-        raise FormatError(f"{path}: zero dimension")
-    need = 24 + n * d * 8 + n
-    if len(raw) != need:
-        raise FormatError(f"{path}: expected {need} bytes, found {len(raw)}")
-    data = np.frombuffer(raw, dtype="<f8", count=n * d, offset=24).reshape(n, d)
-    codes = np.frombuffer(raw, dtype=np.uint8, count=n, offset=24 + n * d * 8).astype(np.int64)
-    return PointSet(data, codes)
-
-
-def _save_rawbin(ps: PointSet, path: Path) -> None:
-    if ps.size and int(ps.sources.max()) > 255:
-        raise FormatError(f"{path}: rawbin stores iteration codes up to 255, got {int(ps.sources.max())}")
-    head = RAWBIN_MAGIC + struct.pack("<IQQ", RAWBIN_VERSION, ps.size, ps.dim)
-    body = np.ascontiguousarray(ps.data, dtype="<f8").tobytes()
-    tail = ps.sources.astype(np.uint8).tobytes()
-    path.write_bytes(head + body + tail)
-
-
-def load_pointset(path, fmt: str = "csv") -> PointSet:
-    path = Path(path)
-    if fmt == "csv":
-        return _load_csv(path)
-    if fmt == "rawbin":
-        return _load_rawbin(path)
-    raise ConfigError(f"unknown dataset format {fmt!r} (expected 'csv' or 'rawbin')")
-
-
-def save_pointset(ps: PointSet, path, fmt: str = "csv") -> None:
-    path = Path(path)
-    if fmt == "csv":
-        _save_csv(ps, path)
-    elif fmt == "rawbin":
-        _save_rawbin(ps, path)
-    else:
-        raise ConfigError(f"unknown dataset format {fmt!r} (expected 'csv' or 'rawbin')")

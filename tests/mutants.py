@@ -122,7 +122,7 @@ MUTANTS = (
         "sq *= 1.0 - 4 * (dim + 4) * _EPS",
         "sq *= 1.0",
         NEIGHBOR_TESTS,
-        gate=False,
+        gate=True,
     ),
     Mutant(
         "randproj-matrix-product",

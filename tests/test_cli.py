@@ -3,7 +3,6 @@ import math
 import os
 import shlex
 import shutil
-import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -28,7 +27,6 @@ from collapselab import (
 )
 from collapselab.cli import main
 from collapselab.generators import GENERATOR_FIELDS
-from collapselab.tensorset import RAWBIN_MAGIC
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -152,18 +150,14 @@ class TestScalarCommands:
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "blob, message",
-        [
-            (b"", "empty file"),
-            (RAWBIN_MAGIC + struct.pack("<IQQ", 1, 0, 2), "zero points"),
-            (RAWBIN_MAGIC + struct.pack("<IQQ", 1, 1, 0) + b"\x00", "zero dimension"),
-        ],
-        ids=["empty", "zero-points", "zero-dimension"],
+        "text, message",
+        [("", "empty file"), ("x0,x1,source\n", "header but no data rows")],
+        ids=["empty", "header-only"],
     )
-    def test_degenerate_rawbin_is_io_error(self, tmp_path, capsys, blob, message):
-        p = tmp_path / "x.bin"
-        p.write_bytes(blob)
-        assert main(["entropy", "--input", str(p), "--format", "rawbin"]) == 2
+    def test_empty_csv_is_io_error(self, tmp_path, capsys, text, message):
+        p = tmp_path / "x.csv"
+        p.write_text(text)
+        assert main(["entropy", "--input", str(p)]) == 2
         assert message in capsys.readouterr().err
 
     def test_entropy_with_random_projection_feature(self, tmp_path, capsys):
@@ -446,14 +440,6 @@ class TestGen:
             ) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
-
-    def test_rawbin_rejects_iteration_codes_above_255(self, blob_csv, tmp_path):
-        src = tmp_path / "in.bin"
-        save_pointset(load_pointset(blob_csv), src, fmt="rawbin")
-        args = ["gen", "--input", str(src), "--generator", "bootstrap:0", "--m", "5", "--format", "rawbin"]
-        assert main(args + ["--out", str(tmp_path / "ok.bin"), "--tag-iteration", "255"]) == 0
-        assert main(args + ["--out", str(tmp_path / "x.bin"), "--tag-iteration", "256"]) == 2
-        assert not (tmp_path / "x.bin").exists()
 
     def test_bad_generator_spec_is_config_error(self, blob_csv, tmp_path):
         code = main(

@@ -835,16 +835,41 @@ def _rebuild_estimate(entropy: dict) -> None:
 
 
 _READ_REAL = blob_data(29, 80)
-# replace, gmm:2 and threshold decay, the trace the edits below damage.
-_READ_DOC = _canonical_doc(
-    bootstrap_config(
+_FUZZ_REAL = blob_data(31, 40, d=3)
+_FUZZ_RANDPROJ = DistanceMetric(feature_map=FeatureMap(kind="randproj", target_dim=2, seed=5))
+# Named loop runs whose canonical traces the tests below read. "read" is
+# replace, gmm:2 and threshold decay, the trace the edits below damage; the
+# others, one of each paradigm, seed the edit fuzz, and one projects 3 -> 2
+# and selects by threshold decay.
+_NAMED_RUNS = {
+    "read": (bootstrap_config(
         train_size=40,
         generator=GeneratorSpec(kind="gmm", components=2),
         selection=SelectionPolicy(kind="threshold_decay", tau0=1.0, alpha=0.5),
         generation_multiplier=1.5,
-    ),
-    _READ_REAL,
-)
+    ), _READ_REAL),
+    "replace-randproj-threshold": (bootstrap_config(
+        train_size=20,
+        generator=GeneratorSpec(kind="gmm", components=2),
+        metric=_FUZZ_RANDPROJ,
+        selection=SelectionPolicy(kind="threshold_decay", metric=_FUZZ_RANDPROJ, tau0=0.5, alpha=0.5, initial_index=2),
+    ), _FUZZ_REAL),
+    "accumulate-bootstrap0": (bootstrap_config(paradigm="accumulate", train_size=20, gamma=2), _FUZZ_REAL),
+    "subsample-greedy": (bootstrap_config(
+        paradigm="accumulate_subsample", train_size=20, selection=SelectionPolicy(kind="greedy"),
+        generator=GeneratorSpec(kind="bootstrap", sigma=0.05),
+    ), _FUZZ_REAL),
+}
+_FUZZ_NAMES = sorted(set(_NAMED_RUNS) - {"read"})
+
+
+@functools.cache
+def named_trace(name):
+    """The canonical trace text of _NAMED_RUNS[name], run on first use, so
+    that a broken engine fails the tests that read it and not the module's
+    collection."""
+    config, real = _NAMED_RUNS[name]
+    return trace_to_json(run_loop(config, real), canonical=True)
 
 
 def _bump_upper_covariance(doc):
@@ -862,7 +887,7 @@ def _set_record_gamma_with_its_estimate(doc):
     _rebuild_estimate(entropy)
 
 
-# Single edits of _READ_DOC, each a trace run_loop could not have written.
+# Single edits of the "read" trace, each a trace run_loop could not have written.
 _REFUSED_EDITS = {
     # The round trip refuses these: the trace does not write the edited document.
     "gamma-missing": lambda doc: doc["config"].pop("gamma"),
@@ -895,12 +920,12 @@ _REFUSED_EDITS = {
 
 class TestTraceWritesBackToItself:
     def test_canonical_trace_reads(self):
-        trace = trace_from_json(json.dumps(_READ_DOC))
-        assert to_doc(trace) == {k: v for k, v in _READ_DOC.items() if k != "schema_version"}
+        text = named_trace("read")
+        assert to_doc(trace_from_json(text)) == {k: v for k, v in json.loads(text).items() if k != "schema_version"}
 
     @pytest.mark.parametrize("name", list(_REFUSED_EDITS))
     def test_edit_is_format_error_and_exit_2(self, tmp_path, capsys, name):
-        doc = json.loads(json.dumps(_READ_DOC))
+        doc = json.loads(named_trace("read"))
         _REFUSED_EDITS[name](doc)
         text = json.dumps(doc)
         with pytest.raises(FormatError):
@@ -998,27 +1023,6 @@ def test_proportions_of_any_partition_sum_to_one_within_the_reader_bound(counts)
     assert abs(math.fsum(c / total for c in counts) - 1.0) <= 2**-53
 
 
-# Canonical traces of the three paradigms for the edit fuzz below; one
-# projects 3 -> 2 and selects by threshold decay.
-_FUZZ_REAL = blob_data(31, 40, d=3)
-_FUZZ_RANDPROJ = DistanceMetric(feature_map=FeatureMap(kind="randproj", target_dim=2, seed=5))
-_FUZZ_TEXTS = {
-    "replace-randproj-threshold": trace_to_json(run_loop(bootstrap_config(
-        train_size=20,
-        generator=GeneratorSpec(kind="gmm", components=2),
-        metric=_FUZZ_RANDPROJ,
-        selection=SelectionPolicy(kind="threshold_decay", metric=_FUZZ_RANDPROJ, tau0=0.5, alpha=0.5, initial_index=2),
-    ), _FUZZ_REAL), canonical=True),
-    "accumulate-bootstrap0": trace_to_json(run_loop(bootstrap_config(
-        paradigm="accumulate", train_size=20, gamma=2,
-    ), _FUZZ_REAL), canonical=True),
-    "subsample-greedy": trace_to_json(run_loop(bootstrap_config(
-        paradigm="accumulate_subsample", train_size=20, selection=SelectionPolicy(kind="greedy"),
-        generator=GeneratorSpec(kind="bootstrap", sigma=0.05),
-    ), _FUZZ_REAL), canonical=True),
-}
-
-
 def _node_paths(node, path=()):
     """The path of every key and list item below node."""
     items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
@@ -1027,7 +1031,6 @@ def _node_paths(node, path=()):
         yield from _node_paths(child, path + (key,))
 
 
-_FUZZ_PATHS = {name: list(_node_paths(json.loads(text))) for name, text in _FUZZ_TEXTS.items()}
 _FUZZ_KEYS = sorted(
     {f.name for cls in (LoopConfig, GeneratorSpec, SelectionPolicy, DistanceMetric, FeatureMap, IterationRecord,
                         EntropyReport, metrics.MomentSummary) for f in dataclasses.fields(cls)}
@@ -1044,12 +1047,11 @@ _JSON_VALUES = st.one_of(
 def edited_traces(draw):
     """A canonical trace document with one key or leaf deleted, added or
     given a value of a random JSON type."""
-    name = draw(st.sampled_from(sorted(_FUZZ_TEXTS)))
-    doc = json.loads(_FUZZ_TEXTS[name])
+    doc = json.loads(named_trace(draw(st.sampled_from(_FUZZ_NAMES))))
     # Each section in turn, so that the short real_reference is edited as
     # often as the records.
     section = draw(st.sampled_from(list(doc)))
-    *above, key = draw(st.sampled_from([path for path in _FUZZ_PATHS[name] if path[0] == section]))
+    *above, key = draw(st.sampled_from([path for path in _node_paths(doc) if path[0] == section]))
     parent = functools.reduce(operator.getitem, above, doc)
     edit = draw(st.sampled_from(["delete", "add", "retype"]))
     if edit == "delete":

@@ -1,7 +1,6 @@
 import dataclasses
 import math
 import re
-import struct
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -24,7 +23,7 @@ from collapselab import (
     save_pointset,
 )
 from collapselab import tensorset
-from collapselab.tensorset import RAWBIN_MAGIC, source_label, source_proportions
+from collapselab.tensorset import source_label, source_proportions
 
 
 def labels(ps):
@@ -196,59 +195,6 @@ class TestCsvFormat:
         header = p.read_text().splitlines()[0]
         assert header == "x0,x1,x2,source"
 
-    def test_unknown_format_rejected(self, tmp_path):
-        ps = PointSet([[0.0]])
-        with pytest.raises(ConfigError):
-            save_pointset(ps, tmp_path / "x.bin", fmt="parquet")
-        with pytest.raises(ConfigError):
-            load_pointset(tmp_path / "x.bin", fmt="parquet")
-
-
-class TestRawbinFormat:
-    def test_round_trip_bit_exact(self, tmp_path):
-        rng = np.random.default_rng(6)
-        data = rng.standard_normal((25, 4))
-        data[0, 0] = 1e-300
-        data[1, 0] = 1e300
-        ps = PointSet(data, sources=rng.integers(0, 9, 25))
-        p = tmp_path / "rt.bin"
-        save_pointset(ps, p, fmt="rawbin")
-        back = load_pointset(p, fmt="rawbin")
-        assert np.array_equal(back.data, ps.data)
-        assert back.data.tobytes() == ps.data.tobytes()
-        assert np.array_equal(back.sources, ps.sources)
-
-    def test_magic_checked(self, tmp_path):
-        p = tmp_path / "bad.bin"
-        p.write_bytes(b"NOPE" + b"\x00" * 40)
-        with pytest.raises(FormatError):
-            load_pointset(p, fmt="rawbin")
-
-    def test_version_checked(self, tmp_path):
-        p = tmp_path / "bad.bin"
-        header = RAWBIN_MAGIC + struct.pack("<IQQ", 9, 1, 1)
-        p.write_bytes(header + struct.pack("<d", 0.0) + b"\x00")
-        with pytest.raises(FormatError):
-            load_pointset(p, fmt="rawbin")
-
-    def test_truncated_payload_rejected(self, tmp_path):
-        ps = PointSet(np.zeros((3, 2)))
-        p = tmp_path / "t.bin"
-        save_pointset(ps, p, fmt="rawbin")
-        blob = p.read_bytes()
-        p.write_bytes(blob[:-2])
-        with pytest.raises(FormatError):
-            load_pointset(p, fmt="rawbin")
-
-    def test_iteration_codes_beyond_byte_range_rejected(self, tmp_path):
-        p = tmp_path / "s.bin"
-        save_pointset(PointSet(np.zeros((2, 1)), sources=[0, 255]), p, fmt="rawbin")
-        assert list(load_pointset(p, fmt="rawbin").sources) == [0, 255]
-        q = tmp_path / "t.bin"
-        with pytest.raises(FormatError, match="300"):
-            save_pointset(PointSet(np.zeros((2, 1)), sources=[255, 300]), q, fmt="rawbin")
-        assert not q.exists()
-
 
 class TestFeatureMap:
     def test_identity_returns_equal_values(self):
@@ -336,17 +282,24 @@ class TestDistanceMetric:
             DistanceMetric(kind="manhattan")
 
 
-coordinate = st.floats(
-    allow_nan=False, allow_infinity=False, width=64, min_value=-1e12, max_value=1e12
+# Rows of 1 to 4 coordinates, each any finite float64 (subnormals, both
+# zeros and both extremes among them), and an iteration code CSV holds.
+csv_rows = st.integers(1, 4).flatmap(
+    lambda d: st.lists(
+        st.tuples(*[st.floats(allow_nan=False, allow_infinity=False, width=64)] * d, st.integers(0, 9999)),
+        min_size=1,
+        max_size=30,
+    )
 )
 
 
 class TestRoundTripProperties:
-    @given(rows=st.lists(st.tuples(coordinate, coordinate, st.integers(0, 9999)), min_size=1, max_size=30))
+    @given(rows=csv_rows)
     @example(rows=[(0.0, -0.0, 9999), (1e-300, 5e-324, 0)])
+    @example(rows=[(-1.7976931348623157e308, 0), (1.7976931348623157e308, 1), (-5e-324, 9999)])
     @settings(max_examples=60, deadline=None)
     def test_csv_round_trip_any_floats(self, rows, tmp_path_factory):
-        ps = PointSet(np.array([row[:2] for row in rows], dtype=np.float64), [row[2] for row in rows])
+        ps = PointSet(np.array([row[:-1] for row in rows], dtype=np.float64), [row[-1] for row in rows])
         p = tmp_path_factory.mktemp("csv") / "rt.csv"
         save_pointset(ps, p)
         back = load_pointset(p)
@@ -358,15 +311,6 @@ class TestRoundTripProperties:
         with pytest.raises(FormatError, match="up to 9999"):
             save_pointset(PointSet([[0.0], [1.0]], [9999, 10000]), p)
         assert not p.exists()
-
-    @given(rows=st.lists(st.tuples(coordinate, coordinate), min_size=1, max_size=30))
-    @settings(max_examples=60, deadline=None)
-    def test_rawbin_round_trip_any_floats(self, rows, tmp_path_factory):
-        ps = PointSet(np.array(rows, dtype=np.float64))
-        p = tmp_path_factory.mktemp("bin") / "rt.bin"
-        save_pointset(ps, p, fmt="rawbin")
-        back = load_pointset(p, fmt="rawbin")
-        assert back.data.tobytes() == ps.data.tobytes()
 
 
 def reference_load_csv(path: Path) -> PointSet:
@@ -447,6 +391,9 @@ def csv_outcome(load, path: Path):
     return ps.data.shape, ps.data.tobytes(), ps.sources.tolist()
 
 
+coordinate = st.floats(
+    allow_nan=False, allow_infinity=False, width=64, min_value=-1e12, max_value=1e12
+)
 numbers = st.one_of(coordinate.map(repr), st.integers(-10**6, 10**6).map(str))
 odd_numbers = st.sampled_from(
     ["1_000", "nan", "-inf", "1e400", " 2.5 ", "\t3", "-0", "+.5", "1.", "#", "#1", "", "x",
@@ -521,7 +468,7 @@ LINE_END_CASES = [
 ]
 
 
-class TestCsvReaderMatchesPerCellReader:
+class TestCsvReaderMatchesReference:
     @given(text=csv_texts())
     @example(text="x0,x1,source\n1,2,real\x00\n")
     @example(text="1,2,syn1234567\n3,4,real\n")
