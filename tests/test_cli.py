@@ -151,14 +151,36 @@ class TestScalarCommands:
 
     @pytest.mark.parametrize(
         "text, message",
-        [("", "empty file"), ("x0,x1,source\n", "header but no data rows")],
-        ids=["empty", "header-only"],
+        [
+            ("", "empty file"),
+            ("x0,x1,source\n", "header but no data rows"),
+            ("\n \n\t\n", "empty file"),
+            ("\nx0,x1,source\n\n  \n", "header but no data rows"),
+        ],
+        ids=["empty", "header-only", "blank-lines", "header-among-blank-lines"],
     )
     def test_empty_csv_is_io_error(self, tmp_path, capsys, text, message):
         p = tmp_path / "x.csv"
         p.write_text(text)
         assert main(["entropy", "--input", str(p)]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["entropy"],
+            ["select", "--n", "1", "--selection", "greedy"],
+            ["gen", "--generator", "gaussian", "--m", "5", "--out", "{out}"],
+        ],
+        ids=["entropy", "select", "gen"],
+    )
+    def test_the_removed_format_flag_is_config_error(self, two_point_csv, tmp_path, capsys, args):
+        # Every dataset is CSV; --format no longer exists to choose another.
+        out = tmp_path / "out.csv"
+        argv = [args[0], "--input", str(two_point_csv), *(a.format(out=out) for a in args[1:]), "--format", "csv"]
+        assert main(argv) == 4
+        assert "unrecognized arguments: --format csv" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_entropy_with_random_projection_feature(self, tmp_path, capsys):
         rng = np.random.default_rng(1)

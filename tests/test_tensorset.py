@@ -195,6 +195,65 @@ class TestCsvFormat:
         header = p.read_text().splitlines()[0]
         assert header == "x0,x1,x2,source"
 
+    def test_round_trip_keeps_extreme_floats_bit_exact(self, tmp_path):
+        rng = np.random.default_rng(6)
+        data = rng.standard_normal((25, 4))
+        data[0] = [1e-300, 1e300, -0.0, 0.0]
+        data[1] = [5e-324, -5e-324, np.finfo(np.float64).max, -np.finfo(np.float64).max]
+        data[2] = [np.finfo(np.float64).tiny, np.nextafter(0.0, 1.0) * 3, 0.1, -1 / 3]
+        ps = PointSet(data, sources=rng.integers(0, 9, 25))
+        p = tmp_path / "rt.csv"
+        save_pointset(ps, p)
+        back = load_pointset(p)
+        assert back.data.tobytes() == ps.data.tobytes()
+        assert np.array_equal(back.sources, ps.sources)
+
+    def test_iteration_codes_past_a_byte_round_trip(self, tmp_path):
+        p = tmp_path / "s.csv"
+        save_pointset(PointSet(np.zeros((5, 1)), sources=[0, 255, 256, 1000, 9999]), p)
+        assert load_pointset(p).sources.tolist() == [0, 255, 256, 1000, 9999]
+        assert [line.split(",")[-1] for line in p.read_text().splitlines()[1:]] == [
+            "real", "syn255", "syn256", "syn1000", "syn9999"
+        ]
+
+    def test_paths_may_be_given_as_text(self, tmp_path):
+        ps = PointSet([[0.5, -1.0], [2.0, 3.0]], sources=[0, 2])
+        p = tmp_path / "text.csv"
+        save_pointset(ps, str(p))
+        back = load_pointset(str(p))
+        assert back.data.tobytes() == ps.data.tobytes()
+        assert back.sources.tolist() == [0, 2]
+        with pytest.raises(FormatError, match=re.escape(f"{p}.gz: CSV is read as plain text")):
+            load_pointset(f"{p}.gz")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("x0,x1\n1,2,real\n", "requires 2 columns but 3 were found"),
+            ("x0,x1,tag\n1,2,real\n", "could not convert string 'real'"),
+        ],
+        ids=["no-source-field", "source-field-named-otherwise"],
+    )
+    def test_tags_under_a_header_without_a_source_field_are_refused(self, tmp_path, text, message):
+        p = tmp_path / "a.csv"
+        p.write_text(text)
+        with pytest.raises(FormatError, match=re.escape(f"{p}: ") + ".*" + re.escape(message)):
+            load_pointset(p)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("x0,x1,source\n1.0,2.0,real\n3.0,4.0,\n", "data row 2: unrecognized source tag ''"),
+            ("x0,x1,source\n1.0,2.0,real\n3.0,\n", "requires 3 columns but 2 were found at row 2"),
+        ],
+        ids=["cut-in-tag", "cut-before-last-coordinate"],
+    )
+    def test_a_cut_last_row_is_refused(self, tmp_path, text, message):
+        p = tmp_path / "a.csv"
+        p.write_text(text)
+        with pytest.raises(FormatError, match=re.escape(f"{p}: ") + ".*" + re.escape(message)):
+            load_pointset(p)
+
 
 class TestFeatureMap:
     def test_identity_returns_equal_values(self):
